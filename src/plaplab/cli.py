@@ -24,7 +24,7 @@ import sys
 from .errors import ParameterError, RegimeError, SolutionFormatError
 from .geometry import ModelSpace
 from .solver import ShootingConfig, read_solution_csv, solve_radial, to_log_solution, write_solution_csv
-from .sweep import SweepGrid, compare_with_theory, default_workers, sweep, write_sweep_csv
+from .sweep import SweepGrid, compare_with_theory, sweep, write_sweep_csv
 from .thresholds import (
     EquationParams,
     alpha,
@@ -245,7 +245,7 @@ def cmd_sweep(args):
         config=_shooting_config(args, cfg),
         u0_list=u0_list,
     )
-    table = sweep(grid, max_workers=default_workers())
+    table = sweep(grid)
     write_sweep_csv(table, args.out)
     comparison = compare_with_theory(table)
     summary = comparison.to_dict()

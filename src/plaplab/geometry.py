@@ -73,12 +73,16 @@ def warp_log_derivative(space: ModelSpace, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ParameterError("warp_log_derivative requires r > 0")
-    if space.K == 0:
-        out = 1.0 / r
-    else:
-        rk = math.sqrt(space.K)
-        out = rk / np.tanh(rk * r)
+    out = _warp_log_derivative(space.K, r)
     return out if out.ndim else float(out)
+
+
+def _warp_log_derivative(K, r):
+    """warp_log_derivative on an array r > 0, unchecked."""
+    if K == 0:
+        return 1.0 / r
+    rk = math.sqrt(K)
+    return rk / np.tanh(rk * r)
 
 
 def unit_sphere_area(n: int) -> float:

@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._fd import fd4_first, fd4_second
 from .errors import ParameterError, SolutionFormatError
-from .geometry import ModelSpace, warp, warp_log_derivative
+from .geometry import ModelSpace, _warp_log_derivative, warp, warp_log_derivative
 from .thresholds import EquationParams
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "RadialSolution",
     "LogSolution",
     "solve_radial",
+    "shoot_batch",
     "pde_residual",
     "to_log_solution",
     "first_zero",
@@ -152,16 +154,15 @@ class LogSolution:
     transformed_residual: float
 
 
-def _series_u(params, config, r):
-    """Power-series start: u0 plus the leading flux-driven correction."""
-    p, a, sig, n = params.p, params.a, params.sigma, params.n
-    u0 = config.u0
+def _series_u(p, a, sig, n, u0, r):
+    """Power-series start: u0 plus the leading flux-driven correction.
+    Elementwise in every argument."""
     c = (abs(a) * u0**sig / n) ** (1 / (p - 1)) * (p - 1) / p
-    return u0 - math.copysign(c, a) * r ** (p / (p - 1))
+    return u0 - np.copysign(c, a) * r ** (p / (p - 1))
 
 
-def _series_w(params, config, r):
-    return -params.a * config.u0**params.sigma * r / params.n
+def _series_w(a, sig, n, u0, r):
+    return -a * u0**sig * r / n
 
 
 def solve_radial(
@@ -183,7 +184,8 @@ def solve_radial(
     p, a, sig, n = params.p, params.a, params.sigma, params.n
     inv_pm1 = 1.0 / (p - 1.0)
     r_start = _SERIES_FRACTION * config.r_max
-    y0 = [_series_u(params, config, r_start), _series_w(params, config, r_start)]
+    u0 = config.u0
+    y0 = [_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start)]
     u_floor = 0.5 * config.zero_threshold  # Lipschitz continuation below the zero event
 
     if space.K == 0:
@@ -257,8 +259,8 @@ def solve_radial(
     u = np.empty_like(rs)
     w = np.empty_like(rs)
     head = rs < r_start
-    u[head] = _series_u(params, config, rs[head])
-    w[head] = _series_w(params, config, rs[head])
+    u[head] = _series_u(p, a, sig, n, u0, rs[head])
+    w[head] = _series_w(a, sig, n, u0, rs[head])
     u[~head], w[~head] = sol.sol(rs[~head])
     du = np.sign(w) * np.abs(w) ** inv_pm1
 
@@ -272,6 +274,273 @@ def solve_radial(
         w=w,
         termination=termination,
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched shooting: many independent runs advanced in lockstep by one numpy
+# Dormand-Prince 5(4) integrator.  Tableau, error norm, initial step and step
+# controller are those of scipy.integrate's RK45 (Dormand & Prince, J. Comput.
+# Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4 and
+# II.6), so each run takes the step sequence a scalar solve_radial run takes.
+# Stage sums run left to right elementwise: no reduction crosses runs, so a
+# run's result does not depend on the rest of its batch.
+
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# dense output (Shampine 1986): y(t_old + x h) = y_old + h sum_j Q_j x^(j+1),
+# with Q_j = sum_k _DP_P[j][k] K_k over the seven stages
+_DP_P = (
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (
+        -8048581381 / 2820520608,
+        0.0,
+        131558114200 / 32700410799,
+        -1754552775 / 470086768,
+        127303824393 / 49829197408,
+        -282668133 / 205662961,
+        40617522 / 29380423,
+    ),
+    (
+        8663915743 / 2820520608,
+        0.0,
+        -68118460800 / 10900136933,
+        14199869525 / 1410260304,
+        -318862633887 / 49829197408,
+        2019193451 / 616988883,
+        -110615467 / 29380423,
+    ),
+    (
+        -12715105075 / 11282082432,
+        0.0,
+        87487479700 / 32700410799,
+        -10690763975 / 1880347072,
+        701980252875 / 199316789632,
+        -1453857185 / 822651844,
+        69997945 / 29380423,
+    ),
+)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+_EPS = np.finfo(float).eps
+_KIND_NAMES = np.asarray(Termination.KINDS)
+_REACHED, _ZERO, _BLOW, _FAILED = range(4)  # positions in Termination.KINDS
+
+
+def _combine(coeffs, stages):
+    """sum_k coeffs[k] stages[k], accumulated left to right."""
+    total = None
+    for c, k in zip(coeffs, stages):
+        if c:
+            total = c * k if total is None else total + c * k
+    return total
+
+
+def _rms(y):
+    """scipy's RMS norm of each run's two-component vector (columns of y)."""
+    return np.sqrt(y[0] * y[0] + y[1] * y[1]) / 2**0.5
+
+
+def _max_abs(y):
+    return np.maximum(np.abs(y[0]), np.abs(y[1]))
+
+
+def _keep(runs, mask):
+    """Drop the runs outside mask from every per-run array."""
+    for name, value in vars(runs).items():
+        setattr(runs, name, value[..., mask])
+
+
+def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
+    """Shoot many radial runs at once: run i solves params[i] from center
+    value u0[i] on ``space``, with ``config`` for everything but u0.
+
+    The runs advance in lockstep, each with its own adaptive step, and
+    leave the batch as they finish.  Zero and blow-up events are located on
+    the dense-output polynomial of the step in which the event function
+    changed sign, by bisection to scipy's 4 eps tolerance; when both fire in
+    one step the earlier wins.  No profile is kept.
+
+    Returns three arrays with one entry per run: the termination kind (one
+    of Termination.KINDS, as solve_radial classifies it, with a collapsed
+    span reported as step_failure), its radius, and the largest relative
+    excursion max |u - u0| / u0 over accepted step ends.
+    """
+    params = list(params)
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (len(params),):
+        raise ParameterError("need one center value per parameter set")
+    if any(prm.n != space.n for prm in params):
+        raise ParameterError(f"dimension mismatch with space.n = {space.n}")
+    zt, bt = config.zero_threshold, config.blowup_threshold
+    if not np.all((zt < u0) & (u0 < bt)):
+        raise ParameterError("center values must lie between the thresholds")
+    m = len(params)
+    kind = np.full(m, _FAILED)
+    r_end = np.zeros(m)
+    moved = np.zeros(m)
+    if m == 0:
+        return _KIND_NAMES[kind], r_end, moved
+
+    n, r_max = space.n, config.r_max
+    rtol, atol = max(config.rel_tol, 100 * _EPS), config.abs_tol
+    u_floor = 0.5 * zt  # Lipschitz continuation below the zero event
+    r_start = _SERIES_FRACTION * r_max
+    p, a, sig = (np.array([getattr(x, k) for x in params]) for k in ("p", "a", "sigma"))
+
+    def rhs(t, y, runs):
+        u, w = y
+        out = np.empty_like(y)
+        np.copysign(np.abs(w) ** runs.inv_pm1, w, out=out[0])
+        u_eff = np.where(u > u_floor, u, u_floor)
+        lam = _warp_log_derivative(space.K, t)
+        np.subtract(runs.neg_a * u_eff**runs.sig, ((n - 1) * lam) * w, out=out[1])
+        return out
+
+    y0 = (_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start))
+    runs = SimpleNamespace(
+        index=np.arange(m),
+        neg_a=-a,
+        sig=sig,
+        inv_pm1=1.0 / (p - 1.0),
+        u0=u0,
+        t=np.full(m, r_start),
+        y=np.stack(y0),
+        retry=np.zeros(m, dtype=bool),  # the last attempt was rejected
+        moved=np.zeros(m),
+    )
+    runs.f = rhs(runs.t, runs.y, runs)
+    runs.g_zero = runs.y[0] - zt
+    runs.g_blow = bt - _max_abs(runs.y)
+    fired = []  # per lockstep iteration: the steps in which an event fired
+
+    with np.errstate(all="ignore"):  # overflow and nan end a run, as in scipy
+        runs.h_abs = _initial_step(rhs, runs, r_max - r_start, rtol, atol)
+        while runs.index.size:
+            t, y = runs.t, runs.y
+            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            h_abs = np.where(runs.h_abs < min_step, min_step, runs.h_abs)
+            failed = runs.retry & (runs.h_abs < min_step)
+            t_new = t + h_abs
+            t_new = np.where(t_new > r_max, r_max, t_new)
+            h = t_new - t
+            stages = [runs.f]
+            for c, coeffs in zip(_DP_C, _DP_A):
+                stages.append(rhs(t + c * h, y + _combine(coeffs, stages) * h, runs))
+            y_new = y + h * _combine(_DP_B, stages)
+            f_new = rhs(t + h, y_new, runs)
+            stages.append(f_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(_combine(_DP_E, stages) * h / scale)
+
+            # step control, no growth right after a rejection; the
+            # comparisons keep the nan behaviour of Python's min and max
+            accepted = (error < 1) & ~failed
+            factor = _SAFETY * error**_ERROR_EXPONENT
+            grow = np.where(factor < _MAX_FACTOR, factor, _MAX_FACTOR)
+            grow = np.where(error == 0, _MAX_FACTOR, grow)
+            grow = np.where(runs.retry & ~(grow < 1), 1.0, grow)
+            shrink = np.where(factor > _MIN_FACTOR, factor, _MIN_FACTOR)
+            runs.h_abs = h * np.where(accepted, grow, shrink)
+            runs.retry = ~accepted
+
+            g_zero = y_new[0] - zt
+            g_blow = bt - _max_abs(y_new)
+            fire_zero = accepted & (runs.g_zero >= 0) & (g_zero <= 0)
+            fire_blow = accepted & (runs.g_blow >= 0) & (g_blow <= 0)
+            event = fire_zero | fire_blow
+            if event.any():
+                at = [stage[:, event] for stage in stages]
+                dense = np.stack([_combine(row, at) for row in _DP_P])
+                fired.append(
+                    (runs.index[event], t[event], t_new[event], y[:, event], dense,
+                     fire_zero[event], fire_blow[event])
+                )
+            excursion = np.maximum(runs.moved, np.abs(y_new[0] - runs.u0))
+            runs.moved = np.where(accepted, excursion, runs.moved)
+            runs.t = np.where(accepted, t_new, t)
+            runs.y = np.where(accepted, y_new, y)
+            runs.f = np.where(accepted, f_new, runs.f)
+            runs.g_zero = np.where(accepted, g_zero, runs.g_zero)
+            runs.g_blow = np.where(accepted, g_blow, runs.g_blow)
+
+            finished = accepted & ~event & (t_new >= r_max)
+            done = event | finished | failed
+            if not done.any():
+                continue
+            kind[runs.index[finished]] = _REACHED
+            r_end[runs.index[finished]] = r_max
+            moved[runs.index[done]] = runs.moved[done] / runs.u0[done]
+            # a failing step close to the blow-up threshold is a blow-up
+            blown = _max_abs(runs.y[:, failed]) >= 0.99 * bt
+            kind[runs.index[failed]] = np.where(blown, _BLOW, _FAILED)
+            r_end[runs.index[failed]] = runs.t[failed]
+            _keep(runs, ~done)
+
+        if fired:
+            index, *step, fire_zero, fire_blow = (
+                np.concatenate(part, axis=-1) for part in zip(*fired)
+            )
+            r_zero = _event_root(lambda y: y[0] - zt, step, fire_zero)
+            r_blow = _event_root(lambda y: bt - _max_abs(y), step, fire_blow)
+            hit = r_zero <= r_blow
+            kind[index] = np.where(hit, _ZERO, _BLOW)
+            r_end[index] = np.where(hit, r_zero, r_blow)
+
+    kind[r_end <= r_start] = _FAILED  # collapsed span: nothing was integrated
+    return _KIND_NAMES[kind], r_end, moved
+
+
+def _initial_step(rhs, runs, interval, rtol, atol):
+    """scipy's select_initial_step (Hairer, Norsett & Wanner II.4), per run."""
+    t0, y0, f0 = runs.t, runs.y, runs.f
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.where(interval < h0, interval, h0)
+    f1 = rhs(t0 + h0, y0 + h0 * f0, runs)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (1 / 5),
+    )
+    return np.minimum(np.minimum(100 * h0, h1), interval)
+
+
+def _event_root(g, step, fires):
+    """Root of g(y(t)) inside each step where it fired, inf elsewhere.
+
+    g >= 0 at the step's start and g <= 0 at its end.  Each bracket is
+    halved on its step's dense-output polynomial until it is narrower than
+    scipy's event tolerance 4 eps (1 + |t|), and then left alone, so a
+    root does not depend on the other brackets."""
+    t_old, t_new, y_old, q = (part[..., fires] for part in step)
+    h = t_new - t_old
+    lo, hi = t_old, t_new
+    while True:
+        wide = hi - lo > 4 * _EPS * (1 + np.abs(hi))
+        if not wide.any():
+            break
+        mid = 0.5 * (lo + hi)
+        x = (mid - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        y = h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x)) + y_old
+        above = g(y) > 0
+        lo = np.where(wide & above, mid, lo)
+        hi = np.where(wide & ~above, mid, hi)
+    roots = np.full(fires.shape, np.inf)
+    roots[fires] = 0.5 * (lo + hi)
+    return roots
 
 
 def _residual_mask(solution, du_fd, rel_change, max_step_change):

@@ -14,15 +14,15 @@ carry r_max and this caveat.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ParameterError
 from .geometry import ModelSpace
-from .solver import ShootingConfig, solve_radial
+
+# unused, but perfbench's traced run wraps solve_radial in this module by name
+from .solver import ShootingConfig, shoot_batch, solve_radial  # noqa: F401
 from .thresholds import EquationParams, classify_regime
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "sweep",
     "compare_with_theory",
     "write_sweep_csv",
-    "default_workers",
 ]
 
 _CAVEAT = (
@@ -42,20 +41,6 @@ _CAVEAT = (
     "flags assume a complete space with nonnegative Ricci curvature (K = 0), "
     "and truncation at r_max can only corroborate them"
 )
-
-
-def default_workers() -> int:
-    """Parallelism cap: LAB_THREADS if set, else machine parallelism."""
-    env = os.environ.get("LAB_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParameterError(f"LAB_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise ParameterError(f"LAB_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
 
 
 def _range_values(lo, hi, step, name):
@@ -119,7 +104,9 @@ class ExistenceCell:
 
     classification is zero_hit | blow_up | persists | numerical_failure;
     r_star is the smallest termination radius across the center-value scan
-    (None for persists and numerical_failure)."""
+    (None for persists and numerical_failure).  The theory flags are the
+    regime's nonexistence flags where the theorems apply (K = 0), else
+    False."""
 
     p: float
     sigma: float
@@ -160,67 +147,84 @@ def classify_existence(
     (relative) of its center value never left the neighborhood of the
     starting constant: r_max was too small to classify and the cell is
     reported as numerical_failure rather than as (spurious) persistence.
+    The excursion is measured at the integrator's accepted step ends.
     """
-    terminal = []
-    failed = False
+    return _classify_batch([params], space, config, u0_list, move_tol)[0]
+
+
+def _classify_batch(params_list, space, config, u0_list, move_tol=0.01):
+    """classify_existence for every parameter point, with all points and
+    center values integrated as one batch by shoot_batch."""
+    u0_valid = []
     for u0 in u0_list:
         try:
-            sol = solve_radial(params, space, replace(config, u0=u0))
-        except (ParameterError, ValueError):
-            failed = True
-            continue
-        kind = sol.termination.kind
+            replace(config, u0=u0)
+        except ParameterError:
+            continue  # a center value the configuration rejects is a failed run
+        u0_valid.append(u0)
+    invalid = len(u0_valid) < len(u0_list)
+    kinds, radii, moved = shoot_batch(
+        [prm for prm in params_list for _ in u0_valid],
+        [u0 for _ in params_list for u0 in u0_valid],
+        space,
+        config,
+    )
+    shape = (len(params_list), len(u0_valid))
+    return [
+        _verdict(*runs, invalid, move_tol)
+        for runs in zip(kinds.reshape(shape), radii.reshape(shape), moved.reshape(shape))
+    ]
+
+
+def _verdict(kinds, radii, moved, failed, move_tol):
+    """Cell classification from its runs' termination kinds, radii and
+    relative excursions (see classify_existence)."""
+    terminal = []
+    for kind, r, excursion in zip(kinds, radii, moved):
         if kind == "reached_rmax":
-            moved = float(np.max(np.abs(sol.u - u0))) / u0
-            if moved >= move_tol:
+            if excursion >= move_tol:
                 return "persists", None
             failed = True  # indeterminate: profile barely developed
         elif kind == "step_failure":
             failed = True
         else:
-            terminal.append((sol.termination.r, kind))
+            terminal.append((float(r), str(kind)))
     if failed or not terminal:
         return "numerical_failure", None
     r_star, kind = min(terminal)
     return ("zero_hit" if kind == "hit_zero" else "blow_up"), r_star
 
 
-def sweep(grid: SweepGrid, max_workers: int | None = None) -> SweepTable:
-    """Evaluate classify_existence on every cell, in parallel, and annotate
-    each cell with the regime flags.  Results are gathered in grid order,
-    so identical grids always produce identical tables."""
+def sweep(grid: SweepGrid) -> SweepTable:
+    """Classify every cell, all cells and center values integrated as one
+    batch, and annotate each cell with the regime flags.
+
+    The nonexistence theorems assume nonnegative Ricci curvature, so the
+    flags are set only for K = 0.  Each run's arithmetic is independent of
+    the rest of the batch, so a cell's result equals classify_existence's
+    and identical grids give identical tables."""
     space = ModelSpace(n=grid.n, K=grid.K)
     a = 1.0 if grid.a_sign > 0 else -1.0
-    points = [
-        (float(p), float(s)) for p in grid.p_values for s in grid.sigma_values
+    params = [
+        EquationParams(n=grid.n, p=float(p), a=a, sigma=float(s))
+        for p in grid.p_values
+        for s in grid.sigma_values
     ]
-
-    def run(point):
-        p, s = point
-        params = EquationParams(n=grid.n, p=p, a=a, sigma=s)
-        regime = classify_regime(params)
-        classification, r_star = classify_existence(
-            params, space, grid.config, grid.u0_list
+    verdicts = _classify_batch(params, space, grid.config, grid.u0_list)
+    cells = []
+    for prm, (classification, r_star) in zip(params, verdicts):
+        regime = classify_regime(prm)
+        cells.append(
+            ExistenceCell(
+                p=prm.p,
+                sigma=prm.sigma,
+                classification=classification,
+                r_star=r_star,
+                theory_thm1=regime.nonexistence_thm1 and grid.K == 0,
+                theory_thm2=regime.nonexistence_thm2 and grid.K == 0,
+            )
         )
-        return ExistenceCell(
-            p=p,
-            sigma=s,
-            classification=classification,
-            r_star=r_star,
-            theory_thm1=regime.nonexistence_thm1,
-            theory_thm2=regime.nonexistence_thm2,
-        )
-
-    if not points:
-        return SweepTable(grid=grid, cells=())
-    workers = max_workers if max_workers is not None else default_workers()
-    workers = max(1, min(workers, len(points)))
-    if workers == 1:
-        cells = tuple(run(pt) for pt in points)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(run, points))
-    return SweepTable(grid=grid, cells=cells)
+    return SweepTable(grid=grid, cells=tuple(cells))
 
 
 @dataclass(frozen=True)

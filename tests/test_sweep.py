@@ -1,4 +1,5 @@
-"""Existence sweeps: cell classification, theory comparison, determinism."""
+"""Existence sweeps: cell classification, theory comparison, determinism
+and independence of each cell from the rest of its batch."""
 
 import math
 from dataclasses import replace
@@ -78,7 +79,7 @@ def test_tiny_span_is_indeterminate(flat3):
 
 def test_sweep_table_order_and_flags():
     grid = small_grid()
-    table = pl.sweep(grid, max_workers=2)
+    table = pl.sweep(grid)
     assert len(table) == 3
     sigmas = [c.sigma for c in table]
     assert sigmas == sorted(sigmas)
@@ -90,11 +91,78 @@ def test_sweep_table_order_and_flags():
         assert cell.classification == "zero_hit"
 
 
-def test_sweep_deterministic():
-    grid = small_grid()
-    t1 = pl.sweep(grid, max_workers=4)
-    t2 = pl.sweep(grid, max_workers=1)
-    assert t1.cells == t2.cells
+def curved_grid(**overrides):
+    """K = 1, p = 2: sigma = 1.75 and 2 persist although they lie in the
+    Theorem-1 range, which assumes Ric >= 0."""
+    kwargs = dict(K=1.0, sigma_min=1.75, sigma_max=2.0, sigma_step=0.25,
+                  config=pl.ShootingConfig(r_max=50.0))
+    kwargs.update(overrides)
+    return small_grid(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        small_grid(p_max=3.0, sigma_min=0.5, sigma_max=5.5, sigma_step=2.5,
+                   config=pl.ShootingConfig(r_max=50.0)),
+        curved_grid(sigma_min=1.0, sigma_max=2.0, sigma_step=1.0),
+    ],
+    ids=["K0", "K1"],
+)
+def test_sweep_cells_equal_per_cell_classification(grid):
+    """A cell's verdict does not depend on the batch it was integrated in:
+    the sweep gives bitwise the result of classify_existence on that cell
+    alone, r_star included."""
+    table = pl.sweep(grid)
+    space = pl.ModelSpace(n=grid.n, K=grid.K)
+    assert {c.classification for c in table} >= {"zero_hit", "persists"}
+    for cell in table:
+        params = pl.EquationParams(n=grid.n, p=cell.p, a=1.0, sigma=cell.sigma)
+        alone = pl.classify_existence(params, space, grid.config, grid.u0_list)
+        assert (cell.classification, cell.r_star) == alone
+
+
+def test_sweep_in_reverse_order():
+    """Listing the cells, or the center values, backwards changes no
+    cell's result."""
+    from plaplab.sweep import _classify_batch
+
+    grid = curved_grid(sigma_min=1.0, sigma_max=2.0, sigma_step=1.0)
+    cells = pl.sweep(grid).cells
+    params = [pl.EquationParams(n=3, p=c.p, a=1.0, sigma=c.sigma) for c in cells]
+    space = pl.ModelSpace(n=3, K=grid.K)
+    backward = _classify_batch(params[::-1], space, grid.config, grid.u0_list)
+    assert backward[::-1] == [(c.classification, c.r_star) for c in cells]
+    u0_backward = replace(grid, u0_list=tuple(reversed(grid.u0_list)))
+    assert pl.sweep(u0_backward).cells == cells
+
+
+def test_sweep_deterministic_across_calls():
+    grid = small_grid(sigma_min=0.5, sigma_max=5.5, sigma_step=2.5,
+                      config=pl.ShootingConfig(r_max=50.0))
+    assert pl.sweep(grid) == pl.sweep(grid)
+
+
+def test_curved_sweep_flags_no_contradictions(tmp_path):
+    """The nonexistence theorems assume Ric >= 0: on hyperbolic space (K > 0)
+    a persisting cell in their range contradicts nothing."""
+    grid = curved_grid()
+    table = pl.sweep(grid)
+    assert [c.classification for c in table] == ["persists", "persists"]
+    for c in table:
+        params = pl.EquationParams(n=3, p=c.p, a=1.0, sigma=c.sigma)
+        assert pl.classify_regime(params).nonexistence_thm1
+        assert not (c.theory_thm1 or c.theory_thm2)
+    assert pl.compare_with_theory(table).contradiction_count == 0
+
+    from plaplab.cli import main
+
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "n=3\na_sign=1\nK=1\np_min=2\np_max=2\np_step=1\n"
+        "sigma_min=1.75\nsigma_max=2\nsigma_step=0.25\nr_max=50\n"
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
 
 
 def test_sweep_empty_sigma_range():
@@ -176,15 +244,3 @@ def test_summary_serialization():
     import json
 
     json.loads(comp.to_json())
-
-
-def test_lab_threads_env(monkeypatch):
-    from plaplab.sweep import default_workers
-
-    monkeypatch.setenv("LAB_THREADS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("LAB_THREADS", "zero")
-    with pytest.raises(ParameterError):
-        default_workers()
-    monkeypatch.delenv("LAB_THREADS")
-    assert default_workers() >= 1
