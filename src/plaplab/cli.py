@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from ._quad import pchip
 from .errors import ParameterError, RegimeError, SolutionFormatError
 from .geometry import ModelSpace
 from .solver import ShootingConfig, read_solution_csv, solve_radial, to_log_solution, write_solution_csv
@@ -190,10 +191,8 @@ def _check_report(args, solution):
                 f"solution extends only to r = {solution.r_end:.6g} < R = {args.R}"
             )
         eta = cutoff_eta(args.R)
-        from scipy.interpolate import PchipInterpolator
-
-        u_i = PchipInterpolator(solution.r, solution.u)
-        du_i = PchipInterpolator(solution.r, solution.du)
+        u_i = pchip(solution.r, solution.u)
+        du_i = pchip(solution.r, solution.du)
 
         def g(r):
             return u_i(r) * eta(r)

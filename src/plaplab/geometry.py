@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma
 
 from .errors import ParameterError
 
@@ -87,6 +85,8 @@ def _warp_log_derivative(K, r):
 
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2)."""
+    from scipy.special import gamma
+
     return float(2 * math.pi ** (n / 2) / gamma(n / 2))
 
 
@@ -101,6 +101,8 @@ def ball_volume(space: ModelSpace, R: float) -> float:
     if K == 0:
         integral = R**n / n
     else:
+        from scipy.integrate import quad
+
         rk = math.sqrt(K)
         integral, _ = quad(
             lambda t: (math.sinh(rk * t) / rk) ** (n - 1),

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._fd import fd4_first, fd4_second
 from .errors import ParameterError, SolutionFormatError
@@ -177,6 +176,8 @@ def solve_radial(
     extension (downstream off-grid interpolation is monotone cubic, in the
     checkers).
     """
+    from scipy.integrate import solve_ivp  # on first use: import plaplab needs no scipy
+
     if params.n != space.n:
         raise ParameterError(
             f"dimension mismatch: params.n = {params.n}, space.n = {space.n}"

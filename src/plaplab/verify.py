@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import PchipInterpolator
 
 from ._fd import fd4_first
+from ._quad import pchip, simpson
 from .errors import ParameterError, RegimeError
 from .geometry import ModelSpace, warp
 from .solver import LogSolution, RadialSolution, ShootingConfig, solve_radial
@@ -572,8 +571,8 @@ def check_caccioppoli(
 
     eta = cutoff_eta(R, config.eta_profile)
     x = np.linspace(0.0, R, config.quadrature_points)
-    f_i = PchipInterpolator(r, log_solution.f)
-    dv_i = PchipInterpolator(r, log_solution.dv)
+    f_i = pchip(r, log_solution.f)
+    dv_i = pchip(r, log_solution.dv)
     fx = np.clip(f_i(x), 0.0, None)
     dfx = f_i.derivative()(x)
     dvx = dv_i(x)
