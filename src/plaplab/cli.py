@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 
-from ._quad import pchip
 from .errors import ParameterError, RegimeError, SolutionFormatError
 from .geometry import ModelSpace
 from .solver import ShootingConfig, read_solution_csv, solve_radial, to_log_solution, write_solution_csv
@@ -42,8 +41,8 @@ from .verify import (
     check_caccioppoli,
     check_gradient_estimate,
     check_harnack,
-    cutoff_eta,
     measure_sobolev_ratio,
+    sobolev_test_function,
 )
 
 EXIT_OK = 0
@@ -186,20 +185,7 @@ def _check_report(args, solution):
     if kind == "sobolev":
         if args.R is None:
             raise ParameterError("check sobolev requires --R")
-        if solution.r_end < args.R:
-            raise ParameterError(
-                f"solution extends only to r = {solution.r_end:.6g} < R = {args.R}"
-            )
-        eta = cutoff_eta(args.R)
-        u_i = pchip(solution.r, solution.u)
-        du_i = pchip(solution.r, solution.du)
-
-        def g(r):
-            return u_i(r) * eta(r)
-
-        def dg(r):
-            return du_i(r) * eta(r) + u_i(r) * eta.derivative(r)
-
+        g, dg = sobolev_test_function(solution, args.R)
         return measure_sobolev_ratio(g, solution.space, args.R, dg=dg)
     raise ParameterError(f"unknown check kind {kind!r}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -713,15 +714,23 @@ def flux_residual(solution: RadialSolution) -> float:
 _FLOAT_FMT = "{:.17g}"
 
 
+@contextmanager
+def _opened(path_or_file, mode):
+    """Open a path for the block and close it after; pass an open file through."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, mode) as fh:
+            yield fh
+    else:
+        yield path_or_file
+
+
 def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     """Write a solution as CSV with metadata comment lines.
 
     Decimal output carries 17 significant digits, enough to round-trip
     float64 exactly.
     """
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    with _opened(path_or_file, "w") as fh:
         meta = {}
         meta.update(solution.params.to_dict())
         meta.update(solution.space.to_dict())
@@ -736,16 +745,11 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
         fh.write("r,u,du,w\n")
         for row in zip(solution.r, solution.u, solution.du, solution.w):
             fh.write(",".join(_FLOAT_FMT.format(x) for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "r") if own else path_or_file
-    try:
+    with _opened(path_or_file, "r") as fh:
         meta = {}
         header = None
         rows = []
@@ -812,6 +816,3 @@ def read_solution_csv(path_or_file) -> RadialSolution:
             )
         except ParameterError as exc:
             raise SolutionFormatError(str(exc)) from exc
-    finally:
-        if own:
-            fh.close()

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import ModelSpace
 
-# unused, but perfbench's traced run wraps solve_radial in this module by name
-from .solver import ShootingConfig, shoot_batch, solve_radial  # noqa: F401
+# solve_radial is unused, but perfbench's traced run wraps it in this module by name
+from .solver import ShootingConfig, _opened, shoot_batch, solve_radial  # noqa: F401
 from .thresholds import EquationParams, classify_regime
 
 __all__ = [
@@ -293,9 +293,7 @@ def compare_with_theory(table: SweepTable) -> RegionComparison:
 
 def write_sweep_csv(table: SweepTable, path_or_file) -> None:
     """p,sigma,classification,r_star,theory_thm1,theory_thm2 per cell."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    with _opened(path_or_file, "w") as fh:
         fh.write("p,sigma,classification,r_star,theory_thm1,theory_thm2\n")
         for c in table.cells:
             r_star = "" if c.r_star is None else f"{c.r_star:.17g}"
@@ -303,6 +301,3 @@ def write_sweep_csv(table: SweepTable, path_or_file) -> None:
                 f"{c.p:.17g},{c.sigma:.17g},{c.classification},{r_star},"
                 f"{str(c.theory_thm1).lower()},{str(c.theory_thm2).lower()}\n"
             )
-    finally:
-        if own:
-            fh.close()

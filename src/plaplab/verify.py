@@ -53,6 +53,7 @@ __all__ = [
     "check_bochner_thm2",
     "cutoff_eta",
     "check_caccioppoli",
+    "sobolev_test_function",
     "measure_sobolev_ratio",
     "check_gradient_scale_invariance",
 ]
@@ -655,6 +656,24 @@ class SobolevRatioReport:
             None,
             {},
         )
+
+
+def sobolev_test_function(solution: RadialSolution, R: float):
+    """g = u eta and g' = u' eta + u eta' for the cutoff eta of radius R,
+    with u and u' the monotone cubic interpolants of the solved profile: the
+    test function that measure_sobolev_ratio takes from a solution."""
+    _require_span(solution, R)
+    eta = cutoff_eta(R)
+    u_i = pchip(solution.r, solution.u)
+    du_i = pchip(solution.r, solution.du)
+
+    def g(r):
+        return u_i(r) * eta(r)
+
+    def dg(r):
+        return du_i(r) * eta(r) + u_i(r) * eta.derivative(r)
+
+    return g, dg
 
 
 def measure_sobolev_ratio(

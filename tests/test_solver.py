@@ -354,6 +354,19 @@ def test_termination_kinds_are_validated():
 # CSV serialization
 
 
+def test_csv_io_closes_only_files_it_opened(sinc_solution, tmp_path):
+    buf = io.StringIO()
+    pl.write_solution_csv(sinc_solution, buf)
+    assert not buf.closed
+    buf.seek(0)
+    pl.read_solution_csv(buf)
+    assert not buf.closed
+    path = tmp_path / "sinc.csv"  # a path-like is opened, written and closed
+    pl.write_solution_csv(sinc_solution, path)
+    assert path.read_text() == buf.getvalue()
+    assert pl.read_solution_csv(path).termination == sinc_solution.termination
+
+
 def test_csv_round_trip_is_exact(sinc_solution):
     buf = io.StringIO()
     pl.write_solution_csv(sinc_solution, buf)

@@ -296,6 +296,22 @@ def test_sobolev_ratio_scale_invariant(flat3):
     )
 
 
+def test_sobolev_test_function_of_solution(sinc_solution):
+    """g = u eta from the solved profile: u below 3R/4, 0 at R, and
+    g' = u' eta + u eta' in the cutoff band."""
+    R = 2.0
+    g, dg = pl.sobolev_test_function(sinc_solution, R)
+    eta = pl.cutoff_eta(R)
+    r = np.array([0.5, 1.0, 1.5, 1.75, 2.0])
+    u = np.sin(r) / r
+    du = (r * np.cos(r) - np.sin(r)) / r**2
+    assert g(r) == pytest.approx(u * eta(r), abs=1e-6)
+    assert g(r)[-1] == 0.0
+    assert dg(r) == pytest.approx(du * eta(r) + u * eta.derivative(r), abs=1e-6)
+    with pytest.raises(ParameterError):
+        pl.sobolev_test_function(sinc_solution, 10.0)
+
+
 def test_sobolev_rejects_degenerate_inputs(flat3):
     with pytest.raises(ParameterError):
         pl.measure_sobolev_ratio(lambda r: np.zeros_like(r), flat3, 1.0)
