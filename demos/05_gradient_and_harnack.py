@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Gradient-ratio bounds and the Harnack inequality they imply.
 
-The estimates bound sup |grad u|/u on the half ball by a multiple of
-((1 + sqrt(K) R)/R)^(p/2).  The constant itself is never stated, so the
-laboratory measures the empirical one and checks the two things that are
-checkable: the dilation family leaves it invariant in flat space (that is
-exactly the R^(-p/2) shape), and integrating the gradient bound along a
-radial geodesic dominates the oscillation of u.
+The estimates bound sup |grad u|/u on the half ball by a multiple of the
+Cheng-Yau shape (1 + sqrt(K) R)/R.  The constant itself is never stated, so
+the laboratory measures the empirical one and checks the two things that
+are checkable: the dilation family leaves it invariant in flat space at
+every p (|grad u|/u scales like 1/R, exactly the shape's scaling), and
+integrating the gradient bound along a radial geodesic dominates the
+oscillation of u.
 """
 
 import numpy as np
@@ -26,10 +27,13 @@ for R in (3.0, 2.0, 1.0, 0.5):
     print(f"{R:5.2f} {rep.sup_ratio:12.6f} {rep.bound_shape:12.6f} {rep.empirical_C:12.6f}")
 
 print("\n=== dilation family: u(mu r) with the coefficient rescaled by mu^p ===")
-rep = pl.check_gradient_scale_invariance(params, space, config, R=2.0)
-for mu, c in zip(rep.factors, rep.empirical_C):
-    print(f"   mu = {mu}: empirical C = {c:.12f}")
-print(f"   spread = {rep.spread:.2e}  (scale invariance of the R^(-p/2) shape)")
+for p in (2.0, 3.0):
+    rep = pl.check_gradient_scale_invariance(
+        pl.EquationParams(n=3, p=p, a=1.0, sigma=1.0), space, config, R=2.0
+    )
+    for mu, c in zip(rep.factors, rep.empirical_C):
+        print(f"   p = {p}, mu = {mu}: empirical C = {c:.12f}")
+    print(f"   spread = {rep.spread:.2e}  (scale invariance of the 1/R shape)")
 
 print("\n=== Harnack: max u / min u against the integrated gradient bound ===")
 for p, a, sigma, K, r_max in [

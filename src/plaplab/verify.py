@@ -92,9 +92,10 @@ def _envelope(check, params, space, R, passed, metrics, samples_retained, tolera
 
 @dataclass(frozen=True)
 class GradientCheckReport:
-    """sup |u'|/u over the half ball against the (1+sqrt(K)R)^(p/2)/R^(p/2)
-    shape.  The multiplicative constant is not asserted (no explicit value
-    exists); boundedness is checked across dilations separately."""
+    """sup |u'|/u over the half ball against the Cheng-Yau shape
+    (1+sqrt(K)R)/R.  The multiplicative constant is not asserted (no
+    explicit value exists); boundedness is checked across dilations
+    separately."""
 
     params: EquationParams
     space: ModelSpace
@@ -142,8 +143,9 @@ def check_gradient_estimate(
     _require_span(solution, R)
     mask = solution.r <= R / 2
     sup_ratio = float(np.max(np.abs(solution.du[mask]) / solution.u[mask]))
-    p, K = solution.params.p, solution.space.K
-    bound_shape = ((1 + math.sqrt(K) * R) / R) ** (p / 2)
+    # |u'|/u scales like 1/R under dilation for every p, so the shape carries
+    # no p-dependent power
+    bound_shape = (1 + math.sqrt(solution.space.K) * R) / R
     regime = classify_regime(solution.params)
     applicable = regime.thm1_applicable if theorem == "thm1" else regime.thm2_applicable
     return GradientCheckReport(
@@ -770,9 +772,9 @@ def check_gradient_scale_invariance(
     """Solve the dilation family and compare empirical gradient constants.
 
     Flat space only: u(mu r) solves the equation with coefficient a mu^p,
-    and the R^(-p/2) shape of the bound absorbs the dilation exactly when
-    the measured log-gradient scales like the bound, so the empirical
-    constant must be stable across factors.
+    its log-gradient on the ball of radius R/mu is mu times the original,
+    and the 1/R shape of the bound absorbs that factor exactly, so the
+    empirical constant must be stable across factors.
     """
     if space.K != 0:
         raise RegimeError("dilation invariance requires the flat model space (K = 0)")

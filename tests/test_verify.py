@@ -33,6 +33,17 @@ def test_gradient_bound_shape():
     assert rep.sup_ratio == 0.0
 
 
+def test_gradient_bound_shape_has_no_p_power():
+    sol = _constant_record()
+    sol = replace(
+        sol,
+        params=replace(sol.params, p=3.0),
+        space=pl.ModelSpace(n=3, K=1.0),
+    )
+    rep = pl.check_gradient_estimate(sol, 4.0)
+    assert rep.bound_shape == pytest.approx(5.0 / 4.0, abs=1e-15)  # (1+sqrt(K)R)/R
+
+
 def test_gradient_requires_span(sinc_solution):
     with pytest.raises(ParameterError):
         pl.check_gradient_estimate(sinc_solution, 10.0)
@@ -340,6 +351,17 @@ def test_sobolev_stable_across_test_functions(flat3):
 
 def test_scale_invariance_flat_p2(flat3):
     params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0)
+    rep = pl.check_gradient_scale_invariance(
+        params, flat3, pl.ShootingConfig(u0=1.0, r_max=4.0), R=2.0
+    )
+    assert rep.passed
+    assert rep.spread < 1e-6
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_scale_invariance_flat_p_not_2(flat3, p):
+    """The 1/R shape absorbs the dilation at every p, not only at p = 2."""
+    params = pl.EquationParams(n=3, p=p, a=1.0, sigma=1.0)
     rep = pl.check_gradient_scale_invariance(
         params, flat3, pl.ShootingConfig(u0=1.0, r_max=4.0), R=2.0
     )
