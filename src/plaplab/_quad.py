@@ -131,17 +131,13 @@ def simpson(y, *, x):
     N = len(y)
     if N % 2:
         return _basic_simpson(y, N - 2, x)
+    # scipy adds 0.0 last, which turns a -0.0 result into +0.0
     if N == 2:
-        result = 0.0
-        val = 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
-    else:
-        result = _basic_simpson(y, N - 3, x)
-        diffs = np.diff(x)
-        h0, h1 = diffs[-2:-1].reshape(()), diffs[-1:].reshape(())
-        alpha = _div0(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
-        beta = _div0(h1**2 + 3.0 * h0 * h1, 6 * h0)
-        eta = _div0(1 * h1**3, 6 * h0 * (h0 + h1))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-        val = 0.0
-    result += val
-    return result
+        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+    result = _basic_simpson(y, N - 3, x)
+    diffs = np.diff(x)
+    h0, h1 = diffs[-2:-1].reshape(()), diffs[-1:].reshape(())
+    alpha = _div0(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _div0(h1**2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _div0(1 * h1**3, 6 * h0 * (h0 + h1))
+    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0

@@ -76,6 +76,8 @@ def test_pchip_matches_scipy(grid, t):
 @example(grid=(np.array([0.0, 1.5]), np.array([2.0, -1.0])))
 @example(grid=(np.array([0.0, 0.2, 1.5]), np.array([2.0, -1.0, 0.5])))
 @example(grid=(np.array([0.0, 0.2, 1.5, 1.6]), np.array([2.0, -1.0, 0.5, 0.0])))
+@example(grid=(np.array([0.0, 1.5]), np.array([-0.0, -0.0])))  # signed zeros
+@example(grid=(np.array([0.0, 0.2, 1.5, 1.6]), np.array([-0.0, -0.0, -0.0, -0.0])))
 def test_simpson_matches_scipy(grid):
     x, y = grid
     assert_bitwise(simpson(y, x=x), scipy_simpson(y, x=x))
