@@ -139,5 +139,5 @@ def simpson(y, *, x):
     h0, h1 = diffs[-2:-1].reshape(()), diffs[-1:].reshape(())
     alpha = _div0(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
     beta = _div0(h1**2 + 3.0 * h0 * h1, 6 * h0)
-    eta = _div0(1 * h1**3, 6 * h0 * (h0 + h1))
+    eta = _div0(h1**3, 6 * h0 * (h0 + h1))
     return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
