@@ -42,8 +42,8 @@ for p, a, sigma in samples:
     rep = pl.classify_regime(pl.EquationParams(n=n, p=p, a=a, sigma=sigma))
     print(
         f"  p={p}, a={a:+.0f}, sigma={sigma}: "
-        f"nonexistence_thm1={rep.nonexistence_thm1}, "
-        f"nonexistence_thm2={rep.nonexistence_thm2}"
+        f"thm1_applicable={rep.thm1_applicable}, "
+        f"thm2_applicable={rep.thm2_applicable}"
     )
 
 print("\n=== exponent ladder b_(l+1) = b_l n/(n-2) ===")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import ParameterError, RegimeError, SolutionFormatError
 from .geometry import ModelSpace
@@ -100,16 +101,20 @@ def _format_report(report_dict, fmt):
 
 
 def _shooting_config(args, cfg):
-    return ShootingConfig(
-        u0=_merge(args, cfg, "u0", float, 1.0),
-        r_max=_merge(args, cfg, "r_max", float, 10.0),
-        abs_tol=_merge(args, cfg, "abs_tol", float, 1e-10),
-        rel_tol=_merge(args, cfg, "rel_tol", float, 1e-9),
-        zero_threshold=_merge(args, cfg, "zero_threshold", float, 1e-8),
-        blowup_threshold=_merge(args, cfg, "blowup_threshold", float, 1e8),
-        min_step=_merge(args, cfg, "min_step", float, 1e-12),
-        output_points=_merge(args, cfg, "output_points", int, 2001),
-    )
+    """ShootingConfig from the flags and config-file keys named after its
+    fields; a field given by neither keeps its default."""
+    values = {}
+    for f in fields(ShootingConfig):
+        value = _merge(args, cfg, f.name, type(f.default))
+        if value is not None:
+            values[f.name] = value
+    return ShootingConfig(**values)
+
+
+def _add_shooting_flags(sp):
+    """One flag per ShootingConfig field: --r-max sets r_max."""
+    for f in fields(ShootingConfig):
+        sp.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
 def cmd_thresholds(args):
@@ -275,14 +280,7 @@ def build_parser():
     sp.add_argument("--a", type=float)
     sp.add_argument("--sigma", type=float)
     sp.add_argument("--K", type=float)
-    sp.add_argument("--u0", type=float)
-    sp.add_argument("--r-max", dest="r_max", type=float)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.add_argument("--zero-threshold", dest="zero_threshold", type=float)
-    sp.add_argument("--blowup-threshold", dest="blowup_threshold", type=float)
-    sp.add_argument("--min-step", dest="min_step", type=float)
-    sp.add_argument("--output-points", dest="output_points", type=int)
+    _add_shooting_flags(sp)
     sp.add_argument("--config", help="flat key=value configuration file")
     sp.add_argument("--out", required=True, help="solution CSV path")
     sp.set_defaults(func=cmd_solve)
@@ -311,15 +309,8 @@ def build_parser():
     sp.add_argument("--sigma-min", dest="sigma_min", type=float)
     sp.add_argument("--sigma-max", dest="sigma_max", type=float)
     sp.add_argument("--sigma-step", dest="sigma_step", type=float)
-    sp.add_argument("--u0", type=float)
     sp.add_argument("--u0-list", dest="u0_list")
-    sp.add_argument("--r-max", dest="r_max", type=float)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.add_argument("--zero-threshold", dest="zero_threshold", type=float)
-    sp.add_argument("--blowup-threshold", dest="blowup_threshold", type=float)
-    sp.add_argument("--min-step", dest="min_step", type=float)
-    sp.add_argument("--output-points", dest="output_points", type=int)
+    _add_shooting_flags(sp)
     sp.add_argument("--config", help="flat key=value configuration file")
     sp.add_argument("--out", required=True, help="table CSV path")
     sp.add_argument("--summary", help="summary JSON path")

@@ -115,7 +115,7 @@ def ball_volume(space: ModelSpace, R: float) -> float:
     return unit_sphere_area(n) * integral
 
 
-def radial_p_laplacian(p: float, space: ModelSpace, u, du, d2u, r):
+def radial_p_laplacian(p: float, space: ModelSpace, du, d2u, r):
     """div(|grad u|^(p-2) grad u) for a radial profile, at radius r > 0.
 
     |u'|^(p-2) [ (p-1) u'' + (n-1) (s'/s) u' ].  At a critical point the

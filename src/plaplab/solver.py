@@ -25,7 +25,7 @@ import numpy as np
 
 from ._fd import fd4_first, fd4_second
 from .errors import ParameterError, SolutionFormatError
-from .geometry import ModelSpace, _warp_log_derivative, warp, warp_log_derivative
+from .geometry import ModelSpace, _warp_log_derivative, radial_p_laplacian, warp
 from .thresholds import EquationParams
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "shoot_batch",
     "pde_residual",
     "to_log_solution",
-    "first_zero",
     "flux_residual",
     "write_solution_csv",
     "read_solution_csv",
@@ -57,7 +56,6 @@ class ShootingConfig:
     rel_tol: float = 1e-9
     zero_threshold: float = 1e-8
     blowup_threshold: float = 1e8
-    min_step: float = 1e-12
     output_points: int = 2001
 
     def __post_init__(self):
@@ -68,7 +66,6 @@ class ShootingConfig:
             "rel_tol",
             "zero_threshold",
             "blowup_threshold",
-            "min_step",
         ):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
@@ -89,7 +86,6 @@ class ShootingConfig:
             "rel_tol": self.rel_tol,
             "zero_threshold": self.zero_threshold,
             "blowup_threshold": self.blowup_threshold,
-            "min_step": self.min_step,
             "output_points": int(self.output_points),
         }
 
@@ -427,9 +423,9 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
         runs.h_abs = _initial_step(rhs, runs, r_max - r_start, rtol, atol)
         while runs.index.size:
             t, y = runs.t, runs.y
-            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-            h_abs = np.where(runs.h_abs < min_step, min_step, runs.h_abs)
-            failed = runs.retry & (runs.h_abs < min_step)
+            h_floor = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            h_abs = np.where(runs.h_abs < h_floor, h_floor, runs.h_abs)
+            failed = runs.retry & (runs.h_abs < h_floor)
             t_new = t + h_abs
             t_new = np.where(t_new > r_max, r_max, t_new)
             h = t_new - t
@@ -571,7 +567,6 @@ def pde_residual(solution: RadialSolution) -> float:
     if len(solution.r) < 5:
         raise ParameterError("pde_residual needs at least 5 samples")
     p, a, sig = solution.params.p, solution.params.a, solution.params.sigma
-    n = solution.params.n
     r, u = solution.r, solution.u
     h = r[1] - r[0]
     du = fd4_first(u, h)
@@ -579,12 +574,8 @@ def pde_residual(solution: RadialSolution) -> float:
     mask = _residual_mask(solution, du, np.abs(solution.du) / u, 0.02)
     if not np.any(mask):
         raise ParameterError("no samples retained for the residual check")
-    rm, um, dum, d2um = r[mask], u[mask], du[mask], d2u[mask]
-    lam = warp_log_derivative(solution.space, rm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plap = np.abs(dum) ** (p - 2) * ((p - 1) * d2um + (n - 1) * lam * dum)
-    plap = np.where(dum == 0, 0.0 if p != 2 else d2um, plap)
-    source = a * um**sig
+    plap = radial_p_laplacian(p, solution.space, du[mask], d2u[mask], r[mask])
+    source = a * u[mask] ** sig
     scale = np.max(np.abs(source))
     return float(np.max(np.abs(plap + source)) / scale)
 
@@ -601,12 +592,7 @@ def to_log_solution(solution: RadialSolution) -> LogSolution:
     """
     if np.any(solution.u <= 0):
         raise ParameterError("log transform requires u > 0 on all samples")
-    p, a, sig, n = (
-        solution.params.p,
-        solution.params.a,
-        solution.params.sigma,
-        solution.params.n,
-    )
+    p, a, sig = solution.params.p, solution.params.a, solution.params.sigma
     v = (p - 1) * np.log(solution.u)
     dv = (p - 1) * solution.du / solution.u
     f = np.abs(dv) ** p
@@ -621,11 +607,8 @@ def to_log_solution(solution: RadialSolution) -> LogSolution:
     mask = _residual_mask(solution, dv_fd, np.abs(dv), 0.01)
     resid = math.nan
     if np.any(mask):
-        rm, dvm, d2vm = r[mask], dv_fd[mask], d2v_fd[mask]
-        lam = warp_log_derivative(solution.space, rm)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plap_v = np.abs(dvm) ** (p - 2) * ((p - 1) * d2vm + (n - 1) * lam * dvm)
-        plap_v = np.where(dvm == 0, 0.0 if p != 2 else d2vm, plap_v)
+        dvm = dv_fd[mask]
+        plap_v = radial_p_laplacian(p, solution.space, dvm, d2v_fd[mask], r[mask])
         full = plap_v + np.abs(dvm) ** p + a * hsrc[mask]
         scale = np.max(np.abs(a * hsrc[mask]))
         resid = float(np.max(np.abs(full)) / scale)
@@ -640,13 +623,6 @@ def to_log_solution(solution: RadialSolution) -> LogSolution:
         h=hsrc,
         transformed_residual=resid,
     )
-
-
-def first_zero(solution: RadialSolution) -> float | None:
-    """Event-refined zero-hit radius, or None if the run did not hit zero."""
-    if solution.termination.kind == "hit_zero":
-        return solution.termination.r
-    return None
 
 
 def _cumulative_weighted_integral(r, g, n):
@@ -792,7 +768,6 @@ def read_solution_csv(path_or_file) -> RadialSolution:
                 rel_tol=float(meta["rel_tol"]),
                 zero_threshold=float(meta["zero_threshold"]),
                 blowup_threshold=float(meta["blowup_threshold"]),
-                min_step=float(meta["min_step"]),
                 output_points=int(meta["output_points"]),
             )
             termination = Termination(

@@ -105,8 +105,8 @@ class ExistenceCell:
     classification is zero_hit | blow_up | persists | numerical_failure;
     r_star is the smallest termination radius across the center-value scan
     (None for persists and numerical_failure).  The theory flags are the
-    regime's nonexistence flags where the theorems apply (K = 0), else
-    False."""
+    regime's thm1/thm2 applicability flags where the theorems apply
+    (K = 0), else False."""
 
     p: float
     sigma: float
@@ -220,8 +220,8 @@ def sweep(grid: SweepGrid) -> SweepTable:
                 sigma=prm.sigma,
                 classification=classification,
                 r_star=r_star,
-                theory_thm1=regime.nonexistence_thm1 and grid.K == 0,
-                theory_thm2=regime.nonexistence_thm2 and grid.K == 0,
+                theory_thm1=regime.thm1_applicable and grid.K == 0,
+                theory_thm2=regime.thm2_applicable and grid.K == 0,
             )
         )
     return SweepTable(grid=grid, cells=tuple(cells))

@@ -205,8 +205,6 @@ class RegimeReport:
     beta: float | None
     thm1_applicable: bool
     thm2_applicable: bool
-    nonexistence_thm1: bool
-    nonexistence_thm2: bool
 
     def to_dict(self):
         return {
@@ -217,8 +215,6 @@ class RegimeReport:
             "beta": self.beta,
             "thm1_applicable": self.thm1_applicable,
             "thm2_applicable": self.thm2_applicable,
-            "nonexistence_thm1": self.nonexistence_thm1,
-            "nonexistence_thm2": self.nonexistence_thm2,
         }
 
     def to_json(self, **kwargs) -> str:
@@ -250,8 +246,6 @@ def classify_regime(params: EquationParams) -> RegimeReport:
         beta=b,
         thm1_applicable=thm1,
         thm2_applicable=thm2,
-        nonexistence_thm1=thm1,
-        nonexistence_thm2=thm2,
     )
 
 

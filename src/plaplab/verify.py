@@ -273,15 +273,7 @@ def _linearized_operator_fd(log_solution):
     return Lf, df
 
 
-def _bochner_common(log_solution, params, space, edge_frac, dv_floor, r_window):
-    if params is None:
-        params = log_solution.params
-    elif params != log_solution.params:
-        raise ParameterError("params disagree with the log solution's params")
-    if space is None:
-        space = log_solution.space
-    elif space != log_solution.space:
-        raise ParameterError("space disagrees with the log solution's space")
+def _bochner_common(log_solution, edge_frac, dv_floor, r_window):
     Lf, df = _linearized_operator_fd(log_solution)
     r = log_solution.r
     span = r[-1]
@@ -292,13 +284,11 @@ def _bochner_common(log_solution, params, space, edge_frac, dv_floor, r_window):
         mask &= (r >= lo) & (r <= hi)
     if not np.any(mask):
         raise RegimeError("no samples retained for the pointwise inequality check")
-    return params, space, Lf, df, mask
+    return Lf, df, mask
 
 
 def check_bochner_lemma(
     log_solution: LogSolution,
-    params: EquationParams | None = None,
-    space: ModelSpace | None = None,
     tol_rel: float = 1e-3,
     *,
     edge_frac: float = 0.05,
@@ -313,9 +303,8 @@ def check_bochner_lemma(
     grad f . grad v term, and the linear source term; the inequality is
     checked sample by sample on the retained set.
     """
-    params, space, Lf, df, mask = _bochner_common(
-        log_solution, params, space, edge_frac, dv_floor, r_window
-    )
+    params, space = log_solution.params, log_solution.space
+    Lf, df, mask = _bochner_common(log_solution, edge_frac, dv_floor, r_window)
     n, p, a, sig = params.n, params.p, params.a, params.sigma
     al = alpha(n, p)  # raises RegimeError outside 1 < p < 2n-1
     disc = discriminant(n, p)
@@ -356,8 +345,6 @@ def check_bochner_lemma(
 
 def check_bochner_thm2(
     log_solution: LogSolution,
-    params: EquationParams | None = None,
-    space: ModelSpace | None = None,
     tol_rel: float = 1e-3,
     *,
     edge_frac: float = 0.05,
@@ -370,17 +357,13 @@ def check_bochner_thm2(
     Requires the sign condition a ((n+2)/n - sigma/(p-1)) >= 0; outside it
     the inequality is not claimed and a RegimeError is raised.
     """
-    check_params = params if params is not None else log_solution.params
-    if not thm2_condition(
-        check_params.n, check_params.p, check_params.sigma, check_params.a
-    ):
+    params, space = log_solution.params, log_solution.space
+    if not thm2_condition(params.n, params.p, params.sigma, params.a):
         raise RegimeError(
             "sign condition violated: requires a > 0 with sigma <= (n+2)(p-1)/n "
             "or a < 0 with sigma >= (n+2)(p-1)/n"
         )
-    params, space, Lf, df, mask = _bochner_common(
-        log_solution, params, space, edge_frac, dv_floor, r_window
-    )
+    Lf, df, mask = _bochner_common(log_solution, edge_frac, dv_floor, r_window)
     n, p = params.n, params.p
     K = space.K
     f = log_solution.f[mask]
@@ -422,16 +405,10 @@ class CutoffEta:
     max |eta'| = 6/R, attained mid-band.
     """
 
-    def __init__(self, R: float, profile: str = "smoothstep"):
+    def __init__(self, R: float):
         if not R > 0:
             raise ParameterError(f"R must be positive, got {R}")
-        if profile != "smoothstep":
-            raise ParameterError(
-                f"unsupported cutoff profile {profile!r}; a cutoff must be C^1 "
-                "and vanish at R (supported: 'smoothstep')"
-            )
         self.R = R
-        self.profile = profile
         self.lipschitz_bound = 6.0 / R
 
     def __call__(self, r):
@@ -449,20 +426,19 @@ class CutoffEta:
         return out if out.ndim else float(out)
 
 
-def cutoff_eta(R: float, profile: str = "smoothstep") -> CutoffEta:
+def cutoff_eta(R: float) -> CutoffEta:
     """Build the cutoff used as eta in the integral inequality tests."""
-    return CutoffEta(R, profile)
+    return CutoffEta(R)
 
 
 @dataclass(frozen=True)
 class CaccioppoliConfig:
-    """Exponent b of the test function psi = f^b eta^2, cutoff profile, and
-    quadrature resolution.  b must exceed
+    """Exponent b of the test function psi = f^b eta^2 and quadrature
+    resolution.  b must exceed
     max(1, 2 [p - 2(p-1)/(n-1)]^2 / (beta min(1, p-1))); the bound depends
     on the equation parameters and is enforced by check_caccioppoli."""
 
     b: float
-    eta_profile: str = "smoothstep"
     quadrature_points: int = 4001
 
     def __post_init__(self):
@@ -522,10 +498,8 @@ class CaccioppoliReport:
 
 def check_caccioppoli(
     log_solution: LogSolution,
-    params: EquationParams | None = None,
-    space: ModelSpace | None = None,
-    config: CaccioppoliConfig | None = None,
-    R: float | None = None,
+    config: CaccioppoliConfig,
+    R: float,
     tol_quad: float = 1e-6,
 ) -> CaccioppoliReport:
     """Evaluate both sides of the integral inequality with psi = f^b eta^2.
@@ -540,18 +514,7 @@ def check_caccioppoli(
 
     which must hold with nonnegative slack for exact solutions.
     """
-    if params is None:
-        params = log_solution.params
-    elif params != log_solution.params:
-        raise ParameterError("params disagree with the log solution's params")
-    if space is None:
-        space = log_solution.space
-    elif space != log_solution.space:
-        raise ParameterError("space disagrees with the log solution's space")
-    if config is None:
-        raise ParameterError("a CaccioppoliConfig is required")
-    if R is None:
-        raise ParameterError("R is required")
+    params, space = log_solution.params, log_solution.space
     if R > log_solution.r[-1]:
         raise ParameterError(
             f"log solution extends only to r = {log_solution.r[-1]:.6g} < R = {R}"
@@ -572,7 +535,7 @@ def check_caccioppoli(
             + ", ".join(f"{x:.6g}" for x in r[bad][:8])
         )
 
-    eta = cutoff_eta(R, config.eta_profile)
+    eta = cutoff_eta(R)
     x = np.linspace(0.0, R, config.quadrature_points)
     f_i = pchip(r, log_solution.f)
     dv_i = pchip(r, log_solution.dv)
@@ -692,7 +655,8 @@ def measure_sobolev_ratio(
     The unit-sphere factor cancels between the two sides (both scale as its
     power 1 - 2/n once V is measured without it), so all integrals here are
     radial.  Scaling g leaves the ratio invariant: both sides are
-    2-homogeneous in g.
+    2-homogeneous in g.  Without dg, g' is the analytic derivative of a
+    CutoffEta and np.gradient on the quadrature grid for any other g.
     """
     if not R > 0:
         raise ParameterError(f"R must be positive, got {R}")
@@ -704,8 +668,8 @@ def measure_sobolev_ratio(
         raise ParameterError("degenerate input: g vanishes identically")
     if abs(gx[-1]) > 1e-8 * gmax:
         raise ParameterError(f"g(R) must vanish, got g({R}) = {gx[-1]:.6g}")
-    if dg is None:
-        dg = getattr(g, "derivative", None)
+    if dg is None and isinstance(g, CutoffEta):
+        dg = g.derivative
     dgx = np.gradient(gx, x) if dg is None else np.asarray(dg(x), dtype=float)
     s_pow = np.zeros_like(x)
     s_pow[1:] = warp(space, x[1:]) ** (n - 1)

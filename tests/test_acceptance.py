@@ -62,9 +62,10 @@ def test_criterion_03_exact_oracle_solve(flat3):
     sol = pl.solve_radial(params, flat3, config)
     mask = sol.r <= 3.0
     err = float(np.max(np.abs(sol.u[mask] - sinc(sol.r[mask]))))
-    zero_gap = abs(pl.first_zero(sol) - math.pi)
+    zero_gap = abs(sol.termination.r - math.pi)
     resid = pl.pde_residual(sol)
-    ok = err < 1e-6 and zero_gap < 1e-4 and resid < 1e-6
+    hit_zero = sol.termination.kind == "hit_zero"
+    ok = hit_zero and err < 1e-6 and zero_gap < 1e-4 and resid < 1e-6
     report(
         3,
         ok,

@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import plaplab as pl
-from plaplab.cli import main
+from plaplab.cli import build_parser, main
 
 
 def run(*argv):
@@ -33,14 +34,23 @@ def test_thresholds_stdout(capsys):
     assert run("thresholds", "--n", "3", "--p", "2") == 0
     out = json.loads(capsys.readouterr().out)
     assert out["sigma1"] == pytest.approx(2.8164965809277263, abs=1e-9)
-    assert "nonexistence_thm1" not in out  # no (a, sigma) given
+    assert "thm1_applicable" not in out  # no (a, sigma) given
 
 
 def test_thresholds_with_regime_flags(capsys):
     assert run("thresholds", "--n", "3", "--p", "2", "--a", "1", "--sigma", "2") == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["nonexistence_thm1"] is True
-    assert out["nonexistence_thm2"] is False
+    assert set(out) == {
+        "alpha",
+        "sigma1",
+        "sigma2",
+        "thm2_threshold",
+        "beta",
+        "thm1_applicable",
+        "thm2_applicable",
+    }
+    assert out["thm1_applicable"] is True
+    assert out["thm2_applicable"] is False
 
 
 def test_thresholds_invalid_dimension():
@@ -94,6 +104,71 @@ def test_solve_unwritable_path():
 
 def test_solve_missing_parameter(tmp_path):
     assert run("solve", "--n", "3", "--p", "2", "--out", str(tmp_path / "x.csv")) == 2
+
+
+# one non-default value per ShootingConfig field
+SHOOTING_VALUES = dict(
+    u0=0.5,
+    r_max=3.0,
+    abs_tol=1e-11,
+    rel_tol=1e-10,
+    zero_threshold=1e-7,
+    blowup_threshold=1e7,
+    output_points=101,
+)
+SINC_PARAMS = ("--n", "3", "--p", "2", "--a", "1", "--sigma", "1")
+
+
+def shooting_flags(values):
+    argv = []
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+def test_shooting_flags_follow_config_fields():
+    assert set(SHOOTING_VALUES) == {f.name for f in fields(pl.ShootingConfig)}
+    assert all(SHOOTING_VALUES[f.name] != f.default for f in fields(pl.ShootingConfig))
+    parser = build_parser()
+    for command in ("solve", "sweep"):
+        args = parser.parse_args(
+            [command, "--out", "x.csv"] + shooting_flags(SHOOTING_VALUES)
+        )
+        for name, value in SHOOTING_VALUES.items():
+            assert getattr(args, name) == value
+            assert type(getattr(args, name)) is type(value)
+
+
+def test_solve_without_shooting_flags_writes_config_defaults(tmp_path):
+    out = tmp_path / "sol.csv"
+    assert run("solve", *SINC_PARAMS, "--r-max", "4", "--out", str(out)) == 0
+    assert pl.read_solution_csv(out).config == pl.ShootingConfig(r_max=4.0)
+
+
+def test_solve_writes_every_shooting_flag(tmp_path):
+    out = tmp_path / "sol.csv"
+    argv = shooting_flags(SHOOTING_VALUES)
+    assert run("solve", *SINC_PARAMS, *argv, "--out", str(out)) == 0
+    assert pl.read_solution_csv(out).config == pl.ShootingConfig(**SHOOTING_VALUES)
+
+
+def test_config_file_with_retired_min_step_still_solves(tmp_path):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("n=3\np=2\na=1\nsigma=1\nr_max=4\nmin_step=1e-12\n")
+    out = tmp_path / "sol.csv"
+    assert run("solve", "--config", str(cfg), "--out", str(out)) == 0
+    assert pl.read_solution_csv(out).config == pl.ShootingConfig(r_max=4.0)
+
+
+def test_min_step_flag_is_rejected(tmp_path, capsys):
+    out = tmp_path / "sol.csv"
+    argv = ("solve", *SINC_PARAMS, "--r-max", "4", "--out", str(out))
+    assert run(*argv, "--min-step", "1e-12") == 2
+    assert "unrecognized arguments: --min-step" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv) == 0
+    assert run("sweep", "--min-step", "1e-12", "--out", str(tmp_path / "t.csv")) == 2
+    assert "unrecognized arguments: --min-step" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

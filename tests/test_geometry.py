@@ -89,20 +89,20 @@ def test_radial_laplacian_sinc_identity():
     u = math.sin(r) / r
     du = math.cos(r) / r - math.sin(r) / r**2
     d2u = -math.sin(r) / r - 2 * math.cos(r) / r**2 + 2 * math.sin(r) / r**3
-    val = pl.radial_p_laplacian(2.0, sp, u, du, d2u, r)
+    val = pl.radial_p_laplacian(2.0, sp, du, d2u, r)
     assert val == pytest.approx(-u, rel=1e-12)
 
 
 def test_radial_laplacian_constant_profile():
     sp = pl.ModelSpace(n=3, K=0.0)
-    assert pl.radial_p_laplacian(3.0, sp, 1.0, 0.0, 0.0, 1.0) == 0.0
-    assert pl.radial_p_laplacian(2.0, sp, 1.0, 0.0, 0.0, 1.0) == 0.0
+    assert pl.radial_p_laplacian(3.0, sp, 0.0, 0.0, 1.0) == 0.0
+    assert pl.radial_p_laplacian(2.0, sp, 0.0, 0.0, 1.0) == 0.0
 
 
 def test_radial_laplacian_linear_profile_p3():
     sp = pl.ModelSpace(n=3, K=0.0)
     # u = r: |u'| (p-1) u'' + |u'| (n-1)(1/r) u' = 0 + 2 at r = 1
-    assert pl.radial_p_laplacian(3.0, sp, 1.0, 1.0, 0.0, 1.0) == pytest.approx(2.0)
+    assert pl.radial_p_laplacian(3.0, sp, 1.0, 0.0, 1.0) == pytest.approx(2.0)
 
 
 def test_radial_laplacian_p2_reduction_random():
@@ -111,7 +111,7 @@ def test_radial_laplacian_p2_reduction_random():
     for _ in range(20):
         u, du, d2u, r = rng.uniform(0.1, 2.0, size=4)
         expected = d2u + 4 * pl.warp_log_derivative(sp, r) * du
-        assert pl.radial_p_laplacian(2.0, sp, u, du, d2u, r) == pytest.approx(
+        assert pl.radial_p_laplacian(2.0, sp, du, d2u, r) == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -119,10 +119,10 @@ def test_radial_laplacian_p2_reduction_random():
 def test_radial_laplacian_degenerate_gradient():
     sp = pl.ModelSpace(n=3, K=0.0)
     # p > 2: the limit value at a critical point is 0
-    assert pl.radial_p_laplacian(3.0, sp, 1.0, 0.0, 5.0, 1.0) == 0.0
+    assert pl.radial_p_laplacian(3.0, sp, 0.0, 5.0, 1.0) == 0.0
     # p < 2: singular, rejected
     with pytest.raises(ParameterError):
-        pl.radial_p_laplacian(1.5, sp, 1.0, 0.0, 5.0, 1.0)
+        pl.radial_p_laplacian(1.5, sp, 0.0, 5.0, 1.0)
 
 
 def test_radial_L_coefficient_values():

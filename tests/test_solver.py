@@ -35,7 +35,8 @@ def test_sinc_profile(sinc_solution):
 
 
 def test_sinc_first_zero(sinc_solution):
-    assert abs(pl.first_zero(sinc_solution) - math.pi) < 1e-4
+    assert sinc_solution.termination.kind == "hit_zero"
+    assert abs(sinc_solution.termination.r - math.pi) < 1e-4
 
 
 def test_sinc_residual(sinc_solution):
@@ -127,14 +128,13 @@ def test_blowup_radius_against_fixed_step_oracle(flat3):
     assert sol.termination.kind == "blow_up"
     oracle = rk4_blowup_radius(3, 2.0, -1.0, 3.0, 1.0, 5.0)
     assert abs(sol.termination.r - oracle) < 1e-3
-    assert pl.first_zero(sol) is None
 
 
 def test_reached_rmax_has_no_zero(flat3):
     params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=5.0)
     sol = pl.solve_radial(params, flat3, pl.ShootingConfig(u0=1.0, r_max=10.0))
     assert sol.termination.kind == "reached_rmax"
-    assert pl.first_zero(sol) is None
+    assert sol.termination.r == 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +394,58 @@ def test_csv_round_trip_is_exact(sinc_solution):
 def test_csv_rejects_malformed(text):
     with pytest.raises(SolutionFormatError):
         pl.read_solution_csv(io.StringIO(text))
+
+
+# written when ShootingConfig still had a min_step field (sinc instance,
+# r_max = 4, 5 output points)
+RETIRED_MIN_STEP_CSV = """\
+# n=3
+# p=2
+# a=1
+# sigma=1
+# K=0
+# u0=1
+# r_max=4
+# abs_tol=1e-10
+# rel_tol=1.0000000000000001e-09
+# zero_threshold=1e-08
+# blowup_threshold=100000000
+# min_step=9.9999999999999998e-13
+# output_points=5
+# termination=hit_zero
+# termination_r=3.1415926223734867
+# termination_detail={}
+r,u,du,w
+0,1,0,-0
+0.78539815559337167,0.90031631799556755,-0.24600201818832265,-0.24600201818832265
+1.5707963111867433,0.63661977864062869,-0.40528473266127835,-0.40528473266127835
+2.3561944667801149,0.30010544875362438,-0.42747414419797197,-0.42747414419797197
+3.1415926223734867,1.0000000026327382e-08,-0.31830989204867161,-0.31830989204867161
+"""
+
+
+def test_csv_with_retired_min_step_reads_back():
+    """The retired key is ignored: the file reads back to the solution its
+    text without that line gives, and is written back without it."""
+    old = pl.read_solution_csv(io.StringIO(RETIRED_MIN_STEP_CSV))
+    current = "".join(
+        ln
+        for ln in RETIRED_MIN_STEP_CSV.splitlines(keepends=True)
+        if not ln.startswith("# min_step=")
+    )
+    new = pl.read_solution_csv(io.StringIO(current))
+    assert old.config == pl.ShootingConfig(r_max=4.0, output_points=5)
+    assert (old.params, old.space, old.config, old.termination) == (
+        new.params,
+        new.space,
+        new.config,
+        new.termination,
+    )
+    for name in ("r", "u", "du", "w"):
+        assert np.array_equal(getattr(old, name), getattr(new, name))
+    buf = io.StringIO()
+    pl.write_solution_csv(old, buf)
+    assert buf.getvalue() == current
 
 
 def test_csv_rejects_missing_metadata(sinc_solution):

