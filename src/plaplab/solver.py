@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,16 +59,10 @@ class ShootingConfig:
     output_points: int = 2001
 
     def __post_init__(self):
-        for name in (
-            "u0",
-            "r_max",
-            "abs_tol",
-            "rel_tol",
-            "zero_threshold",
-            "blowup_threshold",
-        ):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not value > 0:
+                raise ParameterError(f"{f.name} must be positive, got {value}")
         if not self.zero_threshold < self.u0:
             raise ParameterError(
                 f"zero_threshold ({self.zero_threshold}) must be below u0 ({self.u0})"
@@ -79,15 +73,8 @@ class ShootingConfig:
             raise ParameterError(f"output_points must be an integer >= 5, got {self.output_points!r}")
 
     def to_dict(self):
-        return {
-            "u0": self.u0,
-            "r_max": self.r_max,
-            "abs_tol": self.abs_tol,
-            "rel_tol": self.rel_tol,
-            "zero_threshold": self.zero_threshold,
-            "blowup_threshold": self.blowup_threshold,
-            "output_points": int(self.output_points),
-        }
+        """Field values in field order, each as its default's type."""
+        return {f.name: type(f.default)(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -687,7 +674,9 @@ def flux_residual(solution: RadialSolution) -> float:
 # ---------------------------------------------------------------------------
 # CSV serialization: '#'-prefixed key=value metadata, then one row per sample
 
-_FLOAT_FMT = "{:.17g}"
+_FLOAT_FMT = "%.17g"  # 17 significant digits round-trip float64 exactly
+_HEADER = "r,u,du,w"
+_ROW_FMT = ",".join([_FLOAT_FMT] * 4) + "\n"
 
 
 @contextmanager
@@ -704,90 +693,89 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     """Write a solution as CSV with metadata comment lines.
 
     Decimal output carries 17 significant digits, enough to round-trip
-    float64 exactly.
+    float64 exactly.  The data rows are formatted as one block.
     """
+    meta = {}
+    meta.update(solution.params.to_dict())
+    meta.update(solution.space.to_dict())
+    meta.update(solution.config.to_dict())
+    meta["termination"] = solution.termination.kind
+    meta["termination_r"] = solution.termination.r
+    meta["termination_detail"] = json.dumps(solution.termination.detail)
+    lines = [
+        f"# {key}={_FLOAT_FMT % value if isinstance(value, float) else value}\n"
+        for key, value in meta.items()
+    ]
+    lines.append(_HEADER + "\n")
+    data = np.column_stack((solution.r, solution.u, solution.du, solution.w))
+    lines.append((_ROW_FMT * len(data)) % tuple(data.ravel().tolist()))
     with _opened(path_or_file, "w") as fh:
-        meta = {}
-        meta.update(solution.params.to_dict())
-        meta.update(solution.space.to_dict())
-        meta.update(solution.config.to_dict())
-        meta["termination"] = solution.termination.kind
-        meta["termination_r"] = solution.termination.r
-        meta["termination_detail"] = json.dumps(solution.termination.detail)
-        for key, value in meta.items():
-            if isinstance(value, float):
-                value = _FLOAT_FMT.format(value)
-            fh.write(f"# {key}={value}\n")
-        fh.write("r,u,du,w\n")
-        for row in zip(solution.r, solution.u, solution.du, solution.w):
-            fh.write(",".join(_FLOAT_FMT.format(x) for x in row) + "\n")
+        fh.write("".join(lines))
 
 
 def read_solution_csv(path_or_file) -> RadialSolution:
-    """Parse a solution CSV written by write_solution_csv."""
+    """Parse a solution CSV written by write_solution_csv.
+
+    A data row is four comma-separated decimal fields; all rows are parsed
+    in one ``np.loadtxt`` call.
+    """
     with _opened(path_or_file, "r") as fh:
-        meta = {}
-        header = None
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise SolutionFormatError(f"malformed metadata line: {line!r}")
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            elif header is None:
-                header = line
-                if header != "r,u,du,w":
-                    raise SolutionFormatError(f"unexpected column header: {header!r}")
-            else:
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise SolutionFormatError(f"malformed data row: {line!r}")
-                try:
-                    rows.append([float(x) for x in parts])
-                except ValueError as exc:
-                    raise SolutionFormatError(f"non-numeric data row: {line!r}") from exc
-        if header is None or not rows:
-            raise SolutionFormatError("no data rows found")
-        try:
-            params = EquationParams(
-                n=int(meta["n"]),
-                p=float(meta["p"]),
-                a=float(meta["a"]),
-                sigma=float(meta["sigma"]),
-            )
-            space = ModelSpace(n=int(meta["n"]), K=float(meta["K"]))
-            config = ShootingConfig(
-                u0=float(meta["u0"]),
-                r_max=float(meta["r_max"]),
-                abs_tol=float(meta["abs_tol"]),
-                rel_tol=float(meta["rel_tol"]),
-                zero_threshold=float(meta["zero_threshold"]),
-                blowup_threshold=float(meta["blowup_threshold"]),
-                output_points=int(meta["output_points"]),
-            )
-            termination = Termination(
-                kind=meta["termination"],
-                r=float(meta["termination_r"]),
-                detail=json.loads(meta.get("termination_detail", "{}")),
-            )
-        except (KeyError, ValueError) as exc:
-            raise SolutionFormatError(f"bad or missing metadata: {exc}") from exc
-        data = np.asarray(rows, dtype=float)
-        try:
-            return RadialSolution(
-                params=params,
-                space=space,
-                config=config,
-                r=data[:, 0],
-                u=data[:, 1],
-                du=data[:, 2],
-                w=data[:, 3],
-                termination=termination,
-            )
-        except ParameterError as exc:
-            raise SolutionFormatError(str(exc)) from exc
+        text = fh.read()
+    meta = {}
+    header = None
+    rows = []
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" not in body:
+                raise SolutionFormatError(f"malformed metadata line: {line!r}")
+            key, _, value = body.partition("=")
+            meta[key.strip()] = value.strip()
+        elif header is None:
+            header = line
+            if header != _HEADER:
+                raise SolutionFormatError(f"unexpected column header: {header!r}")
+        else:
+            rows.append(line)
+    if header is None or not rows:
+        raise SolutionFormatError("no data rows found")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SolutionFormatError(f"malformed data rows: {exc}") from exc
+    if data.shape[1] != 4:
+        raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected 4")
+    try:
+        params = EquationParams(
+            n=int(meta["n"]),
+            p=float(meta["p"]),
+            a=float(meta["a"]),
+            sigma=float(meta["sigma"]),
+        )
+        space = ModelSpace(n=int(meta["n"]), K=float(meta["K"]))
+        config = ShootingConfig(
+            **{f.name: type(f.default)(meta[f.name]) for f in fields(ShootingConfig)}
+        )
+        termination = Termination(
+            kind=meta["termination"],
+            r=float(meta["termination_r"]),
+            detail=json.loads(meta.get("termination_detail", "{}")),
+        )
+    except (KeyError, ValueError) as exc:
+        raise SolutionFormatError(f"bad or missing metadata: {exc}") from exc
+    try:
+        return RadialSolution(
+            params=params,
+            space=space,
+            config=config,
+            r=data[:, 0],
+            u=data[:, 1],
+            du=data[:, 2],
+            w=data[:, 3],
+            termination=termination,
+        )
+    except ParameterError as exc:
+        raise SolutionFormatError(str(exc)) from exc

@@ -28,7 +28,7 @@ import numpy as np
 from ._fd import fd4_first
 from ._quad import pchip, simpson
 from .errors import ParameterError, RegimeError
-from .geometry import ModelSpace, warp
+from .geometry import ModelSpace, radial_L_coefficient, warp
 from .solver import LogSolution, RadialSolution, ShootingConfig, solve_radial
 from .thresholds import (
     EquationParams,
@@ -258,7 +258,8 @@ class BochnerReport:
 
 
 def _linearized_operator_fd(log_solution):
-    """L(f) = s^(1-n) d/dr [ s^(n-1) (p-1)|v'|^(p-2) f' ] by nested FD."""
+    """L(f) = s^(1-n) d/dr [ s^(n-1) (p-1)|v'|^(p-2) f' ] by nested FD;
+    the weight is NaN where v' = 0."""
     r, f, dv = log_solution.r, log_solution.f, log_solution.dv
     p = log_solution.params.p
     n = log_solution.space.n
@@ -266,8 +267,10 @@ def _linearized_operator_fd(log_solution):
     df = fd4_first(f, h)
     s_pow = np.full_like(r, np.nan)
     s_pow[1:] = warp(log_solution.space, r[1:]) ** (n - 1)
+    coef = np.full_like(r, np.nan)
+    moving = dv != 0
+    coef[moving] = radial_L_coefficient(p, dv[moving])
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = (p - 1) * np.abs(dv) ** (p - 2.0)
         G = s_pow * coef * df
         Lf = fd4_first(G, h) / s_pow
     return Lf, df

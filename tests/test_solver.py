@@ -1,10 +1,12 @@
 """Shooting solver: closed-form oracles, symmetry identities, serialization."""
 
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
@@ -380,6 +382,46 @@ def test_csv_round_trip_is_exact(sinc_solution):
         assert np.array_equal(getattr(back, name), getattr(sinc_solution, name))
 
 
+# a complete file (sinc instance, r_max = 4, 3 rows); each malformed case
+# below breaks one thing in it
+VALID_META = """\
+# n=3
+# p=2
+# a=1
+# sigma=1
+# K=0
+# u0=1
+# r_max=4
+# abs_tol=1e-10
+# rel_tol=1.0000000000000001e-09
+# zero_threshold=1e-08
+# blowup_threshold=100000000
+# output_points=5
+# termination=hit_zero
+# termination_r=3.1415926223734867
+# termination_detail={}
+"""
+VALID_ROWS = [
+    "0,1,0,-0",
+    "1.5707963111867433,0.63661977864062869,-0.40528473266127835,-0.40528473266127835",
+    "3.1415926223734867,1.0000000026327382e-08,-0.31830989204867161,-0.31830989204867161",
+]
+
+
+def _csv(rows):
+    return VALID_META + "r,u,du,w\n" + "".join(row + "\n" for row in rows)
+
+
+def _first_row(row):
+    return _csv([row] + VALID_ROWS[1:])
+
+
+def test_valid_csv_reads():
+    sol = pl.read_solution_csv(io.StringIO(_csv(VALID_ROWS)))
+    assert sol.config == pl.ShootingConfig(r_max=4.0, output_points=5)
+    assert np.array_equal(sol.u, [1.0, 0.63661977864062869, 1.0000000026327382e-08])
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -389,11 +431,110 @@ def test_csv_round_trip_is_exact(sinc_solution):
         "# n=3\nr,u,du,w\n0,1,0\n",  # short row
         "# n=3\nr,u,du,w\n0,one,0,0\n",  # non-numeric
         "# broken line\nr,u,du,w\n0,1,0,0\n",  # metadata without '='
+        pytest.param(_first_row("0,1,0,-0 # x"), id="trailing-comment"),
+        pytest.param(_first_row("0,1,0,-0,"), id="trailing-comma"),
+        pytest.param(_first_row("0,,0,-0"), id="empty-field"),
+        pytest.param(_first_row("0\t1\t0\t-0"), id="tab-separated"),
+        pytest.param(_csv([row + ",0" for row in VALID_ROWS]), id="five-columns"),
+        # fields are plain ASCII decimals, although float() takes these two
+        pytest.param(_first_row("0,0.9_0,0,-0"), id="digit-separator"),
+        pytest.param(_first_row("0,\uff11,0,-0"), id="fullwidth-digit"),
     ],
 )
 def test_csv_rejects_malformed(text):
     with pytest.raises(SolutionFormatError):
         pl.read_solution_csv(io.StringIO(text))
+
+
+def test_csv_accepts_loose_layout(sinc_solution):
+    """Blank lines between rows, a space after each comma and metadata
+    after the data read back to the same solution."""
+    buf = io.StringIO()
+    pl.write_solution_csv(sinc_solution, buf)
+    meta, _, body = buf.getvalue().partition("r,u,du,w\n")
+    rows = body.splitlines()
+    loose = "r,u,du,w\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n" + meta
+    back = pl.read_solution_csv(io.StringIO(loose))
+    assert (back.params, back.space, back.config, back.termination) == (
+        sinc_solution.params,
+        sinc_solution.space,
+        sinc_solution.config,
+        sinc_solution.termination,
+    )
+    for name in ("r", "u", "du", "w"):
+        assert np.array_equal(getattr(back, name), getattr(sinc_solution, name))
+
+
+# finite values at the edges of float64: subnormals, signed zeros, the
+# smallest normal, and the largest finite values
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    -2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1.7976931348623155e308,
+]
+CSV_VALUES = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def csv_profiles(draw):
+    """A strictly increasing r from 0 and arbitrary u, du, w."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    r = [0.0] + sorted(draw(st.lists(positive, min_size=1, max_size=30, unique=True)))
+    m = len(r)
+    u, du, w = (draw(st.lists(CSV_VALUES, min_size=m, max_size=m)) for _ in range(3))
+    return tuple(np.array(col, dtype=float) for col in (r, u, du, w))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(profile=csv_profiles(), r_end=CSV_VALUES)
+@example(
+    profile=tuple(
+        np.array(col, dtype=float)
+        for col in (
+            [0.0, 5e-324, 1.0, 1.7976931348623157e308],
+            [math.nan, -0.0, 5e-324, -1.7976931348623157e308],
+            [math.inf, -math.inf, 0.0, 2.225073858507201e-308],
+            [-5e-324, 1e-310, 0.1, 1.7976931348623155e308],
+        )
+    ),
+    r_end=-0.0,
+)
+def test_csv_round_trip_property(sinc_solution, profile, r_end):
+    """Data rows equal the per-value '{:.17g}' text the row-by-row writer
+    produced, and every value, termination radius included, reads back
+    bit for bit."""
+    r, u, du, w = profile
+    sol = dataclasses.replace(
+        sinc_solution,
+        r=r,
+        u=u,
+        du=du,
+        w=w,
+        termination=pl.Termination("reached_rmax", r_end),
+    )
+    buf = io.StringIO()
+    pl.write_solution_csv(sol, buf)
+    text = buf.getvalue()
+    expected_rows = [",".join("{:.17g}".format(x) for x in row) for row in zip(r, u, du, w)]
+    assert text.splitlines()[-len(r):] == expected_rows
+    assert "# termination_r={:.17g}\n".format(r_end) in text
+    back = pl.read_solution_csv(io.StringIO(text))
+    for name, col in zip(("r", "u", "du", "w"), profile):
+        assert np.array_equal(_bits(getattr(back, name)), _bits(col))
+    assert _bits(back.termination.r) == _bits(r_end)
 
 
 # written when ShootingConfig still had a min_step field (sinc instance,
@@ -446,6 +587,24 @@ def test_csv_with_retired_min_step_reads_back():
     buf = io.StringIO()
     pl.write_solution_csv(old, buf)
     assert buf.getvalue() == current
+
+
+def test_config_metadata_follows_fields(sinc_solution):
+    """One metadata line per ShootingConfig field, in field order; each
+    is required and output_points reads back as an int."""
+    buf = io.StringIO()
+    pl.write_solution_csv(sinc_solution, buf)
+    text = buf.getvalue()
+    names = [f.name for f in dataclasses.fields(pl.ShootingConfig)]
+    keys = [ln[2:].partition("=")[0] for ln in text.splitlines() if ln.startswith("# ")]
+    assert [k for k in keys if k in names] == names
+    assert type(pl.read_solution_csv(io.StringIO(text)).config.output_points) is int
+    for name in names:
+        body = "".join(
+            ln for ln in text.splitlines(keepends=True) if not ln.startswith(f"# {name}=")
+        )
+        with pytest.raises(SolutionFormatError, match=name):
+            pl.read_solution_csv(io.StringIO(body))
 
 
 def test_csv_rejects_missing_metadata(sinc_solution):
