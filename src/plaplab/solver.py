@@ -674,7 +674,7 @@ def flux_residual(solution: RadialSolution) -> float:
 # ---------------------------------------------------------------------------
 # CSV serialization: '#'-prefixed key=value metadata, then one row per sample
 
-_FLOAT_FMT = "%.17g"  # 17 significant digits round-trip float64 exactly
+_FLOAT_FMT = "%.17g"
 _HEADER = "r,u,du,w"
 _ROW_FMT = ",".join([_FLOAT_FMT] * 4) + "\n"
 
@@ -693,7 +693,7 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     """Write a solution as CSV with metadata comment lines.
 
     Decimal output carries 17 significant digits, enough to round-trip
-    float64 exactly.  The data rows are formatted as one block.
+    float64 exactly.
     """
     meta = {}
     meta.update(solution.params.to_dict())
@@ -716,8 +716,7 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
-    A data row is four comma-separated decimal fields; all rows are parsed
-    in one ``np.loadtxt`` call.
+    A data row is four comma-separated plain decimal fields.
     """
     with _opened(path_or_file, "r") as fh:
         text = fh.read()
