@@ -1,4 +1,4 @@
-"""Model-space geometry: warping functions, ball volumes, and the radial
+"""Model-space geometry: warping functions and the radial
 forms of the p-Laplacian and of its linearization around a profile.
 
 Only the two space forms realizing the curvature bound Ric >= -(n-1)K with
@@ -20,8 +20,6 @@ __all__ = [
     "ModelSpace",
     "warp",
     "warp_log_derivative",
-    "unit_sphere_area",
-    "ball_volume",
     "radial_p_laplacian",
     "radial_L_coefficient",
 ]
@@ -81,38 +79,6 @@ def _warp_log_derivative(K, r):
         return 1.0 / r
     rk = math.sqrt(K)
     return rk / np.tanh(rk * r)
-
-
-def unit_sphere_area(n: int) -> float:
-    """Surface area of the unit (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2)."""
-    from scipy.special import gamma
-
-    return float(2 * math.pi ** (n / 2) / gamma(n / 2))
-
-
-def ball_volume(space: ModelSpace, R: float) -> float:
-    """Volume of the geodesic ball of radius R, via adaptive quadrature.
-
-    omega_{n-1} * integral_0^R s_K(t)^(n-1) dt, relative error <= 1e-10.
-    """
-    if not R > 0:
-        raise ParameterError(f"R must be positive, got {R}")
-    n, K = space.n, space.K
-    if K == 0:
-        integral = R**n / n
-    else:
-        from scipy.integrate import quad
-
-        rk = math.sqrt(K)
-        integral, _ = quad(
-            lambda t: (math.sinh(rk * t) / rk) ** (n - 1),
-            0.0,
-            R,
-            epsabs=0.0,
-            epsrel=1e-12,
-            limit=200,
-        )
-    return unit_sphere_area(n) * integral
 
 
 def radial_p_laplacian(p: float, space: ModelSpace, du, d2u, r):

@@ -20,6 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -153,25 +154,27 @@ def solve_radial(
 ) -> RadialSolution:
     """Integrate the radial profile from the regular center outward.
 
-    Starts from a power series at r = 1e-6 * r_max, advances with an
-    adaptive embedded Runge-Kutta pair, locates terminal events (zero hit,
-    blow-up) in r to root-finding precision, and returns the profile
-    uniformly resampled on [0, r_end] from the integrator's C^1 continuous
-    extension (downstream off-grid interpolation is monotone cubic, in the
-    checkers).
+    Starts from a power series at r = 1e-6 * r_max and advances one run
+    with a scalar Dormand-Prince 5(4) loop on Python floats: the scheme,
+    error norm, initial step and step control of scipy's RK45, which
+    shoot_batch also reproduces for many runs at once (solve_radial keeps
+    the profile, shoot_batch does not).  Terminal events (zero hit,
+    blow-up) are located in r to root-finding precision, and the profile
+    is returned uniformly resampled on [0, r_end] from the steps' C^1
+    dense output (downstream off-grid interpolation is monotone cubic, in
+    the checkers).
     """
-    from scipy.integrate import solve_ivp  # on first use: import plaplab needs no scipy
-
     if params.n != space.n:
         raise ParameterError(
             f"dimension mismatch: params.n = {params.n}, space.n = {space.n}"
         )
     p, a, sig, n = params.p, params.a, params.sigma, params.n
     inv_pm1 = 1.0 / (p - 1.0)
-    r_start = _SERIES_FRACTION * config.r_max
-    u0 = config.u0
-    y0 = [_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start)]
-    u_floor = 0.5 * config.zero_threshold  # Lipschitz continuation below the zero event
+    r_max, u0 = config.r_max, config.u0
+    zt, bt = config.zero_threshold, config.blowup_threshold
+    rtol, atol = float(max(config.rel_tol, 100 * _EPS)), config.abs_tol
+    r_start = _SERIES_FRACTION * r_max
+    u_floor = 0.5 * zt  # Lipschitz continuation below the zero event
 
     if space.K == 0:
 
@@ -184,69 +187,127 @@ def solve_radial(
         def log_warp(r):
             return rk / math.tanh(rk * r)
 
-    def rhs(r, y):
-        u, w = y
-        du = math.copysign(abs(w) ** inv_pm1, w)
+    def rhs(r, u, w):
         u_eff = u if u > u_floor else u_floor
-        dw = -a * u_eff**sig - (n - 1) * log_warp(r) * w
-        return (du, dw)
+        try:
+            du = math.copysign(abs(w) ** inv_pm1, w)
+            dw = -a * u_eff**sig - (n - 1) * log_warp(r) * w
+        except OverflowError:  # where numpy gives inf; either way the step is rejected
+            return math.nan, math.nan
+        return du, dw
 
-    def ev_zero(r, y):
-        return y[0] - config.zero_threshold
+    def rhs_columns(t, y, _):
+        return np.array(rhs(t[0], y[0, 0], y[1, 0]))[:, None]
 
-    ev_zero.terminal = True
-    ev_zero.direction = -1
+    t = r_start
+    u, w = float(_series_u(p, a, sig, n, u0, t)), float(_series_w(a, sig, n, u0, t))
+    ku1, kw1 = rhs(t, u, w)
+    start = SimpleNamespace(t=np.array([t]), y=np.array([[u], [w]]), f=np.array([[ku1], [kw1]]))
+    h_abs = float(_initial_step(rhs_columns, start, r_max - r_start, rtol, atol)[0])
 
-    def ev_blow(r, y):
-        return config.blowup_threshold - max(abs(y[0]), abs(y[1]))
+    c2, c3, c4, c5, c6 = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
+    # the second stage has weight zero in the solution and in the error
+    b1, _, b3, b4, b5, b6 = _DP_B
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    g_zero, g_blow = u - zt, bt - max(abs(u), abs(w))
+    retry = False  # the last attempt was rejected
+    failed = fire_zero = fire_blow = False
+    steps = []  # per accepted step: t_old, t_new, y_old and the seven stages
+    while True:
+        h_floor = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs < h_floor:
+            if retry:
+                failed = True
+                break
+            h_abs = h_floor
+        t_new = t + h_abs
+        if t_new > r_max:
+            t_new = r_max
+        h = t_new - t
+        ku2, kw2 = rhs(t + c2 * h, u + (a21 * ku1) * h, w + (a21 * kw1) * h)
+        ku3, kw3 = rhs(
+            t + c3 * h, u + (a31 * ku1 + a32 * ku2) * h, w + (a31 * kw1 + a32 * kw2) * h
+        )
+        ku4, kw4 = rhs(
+            t + c4 * h,
+            u + (a41 * ku1 + a42 * ku2 + a43 * ku3) * h,
+            w + (a41 * kw1 + a42 * kw2 + a43 * kw3) * h,
+        )
+        ku5, kw5 = rhs(
+            t + c5 * h,
+            u + (a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4) * h,
+            w + (a51 * kw1 + a52 * kw2 + a53 * kw3 + a54 * kw4) * h,
+        )
+        ku6, kw6 = rhs(
+            t + c6 * h,
+            u + (a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5) * h,
+            w + (a61 * kw1 + a62 * kw2 + a63 * kw3 + a64 * kw4 + a65 * kw5) * h,
+        )
+        u_new = u + h * (b1 * ku1 + b3 * ku3 + b4 * ku4 + b5 * ku5 + b6 * ku6)
+        w_new = w + h * (b1 * kw1 + b3 * kw3 + b4 * kw4 + b5 * kw5 + b6 * kw6)
+        ku7, kw7 = rhs(t + h, u_new, w_new)
+        err_u = (e1 * ku1 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * ku7) * h
+        err_w = (e1 * kw1 + e3 * kw3 + e4 * kw4 + e5 * kw5 + e6 * kw6 + e7 * kw7) * h
+        err_u /= atol + max(abs(u), abs(u_new)) * rtol
+        err_w /= atol + max(abs(w), abs(w_new)) * rtol
+        error = math.sqrt(err_u * err_u + err_w * err_w) / 2**0.5
 
-    ev_blow.terminal = True
-    ev_blow.direction = -1
+        # step control as scipy's, with Python's min and max on nan
+        if not error < 1:
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * error**_ERROR_EXPONENT)
+            retry = True
+            continue
+        factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error**_ERROR_EXPONENT)
+        h_abs = h * (min(1, factor) if retry else factor)
+        retry = False
+        steps.append(
+            (t, t_new, u, w, ku1, kw1, ku2, kw2, ku3, kw3, ku4, kw4, ku5, kw5, ku6, kw6, ku7, kw7)
+        )
+        t, u, w, ku1, kw1 = t_new, u_new, w_new, ku7, kw7
+        fire_zero = g_zero >= 0 and u - zt <= 0
+        fire_blow = g_blow >= 0 and bt - max(abs(u), abs(w)) <= 0
+        if fire_zero or fire_blow or t >= r_max:
+            break
+        g_zero, g_blow = u - zt, bt - max(abs(u), abs(w))
 
-    sol = solve_ivp(
-        rhs,
-        (r_start, config.r_max),
-        y0,
-        method="RK45",
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        events=(ev_zero, ev_blow),
-        dense_output=True,
-    )
-
-    if sol.status == 1:
-        if len(sol.t_events[0]):
-            termination = Termination("hit_zero", float(sol.t_events[0][0]))
+    table = np.array(steps).reshape(len(steps), 18)
+    dense = np.einsum("jk,mkc->jcm", np.array(_DP_P), table[:, 4:].reshape(len(steps), 7, 2))
+    step = (table[:, 0], table[:, 1], table[:, 2:4].T, dense)
+    if failed:
+        detail = {"failure_r": t, "message": _TOO_SMALL_STEP}
+        # a failing step close to the blow-up threshold is a blow-up
+        if max(abs(u), abs(w)) >= 0.99 * bt:
+            detail["blowup_r"] = t
+            termination = Termination("blow_up", t, detail)
         else:
-            termination = Termination("blow_up", float(sol.t_events[1][0]))
-    elif sol.status == 0:
-        termination = Termination("reached_rmax", config.r_max)
+            termination = Termination("step_failure", t, detail)
+    elif fire_zero or fire_blow:
+        last = tuple(part[..., -1:] for part in step)
+        hit, r_event = _first_event(last, np.array([fire_zero]), np.array([fire_blow]), zt, bt)
+        termination = Termination("hit_zero" if hit[0] else "blow_up", float(r_event[0]))
     else:
-        r_fail = float(sol.t[-1])
-        u_last, w_last = float(sol.y[0, -1]), float(sol.y[1, -1])
-        detail = {"failure_r": r_fail, "message": sol.message}
-        if max(abs(u_last), abs(w_last)) >= 0.99 * config.blowup_threshold:
-            detail["blowup_r"] = r_fail
-            termination = Termination("blow_up", r_fail, detail)
-        else:
-            termination = Termination("step_failure", r_fail, detail)
+        termination = Termination("reached_rmax", r_max)
 
     r_end = termination.r
-    if len(sol.t) < 2 or r_end <= r_start:
+    if not steps or r_end <= r_start:
         raise ParameterError(
             f"integration span collapsed (r_end = {r_end}); check the configuration"
         )
 
-    # uniform resample straight from the integrator's continuous extension:
-    # it is C^1 across steps, so downstream finite differences on the uniform
-    # grid see only the (smooth, tolerance-sized) integration error
+    # uniform resample straight from the steps' continuous extension: it is
+    # C^1 across steps, so downstream finite differences on the uniform grid
+    # see only the (smooth, tolerance-sized) integration error.  A sample on
+    # a step boundary takes the step that ends there, as scipy's does.
     rs = np.linspace(0.0, r_end, config.output_points)
     u = np.empty_like(rs)
     w = np.empty_like(rs)
     head = rs < r_start
     u[head] = _series_u(p, a, sig, n, u0, rs[head])
     w[head] = _series_w(a, sig, n, u0, rs[head])
-    u[~head], w[~head] = sol.sol(rs[~head])
+    tail = rs[~head]
+    index = np.searchsorted(step[1], tail, side="left")
+    u[~head], w[~head] = _dense_output(tuple(part[..., index] for part in step), tail)
     du = np.sign(w) * np.abs(w) ** inv_pm1
 
     return RadialSolution(
@@ -262,13 +323,14 @@ def solve_radial(
 
 
 # ---------------------------------------------------------------------------
-# Batched shooting: many independent runs advanced in lockstep by one numpy
-# Dormand-Prince 5(4) integrator.  Tableau, error norm, initial step and step
-# controller are those of scipy.integrate's RK45 (Dormand & Prince, J. Comput.
-# Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4 and
-# II.6), so each run takes the step sequence a scalar solve_radial run takes.
-# Stage sums run left to right elementwise: no reduction crosses runs, so a
-# run's result does not depend on the rest of its batch.
+# Dormand-Prince 5(4), shared by solve_radial's scalar loop and by
+# shoot_batch, which advances many independent runs in lockstep with numpy.
+# Tableau, error norm, initial step and step controller are those of
+# scipy.integrate's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+# Hairer, Norsett & Wanner, Solving ODEs I, II.4 and II.6), so both take
+# scipy's step sequence.  In shoot_batch stage sums run left to right
+# elementwise: no reduction crosses runs, so a run's result does not depend
+# on the rest of its batch.
 
 _DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _DP_A = (
@@ -316,6 +378,7 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 _EPS = np.finfo(float).eps
 _KIND_NAMES = np.asarray(Termination.KINDS)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."  # scipy's text
 _REACHED, _ZERO, _BLOW, _FAILED = range(4)  # positions in Termination.KINDS
 
 
@@ -473,11 +536,8 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
             index, *step, fire_zero, fire_blow = (
                 np.concatenate(part, axis=-1) for part in zip(*fired)
             )
-            r_zero = _event_root(lambda y: y[0] - zt, step, fire_zero)
-            r_blow = _event_root(lambda y: bt - _max_abs(y), step, fire_blow)
-            hit = r_zero <= r_blow
+            hit, r_end[index] = _first_event(step, fire_zero, fire_blow, zt, bt)
             kind[index] = np.where(hit, _ZERO, _BLOW)
-            r_end[index] = np.where(hit, r_zero, r_blow)
 
     kind[r_end <= r_start] = _FAILED  # collapsed span: nothing was integrated
     return _KIND_NAMES[kind], r_end, moved
@@ -501,6 +561,26 @@ def _initial_step(rhs, runs, interval, rtol, atol):
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
+def _dense_output(step, t):
+    """y(t) on the dense-output polynomial of each step (last axis), from
+    step = (t_old, t_new, y_old, Q)."""
+    t_old, t_new, y_old, q = step
+    h = t_new - t_old
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    return h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x)) + y_old
+
+
+def _first_event(step, fire_zero, fire_blow, zt, bt):
+    """(hit_zero, radius) for each step in which an event fired: the
+    earlier root of the zero and the blow-up event, the zero on a tie."""
+    r_zero = _event_root(lambda y: y[0] - zt, step, fire_zero)
+    r_blow = _event_root(lambda y: bt - _max_abs(y), step, fire_blow)
+    hit = r_zero <= r_blow
+    return hit, np.where(hit, r_zero, r_blow)
+
+
 def _event_root(g, step, fires):
     """Root of g(y(t)) inside each step where it fired, inf elsewhere.
 
@@ -508,19 +588,14 @@ def _event_root(g, step, fires):
     halved on its step's dense-output polynomial until it is narrower than
     scipy's event tolerance 4 eps (1 + |t|), and then left alone, so a
     root does not depend on the other brackets."""
-    t_old, t_new, y_old, q = (part[..., fires] for part in step)
-    h = t_new - t_old
-    lo, hi = t_old, t_new
+    step = tuple(part[..., fires] for part in step)
+    lo, hi = step[0], step[1]
     while True:
         wide = hi - lo > 4 * _EPS * (1 + np.abs(hi))
         if not wide.any():
             break
         mid = 0.5 * (lo + hi)
-        x = (mid - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        y = h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x)) + y_old
-        above = g(y) > 0
+        above = g(_dense_output(step, mid)) > 0
         lo = np.where(wide & above, mid, lo)
         hi = np.where(wide & ~above, mid, hi)
     roots = np.full(fires.shape, np.inf)
@@ -713,6 +788,13 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
         fh.write("".join(lines))
 
 
+def _from_meta(cls, meta):
+    """The dataclass cls built from the metadata value of each of its
+    fields, parsed as the field's annotated type."""
+    types = get_type_hints(cls)
+    return cls(**{f.name: types[f.name](meta[f.name]) for f in fields(cls)})
+
+
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
@@ -748,15 +830,8 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     if data.shape[1] != 4:
         raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected 4")
     try:
-        params = EquationParams(
-            n=int(meta["n"]),
-            p=float(meta["p"]),
-            a=float(meta["a"]),
-            sigma=float(meta["sigma"]),
-        )
-        space = ModelSpace(n=int(meta["n"]), K=float(meta["K"]))
-        config = ShootingConfig(
-            **{f.name: type(f.default)(meta[f.name]) for f in fields(ShootingConfig)}
+        params, space, config = (
+            _from_meta(cls, meta) for cls in (EquationParams, ModelSpace, ShootingConfig)
         )
         termination = Termination(
             kind=meta["termination"],

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import plaplab as pl
+from plaplab.errors import ParameterError
+from plaplab.solver import _SERIES_FRACTION, _series_u, _series_w
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +33,107 @@ def sinc(r):
     m = r > 0
     out[m] = np.sin(r[m]) / r[m]
     return out
+
+
+def scipy_reference(params, space, config):
+    """solve_radial as scipy's solve_ivp (RK45, dense output, terminal
+    events) computes it: the oracle for the in-house steppers.  Same
+    arguments, result and errors as pl.solve_radial."""
+    if params.n != space.n:
+        raise ParameterError(
+            f"dimension mismatch: params.n = {params.n}, space.n = {space.n}"
+        )
+    p, a, sig, n = params.p, params.a, params.sigma, params.n
+    inv_pm1 = 1.0 / (p - 1.0)
+    r_start = _SERIES_FRACTION * config.r_max
+    u0 = config.u0
+    y0 = [_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start)]
+    u_floor = 0.5 * config.zero_threshold  # Lipschitz continuation below the zero event
+
+    if space.K == 0:
+
+        def log_warp(r):
+            return 1.0 / r
+
+    else:
+        rk = math.sqrt(space.K)
+
+        def log_warp(r):
+            return rk / math.tanh(rk * r)
+
+    def rhs(r, y):
+        u, w = y
+        du = math.copysign(abs(w) ** inv_pm1, w)
+        u_eff = u if u > u_floor else u_floor
+        dw = -a * u_eff**sig - (n - 1) * log_warp(r) * w
+        return (du, dw)
+
+    def ev_zero(r, y):
+        return y[0] - config.zero_threshold
+
+    ev_zero.terminal = True
+    ev_zero.direction = -1
+
+    def ev_blow(r, y):
+        return config.blowup_threshold - max(abs(y[0]), abs(y[1]))
+
+    ev_blow.terminal = True
+    ev_blow.direction = -1
+
+    sol = solve_ivp(
+        rhs,
+        (r_start, config.r_max),
+        y0,
+        method="RK45",
+        rtol=config.rel_tol,
+        atol=config.abs_tol,
+        events=(ev_zero, ev_blow),
+        dense_output=True,
+    )
+
+    if sol.status == 1:
+        if len(sol.t_events[0]):
+            termination = pl.Termination("hit_zero", float(sol.t_events[0][0]))
+        else:
+            termination = pl.Termination("blow_up", float(sol.t_events[1][0]))
+    elif sol.status == 0:
+        termination = pl.Termination("reached_rmax", config.r_max)
+    else:
+        r_fail = float(sol.t[-1])
+        u_last, w_last = float(sol.y[0, -1]), float(sol.y[1, -1])
+        detail = {"failure_r": r_fail, "message": sol.message}
+        if max(abs(u_last), abs(w_last)) >= 0.99 * config.blowup_threshold:
+            detail["blowup_r"] = r_fail
+            termination = pl.Termination("blow_up", r_fail, detail)
+        else:
+            termination = pl.Termination("step_failure", r_fail, detail)
+
+    r_end = termination.r
+    if len(sol.t) < 2 or r_end <= r_start:
+        raise ParameterError(
+            f"integration span collapsed (r_end = {r_end}); check the configuration"
+        )
+
+    # uniform resample straight from the integrator's continuous extension:
+    # it is C^1 across steps, so downstream finite differences on the uniform
+    # grid see only the (smooth, tolerance-sized) integration error
+    rs = np.linspace(0.0, r_end, config.output_points)
+    u = np.empty_like(rs)
+    w = np.empty_like(rs)
+    head = rs < r_start
+    u[head] = _series_u(p, a, sig, n, u0, rs[head])
+    w[head] = _series_w(a, sig, n, u0, rs[head])
+    u[~head], w[~head] = sol.sol(rs[~head])
+    du = np.sign(w) * np.abs(w) ** inv_pm1
+
+    return pl.RadialSolution(
+        params=params,
+        space=space,
+        config=config,
+        r=rs,
+        u=u,
+        du=du,
+        w=w,
+        termination=termination,
+    )
+

@@ -1,4 +1,4 @@
-"""Model-space geometry: warps, volumes, and radial operator forms."""
+"""Model-space geometry: warps and radial operator forms."""
 
 import math
 
@@ -43,43 +43,6 @@ def test_model_space_validation():
         pl.ModelSpace(n=2, K=0.0)
     with pytest.raises(ParameterError):
         pl.ModelSpace(n=3, K=-0.5)
-
-
-def test_ball_volume_euclidean():
-    sp = pl.ModelSpace(n=3, K=0.0)
-    assert pl.ball_volume(sp, 1.0) == pytest.approx(4 * math.pi / 3, rel=1e-12)
-    # Euclidean scaling R^n
-    assert pl.ball_volume(sp, 2.0) == pytest.approx(
-        8 * pl.ball_volume(sp, 1.0), rel=1e-9
-    )
-
-
-def test_ball_volume_hyperbolic_closed_form():
-    # omega_2 * int_0^1 sinh^2 = 4 pi (sinh(2)/4 - 1/2) = pi (sinh 2 - 2)
-    sp = pl.ModelSpace(n=3, K=1.0)
-    assert pl.ball_volume(sp, 1.0) == pytest.approx(
-        math.pi * (math.sinh(2.0) - 2.0), rel=1e-10
-    )
-
-
-def test_ball_volume_monotone_in_radius_and_curvature():
-    radii = np.linspace(0.3, 3.0, 8)
-    for K in (0.0, 0.5, 2.0):
-        sp = pl.ModelSpace(n=4, K=K)
-        vols = [pl.ball_volume(sp, R) for R in radii]
-        assert all(a < b for a, b in zip(vols, vols[1:]))
-    for R in (0.5, 1.5):
-        by_K = [pl.ball_volume(pl.ModelSpace(n=4, K=K), R) for K in (0.0, 0.5, 1.0, 2.0)]
-        assert all(a < b for a, b in zip(by_K, by_K[1:]))
-
-
-def test_unit_sphere_area():
-    assert pl.unit_sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
-    assert pl.unit_sphere_area(4) == pytest.approx(2 * math.pi**2, rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# radial p-Laplacian
 
 
 def test_radial_laplacian_sinc_identity():

@@ -1,5 +1,5 @@
-"""Batched shooting: agreement with the scalar scipy solve, run by run, and
-independence of each run from the rest of its batch."""
+"""Batched shooting: agreement with scipy's solve and with solve_radial,
+run by run, and independence of each run from the rest of its batch."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +8,13 @@ import plaplab as pl
 from plaplab.errors import ParameterError
 from plaplab.solver import shoot_batch
 
+from conftest import scipy_reference
+
 
 def reference(params, space, config):
-    """(kind, r) of the scalar solve; a collapsed span is a step failure."""
+    """(kind, r) of scipy's solve; a collapsed span is a step failure."""
     try:
-        t = pl.solve_radial(params, space, config).termination
+        t = scipy_reference(params, space, config).termination
     except ParameterError:
         return "step_failure", None
     return t.kind, t.r
@@ -36,6 +38,27 @@ def test_batch_of_one_matches_scipy(p, sigma, a, K, u0, r_max):
     assert kinds[0] == kind
     if r_ref is not None:
         assert abs(radii[0] - r_ref) <= 1e-8 * r_ref
+
+
+@pytest.mark.parametrize(
+    "p, a, sigma, K",
+    [
+        (1.5, 1.0, 1.0, 0.0),  # hit_zero
+        (1.5, 1.0, 5.0, 0.0),  # reached_rmax
+        (1.5, -1.0, 3.0, 0.0),  # blow_up
+        (3.0, 4.0, 1.0, 1.0),  # hit_zero, curved
+        (1.2, -1.0, 3.0, 0.0),  # step_failure
+    ],
+)
+def test_batch_of_one_matches_solve_radial(p, a, sigma, K):
+    """The two steppers end a run alike: same kind, same radius."""
+    params = pl.EquationParams(n=3, p=p, a=a, sigma=sigma)
+    space = pl.ModelSpace(n=3, K=K)
+    config = pl.ShootingConfig(r_max=10.0)
+    t = pl.solve_radial(params, space, config).termination
+    kinds, radii, _ = shoot_batch([params], [config.u0], space, config)
+    assert kinds[0] == t.kind
+    assert abs(radii[0] - t.r) <= 1e-8 * t.r
 
 
 def test_runs_independent_of_batch(flat3):

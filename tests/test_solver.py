@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.interpolate import PchipInterpolator
 import plaplab as pl
 from plaplab.errors import ParameterError, SolutionFormatError
 
-from conftest import sinc
+from conftest import scipy_reference, sinc
 
 
 def relative_profile_gap(sol_a, sol_b, scale_u=1.0, scale_r=1.0, trim=0.98):
@@ -137,6 +138,83 @@ def test_reached_rmax_has_no_zero(flat3):
     sol = pl.solve_radial(params, flat3, pl.ShootingConfig(u0=1.0, r_max=10.0))
     assert sol.termination.kind == "reached_rmax"
     assert sol.termination.r == 10.0
+
+
+# ---------------------------------------------------------------------------
+# scipy's solve_ivp as the oracle of the scalar stepper
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(1.2, 5.0),
+    sigma=st.floats(0.1, 6.0),
+    a=st.sampled_from([1.0, -1.0]),
+    K=st.floats(0.0, 4.0),
+    u0=st.floats(0.25, 4.0),
+    r_max=st.floats(1.0, 50.0),
+)
+def test_solve_radial_matches_scipy(p, sigma, a, K, u0, r_max):
+    """Same termination (kind, radius, detail keys and message) and, away
+    from the terminal sample, the same profile within the symmetry
+    identities' 1e-7."""
+    args = (
+        pl.EquationParams(n=3, p=p, a=a, sigma=sigma),
+        pl.ModelSpace(n=3, K=K),
+        pl.ShootingConfig(u0=u0, r_max=r_max),
+    )
+    try:
+        ref = scipy_reference(*args)
+    except ParameterError:
+        with pytest.raises(ParameterError):
+            pl.solve_radial(*args)
+        return
+    sol = pl.solve_radial(*args)
+    ours, theirs = sol.termination, ref.termination
+    assert ours.kind == theirs.kind
+    assert abs(ours.r - theirs.r) <= 1e-8 * theirs.r
+    assert ours.detail.keys() == theirs.detail.keys()
+    assert ours.detail.get("message") == theirs.detail.get("message")
+    for name in ("u", "w"):
+        got, want = getattr(sol, name)[:-1], getattr(ref, name)[:-1]
+        assert np.max(np.abs(got - want) / (np.abs(want) + 1.0)) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "p, a, sigma, K, u0, r_max",
+    [
+        (2.0, 1.0, 1.0, 1e4, 1.0, 4.0),  # stiff: coth damping
+        (2.0, 1.0, 1.0, 1e6, 1.0, 4.0),
+        (2.0, 1.0, 5.0, 0.0, 2.0, 50.0),
+        (1.2, 1.0, 3.0, 1.0, 1.0, 10.0),
+        (4.5, 1.0, 0.5, 1.0, 1.0, 10.0),  # hit_zero
+    ],
+)
+def test_profile_is_scipys_to_rounding(p, a, sigma, K, u0, r_max):
+    """Every sample agrees with scipy's to 1e-12 relative: the steps are
+    scipy's, rejections included (a different step sequence moves the
+    profile by the 1e-9 tolerance)."""
+    args = (
+        pl.EquationParams(n=3, p=p, a=a, sigma=sigma),
+        pl.ModelSpace(n=3, K=K),
+        pl.ShootingConfig(u0=u0, r_max=r_max),
+    )
+    sol, ref = pl.solve_radial(*args), scipy_reference(*args)
+    assert sol.termination.kind == ref.termination.kind
+    for name in ("r", "u", "w"):
+        got, want = getattr(sol, name), getattr(ref, name)
+        assert np.max(np.abs(got - want) / (np.abs(want) + 1.0)) <= 1e-12
+
+
+def test_rel_tol_floor(flat3):
+    """A rel_tol below 100 eps integrates as 100 eps does, as in scipy."""
+    params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0)
+    low, floor = (
+        pl.solve_radial(params, flat3, pl.ShootingConfig(r_max=4.0, rel_tol=tol, abs_tol=1e-14))
+        for tol in (1e-16, 100 * np.finfo(float).eps)
+    )
+    assert low.termination == floor.termination
+    for name in ("u", "w"):
+        assert np.array_equal(getattr(low, name), getattr(floor, name))
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +504,19 @@ def test_valid_csv_reads():
     "text",
     [
         "",  # empty
-        "# n=3\nr,u,du,w\n",  # no rows
-        "# n=3\nbad,header\n0,1,0,0\n",  # wrong header
-        "# n=3\nr,u,du,w\n0,1,0\n",  # short row
-        "# n=3\nr,u,du,w\n0,one,0,0\n",  # non-numeric
-        "# broken line\nr,u,du,w\n0,1,0,0\n",  # metadata without '='
+        # the ids of the next five are the bare fragments these cases once were
+        pytest.param(_csv([]), id="# n=3\nr,u,du,w\n"),  # no rows
+        pytest.param(
+            _csv(VALID_ROWS).replace("r,u,du,w", "bad,header"),
+            id="# n=3\nbad,header\n0,1,0,0\n",
+        ),  # wrong header
+        pytest.param(_first_row("0,1,0"), id="# n=3\nr,u,du,w\n0,1,0\n"),  # short row
+        pytest.param(
+            _first_row("0,one,0,-0"), id="# n=3\nr,u,du,w\n0,one,0,0\n"
+        ),  # non-numeric
+        pytest.param(
+            "# broken line\n" + _csv(VALID_ROWS), id="# broken line\nr,u,du,w\n0,1,0,0\n"
+        ),  # metadata without '='
         pytest.param(_first_row("0,1,0,-0 # x"), id="trailing-comment"),
         pytest.param(_first_row("0,1,0,-0,"), id="trailing-comma"),
         pytest.param(_first_row("0,,0,-0"), id="empty-field"),
@@ -604,6 +690,27 @@ def test_config_metadata_follows_fields(sinc_solution):
             ln for ln in text.splitlines(keepends=True) if not ln.startswith(f"# {name}=")
         )
         with pytest.raises(SolutionFormatError, match=name):
+            pl.read_solution_csv(io.StringIO(body))
+
+
+@pytest.mark.parametrize("cls, attr", [(pl.EquationParams, "params"), (pl.ModelSpace, "space")])
+def test_params_and_space_metadata_follow_fields(sinc_solution, cls, attr):
+    """Each EquationParams and ModelSpace field has a metadata line, is
+    required, and reads back as its annotated type."""
+    buf = io.StringIO()
+    pl.write_solution_csv(sinc_solution, buf)
+    text = buf.getvalue()
+    keys = [ln[2:].partition("=")[0] for ln in text.splitlines() if ln.startswith("# ")]
+    back = getattr(pl.read_solution_csv(io.StringIO(text)), attr)
+    assert back == getattr(sinc_solution, attr)
+    types = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        assert f.name in keys
+        assert type(getattr(back, f.name)) is types[f.name]
+        body = "".join(
+            ln for ln in text.splitlines(keepends=True) if not ln.startswith(f"# {f.name}=")
+        )
+        with pytest.raises(SolutionFormatError, match=f.name):
             pl.read_solution_csv(io.StringIO(body))
 
 
