@@ -172,7 +172,7 @@ def solve_radial(
     inv_pm1 = 1.0 / (p - 1.0)
     r_max, u0 = config.r_max, config.u0
     zt, bt = config.zero_threshold, config.blowup_threshold
-    rtol, atol = float(max(config.rel_tol, 100 * _EPS)), config.abs_tol
+    rtol, atol = max(config.rel_tol, 100 * _EPS), config.abs_tol
     r_start = _SERIES_FRACTION * r_max
     u_floor = 0.5 * zt  # Lipschitz continuation below the zero event
 
@@ -265,11 +265,12 @@ def solve_radial(
             (t, t_new, u, w, ku1, kw1, ku2, kw2, ku3, kw3, ku4, kw4, ku5, kw5, ku6, kw6, ku7, kw7)
         )
         t, u, w, ku1, kw1 = t_new, u_new, w_new, ku7, kw7
-        fire_zero = g_zero >= 0 and u - zt <= 0
-        fire_blow = g_blow >= 0 and bt - max(abs(u), abs(w)) <= 0
+        g_zero_new, g_blow_new = u - zt, bt - max(abs(u), abs(w))
+        fire_zero = g_zero >= 0 and g_zero_new <= 0
+        fire_blow = g_blow >= 0 and g_blow_new <= 0
         if fire_zero or fire_blow or t >= r_max:
             break
-        g_zero, g_blow = u - zt, bt - max(abs(u), abs(w))
+        g_zero, g_blow = g_zero_new, g_blow_new
 
     table = np.array(steps).reshape(len(steps), 18)
     dense = np.einsum("jk,mkc->jcm", np.array(_DP_P), table[:, 4:].reshape(len(steps), 7, 2))
@@ -376,7 +377,7 @@ _DP_P = (
 )
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
-_EPS = np.finfo(float).eps
+_EPS = math.ulp(1.0)
 _KIND_NAMES = np.asarray(Termination.KINDS)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."  # scipy's text
 _REACHED, _ZERO, _BLOW, _FAILED = range(4)  # positions in Termination.KINDS
