@@ -160,12 +160,18 @@ def cmd_solve(args):
     return EXIT_OK
 
 
+def _given(args, *names):
+    """The named flags the user gave, as keyword arguments: a flag left out
+    keeps the library's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _check_report(args, solution):
     kind = args.kind
     if kind == "gradient":
         if args.R is None:
             raise ParameterError("check gradient requires --R")
-        return check_gradient_estimate(solution, args.R, theorem=args.theorem)
+        return check_gradient_estimate(solution, args.R, **_given(args, "theorem"))
     if kind == "harnack":
         if args.R is None:
             raise ParameterError("check harnack requires --R")
@@ -173,19 +179,15 @@ def _check_report(args, solution):
     if kind in ("bochner", "bochner2"):
         log_solution = to_log_solution(solution)
         window = None if args.R is None else (0.0, args.R)
-        tol_rel = args.tol_rel if args.tol_rel is not None else 1e-3
         checker = check_bochner_lemma if kind == "bochner" else check_bochner_thm2
-        return checker(log_solution, tol_rel=tol_rel, r_window=window)
+        return checker(log_solution, r_window=window, **_given(args, "tol_rel"))
     if kind == "caccioppoli":
         if args.R is None:
             raise ParameterError("check caccioppoli requires --R")
         log_solution = to_log_solution(solution)
         p = solution.params
         b = args.b if args.b is not None else 1.1 * caccioppoli_b_min(p.n, p.p, p.sigma, p.a)
-        config = CaccioppoliConfig(
-            b=b,
-            quadrature_points=args.quadrature_points or 4001,
-        )
+        config = CaccioppoliConfig(b=b, **_given(args, "quadrature_points"))
         return check_caccioppoli(log_solution, config=config, R=args.R)
     if kind == "sobolev":
         if args.R is None:
@@ -289,12 +291,10 @@ def build_parser():
     sp.add_argument("kind", choices=CHECK_KINDS)
     sp.add_argument("--solution", required=True, help="solution CSV from solve")
     sp.add_argument("--R", type=float)
-    sp.add_argument("--theorem", choices=("thm1", "thm2"), default="thm1")
+    sp.add_argument("--theorem", choices=("thm1", "thm2"))
     sp.add_argument("--tol-rel", dest="tol_rel", type=float)
     sp.add_argument("--b", type=float)
-    sp.add_argument(
-        "--quadrature-points", dest="quadrature_points", type=int, default=None
-    )
+    sp.add_argument("--quadrature-points", dest="quadrature_points", type=int)
     sp.add_argument("--out", help="report JSON path (default: stdout)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_check)

@@ -15,10 +15,9 @@ short power series.  Termination is classified as reached_rmax, hit_zero
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import get_type_hints
 
@@ -83,13 +82,12 @@ class Termination:
     """How a shooting run ended.
 
     kind is one of reached_rmax | hit_zero | blow_up | step_failure and r is
-    the radius at which the run stopped.  When a failing step and the
-    blow-up threshold compete, both radii are recorded in ``detail``.
+    the radius at which the run stopped.  A step that fails close to the
+    blow-up threshold ends the run as a blow-up at that radius.
     """
 
     kind: str
     r: float
-    detail: dict = field(default_factory=dict)
 
     KINDS = ("reached_rmax", "hit_zero", "blow_up", "step_failure")
 
@@ -276,13 +274,9 @@ def solve_radial(
     dense = np.einsum("jk,mkc->jcm", np.array(_DP_P), table[:, 4:].reshape(len(steps), 7, 2))
     step = (table[:, 0], table[:, 1], table[:, 2:4].T, dense)
     if failed:
-        detail = {"failure_r": t, "message": _TOO_SMALL_STEP}
         # a failing step close to the blow-up threshold is a blow-up
-        if max(abs(u), abs(w)) >= 0.99 * bt:
-            detail["blowup_r"] = t
-            termination = Termination("blow_up", t, detail)
-        else:
-            termination = Termination("step_failure", t, detail)
+        blew_up = max(abs(u), abs(w)) >= 0.99 * bt
+        termination = Termination("blow_up" if blew_up else "step_failure", t)
     elif fire_zero or fire_blow:
         last = tuple(part[..., -1:] for part in step)
         hit, r_event = _first_event(last, np.array([fire_zero]), np.array([fire_blow]), zt, bt)
@@ -379,7 +373,6 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 _EPS = math.ulp(1.0)
 _KIND_NAMES = np.asarray(Termination.KINDS)
-_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."  # scipy's text
 _REACHED, _ZERO, _BLOW, _FAILED = range(4)  # positions in Termination.KINDS
 
 
@@ -777,7 +770,6 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     meta.update(solution.config.to_dict())
     meta["termination"] = solution.termination.kind
     meta["termination_r"] = solution.termination.r
-    meta["termination_detail"] = json.dumps(solution.termination.detail)
     lines = [
         f"# {key}={_FLOAT_FMT % value if isinstance(value, float) else value}\n"
         for key, value in meta.items()
@@ -799,7 +791,9 @@ def _from_meta(cls, meta):
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
-    A data row is four comma-separated plain decimal fields.
+    A data row is four comma-separated plain decimal fields.  Metadata keys
+    that name no field, such as the retired min_step and termination_detail,
+    are ignored.
     """
     with _opened(path_or_file, "r") as fh:
         text = fh.read()
@@ -834,11 +828,7 @@ def read_solution_csv(path_or_file) -> RadialSolution:
         params, space, config = (
             _from_meta(cls, meta) for cls in (EquationParams, ModelSpace, ShootingConfig)
         )
-        termination = Termination(
-            kind=meta["termination"],
-            r=float(meta["termination_r"]),
-            detail=json.loads(meta.get("termination_detail", "{}")),
-        )
+        termination = Termination(meta["termination"], float(meta["termination_r"]))
     except (KeyError, ValueError) as exc:
         raise SolutionFormatError(f"bad or missing metadata: {exc}") from exc
     try:

@@ -43,9 +43,12 @@ _CAVEAT = (
 )
 
 
-def _range_values(lo, hi, step, name):
-    if step <= 0:
-        raise ParameterError(f"{name} step must be positive, got {step}")
+# a run that reaches r_max closer than this (relative) to its center value
+# leaves its cell undecided
+_MOVE_TOL = 0.01
+
+
+def _range_values(lo, hi, step):
     if hi < lo:
         return np.empty(0)
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -91,11 +94,11 @@ class SweepGrid:
 
     @property
     def p_values(self):
-        return _range_values(self.p_min, self.p_max, self.p_step, "p")
+        return _range_values(self.p_min, self.p_max, self.p_step)
 
     @property
     def sigma_values(self):
-        return _range_values(self.sigma_min, self.sigma_max, self.sigma_step, "sigma")
+        return _range_values(self.sigma_min, self.sigma_max, self.sigma_step)
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,6 @@ def classify_existence(
     space: ModelSpace,
     config: ShootingConfig,
     u0_list=(1.0,),
-    move_tol: float = 0.01,
 ):
     """Classify one parameter point by shooting from each center value.
 
@@ -143,16 +145,16 @@ def classify_existence(
     minimal termination radius) if all runs terminate before r_max; and
     numerical_failure when a run failed and none persisted.
 
-    A run that reaches r_max with the profile still within move_tol
-    (relative) of its center value never left the neighborhood of the
-    starting constant: r_max was too small to classify and the cell is
-    reported as numerical_failure rather than as (spurious) persistence.
+    A run that reaches r_max with the profile still within 1% (relative)
+    of its center value never left the neighborhood of the starting
+    constant: r_max was too small to classify and the cell is reported as
+    numerical_failure rather than as (spurious) persistence.
     The excursion is measured at the integrator's accepted step ends.
     """
-    return _classify_batch([params], space, config, u0_list, move_tol)[0]
+    return _classify_batch([params], space, config, u0_list)[0]
 
 
-def _classify_batch(params_list, space, config, u0_list, move_tol=0.01):
+def _classify_batch(params_list, space, config, u0_list):
     """classify_existence for every parameter point, with all points and
     center values integrated as one batch by shoot_batch."""
     u0_valid = []
@@ -171,18 +173,18 @@ def _classify_batch(params_list, space, config, u0_list, move_tol=0.01):
     )
     shape = (len(params_list), len(u0_valid))
     return [
-        _verdict(*runs, invalid, move_tol)
+        _verdict(*runs, invalid)
         for runs in zip(kinds.reshape(shape), radii.reshape(shape), moved.reshape(shape))
     ]
 
 
-def _verdict(kinds, radii, moved, failed, move_tol):
+def _verdict(kinds, radii, moved, failed):
     """Cell classification from its runs' termination kinds, radii and
     relative excursions (see classify_existence)."""
     terminal = []
     for kind, r, excursion in zip(kinds, radii, moved):
         if kind == "reached_rmax":
-            if excursion >= move_tol:
+            if excursion >= _MOVE_TOL:
                 return "persists", None
             failed = True  # indeterminate: profile barely developed
         elif kind == "step_failure":

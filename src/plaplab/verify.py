@@ -12,16 +12,17 @@ Conventions shared by every checker:
   sides (it cancels exactly, including through the V^(2/n) factor of the
   Sobolev inequality, because 1/q = 1 - 2/n);
 * derivative reconstruction uses 4th-order central differences on the
-  uniform grid, with configurable exclusion bands near r = 0 and near
+  uniform grid; the pointwise checks exclude the first _EDGE_FRAC (5%) of
+  the span near r = 0 and the samples with |v'| < _DV_FLOOR (1e-6) near
   critical points of v;
 * reports serialize through ``to_report_dict`` into one flat JSON object
-  per check.
+  per check, whose metrics are the report's fields outside the envelope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,19 +72,47 @@ def _jsonable(value):
     return value
 
 
-def _envelope(check, params, space, R, passed, metrics, samples_retained, tolerances):
-    return _jsonable(
-        {
-            "check": check,
-            "params": params.to_dict() if params is not None else None,
-            "space": space.to_dict() if space is not None else None,
-            "R": R,
-            "pass": passed,
-            "metrics": metrics,
-            "samples_retained": samples_retained,
-            "tolerances": tolerances,
-        }
-    )
+# fixed settings of the checkers, printed in their reports
+_EDGE_FRAC = 0.05  # pointwise checks skip r < _EDGE_FRAC * span
+_DV_FLOOR = 1e-6  # pointwise checks skip |v'| < _DV_FLOOR
+_REQUIRED_FRACTION = 0.95  # share of retained samples that must pass
+_TOL_QUAD = 1e-6  # Caccioppoli slack tolerance, relative to its scale
+_QUADRATURE_POINTS = 4001  # grid of the integral checks
+_DILATION_FACTORS = (1, 2, 4, 8)
+_SPREAD_TOL = 0.02  # relative spread of empirical_C across the dilations
+
+# report fields that go into the envelope rather than its metrics
+_ENVELOPE_FIELDS = ("params", "space", "R", "passed", "quadrature_points")
+
+
+class _Report:
+    """to_report_dict for the report dataclasses: each declares its check
+    name and tolerance fields, and its other fields outside the envelope
+    are its metrics, in field order."""
+
+    _tolerances = ()
+
+    def _metrics(self):
+        skip = _ENVELOPE_FIELDS + self._tolerances
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+
+    def _samples_retained(self):
+        return getattr(self, "quadrature_points", None)
+
+    def to_report_dict(self):
+        params = getattr(self, "params", None)
+        return _jsonable(
+            {
+                "check": self._check,
+                "params": params.to_dict() if params is not None else None,
+                "space": self.space.to_dict(),
+                "R": getattr(self, "R", None),
+                "pass": getattr(self, "passed", None),
+                "metrics": self._metrics(),
+                "samples_retained": self._samples_retained(),
+                "tolerances": {name: getattr(self, name) for name in self._tolerances},
+            }
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +120,13 @@ def _envelope(check, params, space, R, passed, metrics, samples_retained, tolera
 
 
 @dataclass(frozen=True)
-class GradientCheckReport:
+class GradientCheckReport(_Report):
     """sup |u'|/u over the half ball against the Cheng-Yau shape
     (1+sqrt(K)R)/R.  The multiplicative constant is not asserted (no
     explicit value exists); boundedness is checked across dilations
     separately."""
+
+    _check = "gradient"
 
     params: EquationParams
     space: ModelSpace
@@ -105,24 +136,6 @@ class GradientCheckReport:
     bound_shape: float
     empirical_C: float
     regime_applicable: bool
-
-    def to_report_dict(self):
-        return _envelope(
-            "gradient",
-            self.params,
-            self.space,
-            self.R,
-            None,
-            {
-                "theorem": self.theorem,
-                "sup_ratio": self.sup_ratio,
-                "bound_shape": self.bound_shape,
-                "empirical_C": self.empirical_C,
-                "regime_applicable": self.regime_applicable,
-            },
-            None,
-            {},
-        )
 
 
 def _require_span(solution, R):
@@ -161,9 +174,11 @@ def check_gradient_estimate(
 
 
 @dataclass(frozen=True)
-class HarnackReport:
+class HarnackReport(_Report):
     """max u / min u over the half ball against the bound integrated from
     the measured gradient ratio along a radial geodesic."""
+
+    _check = "harnack"
 
     params: EquationParams
     space: ModelSpace
@@ -172,22 +187,6 @@ class HarnackReport:
     sup_ratio: float
     integrated_bound: float
     passed: bool
-
-    def to_report_dict(self):
-        return _envelope(
-            "harnack",
-            self.params,
-            self.space,
-            self.R,
-            self.passed,
-            {
-                "ratio": self.ratio,
-                "sup_ratio": self.sup_ratio,
-                "integrated_bound": self.integrated_bound,
-            },
-            None,
-            {},
-        )
 
 
 def check_harnack(solution: RadialSolution, R: float) -> HarnackReport:
@@ -219,10 +218,12 @@ def check_harnack(solution: RadialSolution, R: float) -> HarnackReport:
 
 
 @dataclass(frozen=True)
-class BochnerReport:
+class BochnerReport(_Report):
     """Per-sample margin L(f) - RHS for one of the two pointwise
     inequalities; a sample passes when its margin is not below
     -tol_rel * scale with scale the largest term magnitude at that sample."""
+
+    _tolerances = ("tol_rel", "required_fraction")
 
     params: EquationParams
     space: ModelSpace
@@ -237,24 +238,22 @@ class BochnerReport:
     tol_rel: float
     required_fraction: float
 
-    def to_report_dict(self):
+    @property
+    def _check(self):
+        return "bochner" if self.which == "lemma" else "bochner2"
+
+    def _metrics(self):
         rel = self.margin / self.scale
-        return _envelope(
-            "bochner" if self.which == "lemma" else "bochner2",
-            self.params,
-            self.space,
-            None,
-            self.passed,
-            {
-                "pass_fraction": self.pass_fraction,
-                "min_margin_over_scale": float(np.min(rel)),
-                "median_margin_over_scale": float(np.median(rel)),
-                "r_min": float(self.radii[0]),
-                "r_max": float(self.radii[-1]),
-            },
-            int(len(self.radii)),
-            {"tol_rel": self.tol_rel, "required_fraction": self.required_fraction},
-        )
+        return {
+            "pass_fraction": self.pass_fraction,
+            "min_margin_over_scale": float(np.min(rel)),
+            "median_margin_over_scale": float(np.median(rel)),
+            "r_min": float(self.radii[0]),
+            "r_max": float(self.radii[-1]),
+        }
+
+    def _samples_retained(self):
+        return len(self.radii)
 
 
 def _linearized_operator_fd(log_solution):
@@ -276,12 +275,12 @@ def _linearized_operator_fd(log_solution):
     return Lf, df
 
 
-def _bochner_common(log_solution, edge_frac, dv_floor, r_window):
+def _bochner_common(log_solution, r_window):
     Lf, df = _linearized_operator_fd(log_solution)
     r = log_solution.r
     span = r[-1]
-    mask = np.isfinite(Lf) & (r >= edge_frac * span)
-    mask &= np.abs(log_solution.dv) >= dv_floor
+    mask = np.isfinite(Lf) & (r >= _EDGE_FRAC * span)
+    mask &= np.abs(log_solution.dv) >= _DV_FLOOR
     if r_window is not None:
         lo, hi = r_window
         mask &= (r >= lo) & (r <= hi)
@@ -290,14 +289,31 @@ def _bochner_common(log_solution, edge_frac, dv_floor, r_window):
     return Lf, df, mask
 
 
+def _bochner_report(log_solution, which, mask, lhs, terms, tol_rel):
+    """BochnerReport on the retained samples for L(f) >= sum of terms, the
+    right-hand terms added in the order given."""
+    rhs = sum(terms[1:], terms[0])
+    scale = np.max(np.abs(np.stack([lhs, *terms])), axis=0)
+    margin = lhs - rhs
+    frac = float(np.mean(margin >= -tol_rel * scale))
+    return BochnerReport(
+        params=log_solution.params,
+        space=log_solution.space,
+        which=which,
+        radii=log_solution.r[mask],
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        scale=scale,
+        pass_fraction=frac,
+        passed=frac >= _REQUIRED_FRACTION,
+        tol_rel=tol_rel,
+        required_fraction=_REQUIRED_FRACTION,
+    )
+
+
 def check_bochner_lemma(
-    log_solution: LogSolution,
-    tol_rel: float = 1e-3,
-    *,
-    edge_frac: float = 0.05,
-    dv_floor: float = 1e-6,
-    r_window=None,
-    required_fraction: float = 0.95,
+    log_solution: LogSolution, tol_rel: float = 1e-3, *, r_window=None
 ) -> BochnerReport:
     """Check the full pointwise inequality for L(f) away from {f = 0}.
 
@@ -307,7 +323,7 @@ def check_bochner_lemma(
     checked sample by sample on the retained set.
     """
     params, space = log_solution.params, log_solution.space
-    Lf, df, mask = _bochner_common(log_solution, edge_frac, dv_floor, r_window)
+    Lf, df, mask = _bochner_common(log_solution, r_window)
     n, p, a, sig = params.n, params.p, params.a, params.sigma
     al = alpha(n, p)  # raises RegimeError outside 1 < p < 2n-1
     disc = discriminant(n, p)
@@ -323,37 +339,12 @@ def check_bochner_lemma(
     t_f2 = p / (n - 1) * f**2
     t_mix = (2 * (p - 1) / (n - 1) - p) * f ** ((p - 2) / p) * dfm * dvm
     t_src = a * p * hsrc * (2 / (n - 1) - (sig / (p - 1) - 1)) * f
-    rhs = t_curv + t_h2 + t_f2 + t_mix + t_src
-    scale = np.max(
-        np.abs(np.stack([lhs, t_curv, t_h2, t_f2, t_mix, t_src])), axis=0
-    )
-    margin = lhs - rhs
-    ok = margin >= -tol_rel * scale
-    frac = float(np.mean(ok))
-    return BochnerReport(
-        params=params,
-        space=space,
-        which="lemma",
-        radii=log_solution.r[mask],
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        scale=scale,
-        pass_fraction=frac,
-        passed=frac >= required_fraction,
-        tol_rel=tol_rel,
-        required_fraction=required_fraction,
-    )
+    terms = (t_curv, t_h2, t_f2, t_mix, t_src)
+    return _bochner_report(log_solution, "lemma", mask, lhs, terms, tol_rel)
 
 
 def check_bochner_thm2(
-    log_solution: LogSolution,
-    tol_rel: float = 1e-3,
-    *,
-    edge_frac: float = 0.05,
-    dv_floor: float = 1e-6,
-    r_window=None,
-    required_fraction: float = 0.95,
+    log_solution: LogSolution, tol_rel: float = 1e-3, *, r_window=None
 ) -> BochnerReport:
     """Check L(f) >= (p/n) f^2 - (n-1)Kp f^(2-2/p) - p f^(1-2/p) f' v'.
 
@@ -366,7 +357,7 @@ def check_bochner_thm2(
             "sign condition violated: requires a > 0 with sigma <= (n+2)(p-1)/n "
             "or a < 0 with sigma >= (n+2)(p-1)/n"
         )
-    Lf, df, mask = _bochner_common(log_solution, edge_frac, dv_floor, r_window)
+    Lf, df, mask = _bochner_common(log_solution, r_window)
     n, p = params.n, params.p
     K = space.K
     f = log_solution.f[mask]
@@ -377,25 +368,8 @@ def check_bochner_thm2(
     t_f2 = p / n * f**2
     t_curv = -(n - 1) * K * p * f ** (2 - 2 / p)
     t_mix = -p * f ** (1 - 2 / p) * dfm * dvm
-    rhs = t_f2 + t_curv + t_mix
-    scale = np.max(np.abs(np.stack([lhs, t_f2, t_curv, t_mix])), axis=0)
-    margin = lhs - rhs
-    ok = margin >= -tol_rel * scale
-    frac = float(np.mean(ok))
-    return BochnerReport(
-        params=params,
-        space=space,
-        which="thm2",
-        radii=log_solution.r[mask],
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        scale=scale,
-        pass_fraction=frac,
-        passed=frac >= required_fraction,
-        tol_rel=tol_rel,
-        required_fraction=required_fraction,
-    )
+    terms = (t_f2, t_curv, t_mix)
+    return _bochner_report(log_solution, "thm2", mask, lhs, terms, tol_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +416,7 @@ class CaccioppoliConfig:
     on the equation parameters and is enforced by check_caccioppoli."""
 
     b: float
-    quadrature_points: int = 4001
+    quadrature_points: int = _QUADRATURE_POINTS
 
     def __post_init__(self):
         if not self.b > 1:
@@ -463,7 +437,10 @@ def caccioppoli_b_min(n: int, p: float, sigma: float, sign_of_a: float) -> float
 
 
 @dataclass(frozen=True)
-class CaccioppoliReport:
+class CaccioppoliReport(_Report):
+    _check = "caccioppoli"
+    _tolerances = ("tol_quad",)
+
     params: EquationParams
     space: ModelSpace
     R: float
@@ -478,32 +455,9 @@ class CaccioppoliReport:
     tol_quad: float
     quadrature_points: int
 
-    def to_report_dict(self):
-        return _envelope(
-            "caccioppoli",
-            self.params,
-            self.space,
-            self.R,
-            self.passed,
-            {
-                "b": self.b,
-                "b_min": self.b_min,
-                "beta": self.beta,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "slack": self.slack,
-                "scale": self.scale,
-            },
-            int(self.quadrature_points),
-            {"tol_quad": self.tol_quad},
-        )
-
 
 def check_caccioppoli(
-    log_solution: LogSolution,
-    config: CaccioppoliConfig,
-    R: float,
-    tol_quad: float = 1e-6,
+    log_solution: LogSolution, config: CaccioppoliConfig, R: float
 ) -> CaccioppoliReport:
     """Evaluate both sides of the integral inequality with psi = f^b eta^2.
 
@@ -583,8 +537,8 @@ def check_caccioppoli(
         rhs=float(rhs),
         slack=float(slack),
         scale=float(scale),
-        passed=bool(slack >= -tol_quad * scale),
-        tol_quad=tol_quad,
+        passed=bool(slack >= -_TOL_QUAD * scale),
+        tol_quad=_TOL_QUAD,
         quadrature_points=config.quadrature_points,
     )
 
@@ -594,10 +548,12 @@ def check_caccioppoli(
 
 
 @dataclass(frozen=True)
-class SobolevRatioReport:
+class SobolevRatioReport(_Report):
     """Empirical constant of the ball Sobolev inequality for one test
     function; recorded, never asserted (only existence of a dimensional
     constant is claimed)."""
+
+    _check = "sobolev"
 
     space: ModelSpace
     R: float
@@ -606,24 +562,6 @@ class SobolevRatioReport:
     rhs_core: float
     volume: float
     empirical_constant: float
-
-    def to_report_dict(self):
-        return _envelope(
-            "sobolev",
-            None,
-            self.space,
-            self.R,
-            None,
-            {
-                "q": self.q,
-                "lhs": self.lhs,
-                "rhs_core": self.rhs_core,
-                "volume": self.volume,
-                "empirical_constant": self.empirical_constant,
-            },
-            None,
-            {},
-        )
 
 
 def sobolev_test_function(solution: RadialSolution, R: float):
@@ -644,13 +582,7 @@ def sobolev_test_function(solution: RadialSolution, R: float):
     return g, dg
 
 
-def measure_sobolev_ratio(
-    g,
-    space: ModelSpace,
-    R: float,
-    dg=None,
-    quadrature_points: int = 4001,
-) -> SobolevRatioReport:
+def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRatioReport:
     """Measure lhs * V^(2/n) / rhs_core for a radial test function g with
     g(R) = 0, where lhs = (int |g|^(2q))^(1/q), q = n/(n-2), and
     rhs_core = R^2 int |g'|^2 + int g^2.
@@ -664,7 +596,7 @@ def measure_sobolev_ratio(
     if not R > 0:
         raise ParameterError(f"R must be positive, got {R}")
     n = space.n
-    x = np.linspace(0.0, R, quadrature_points)
+    x = np.linspace(0.0, R, _QUADRATURE_POINTS)
     gx = np.asarray(g(x), dtype=float)
     gmax = float(np.max(np.abs(gx)))
     if gmax == 0:
@@ -696,10 +628,13 @@ def measure_sobolev_ratio(
 
 
 @dataclass(frozen=True)
-class ScaleInvarianceReport:
+class ScaleInvarianceReport(_Report):
     """empirical_C across the Euclidean dilation family u_mu(r) = u(mu r),
     solved with the coefficient rescaled by mu^p and checked on balls of
     radius R/mu."""
+
+    _check = "gradient_scale_invariance"
+    _tolerances = ("rel_tol",)
 
     params: EquationParams
     space: ModelSpace
@@ -710,33 +645,15 @@ class ScaleInvarianceReport:
     passed: bool
     rel_tol: float
 
-    def to_report_dict(self):
-        return _envelope(
-            "gradient_scale_invariance",
-            self.params,
-            self.space,
-            self.R,
-            self.passed,
-            {
-                "factors": list(self.factors),
-                "empirical_C": list(self.empirical_C),
-                "spread": self.spread,
-            },
-            None,
-            {"rel_tol": self.rel_tol},
-        )
-
 
 def check_gradient_scale_invariance(
     params: EquationParams,
     space: ModelSpace,
     config: ShootingConfig,
     R: float,
-    factors=(1, 2, 4, 8),
-    rel_tol: float = 0.02,
-    theorem: str = "thm1",
 ) -> ScaleInvarianceReport:
-    """Solve the dilation family and compare empirical gradient constants.
+    """Solve the dilation family (factors 1, 2, 4, 8) and compare empirical
+    gradient constants: they pass within a 2% relative spread.
 
     Flat space only: u(mu r) solves the equation with coefficient a mu^p,
     its log-gradient on the ball of radius R/mu is mu times the original,
@@ -746,11 +663,11 @@ def check_gradient_scale_invariance(
     if space.K != 0:
         raise RegimeError("dilation invariance requires the flat model space (K = 0)")
     values = []
-    for mu in factors:
+    for mu in _DILATION_FACTORS:
         params_mu = replace(params, a=params.a * mu**params.p)
         config_mu = replace(config, r_max=config.r_max / mu)
         sol = solve_radial(params_mu, space, config_mu)
-        rep = check_gradient_estimate(sol, R / mu, theorem=theorem)
+        rep = check_gradient_estimate(sol, R / mu)
         values.append(rep.empirical_C)
     lo, hi = min(values), max(values)
     spread = (hi - lo) / lo if lo > 0 else math.inf
@@ -758,9 +675,9 @@ def check_gradient_scale_invariance(
         params=params,
         space=space,
         R=R,
-        factors=tuple(factors),
+        factors=_DILATION_FACTORS,
         empirical_C=tuple(values),
         spread=float(spread),
-        passed=bool(spread <= rel_tol),
-        rel_tol=rel_tol,
+        passed=bool(spread <= _SPREAD_TOL),
+        rel_tol=_SPREAD_TOL,
     )

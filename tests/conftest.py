@@ -101,12 +101,8 @@ def scipy_reference(params, space, config):
     else:
         r_fail = float(sol.t[-1])
         u_last, w_last = float(sol.y[0, -1]), float(sol.y[1, -1])
-        detail = {"failure_r": r_fail, "message": sol.message}
-        if max(abs(u_last), abs(w_last)) >= 0.99 * config.blowup_threshold:
-            detail["blowup_r"] = r_fail
-            termination = pl.Termination("blow_up", r_fail, detail)
-        else:
-            termination = pl.Termination("step_failure", r_fail, detail)
+        blew_up = max(abs(u_last), abs(w_last)) >= 0.99 * config.blowup_threshold
+        termination = pl.Termination("blow_up" if blew_up else "step_failure", r_fail)
 
     r_end = termination.r
     if len(sol.t) < 2 or r_end <= r_start:

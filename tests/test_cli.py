@@ -187,6 +187,65 @@ def test_check_kinds_pass_on_oracle(kind, sinc_csv, tmp_path, capsys):
     assert report["pass"] in (True, None)
 
 
+# ordered metrics keys, tolerances and the type of samples_retained per kind
+BOCHNER_METRICS = [
+    "pass_fraction",
+    "min_margin_over_scale",
+    "median_margin_over_scale",
+    "r_min",
+    "r_max",
+]
+BOCHNER_TOLERANCES = {"tol_rel": 1e-3, "required_fraction": 0.95}
+REPORT_LAYOUT = {
+    "gradient": (
+        ["theorem", "sup_ratio", "bound_shape", "empirical_C", "regime_applicable"],
+        {},
+        type(None),
+    ),
+    "harnack": (["ratio", "sup_ratio", "integrated_bound"], {}, type(None)),
+    "bochner": (BOCHNER_METRICS, BOCHNER_TOLERANCES, int),
+    "bochner2": (BOCHNER_METRICS, BOCHNER_TOLERANCES, int),
+    "caccioppoli": (
+        ["b", "b_min", "beta", "lhs", "rhs", "slack", "scale"],
+        {"tol_quad": 1e-6},
+        int,
+    ),
+    "sobolev": (["q", "lhs", "rhs_core", "volume", "empirical_constant"], {}, type(None)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_LAYOUT))
+def test_check_report_keys(kind, sinc_csv, capsys):
+    """Each report's envelope, ordered metrics keys, tolerances with their
+    values, and the type of samples_retained."""
+    assert run("check", kind, "--solution", sinc_csv, "--R", "2") == 0
+    report = json.loads(capsys.readouterr().out)
+    metrics, tolerances, retained = REPORT_LAYOUT[kind]
+    assert list(report) == [
+        "check",
+        "params",
+        "space",
+        "R",
+        "pass",
+        "metrics",
+        "samples_retained",
+        "tolerances",
+    ]
+    assert report["check"] == kind
+    assert list(report["metrics"]) == metrics
+    assert report["tolerances"] == tolerances
+    assert type(report["samples_retained"]) is retained
+
+
+@pytest.mark.parametrize("points", ["0", "4"])
+def test_check_quadrature_points_below_minimum_is_invalid(points, sinc_csv, capsys):
+    """A given --quadrature-points reaches the library, which rejects fewer
+    than 11."""
+    argv = ["check", "caccioppoli", "--solution", sinc_csv, "--R", "2"]
+    assert run(*argv, "--quadrature-points", points) == 2
+    assert "quadrature_points must be an integer >= 11" in capsys.readouterr().err
+
+
 def test_check_corrupted_solution_fails(sinc_csv, tmp_path):
     """Scaling du and w so that f halves must trip the pointwise check."""
     lines = open(sinc_csv).read().splitlines()

@@ -155,7 +155,7 @@ def test_bochner_source_terms_vanish_with_a():
     from plaplab._fd import fd4_first
 
     log_sol = _synthetic_log_solution(a=1e-12)
-    rep = pl.check_bochner_lemma(log_sol, required_fraction=0.0)
+    rep = pl.check_bochner_lemma(log_sol)
     n, p = 3, 2.0
     # a-free right side at p = 2, K = 0: p/(n-1) f^2 + (2(p-1)/(n-1)-p) f' v'
     h = log_sol.r[1] - log_sol.r[0]
@@ -179,7 +179,7 @@ def test_bochner_thm2_mixed_term_assembly():
     """The mixed term is -p f^(1-2/p) f' v'; verified at one sample against
     a hand evaluation on a synthetic record."""
     log_sol = _synthetic_log_solution(a=1.0, sigma=1.5)  # sigma <= 5/3
-    rep = pl.check_bochner_thm2(log_sol, required_fraction=0.0)
+    rep = pl.check_bochner_thm2(log_sol)
     from plaplab._fd import fd4_first
 
     h = log_sol.r[1] - log_sol.r[0]
@@ -376,6 +376,18 @@ def test_scale_invariance_flat_p_not_2(flat3, p):
     )
     assert rep.passed
     assert rep.spread < 1e-6
+
+
+def test_scale_invariance_report_keys(flat3):
+    params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0)
+    rep = pl.check_gradient_scale_invariance(
+        params, flat3, pl.ShootingConfig(u0=1.0, r_max=4.0), R=2.0
+    ).to_report_dict()
+    assert rep["check"] == "gradient_scale_invariance"
+    assert list(rep["metrics"]) == ["factors", "empirical_C", "spread"]
+    assert rep["metrics"]["factors"] == [1, 2, 4, 8]
+    assert rep["tolerances"] == {"rel_tol": 0.02}
+    assert rep["samples_retained"] is None
 
 
 def test_scale_invariance_requires_flat_space():
