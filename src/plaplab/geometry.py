@@ -10,7 +10,7 @@ warping function s_K(r) = r or sinh(sqrt(K) r)/sqrt(K).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class ModelSpace:
             raise ParameterError(f"K must be >= 0, got {self.K}")
 
     def to_dict(self):
-        return {"n": self.n, "K": self.K}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def warp(space: ModelSpace, r):

@@ -49,17 +49,15 @@ _MOVE_TOL = 0.01
 
 
 def _range_values(lo, hi, step):
-    if hi < lo:
-        return np.empty(0)
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Grid description: dimension, sign of the coefficient, curvature,
-    inclusive (min, max, step) ranges for p and sigma, the per-cell
-    shooting configuration, and the list of center values to scan.
+    """Grid description: dimension, sign of the coefficient, inclusive
+    (min, max, step) ranges for p and sigma with min <= max, curvature, the
+    per-cell shooting configuration, and the list of center values to scan.
 
     For K = 0 a single center value suffices: rescaling the center is
     equivalent to rescaling the coefficient and dilating, so the cell
@@ -69,13 +67,13 @@ class SweepGrid:
 
     n: int
     a_sign: float
-    K: float
     p_min: float
     p_max: float
     p_step: float
     sigma_min: float
     sigma_max: float
     sigma_step: float
+    K: float = 0.0
     config: ShootingConfig = field(default_factory=lambda: ShootingConfig(r_max=50.0))
     u0_list: tuple = None
 
@@ -86,6 +84,9 @@ class SweepGrid:
             raise ParameterError(f"K must be >= 0, got {self.K}")
         if self.p_step <= 0 or self.sigma_step <= 0:
             raise ParameterError("grid steps must be positive")
+        for name, lo, hi in (("p", self.p_min, self.p_max), ("sigma", self.sigma_min, self.sigma_max)):
+            if lo > hi:
+                raise ParameterError(f"inverted {name} range: {name}_min = {lo} > {name}_max = {hi}")
         if self.u0_list is None:
             scan = (1.0,) if self.K == 0 else (0.25, 1.0, 4.0)
             object.__setattr__(self, "u0_list", scan)

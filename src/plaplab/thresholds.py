@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "thm2_threshold",
     "thm2_condition",
     "compare_thresholds",
+    "regime_constants",
     "classify_regime",
     "moser_exponents",
 ]
@@ -68,13 +69,19 @@ class EquationParams:
             raise ParameterError("sigma must be nonzero")
 
     def to_dict(self):
-        return {"n": self.n, "p": self.p, "a": self.a, "sigma": self.sigma}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _in_p_window(n, p):
+    """Whether 1 < p < 2n-1, the window of the first estimate; n must be
+    an integer >= 3."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)) or n < 3:
+        raise ParameterError(f"n must be an integer >= 3, got {n!r}")
+    return 1 < p < 2 * n - 1
 
 
 def _check_p_window(n, p):
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)) or n < 3:
-        raise ParameterError(f"n must be an integer >= 3, got {n!r}")
-    if not 1 < p < 2 * n - 1:
+    if not _in_p_window(n, p):
         raise RegimeError(f"p must satisfy 1 < p < 2n-1 = {2 * n - 1}, got p = {p}")
 
 
@@ -207,18 +214,23 @@ class RegimeReport:
     thm2_applicable: bool
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "thm2_threshold": self.thm2_threshold,
-            "beta": self.beta,
-            "thm1_applicable": self.thm1_applicable,
-            "thm2_applicable": self.thm2_applicable,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
+
+
+def regime_constants(n: int, p: float) -> dict:
+    """The constants that depend on (n, p) alone: alpha, sigma1 and sigma2,
+    each None outside 1 < p < 2n-1 where the first estimate does not apply,
+    and thm2_threshold.  Requires an integer n >= 3 and p > 1."""
+    in_window = _in_p_window(n, p)
+    return {
+        "alpha": alpha(n, p) if in_window else None,
+        "sigma1": sigma1(n, p) if in_window else None,
+        "sigma2": sigma2(n, p) if in_window else None,
+        "thm2_threshold": thm2_threshold(n, p),
+    }
 
 
 def classify_regime(params: EquationParams) -> RegimeReport:
@@ -229,23 +241,14 @@ def classify_regime(params: EquationParams) -> RegimeReport:
     estimate is classified as not applicable.
     """
     n, p, a, s = params.n, params.p, params.a, params.sigma
-    in_p_window = 1 < p < 2 * n - 1
-    if in_p_window:
-        al, s1, s2 = alpha(n, p), sigma1(n, p), sigma2(n, p)
-        thm1 = (a > 0 and s < s1) or (a < 0 and s > s2)
-        b = beta(n, p, s, a) if thm1 else None
-    else:
-        al = s1 = s2 = b = None
-        thm1 = False
-    thm2 = thm2_condition(n, p, s, a)
+    constants = regime_constants(n, p)
+    s1, s2 = constants["sigma1"], constants["sigma2"]
+    thm1 = s1 is not None and ((a > 0 and s < s1) or (a < 0 and s > s2))
     return RegimeReport(
-        alpha=al,
-        sigma1=s1,
-        sigma2=s2,
-        thm2_threshold=thm2_threshold(n, p),
-        beta=b,
+        **constants,
+        beta=beta(n, p, s, a) if thm1 else None,
         thm1_applicable=thm1,
-        thm2_applicable=thm2,
+        thm2_applicable=thm2_condition(n, p, s, a),
     )
 
 

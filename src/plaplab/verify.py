@@ -412,14 +412,15 @@ def cutoff_eta(R: float) -> CutoffEta:
 class CaccioppoliConfig:
     """Exponent b of the test function psi = f^b eta^2 and quadrature
     resolution.  b must exceed
-    max(1, 2 [p - 2(p-1)/(n-1)]^2 / (beta min(1, p-1))); the bound depends
-    on the equation parameters and is enforced by check_caccioppoli."""
+    b_min = max(1, 2 [p - 2(p-1)/(n-1)]^2 / (beta min(1, p-1))); the bound
+    depends on the equation parameters and is enforced by check_caccioppoli,
+    which takes b = 1.1 b_min when b is None."""
 
-    b: float
+    b: float | None = None
     quadrature_points: int = _QUADRATURE_POINTS
 
     def __post_init__(self):
-        if not self.b > 1:
+        if self.b is not None and not self.b > 1:
             raise ParameterError(f"b must be > 1, got {self.b}")
         if not (
             isinstance(self.quadrature_points, (int, np.integer))
@@ -479,10 +480,9 @@ def check_caccioppoli(
     n, p, a, sig = params.n, params.p, params.a, params.sigma
     bt = beta(n, p, sig, a)
     b_min = caccioppoli_b_min(n, p, sig, a)
-    if config.b <= b_min:
-        raise ParameterError(
-            f"b = {config.b} is not above the lower bound b_min = {b_min:.6g}"
-        )
+    b = 1.1 * b_min if config.b is None else config.b
+    if b <= b_min:
+        raise ParameterError(f"b = {b} is not above the lower bound b_min = {b_min:.6g}")
     r = log_solution.r
     inner = (r > 0) & (r <= 0.75 * R)
     bad = inner & (log_solution.f <= 0)
@@ -510,15 +510,15 @@ def check_caccioppoli(
     fpow = np.zeros_like(x)
     fpow[pos] = fx[pos] ** (1 - 2 / p)
     psi = np.zeros_like(x)
-    psi[pos] = fx[pos] ** config.b * ex[pos] ** 2
+    psi[pos] = fx[pos] ** b * ex[pos] ** 2
     dpsi = np.zeros_like(x)
     dpsi[pos] = (
-        config.b * fx[pos] ** (config.b - 1) * dfx[pos] * ex[pos] ** 2
-        + 2 * fx[pos] ** config.b * ex[pos] * dex[pos]
+        b * fx[pos] ** (b - 1) * dfx[pos] * ex[pos] ** 2
+        + 2 * fx[pos] ** b * ex[pos] * dex[pos]
     )
 
     i_energy = simpson((p - 1) * fpow * dfx * dpsi * s_pow, x=x)
-    i_f2 = simpson(fx ** (config.b + 2) * np.square(ex) * s_pow, x=x)
+    i_f2 = simpson(fx ** (b + 2) * np.square(ex) * s_pow, x=x)
     i_curv = simpson(np.where(pos, fx ** (2 - 2 / p), 0.0) * psi * s_pow, x=x)
     i_mix = simpson(fpow * dfx * dvx * psi * s_pow, x=x)
 
@@ -530,7 +530,7 @@ def check_caccioppoli(
         params=params,
         space=space,
         R=R,
-        b=config.b,
+        b=b,
         b_min=b_min,
         beta=bt,
         lhs=float(lhs),

@@ -1,8 +1,10 @@
 """Command-line interface: exit-code contract and file round trips."""
 
+import argparse
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -55,6 +57,13 @@ def test_thresholds_with_regime_flags(capsys):
 
 def test_thresholds_invalid_dimension():
     assert run("thresholds", "--n", "2", "--p", "2") == 2
+
+
+@pytest.mark.parametrize("given, missing", [(("--a", "1"), "sigma"), (("--sigma", "2"), "a")])
+def test_thresholds_half_given_regime_is_invalid(given, missing, capsys):
+    """a or sigma alone asks for a regime, which needs both."""
+    assert run("thresholds", "--n", "3", "--p", "2", *given) == 2
+    assert f"missing required option {missing!r}" in capsys.readouterr().err
 
 
 def test_thresholds_csv_format(capsys):
@@ -118,25 +127,58 @@ SHOOTING_VALUES = dict(
 )
 SINC_PARAMS = ("--n", "3", "--p", "2", "--a", "1", "--sigma", "1")
 
+# one value per field of the dataclasses behind each subcommand's flags
+FIELD_VALUES = dict(
+    n=4, p=2.5, a=-1.0, sigma=1.5, K=0.5, a_sign=-1.0,
+    p_min=1.5, p_max=2.5, p_step=0.5, sigma_min=0.5, sigma_max=1.5, sigma_step=0.25,
+    u0_list=(0.25, 1.0, 4.0), **SHOOTING_VALUES,
+)
+COMMAND_CLASSES = {
+    "thresholds": (pl.EquationParams,),
+    "solve": (pl.EquationParams, pl.ModelSpace, pl.ShootingConfig),
+    "sweep": (pl.SweepGrid, pl.ShootingConfig),
+}
+OTHER_FLAGS = {"--config", "--out", "--format", "--summary"}
+
 
 def shooting_flags(values):
     argv = []
     for name, value in values.items():
-        argv += ["--" + name.replace("_", "-"), str(value)]
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv += ["--" + name.replace("_", "-"), text]
     return argv
 
 
-def test_shooting_flags_follow_config_fields():
+def subparser(command):
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+def test_flags_follow_dataclass_fields():
+    """Each subcommand has one flag per field, parsed as the field's
+    annotated type, and no other flags but --config, --out, --format and
+    --summary."""
     assert set(SHOOTING_VALUES) == {f.name for f in fields(pl.ShootingConfig)}
     assert all(SHOOTING_VALUES[f.name] != f.default for f in fields(pl.ShootingConfig))
-    parser = build_parser()
-    for command in ("solve", "sweep"):
-        args = parser.parse_args(
-            [command, "--out", "x.csv"] + shooting_flags(SHOOTING_VALUES)
-        )
-        for name, value in SHOOTING_VALUES.items():
+    for command, classes in COMMAND_CLASSES.items():
+        types = {}
+        for cls in classes:
+            hints = get_type_hints(cls)
+            types.update((f.name, hints[f.name]) for f in fields(cls))
+        types = {name: t for name, t in types.items() if not is_dataclass(t)}
+        flags = [s for a in subparser(command)._actions for s in a.option_strings]
+        flags.remove("-h")
+        flags.remove("--help")
+        field_flags = {"--" + name.replace("_", "-") for name in types}
+        assert len(flags) == len(set(flags))
+        assert field_flags <= set(flags)
+        assert set(flags) - field_flags <= OTHER_FLAGS
+        values = {name: FIELD_VALUES[name] for name in types}
+        args = build_parser().parse_args([command, "--out", "x.csv"] + shooting_flags(values))
+        for name, value in values.items():
             assert getattr(args, name) == value
-            assert type(getattr(args, name)) is type(value)
+            assert type(getattr(args, name)) is types[name]
 
 
 def test_solve_without_shooting_flags_writes_config_defaults(tmp_path):
@@ -244,6 +286,31 @@ def test_check_quadrature_points_below_minimum_is_invalid(points, sinc_csv, caps
     argv = ["check", "caccioppoli", "--solution", sinc_csv, "--R", "2"]
     assert run(*argv, "--quadrature-points", points) == 2
     assert "quadrature_points must be an integer >= 11" in capsys.readouterr().err
+
+
+# a value for each flag only some check kinds read, and the kinds that read it
+KIND_FLAGS = {
+    "--theorem": ("thm2", {"gradient"}),
+    "--tol-rel": ("0.5", {"bochner", "bochner2"}),
+    "--b": ("50", {"caccioppoli"}),
+    "--quadrature-points": ("11", {"caccioppoli"}),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [(kind, flag) for kind in REPORT_LAYOUT for flag, (_, readers) in KIND_FLAGS.items()],
+)
+def test_check_accepts_only_its_own_flags(kind, flag, sinc_csv, capsys):
+    """A kind runs with a flag it reads and exits 2 on one it does not."""
+    value, readers = KIND_FLAGS[flag]
+    code = run("check", kind, "--solution", sinc_csv, "--R", "2", flag, value)
+    err = capsys.readouterr().err
+    if kind in readers:
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
 
 
 def test_check_corrupted_solution_fails(sinc_csv, tmp_path):

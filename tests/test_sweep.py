@@ -166,11 +166,11 @@ def test_curved_sweep_flags_no_contradictions(tmp_path):
 
 
 def test_sweep_empty_sigma_range():
-    grid = small_grid(sigma_min=2.0, sigma_max=1.0)  # lenient at library level
-    table = pl.sweep(grid)
-    assert len(table) == 0
-    comp = pl.compare_with_theory(table)
-    assert comp.contradiction_count == 0
+    """An inverted range is an error in the grid itself, not an empty sweep."""
+    with pytest.raises(ParameterError, match="inverted sigma range"):
+        small_grid(sigma_min=2.0, sigma_max=1.0)
+    with pytest.raises(ParameterError, match="inverted p range"):
+        small_grid(p_min=3.0, p_max=2.0)
 
 
 def test_compare_with_theory_no_contradictions():

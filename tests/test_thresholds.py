@@ -228,6 +228,26 @@ def test_beta_present_iff_thm1_applicable():
     assert not outside.thm1_applicable and outside.beta is None
 
 
+@pytest.mark.parametrize(
+    "n, p", [(3, 1.5), (3, 2.0), (3, 4.9), (3, 5.0), (3, 6.0), (5, 8.5), (5, 9.5)]
+)
+@pytest.mark.parametrize("a, sigma", [(1.0, 1.0), (-1.0, 3.0)])
+def test_regime_constants_are_the_report_head(n, p, a, sigma):
+    """regime_constants gives the report's first four entries, None in the
+    sigma window outside 1 < p < 2n-1."""
+    report = pl.classify_regime(pl.EquationParams(n=n, p=p, a=a, sigma=sigma)).to_dict()
+    constants = pl.regime_constants(n, p)
+    assert constants == dict(list(report.items())[:4])
+    assert list(constants) == ["alpha", "sigma1", "sigma2", "thm2_threshold"]
+    assert (constants["alpha"] is None) == (p >= 2 * n - 1)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2.0), (3.0, 2.0), (True, 2.0), (3, 1.0), (3, 0.5)])
+def test_regime_constants_reject(n, p):
+    with pytest.raises(ParameterError):
+        pl.regime_constants(n, p)
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 

@@ -247,6 +247,15 @@ def test_caccioppoli_sinc_ladder(sinc_log):
         assert rep.passed
 
 
+def test_caccioppoli_default_exponent(sinc_log):
+    """A config without b takes b = 1.1 b_min, bitwise."""
+    b = 1.1 * pl.caccioppoli_b_min(3, 2.0, 1.0, 1.0)
+    default = pl.check_caccioppoli(sinc_log, config=pl.CaccioppoliConfig(), R=2.0)
+    explicit = pl.check_caccioppoli(sinc_log, config=pl.CaccioppoliConfig(b=b), R=2.0)
+    assert default.b == b
+    assert default == explicit
+
+
 def test_caccioppoli_beta_branch(sinc_log):
     rep = pl.check_caccioppoli(
         sinc_log, config=pl.CaccioppoliConfig(b=2.3), R=2.0
