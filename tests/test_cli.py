@@ -297,10 +297,7 @@ KIND_FLAGS = {
 }
 
 
-@pytest.mark.parametrize(
-    "kind, flag",
-    [(kind, flag) for kind in REPORT_LAYOUT for flag, (_, readers) in KIND_FLAGS.items()],
-)
+@pytest.mark.parametrize("kind, flag", [(kind, flag) for kind in REPORT_LAYOUT for flag in KIND_FLAGS])
 def test_check_accepts_only_its_own_flags(kind, flag, sinc_csv, capsys):
     """A kind runs with a flag it reads and exits 2 on one it does not."""
     value, readers = KIND_FLAGS[flag]
