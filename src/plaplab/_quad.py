@@ -3,9 +3,11 @@
 Both are numpy ports of scipy 1.17.1 -- ``scipy.interpolate.PchipInterpolator``
 (Fritsch & Carlson, SIAM J. Numer. Anal. 17 (1980); end slopes after Moler,
 *Numerical Computing with MATLAB*, 3.6) and ``scipy.integrate.simpson`` with
-``x=`` (last interval after Cartwright) -- restricted to 1-D data, with the
-same floating-point operations in the same order, so their results equal
-scipy's bit for bit.  They keep the checkers free of the scipy import.
+``x=`` (last interval after Cartwright) -- on a 1-D grid, with the same
+floating-point operations in the same order, so their results equal scipy's
+bit for bit.  PCHIP takes 1-D data; Simpson also takes integrands stacked
+along leading axes, one integral per row over the last axis, each row
+equal to its own 1-D call.  They keep the checkers free of the scipy import.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ __all__ = ["PPoly", "pchip", "simpson"]
 
 
 def _check_grid(x, y):
+    """x and y as float arrays: x 1-D, y of x's length along its last axis
+    (C-contiguous, so a row sums in the order of a 1-D call)."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.shape != x.shape:
-        raise ValueError(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
+    y = np.ascontiguousarray(y, dtype=float)
+    if x.ndim != 1 or y.shape[-1:] != x.shape:
+        raise ValueError(f"x must be 1-D and y of equal length, got {x.shape} and {y.shape}")
     if len(x) < 2:
         raise ValueError("x must contain at least 2 elements")
     if not np.all(np.diff(x) > 0):
@@ -96,6 +100,8 @@ def _pchip_slopes(x, y):
 def pchip(x, y) -> PPoly:
     """Shape-preserving C^1 cubic through (x, y), x strictly increasing."""
     x, y = _check_grid(x, y)
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-D, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must contain only finite values")
     d = _pchip_slopes(x, y)
@@ -108,9 +114,10 @@ def pchip(x, y) -> PPoly:
 
 
 def _basic_simpson(y, stop, x):
-    """Simpson's rule for uneven spacing over the panels [0:stop+2]."""
+    """Simpson's rule for uneven spacing over the panels [0:stop+2] of
+    each row."""
     h = np.diff(x)
-    y0, y1, y2 = y[0:stop:2], y[1 : stop + 1 : 2], y[2 : stop + 2 : 2]
+    y0, y1, y2 = y[..., 0:stop:2], y[..., 1 : stop + 1 : 2], y[..., 2 : stop + 2 : 2]
     h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
     hsum = h0 + h1
     hprod = h0 * h1
@@ -120,24 +127,25 @@ def _basic_simpson(y, stop, x):
         + y1 * (hsum * _div0(hsum, hprod))
         + y2 * (2.0 - h0divh1)
     )
-    return np.sum(tmp)
+    return np.sum(tmp, axis=-1)
 
 
 def simpson(y, *, x):
     """Composite Simpson integral of samples y over the strictly increasing
     grid x; an even sample count closes with Cartwright's last-interval
-    correction (the trapezoid for two samples)."""
+    correction (the trapezoid for two samples).  y of shape (..., N) gives
+    one integral per row."""
     x, y = _check_grid(x, y)
-    N = len(y)
+    N = y.shape[-1]
     if N % 2:
         return _basic_simpson(y, N - 2, x)
     # scipy adds 0.0 last, which turns a -0.0 result into +0.0
     if N == 2:
-        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[..., -1] + y[..., -2])
     result = _basic_simpson(y, N - 3, x)
     diffs = np.diff(x)
     h0, h1 = diffs[-2:-1].reshape(()), diffs[-1:].reshape(())
     alpha = _div0(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
     beta = _div0(h1**2 + 3.0 * h0 * h1, 6 * h0)
     eta = _div0(h1**3, 6 * h0 * (h0 + h1))
-    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
+    return result + (alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]) + 0.0

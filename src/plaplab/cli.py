@@ -9,12 +9,13 @@ Four subcommands expose the library with file-based inputs and outputs:
 
 The options of thresholds, solve and sweep are the fields of the library's
 dataclasses, and may also come from a flat key=value configuration file
-(``--config``); explicit flags win over file values.  Each check kind takes
-only the flags it reads.  Exit codes are total: 0 on success or
-a passing check, 1 when a check fails (or a sweep finds contradictions),
-2 on invalid input, 3 on numerical or I/O failure.  There is no randomness
-anywhere, so identical inputs reproduce identical outputs bitwise on a
-fixed floating-point platform.
+(``--config``); explicit flags win over file values, and a file key that
+names no option is invalid input.  Each check kind takes only the flags it
+reads.  Exit codes are total: 0 on success or a passing check, 1 when a
+check fails (or a sweep finds contradictions), 2 on invalid input, 3 on
+numerical or I/O failure.  There is no randomness anywhere, so identical
+inputs reproduce identical outputs bitwise on a fixed floating-point
+platform.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ CHECK_KINDS = {
     "caccioppoli": {"b": {"type": float}, "quadrature_points": {"type": int}},
     "sobolev": {},
 }
+
+
+# config-file keys of removed fields, accepted and ignored so that older
+# files still run
+_RETIRED_KEYS = ("min_step",)
 
 
 def float_list(text):
@@ -100,19 +106,23 @@ def _load_config_file(path):
 
 def _field_values(args, *classes):
     """The value of each field of the classes from its flag, else from its
-    key in the --config file; a field given by neither is left out."""
+    key in the --config file; a field given by neither is left out, and a
+    file key that names no field (other than a retired one) is an error."""
     cfg = _load_config_file(args.config) if args.config else {}
+    leaves = {name: parser for cls in classes for name, parser in _leaf_fields(cls)}
+    unknown = [key for key in cfg if key not in leaves and key not in _RETIRED_KEYS]
+    if unknown:
+        raise ParameterError(f"config key {unknown[0]!r} names no option of {args.command}")
     values = {}
-    for cls in classes:
-        for name, parser in _leaf_fields(cls):
-            value = getattr(args, name)
-            if value is None and name in cfg:
-                try:
-                    value = parser(cfg[name])
-                except ValueError as exc:
-                    raise ParameterError(f"config key {name!r}: {exc}") from exc
-            if value is not None:
-                values[name] = value
+    for name, parser in leaves.items():
+        value = getattr(args, name)
+        if value is None and name in cfg:
+            try:
+                value = parser(cfg[name])
+            except ValueError as exc:
+                raise ParameterError(f"config key {name!r}: {exc}") from exc
+        if value is not None:
+            values[name] = value
     return values
 
 
@@ -124,16 +134,21 @@ def _require(values, *names):
     return [values[name] for name in names]
 
 
-def _build(cls, values):
-    """cls from the values of its fields; a field without a default is
-    required, and a nested dataclass is built from the same values."""
+def _build(cls, values, default=None):
+    """cls from the values of its fields, the others taken from default (an
+    instance of cls) or else left to cls; a field without a default is
+    required, and a nested dataclass is built from the same values over
+    its field's default."""
     hints = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         if is_dataclass(hints[f.name]):
-            kwargs[f.name] = _build(hints[f.name], values)
+            nested = None if f.default_factory is MISSING else f.default_factory()
+            kwargs[f.name] = _build(hints[f.name], values, nested)
         elif f.name in values:
             kwargs[f.name] = values[f.name]
+        elif default is not None:
+            kwargs[f.name] = getattr(default, f.name)
         elif f.default is MISSING and f.default_factory is MISSING:
             _require(values, f.name)
     return cls(**kwargs)

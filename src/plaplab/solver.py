@@ -156,11 +156,13 @@ def solve_radial(
     with a scalar Dormand-Prince 5(4) loop on Python floats: the scheme,
     error norm, initial step and step control of scipy's RK45, which
     shoot_batch also reproduces for many runs at once (solve_radial keeps
-    the profile, shoot_batch does not).  Terminal events (zero hit,
-    blow-up) are located in r to root-finding precision, and the profile
-    is returned uniformly resampled on [0, r_end] from the steps' C^1
-    dense output (downstream off-grid interpolation is monotone cubic, in
-    the checkers).
+    the profile, shoot_batch does not).  A terminal event (zero hit,
+    blow-up) is located on the final step in Python floats, by bisecting
+    its dense-output polynomial to scipy's 4 eps tolerance, with the
+    operations shoot_batch applies to its numpy arrays, so both give the
+    same radius.  The profile is returned uniformly resampled on
+    [0, r_end] from the steps' C^1 dense output (downstream off-grid
+    interpolation is monotone cubic, in the checkers).
     """
     if params.n != space.n:
         raise ParameterError(
@@ -278,9 +280,10 @@ def solve_radial(
         blew_up = max(abs(u), abs(w)) >= 0.99 * bt
         termination = Termination("blow_up" if blew_up else "step_failure", t)
     elif fire_zero or fire_blow:
-        last = tuple(part[..., -1:] for part in step)
-        hit, r_event = _first_event(last, np.array([fire_zero]), np.array([fire_blow]), zt, bt)
-        termination = Termination("hit_zero" if hit[0] else "blow_up", float(r_event[0]))
+        t_old, t_new, u_old, w_old = steps[-1][:4]
+        last = (t_old, t_new, (u_old, w_old), dense[..., -1].tolist())
+        hit, r_event = _step_event(last, fire_zero, fire_blow, zt, bt)
+        termination = Termination("hit_zero" if hit else "blow_up", r_event)
     else:
         termination = Termination("reached_rmax", r_max)
 
@@ -595,6 +598,46 @@ def _event_root(g, step, fires):
     roots = np.full(fires.shape, np.inf)
     roots[fires] = 0.5 * (lo + hi)
     return roots
+
+
+def _step_event(step, fire_zero, fire_blow, zt, bt):
+    """_first_event for one step on Python floats: (hit_zero, radius).
+
+    step = (t_old, t_new, (u_old, w_old), q) with q[j] = (Q_j of u, Q_j of
+    w).  Every value is computed by the operations of _event_root and
+    _dense_output in their order, and the blow-up function takes the larger
+    of |u| and |w| with np.maximum's nan, so the radius equals theirs bit
+    for bit; only numpy's per-call cost on one-element arrays is gone."""
+    t_old, t_new, y_old, q = step
+    h = t_new - t_old
+
+    def y_at(t):
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        return [
+            h * (q[0][c] * x + q[1][c] * x2 + q[2][c] * x3 + q[3][c] * (x3 * x)) + y_old[c]
+            for c in (0, 1)
+        ]
+
+    def root(g):
+        lo, hi = t_old, t_new
+        while hi - lo > 4 * _EPS * (1 + abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if g(*y_at(mid)) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def g_blow(u, w):
+        u, w = abs(u), abs(w)
+        return bt - (u if u >= w or u != u else w)
+
+    r_zero = root(lambda u, w: u - zt) if fire_zero else math.inf
+    r_blow = root(g_blow) if fire_blow else math.inf
+    hit = r_zero <= r_blow
+    return hit, r_zero if hit else r_blow
 
 
 def _residual_mask(solution, du_fd, rel_change, max_step_change):

@@ -507,20 +507,22 @@ def check_caccioppoli(
     # f -> 0 only at the center; every integrand below carries at least one
     # positive power of f there, so the limit contribution is 0
     pos = fx > 0
+    f_pos, e_pos = fx[pos], ex[pos]
+    fb_pos, e2_pos = f_pos**b, e_pos**2
     fpow = np.zeros_like(x)
-    fpow[pos] = fx[pos] ** (1 - 2 / p)
+    fpow[pos] = f_pos ** (1 - 2 / p)
     psi = np.zeros_like(x)
-    psi[pos] = fx[pos] ** b * ex[pos] ** 2
+    psi[pos] = fb_pos * e2_pos
     dpsi = np.zeros_like(x)
-    dpsi[pos] = (
-        b * fx[pos] ** (b - 1) * dfx[pos] * ex[pos] ** 2
-        + 2 * fx[pos] ** b * ex[pos] * dex[pos]
-    )
+    dpsi[pos] = b * f_pos ** (b - 1) * dfx[pos] * e2_pos + 2 * fb_pos * e_pos * dex[pos]
 
-    i_energy = simpson((p - 1) * fpow * dfx * dpsi * s_pow, x=x)
-    i_f2 = simpson(fx ** (b + 2) * np.square(ex) * s_pow, x=x)
-    i_curv = simpson(np.where(pos, fx ** (2 - 2 / p), 0.0) * psi * s_pow, x=x)
-    i_mix = simpson(fpow * dfx * dvx * psi * s_pow, x=x)
+    integrands = (
+        (p - 1) * fpow * dfx * dpsi * s_pow,
+        fx ** (b + 2) * np.square(ex) * s_pow,
+        np.where(pos, fx ** (2 - 2 / p), 0.0) * psi * s_pow,
+        fpow * dfx * dvx * psi * s_pow,
+    )
+    i_energy, i_f2, i_curv, i_mix = simpson(np.stack(integrands), x=x)
 
     lhs = i_energy + bt * i_f2
     rhs = (n - 1) * space.K * p * i_curv - (2 * (p - 1) / (n - 1) - p) * i_mix
@@ -609,9 +611,10 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
     s_pow = np.zeros_like(x)
     s_pow[1:] = warp(space, x[1:]) ** (n - 1)
     q = n / (n - 2)
-    lhs = simpson(np.abs(gx) ** (2 * q) * s_pow, x=x) ** (1 / q)
-    rhs_core = R**2 * simpson(dgx**2 * s_pow, x=x) + simpson(gx**2 * s_pow, x=x)
-    volume = simpson(s_pow, x=x)
+    integrands = (np.abs(gx) ** (2 * q) * s_pow, dgx**2 * s_pow, gx**2 * s_pow, s_pow)
+    i_g2q, i_dg2, i_g2, volume = simpson(np.stack(integrands), x=x)
+    lhs = i_g2q ** (1 / q)
+    rhs_core = R**2 * i_dg2 + i_g2
     return SobolevRatioReport(
         space=space,
         R=R,

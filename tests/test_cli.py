@@ -202,6 +202,15 @@ def test_config_file_with_retired_min_step_still_solves(tmp_path):
     assert pl.read_solution_csv(out).config == pl.ShootingConfig(r_max=4.0)
 
 
+def test_config_key_naming_no_option_is_invalid(tmp_path, capsys):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("n=3\np=2\na=1\nsigma=1\nr_mx=4\n")
+    out = tmp_path / "sol.csv"
+    assert run("solve", "--config", str(cfg), "--out", str(out)) == 2
+    assert "config key 'r_mx' names no option of solve" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_min_step_flag_is_rejected(tmp_path, capsys):
     out = tmp_path / "sol.csv"
     argv = ("solve", *SINC_PARAMS, "--r-max", "4", "--out", str(out))
@@ -364,6 +373,27 @@ def test_sweep_end_to_end(tmp_path, capsys):
     s = json.loads(summary.read_text())
     assert s["contradiction_count"] == 0
     assert "caveat" in s
+
+
+def test_sweep_config_defaults_are_the_library_defaults(tmp_path):
+    """A grid without shooting keys integrates as far from the CLI as from
+    the library: the nested ShootingConfig starts from SweepGrid's default."""
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "n=3\na_sign=1\np_min=2\np_max=2\np_step=1\n"
+        "sigma_min=1\nsigma_max=1\nsigma_step=1\n"
+    )
+    summary = tmp_path / "s.json"
+    code = run(
+        "sweep", "--config", str(cfg), "--out", str(tmp_path / "t.csv"), "--summary", str(summary)
+    )
+    assert code == 0
+    grid = pl.SweepGrid(
+        n=3, a_sign=1.0, p_min=2.0, p_max=2.0, p_step=1.0,
+        sigma_min=1.0, sigma_max=1.0, sigma_step=1.0,
+    )
+    library = pl.compare_with_theory(pl.sweep(grid)).to_dict()
+    assert json.loads(summary.read_text())["r_max"] == library["r_max"] == grid.config.r_max
 
 
 def test_sweep_inverted_range(tmp_path):

@@ -78,9 +78,19 @@ def test_pchip_matches_scipy(grid, t):
 @example(grid=(np.array([0.0, 0.2, 1.5, 1.6]), np.array([2.0, -1.0, 0.5, 0.0])))
 @example(grid=(np.array([0.0, 1.5]), np.array([-0.0, -0.0])))  # signed zeros
 @example(grid=(np.array([0.0, 0.2, 1.5, 1.6]), np.array([-0.0, -0.0, -0.0, -0.0])))
+@example(grid=(np.array([0.0, 0.2, 1.5]), np.array([-0.0, -0.0, -0.0])))
 def test_simpson_matches_scipy(grid):
+    """One call and stacked integrands alike: each row of a (k, N) call, C
+    or Fortran ordered, is its own 1-D call and scipy's, bit for bit."""
     x, y = grid
     assert_bitwise(simpson(y, x=x), scipy_simpson(y, x=x))
+    rows = np.stack((y, -y, y[::-1], 1.37 * y))
+    for stack in (rows, np.asfortranarray(rows)):
+        stacked = simpson(stack, x=x)
+        assert stacked.shape == (len(rows),)
+        for row, value in zip(rows, stacked):
+            assert_bitwise(value, simpson(row, x=x))
+            assert_bitwise(value, scipy_simpson(row, x=x))
 
 
 def test_ports_match_scipy_on_generic_small_grids():
@@ -121,3 +131,8 @@ def test_ports_reject_bad_grids(port):
         port(np.array([0.0, 1.0, 1.0, 2.0]), np.ones(4))
     with pytest.raises(ValueError, match="strictly increasing"):
         port(np.array([0.0, 2.0, 1.0]), np.ones(3))
+    with pytest.raises(ValueError, match="equal length"):
+        port(np.arange(4.0), np.ones((2, 3)))
+    if port is pchip:  # Simpson takes rows of integrands, PCHIP one curve
+        with pytest.raises(ValueError, match="1-D"):
+            port(np.arange(4.0), np.ones((2, 4)))

@@ -1,12 +1,13 @@
 """Batched shooting: agreement with scipy's solve and with solve_radial,
 run by run, and independence of each run from the rest of its batch."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import plaplab as pl
 from plaplab.errors import ParameterError
-from plaplab.solver import shoot_batch
+from plaplab.solver import _dense_output, _first_event, _step_event, shoot_batch
 
 from conftest import scipy_reference
 
@@ -102,3 +103,81 @@ def test_batch_validation(flat3):
         shoot_batch([params], [1.0], pl.ModelSpace(n=4), config)
     kinds, radii, moved = shoot_batch([], [], flat3, config)
     assert len(kinds) == len(radii) == len(moved) == 0
+
+
+# ---------------------------------------------------------------------------
+# solve_radial's scalar event root against shoot_batch's numpy one
+
+
+def random_step(rng, t_scale):
+    """(t_old, t_new, y_old, Q) of one step as shoot_batch holds it, with
+    random stage combinations, and thresholds zt and bt that the zero and
+    blow-up functions cross at random points inside the step."""
+    t_old = rng.uniform(0.0, 3.0) * t_scale
+    t_new = t_old + rng.uniform(1e-3, 1.0) * t_scale
+    step = (
+        np.array([t_old]),
+        np.array([t_new]),
+        rng.normal(size=(2, 1)),
+        rng.normal(size=(4, 2, 1)),
+    )
+    u_cross = _dense_output(step, t_old + rng.random() * (t_new - t_old))[0, 0]
+    y_cross = _dense_output(step, t_old + rng.random() * (t_new - t_old))[:, 0]
+    return step, u_cross, float(np.max(np.abs(y_cross)))
+
+
+def event_bits(step, fire_zero, fire_blow, zt, bt):
+    """(hit, radius bits) from shoot_batch's _first_event and from
+    _step_event on the same step."""
+    with np.errstate(all="ignore"):
+        hit, r = _first_event(step, np.array([fire_zero]), np.array([fire_blow]), zt, bt)
+    t_old, t_new, y_old, q = step
+    scalar = (float(t_old[0]), float(t_new[0]), tuple(y_old[:, 0].tolist()), q[..., 0].tolist())
+    ours = _step_event(scalar, fire_zero, fire_blow, zt, bt)
+    return (bool(hit[0]), float(r[0]).hex()), (ours[0], float(ours[1]).hex())
+
+
+@pytest.mark.parametrize(
+    "fire_zero, fire_blow", [(True, False), (False, True), (True, True)],
+    ids=["zero", "blow_up", "both"],
+)
+def test_step_event_matches_first_event(fire_zero, fire_blow):
+    """Bit for bit, on generic numbers: a changed midpoint, tolerance or
+    polynomial evaluation order shows in the last bit of some root."""
+    rng = np.random.default_rng(9)
+    for t_scale in (1e-6, 1.0, 1e3):
+        for _ in range(150):
+            step, zt, bt = random_step(rng, t_scale)
+            reference, ours = event_bits(step, fire_zero, fire_blow, zt, bt)
+            assert ours == reference
+
+
+def test_step_event_edge_cases():
+    """A tie goes to the zero event; nan in either component and brackets
+    whose midpoint overflows end as in numpy."""
+    t = (np.array([0.5]), np.array([0.75]))
+    # u starts on the zero threshold and w on the blow-up one, and both
+    # cross at once: every midpoint is past both, so the roots are equal
+    tie = (*t, np.array([[1e-8], [1e8]]), np.array([[[-1.0], [2.0]]] * 4))
+    (hit_zero, r_zero), _ = event_bits(tie, True, False, 1e-8, 1e8)
+    (hit_blow, r_blow), _ = event_bits(tie, False, True, 1e-8, 1e8)
+    assert hit_zero and not hit_blow and r_zero == r_blow
+    assert event_bits(tie, True, True, 1e-8, 1e8) == ((True, r_zero),) * 2
+    for component in (0, 1):
+        q = np.ones((4, 2, 1))
+        q[2, component] = np.nan
+        step = (*t, np.array([[0.5], [0.5]]), q)
+        reference, ours = event_bits(step, False, True, 0.1, 0.6)
+        assert ours == reference
+    # lo + hi overflows at the first midpoint; in the second step it
+    # overflows only in the final 0.5 (lo + hi), as the bracket closes on t_new
+    steps = (
+        (0.5e308, 1.5e308, -1.0),
+        (float.fromhex("0x1.fffffffffee68p+1022"), float.fromhex("0x1.0000000000001p+1023"), 1.0),
+    )
+    for t_old, t_new, slope in steps:
+        step = (np.array([t_old]), np.array([t_new]), np.array([[1.0], [0.0]]),
+                np.full((4, 2, 1), slope))
+        for fires in ((True, False), (False, True)):
+            reference, ours = event_bits(step, *fires, 0.5, 2.0)
+            assert ours == reference
