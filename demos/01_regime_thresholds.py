@@ -22,7 +22,7 @@ for p in (1.2, 1.5, 2.0, 7 / 3, 3.0, 4.0, 4.9):
     )
 
 print("\nThe second-estimate threshold always sits strictly below sigma1:")
-t, s1, _ = pl.compare_thresholds(n, 2.0)
+t, s1 = pl.compare_thresholds(n, 2.0)
 print(f"  at p = 2: {t:.4f} < {s1:.4f}")
 
 print("\n=== beta across the sigma window (n = 3, p = 2, a > 0) ===")

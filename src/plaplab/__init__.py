@@ -8,134 +8,20 @@ inequality checkers for the gradient/Harnack estimates and their proof
 machinery, and existence sweeps over (p, sigma) grids.
 """
 
-from .errors import ParameterError, RegimeError, SolutionFormatError
-from .geometry import (
-    ModelSpace,
-    radial_L_coefficient,
-    radial_p_laplacian,
-    warp,
-    warp_log_derivative,
-)
-from .solver import (
-    LogSolution,
-    RadialSolution,
-    ShootingConfig,
-    Termination,
-    flux_residual,
-    pde_residual,
-    read_solution_csv,
-    shoot_batch,
-    solve_radial,
-    to_log_solution,
-    write_solution_csv,
-)
-from .sweep import (
-    ExistenceCell,
-    RegionComparison,
-    SweepGrid,
-    SweepTable,
-    classify_existence,
-    compare_with_theory,
-    sweep,
-    write_sweep_csv,
-)
-from .thresholds import (
-    EquationParams,
-    MoserExponents,
-    RegimeReport,
-    alpha,
-    beta,
-    classify_regime,
-    compare_thresholds,
-    discriminant,
-    moser_exponents,
-    regime_constants,
-    sigma1,
-    sigma2,
-    sigma_midpoint,
-    thm2_condition,
-    thm2_threshold,
-)
-from .verify import (
-    BochnerReport,
-    CaccioppoliConfig,
-    CaccioppoliReport,
-    GradientCheckReport,
-    HarnackReport,
-    ScaleInvarianceReport,
-    SobolevRatioReport,
-    caccioppoli_b_min,
-    check_bochner_lemma,
-    check_bochner_thm2,
-    check_caccioppoli,
-    check_gradient_estimate,
-    check_gradient_scale_invariance,
-    check_harnack,
-    cutoff_eta,
-    measure_sobolev_ratio,
-    sobolev_test_function,
-)
+from importlib import import_module as _import_module
+
+from .errors import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .thresholds import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .verify import *  # noqa: F403
+from .sweep import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ lists its public names; pl.sweep is the function
 __all__ = [
-    "ParameterError",
-    "RegimeError",
-    "SolutionFormatError",
-    "ModelSpace",
-    "warp",
-    "warp_log_derivative",
-    "radial_p_laplacian",
-    "radial_L_coefficient",
-    "EquationParams",
-    "RegimeReport",
-    "MoserExponents",
-    "alpha",
-    "discriminant",
-    "sigma1",
-    "sigma2",
-    "sigma_midpoint",
-    "beta",
-    "thm2_threshold",
-    "thm2_condition",
-    "compare_thresholds",
-    "regime_constants",
-    "classify_regime",
-    "moser_exponents",
-    "ShootingConfig",
-    "Termination",
-    "RadialSolution",
-    "LogSolution",
-    "solve_radial",
-    "shoot_batch",
-    "pde_residual",
-    "to_log_solution",
-    "flux_residual",
-    "write_solution_csv",
-    "read_solution_csv",
-    "GradientCheckReport",
-    "HarnackReport",
-    "BochnerReport",
-    "CaccioppoliConfig",
-    "CaccioppoliReport",
-    "SobolevRatioReport",
-    "ScaleInvarianceReport",
-    "caccioppoli_b_min",
-    "check_gradient_estimate",
-    "check_harnack",
-    "check_bochner_lemma",
-    "check_bochner_thm2",
-    "cutoff_eta",
-    "check_caccioppoli",
-    "sobolev_test_function",
-    "measure_sobolev_ratio",
-    "check_gradient_scale_invariance",
-    "SweepGrid",
-    "ExistenceCell",
-    "SweepTable",
-    "RegionComparison",
-    "classify_existence",
-    "sweep",
-    "compare_with_theory",
-    "write_sweep_csv",
+    name
+    for module in ("errors", "geometry", "thresholds", "solver", "verify", "sweep")
+    for name in _import_module(f"{__name__}.{module}").__all__
 ]

@@ -1,4 +1,10 @@
-"""Exception classes shared across the package."""
+"""Exception classes and the argument checks shared across the package."""
+
+import math
+
+import numpy as np
+
+__all__ = ["ParameterError", "RegimeError", "SolutionFormatError"]
 
 
 class ParameterError(ValueError):
@@ -13,3 +19,16 @@ class RegimeError(ValueError):
 
 class SolutionFormatError(ValueError):
     """A solution file could not be parsed back into a RadialSolution."""
+
+
+def _require_integer(name, value, minimum):
+    """value must be an integer, not a bool, and at least minimum."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_finite(owner, *names):
+    """Each named attribute of owner must be a finite number."""
+    for name in names:
+        if not math.isfinite(getattr(owner, name)):
+            raise ParameterError(f"{name} must be finite, got {getattr(owner, name)}")

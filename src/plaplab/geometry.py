@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_integer
 
 __all__ = [
     "ModelSpace",
@@ -37,12 +37,9 @@ class ModelSpace:
     K: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ParameterError(f"n must be an integer, got {self.n!r}")
-        if self.n < 3:
-            raise ParameterError(f"n must be >= 3, got {self.n}")
-        if self.K < 0:
-            raise ParameterError(f"K must be >= 0, got {self.K}")
+        _require_integer("n", self.n, 3)
+        if not 0 <= self.K < math.inf:
+            raise ParameterError(f"K must be finite and >= 0, got {self.K}")
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -51,11 +48,12 @@ class ModelSpace:
 def warp(space: ModelSpace, r):
     """Warping function s_K(r); vectorized in r.
 
-    r if K = 0, sinh(sqrt(K) r)/sqrt(K) if K > 0.  Requires r > 0.
+    r if K = 0, sinh(sqrt(K) r)/sqrt(K) if K > 0, so s_K(0) = 0.  Requires
+    r >= 0.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ParameterError("warp requires r > 0")
+    if not np.all(r >= 0):
+        raise ParameterError("warp requires r >= 0")
     if space.K == 0:
         out = r
     else:
@@ -67,7 +65,7 @@ def warp(space: ModelSpace, r):
 def warp_log_derivative(space: ModelSpace, r):
     """s_K'(r)/s_K(r): 1/r for K = 0, sqrt(K) coth(sqrt(K) r) for K > 0."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise ParameterError("warp_log_derivative requires r > 0")
     out = _warp_log_derivative(space.K, r)
     return out if out.ndim else float(out)

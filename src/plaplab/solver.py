@@ -24,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from ._fd import fd4_first, fd4_second
-from .errors import ParameterError, SolutionFormatError
+from .errors import ParameterError, SolutionFormatError, _require_integer
 from .geometry import ModelSpace, _warp_log_derivative, radial_p_laplacian, warp
 from .thresholds import EquationParams
 
@@ -61,16 +61,15 @@ class ShootingConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, float) and not value > 0:
-                raise ParameterError(f"{f.name} must be positive, got {value}")
+            if isinstance(f.default, float) and not 0 < value < math.inf:
+                raise ParameterError(f"{f.name} must be positive and finite, got {value}")
         if not self.zero_threshold < self.u0:
             raise ParameterError(
                 f"zero_threshold ({self.zero_threshold}) must be below u0 ({self.u0})"
             )
         if not self.u0 < self.blowup_threshold:
             raise ParameterError("u0 must be below blowup_threshold")
-        if not (isinstance(self.output_points, (int, np.integer)) and self.output_points >= 5):
-            raise ParameterError(f"output_points must be an integer >= 5, got {self.output_points!r}")
+        _require_integer("output_points", self.output_points, 5)
 
     def to_dict(self):
         """Field values in field order, each as its default's type."""
@@ -200,10 +199,14 @@ def solve_radial(
         return np.array(rhs(t[0], y[0, 0], y[1, 0]))[:, None]
 
     t = r_start
-    u, w = float(_series_u(p, a, sig, n, u0, t)), float(_series_w(a, sig, n, u0, t))
+    try:
+        u, w = float(_series_u(p, a, sig, n, u0, t)), float(_series_w(a, sig, n, u0, t))
+    except OverflowError:  # u0**sigma beyond the float range: the first step fails
+        u = w = math.nan
     ku1, kw1 = rhs(t, u, w)
     start = SimpleNamespace(t=np.array([t]), y=np.array([[u], [w]]), f=np.array([[ku1], [kw1]]))
-    h_abs = float(_initial_step(rhs_columns, start, r_max - r_start, rtol, atol)[0])
+    with np.errstate(all="ignore"):  # an overflowing start gives a nan step, which fails
+        h_abs = float(_initial_step(rhs_columns, start, r_max - r_start, rtol, atol)[0])
 
     c2, c3, c4, c5, c6 = _DP_C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
@@ -216,7 +219,7 @@ def solve_radial(
     steps = []  # per accepted step: t_old, t_new, y_old and the seven stages
     while True:
         h_floor = 10 * (math.nextafter(t, math.inf) - t)
-        if h_abs < h_floor:
+        if not h_abs >= h_floor:  # a nan step is below the floor too
             if retry:
                 failed = True
                 break
@@ -449,30 +452,30 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
         np.subtract(runs.neg_a * u_eff**runs.sig, ((n - 1) * lam) * w, out=out[1])
         return out
 
-    y0 = (_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start))
-    runs = SimpleNamespace(
-        index=np.arange(m),
-        neg_a=-a,
-        sig=sig,
-        inv_pm1=1.0 / (p - 1.0),
-        u0=u0,
-        t=np.full(m, r_start),
-        y=np.stack(y0),
-        retry=np.zeros(m, dtype=bool),  # the last attempt was rejected
-        moved=np.zeros(m),
-    )
-    runs.f = rhs(runs.t, runs.y, runs)
-    runs.g_zero = runs.y[0] - zt
-    runs.g_blow = bt - _max_abs(runs.y)
     fired = []  # per lockstep iteration: the steps in which an event fired
-
     with np.errstate(all="ignore"):  # overflow and nan end a run, as in scipy
+        y0 = (_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start))
+        runs = SimpleNamespace(
+            index=np.arange(m),
+            neg_a=-a,
+            sig=sig,
+            inv_pm1=1.0 / (p - 1.0),
+            u0=u0,
+            t=np.full(m, r_start),
+            y=np.stack(y0),
+            retry=np.zeros(m, dtype=bool),  # the last attempt was rejected
+            moved=np.zeros(m),
+        )
+        runs.f = rhs(runs.t, runs.y, runs)
+        runs.g_zero = runs.y[0] - zt
+        runs.g_blow = bt - _max_abs(runs.y)
         runs.h_abs = _initial_step(rhs, runs, r_max - r_start, rtol, atol)
         while runs.index.size:
             t, y = runs.t, runs.y
             h_floor = 10 * np.abs(np.nextafter(t, np.inf) - t)
-            h_abs = np.where(runs.h_abs < h_floor, h_floor, runs.h_abs)
-            failed = runs.retry & (runs.h_abs < h_floor)
+            below = ~(runs.h_abs >= h_floor)  # a nan step is below the floor too
+            h_abs = np.where(below, h_floor, runs.h_abs)
+            failed = runs.retry & below
             t_new = t + h_abs
             t_new = np.where(t_new > r_max, r_max, t_new)
             h = t_new - t

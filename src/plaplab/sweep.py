@@ -13,12 +13,11 @@ carry r_max and this caveat.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_finite
 from .geometry import ModelSpace
 
 # solve_radial is unused, but perfbench's traced run wraps it in this module by name
@@ -61,8 +60,9 @@ class SweepGrid:
 
     For K = 0 a single center value suffices: rescaling the center is
     equivalent to rescaling the coefficient and dilating, so the cell
-    classification is invariant.  For K > 0 there is no dilation symmetry
-    and the default scans {0.25, 1, 4}.
+    classification is invariant, and the default scans config.u0 alone.
+    For K > 0 there is no dilation symmetry and the default scans
+    {u0/4, u0, 4 u0} around u0 = config.u0.
     """
 
     n: int
@@ -78,17 +78,20 @@ class SweepGrid:
     u0_list: tuple = None
 
     def __post_init__(self):
+        ModelSpace(n=self.n, K=self.K)  # checks n and K
+        _require_finite(
+            self, "a_sign", "p_min", "p_max", "p_step", "sigma_min", "sigma_max", "sigma_step"
+        )
         if self.a_sign == 0:
             raise ParameterError("a_sign must be nonzero")
-        if self.K < 0:
-            raise ParameterError(f"K must be >= 0, got {self.K}")
         if self.p_step <= 0 or self.sigma_step <= 0:
             raise ParameterError("grid steps must be positive")
         for name, lo, hi in (("p", self.p_min, self.p_max), ("sigma", self.sigma_min, self.sigma_max)):
             if lo > hi:
                 raise ParameterError(f"inverted {name} range: {name}_min = {lo} > {name}_max = {hi}")
         if self.u0_list is None:
-            scan = (1.0,) if self.K == 0 else (0.25, 1.0, 4.0)
+            u0 = self.config.u0
+            scan = (u0,) if self.K == 0 else (u0 / 4, u0, 4 * u0)
             object.__setattr__(self, "u0_list", scan)
         elif not self.u0_list:
             raise ParameterError("u0_list must be nonempty")
@@ -256,9 +259,6 @@ class RegionComparison:
             "r_max": self.r_max,
             "caveat": self.caveat,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def compare_with_theory(table: SweepTable) -> RegionComparison:

@@ -14,13 +14,12 @@ sign-matched comparison of sigma with (n+2)(p-1)/n).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError, RegimeError
+from .errors import ParameterError, RegimeError, _require_finite, _require_integer
 
 __all__ = [
     "EquationParams",
@@ -57,10 +56,8 @@ class EquationParams:
     sigma: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ParameterError(f"n must be an integer, got {self.n!r}")
-        if self.n < 3:
-            raise ParameterError(f"n must be >= 3, got {self.n}")
+        _require_integer("n", self.n, 3)
+        _require_finite(self, "p", "a", "sigma")
         if not self.p > 1:
             raise ParameterError(f"p must be > 1, got {self.p}")
         if self.a == 0:
@@ -75,8 +72,7 @@ class EquationParams:
 def _in_p_window(n, p):
     """Whether 1 < p < 2n-1, the window of the first estimate; n must be
     an integer >= 3."""
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)) or n < 3:
-        raise ParameterError(f"n must be an integer >= 3, got {n!r}")
+    _require_integer("n", n, 3)
     return 1 < p < 2 * n - 1
 
 
@@ -182,19 +178,18 @@ def thm2_condition(n: int, p: float, sigma: float, sign_of_a: float) -> bool:
 
 
 def compare_thresholds(n: int, p: float):
-    """Return (thm2_threshold, sigma1, strict) for 1 < p < 2n-1.
+    """Return (thm2_threshold, sigma1) for 1 < p < 2n-1.
 
     The first threshold always lies strictly below sigma1 inside the
-    p-window; ``strict`` records the comparison and a failure raises.
+    p-window; a failure of that ordering raises.
     """
     t = thm2_threshold(n, p)
     s1 = sigma1(n, p)  # raises RegimeError for p outside (1, 2n-1)
-    strict = t < s1
-    if not strict:
+    if not t < s1:
         raise RegimeError(
             f"threshold ordering violated at n={n}, p={p}: {t} >= {s1}"
         )
-    return t, s1, strict
+    return t, s1
 
 
 @dataclass(frozen=True)
@@ -215,9 +210,6 @@ class RegimeReport:
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def regime_constants(n: int, p: float) -> dict:
@@ -272,14 +264,12 @@ class MoserExponents:
 
 def moser_exponents(n: int, p: float, b0: float, L: int) -> MoserExponents:
     """Build b_1 = (b0 + 2 - 2/p) n/(n-2) and b_{l+1} = b_l n/(n-2), l <= L."""
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise ParameterError(f"n must be an integer >= 3, got {n!r}")
+    _require_integer("n", n, 3)
     if not p > 1:
         raise ParameterError(f"p must be > 1, got {p}")
     if not b0 > 0:
         raise ParameterError(f"b0 must be positive, got {b0}")
-    if not (isinstance(L, (int, np.integer)) and L >= 1):
-        raise ParameterError(f"L must be an integer >= 1, got {L!r}")
+    _require_integer("L", L, 1)
     ratio = n / (n - 2)
     b1 = (b0 + 2 - 2 / p) * ratio
     b = np.empty(L)

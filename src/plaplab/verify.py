@@ -28,7 +28,7 @@ import numpy as np
 
 from ._fd import fd4_first
 from ._quad import pchip, simpson
-from .errors import ParameterError, RegimeError
+from .errors import ParameterError, RegimeError, _require_integer
 from .geometry import ModelSpace, radial_L_coefficient, warp
 from .solver import LogSolution, RadialSolution, ShootingConfig, solve_radial
 from .thresholds import (
@@ -48,6 +48,7 @@ __all__ = [
     "CaccioppoliReport",
     "SobolevRatioReport",
     "ScaleInvarianceReport",
+    "caccioppoli_b_min",
     "check_gradient_estimate",
     "check_harnack",
     "check_bochner_lemma",
@@ -138,12 +139,17 @@ class GradientCheckReport(_Report):
     regime_applicable: bool
 
 
-def _require_span(solution, R):
-    if R <= 0:
+def _require_radius(R):
+    if not R > 0:
         raise ParameterError(f"R must be positive, got {R}")
-    if solution.r_end < R:
+
+
+def _require_span(solution, R):
+    """R > 0 inside the span of solution, a RadialSolution or a LogSolution."""
+    _require_radius(R)
+    if solution.r[-1] < R:
         raise ParameterError(
-            f"solution extends only to r = {solution.r_end:.6g} < R = {R}"
+            f"solution extends only to r = {solution.r[-1]:.6g} < R = {R}"
         )
 
 
@@ -264,8 +270,7 @@ def _linearized_operator_fd(log_solution):
     n = log_solution.space.n
     h = r[1] - r[0]
     df = fd4_first(f, h)
-    s_pow = np.full_like(r, np.nan)
-    s_pow[1:] = warp(log_solution.space, r[1:]) ** (n - 1)
+    s_pow = warp(log_solution.space, r) ** (n - 1)
     coef = np.full_like(r, np.nan)
     moving = dv != 0
     coef[moving] = radial_L_coefficient(p, dv[moving])
@@ -383,8 +388,7 @@ class CutoffEta:
     """
 
     def __init__(self, R: float):
-        if not R > 0:
-            raise ParameterError(f"R must be positive, got {R}")
+        _require_radius(R)
         self.R = R
         self.lipschitz_bound = 6.0 / R
 
@@ -422,13 +426,7 @@ class CaccioppoliConfig:
     def __post_init__(self):
         if self.b is not None and not self.b > 1:
             raise ParameterError(f"b must be > 1, got {self.b}")
-        if not (
-            isinstance(self.quadrature_points, (int, np.integer))
-            and self.quadrature_points >= 11
-        ):
-            raise ParameterError(
-                f"quadrature_points must be an integer >= 11, got {self.quadrature_points!r}"
-            )
+        _require_integer("quadrature_points", self.quadrature_points, 11)
 
 
 def caccioppoli_b_min(n: int, p: float, sigma: float, sign_of_a: float) -> float:
@@ -473,10 +471,7 @@ def check_caccioppoli(
     which must hold with nonnegative slack for exact solutions.
     """
     params, space = log_solution.params, log_solution.space
-    if R > log_solution.r[-1]:
-        raise ParameterError(
-            f"log solution extends only to r = {log_solution.r[-1]:.6g} < R = {R}"
-        )
+    _require_span(log_solution, R)
     n, p, a, sig = params.n, params.p, params.a, params.sigma
     bt = beta(n, p, sig, a)
     b_min = caccioppoli_b_min(n, p, sig, a)
@@ -501,8 +496,7 @@ def check_caccioppoli(
     dvx = dv_i(x)
     ex = eta(x)
     dex = eta.derivative(x)
-    s_pow = np.zeros_like(x)
-    s_pow[1:] = warp(space, x[1:]) ** (n - 1)
+    s_pow = warp(space, x) ** (n - 1)
 
     # f -> 0 only at the center; every integrand below carries at least one
     # positive power of f there, so the limit contribution is 0
@@ -595,8 +589,7 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
     2-homogeneous in g.  Without dg, g' is the analytic derivative of a
     CutoffEta and np.gradient on the quadrature grid for any other g.
     """
-    if not R > 0:
-        raise ParameterError(f"R must be positive, got {R}")
+    _require_radius(R)
     n = space.n
     x = np.linspace(0.0, R, _QUADRATURE_POINTS)
     gx = np.asarray(g(x), dtype=float)
@@ -608,8 +601,7 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
     if dg is None and isinstance(g, CutoffEta):
         dg = g.derivative
     dgx = np.gradient(gx, x) if dg is None else np.asarray(dg(x), dtype=float)
-    s_pow = np.zeros_like(x)
-    s_pow[1:] = warp(space, x[1:]) ** (n - 1)
+    s_pow = warp(space, x) ** (n - 1)
     q = n / (n - 2)
     integrands = (np.abs(gx) ** (2 * q) * s_pow, dgx**2 * s_pow, gx**2 * s_pow, s_pow)
     i_g2q, i_dg2, i_g2, volume = simpson(np.stack(integrands), x=x)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,17 @@ from scipy.integrate import solve_ivp
 import plaplab as pl
 from plaplab.errors import ParameterError
 from plaplab.solver import _SERIES_FRACTION, _series_u, _series_w
+
+
+def run_bounded(*argv, timeout=60):
+    """Run python with argv and plaplab from this checkout, in a subprocess
+    that a hang cannot outlive."""
+    env = dict(os.environ)
+    src = str(Path(pl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 @pytest.fixture(scope="session")

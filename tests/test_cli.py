@@ -449,3 +449,51 @@ def test_round_trip_preserves_17_digits(sinc_csv):
     again = pl.read_solution_csv(buf)
     for name in ("r", "u", "du", "w"):
         assert np.array_equal(getattr(sol, name), getattr(again, name))
+
+
+@pytest.mark.parametrize("flag, value", [("--p-step", "nan"), ("--p-max", "inf")])
+def test_sweep_non_finite_range_is_invalid(flag, value, tmp_path, capsys):
+    code = run(
+        "sweep", "--n", "3", "--a-sign", "1", "--p-min", "2", "--p-max", "3", "--p-step", "0.5",
+        "--sigma-min", "1", "--sigma-max", "2", "--sigma-step", "0.5", "--r-max", "10",
+        flag, value, "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["gradient", "harnack", "caccioppoli", "sobolev"])
+def test_check_nan_radius_is_invalid(kind, sinc_csv, capsys):
+    assert run("check", kind, "--solution", sinc_csv, "--R", "nan") == 2
+    assert "R must be positive, got nan" in capsys.readouterr().err
+
+
+def test_sweep_center_value_follows_the_dilation_law(tmp_path):
+    """At K = 0, u0 -> 2 u0 dilates a profile by 2^((sigma-p+1)/p), so
+    `sweep --u0 2` keeps the class of each cell whose predicted radius
+    r(1) 2^(-(sigma-p+1)/p) lies below r_max, with that radius."""
+    r_max = 50.0
+
+    def table(u0):
+        out = tmp_path / f"t{u0}.csv"
+        code = run(
+            "sweep", "--n", "3", "--a-sign", "1", "--K", "0",
+            "--p-min", "1.5", "--p-max", "4", "--p-step", "0.25",
+            "--sigma-min", "0.25", "--sigma-max", "6", "--sigma-step", "0.25",
+            "--r-max", str(r_max), "--u0", u0, "--out", str(out),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        return {(float(p), float(s)): (c, r and float(r)) for p, s, c, r, *_ in rows}
+
+    one, two = table("1"), table("2")
+    checked = 0
+    for (p, sigma), (kind, r_one) in one.items():
+        if not r_one:
+            continue
+        predicted = r_one * 2 ** (-(sigma - p + 1) / p)
+        if predicted < r_max:
+            assert two[(p, sigma)][0] == kind, (p, sigma)
+            assert abs(two[(p, sigma)][1] - predicted) <= 1e-6 * predicted, (p, sigma)
+            checked += 1
+    assert checked > 200

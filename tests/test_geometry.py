@@ -31,11 +31,21 @@ def test_warp_continuous_in_curvature():
 
 
 def test_warp_requires_positive_radius():
-    sp = pl.ModelSpace(n=3, K=0.0)
-    with pytest.raises(ParameterError):
-        pl.warp(sp, 0.0)
-    with pytest.raises(ParameterError):
-        pl.warp_log_derivative(sp, -1.0)
+    """warp is defined on r >= 0, with s_K(0) = 0; its log-derivative on r > 0."""
+    for K in (0.0, 1.0):
+        sp = pl.ModelSpace(n=3, K=K)
+        assert pl.warp(sp, 0.0) == 0.0
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ParameterError):
+                pl.warp(sp, bad)
+        with pytest.raises(ParameterError):
+            pl.warp_log_derivative(sp, -1.0)
+
+
+@pytest.mark.parametrize("K", [math.nan, math.inf])
+def test_model_space_rejects_non_finite_curvature(K):
+    with pytest.raises(ParameterError, match="K"):
+        pl.ModelSpace(n=3, K=K)
 
 
 def test_model_space_validation():

@@ -60,3 +60,18 @@ def test_checks_load_no_scipy(tmp_path):
     assert report["cli_solve"] == [0, []]
     assert report["cli_sweep"] == [0, []]
     assert report["scale_invariance"] == [True, []]
+
+
+def test_package_all_is_the_module_lists():
+    """plaplab.__all__ is the modules' __all__ lists end to end: each public
+    name is listed once, in the module that defines it, and resolves."""
+    import importlib
+
+    modules = ("errors", "geometry", "thresholds", "solver", "verify", "sweep")
+    lists = [importlib.import_module(f"plaplab.{m}").__all__ for m in modules]
+    assert pl.__all__ == [name for names in lists for name in names]
+    assert len(set(pl.__all__)) == len(pl.__all__)
+    for module, names in zip(modules, lists):
+        for name in names:
+            assert getattr(pl, name) is getattr(importlib.import_module(f"plaplab.{module}"), name)
+    assert callable(pl.sweep) and importlib.import_module("plaplab.sweep").__name__ == "plaplab.sweep"

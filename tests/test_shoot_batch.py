@@ -1,6 +1,8 @@
 """Batched shooting: agreement with scipy's solve and with solve_radial,
 run by run, and independence of each run from the rest of its batch."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ import plaplab as pl
 from plaplab.errors import ParameterError
 from plaplab.solver import _dense_output, _first_event, _step_event, shoot_batch
 
-from conftest import scipy_reference
+from conftest import run_bounded, scipy_reference
 
 
 def reference(params, space, config):
@@ -107,6 +109,27 @@ def test_batch_validation(flat3):
 
 # ---------------------------------------------------------------------------
 # solve_radial's scalar event root against shoot_batch's numpy one
+
+
+OVERFLOW_BATCH = """
+import json
+import plaplab as pl
+flat = pl.ModelSpace(n=3)
+params = [pl.EquationParams(3, 2.0, 1.0, 60.0), pl.EquationParams(3, 2.0, 1.0, 1.0)]
+kinds, radii, _ = pl.shoot_batch(params, [1e7, 1.0], flat, pl.ShootingConfig(r_max=4.0))
+print(json.dumps([kinds.tolist(), radii.tolist()]))
+"""
+
+
+def test_overflowing_run_fails_without_stalling_its_batch():
+    """u0**sigma = 1e420 overflows the start of the first run: it ends as
+    step_failure, silently, and its batch-mate still hits zero at pi."""
+    proc = run_bounded("-W", "error", "-c", OVERFLOW_BATCH)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    kinds, radii = json.loads(proc.stdout)
+    assert kinds == ["step_failure", "hit_zero"]
+    assert abs(radii[1] - np.pi) < 1e-6
 
 
 def random_step(rng, t_scale):

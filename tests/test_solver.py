@@ -13,7 +13,7 @@ from scipy.interpolate import PchipInterpolator
 import plaplab as pl
 from plaplab.errors import ParameterError, SolutionFormatError
 
-from conftest import scipy_reference, sinc
+from conftest import run_bounded, scipy_reference, sinc
 
 
 def relative_profile_gap(sol_a, sol_b, scale_u=1.0, scale_r=1.0, trim=0.98):
@@ -395,6 +395,42 @@ def test_residual_needs_samples(flat3):
 def test_config_rejects(kwargs):
     with pytest.raises(ParameterError):
         pl.ShootingConfig(**kwargs)
+
+
+def test_config_rejects_infinite_span():
+    with pytest.raises(ParameterError, match="r_max"):
+        pl.ShootingConfig(r_max=math.inf)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--a", "1e308", "--sigma", "3", "--u0", "10"),  # the start overflows to inf
+        ("--a", "1", "--sigma", "2000", "--u0", "2"),  # u0**sigma overflows in the series
+    ],
+)
+def test_overflowing_start_ends_as_invalid_input(flags, tmp_path):
+    """A start state beyond the float range gives a nan step; the solve
+    ends with exit 2 and one line on stderr instead of retrying forever."""
+    proc = run_bounded(
+        "-m", "plaplab.cli", "solve", "--n", "3", "--p", "2", *flags,
+        "--r-max", "4", "--out", str(tmp_path / "s.csv"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: integration span collapsed (r_end = 4e-06); check the configuration"
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--a", "--sigma", "--K", "--p", "--r-max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_solve_flags_are_invalid(flag, value, tmp_path):
+    proc = run_bounded(
+        "-m", "plaplab.cli", "solve", "--n", "3", "--p", "2", "--a", "1", "--sigma", "1",
+        "--r-max", "4", flag, value, "--out", str(tmp_path / "s.csv"),
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_dimension_mismatch_rejected(flat3):

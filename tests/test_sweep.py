@@ -165,6 +165,26 @@ def test_curved_sweep_flags_no_contradictions(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("p_min", math.nan), ("p_max", math.inf), ("p_step", math.nan), ("p_step", math.inf),
+     ("sigma_min", -math.inf), ("sigma_max", math.nan), ("sigma_step", math.nan)],
+)
+def test_grid_rejects_non_finite_ranges(field, value):
+    with pytest.raises(ParameterError, match=field):
+        small_grid(**{field: value})
+
+
+def test_default_scan_centres_on_config_u0():
+    """The default center values are config.u0 at K = 0 and u0/4, u0, 4 u0
+    at K > 0; at u0 = 1 they are (1,) and (0.25, 1, 4)."""
+    config = pl.ShootingConfig(u0=2.0, r_max=20.0)
+    assert small_grid(config=config).u0_list == (2.0,)
+    assert small_grid(K=1.0, config=config).u0_list == (0.5, 2.0, 8.0)
+    assert small_grid().u0_list == (1.0,)
+    assert small_grid(K=1.0).u0_list == (0.25, 1.0, 4.0)
+
+
 def test_sweep_empty_sigma_range():
     """An inverted range is an error in the grid itself, not an empty sweep."""
     with pytest.raises(ParameterError, match="inverted sigma range"):
@@ -243,4 +263,4 @@ def test_summary_serialization():
     assert "caveat" in d and "r_max" in d
     import json
 
-    json.loads(comp.to_json())
+    json.loads(json.dumps(d))

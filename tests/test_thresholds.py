@@ -159,17 +159,18 @@ def test_thm2_condition():
 
 
 def test_compare_thresholds():
-    t, s1, strict = pl.compare_thresholds(3, 2.0)
+    t, s1 = pl.compare_thresholds(3, 2.0)
     assert t == pytest.approx(5 / 3, abs=1e-12)
     assert s1 == pytest.approx(2.8164965809277263, abs=1e-12)
-    assert strict
+    assert t < s1
     # the gap stays strictly positive toward p = 2n-1 and tends to
     # (2n-2) * 2/(n(n-1)) = 4/n there (it does not close)
     gaps = [pl.compare_thresholds(3, p)[1] - pl.compare_thresholds(3, p)[0]
             for p in (4.9, 4.99, 4.999)]
     assert gaps[0] > gaps[1] > gaps[2] > 4 / 3
     assert gaps[2] == pytest.approx(4 / 3, abs=0.1)  # O(sqrt(2n-1-p)) approach
-    assert pl.compare_thresholds(10, 2.0)[2]
+    t, s1 = pl.compare_thresholds(10, 2.0)
+    assert t < s1
     with pytest.raises(RegimeError):
         pl.compare_thresholds(3, 5.0)
 
@@ -218,7 +219,7 @@ def test_regime_report_serialization():
     }
     import json
 
-    assert json.loads(r.to_json())["alpha"] == pytest.approx(1.5)
+    assert json.loads(json.dumps(r.to_dict()))["alpha"] == pytest.approx(1.5)
 
 
 def test_beta_present_iff_thm1_applicable():
@@ -265,6 +266,36 @@ def test_regime_constants_reject(n, p):
 def test_equation_params_rejects(kwargs):
     with pytest.raises(ParameterError):
         pl.EquationParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("a", math.nan), ("a", math.inf), ("sigma", math.nan), ("sigma", -math.inf), ("p", math.inf)],
+)
+def test_equation_params_reject_non_finite(field, value):
+    kwargs = dict(n=3, p=2.0, a=1.0, sigma=1.0)
+    kwargs[field] = value
+    with pytest.raises(ParameterError, match=field):
+        pl.EquationParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3.0, True, np.float64(3.0)], ids=["two", "float", "bool", "numpy_float"]
+)
+def test_dimension_checks_agree(n):
+    """EquationParams, ModelSpace, regime_constants and moser_exponents
+    reject the same dimensions with the same message."""
+    message = f"n must be an integer >= 3, got {n!r}"
+    calls = (
+        lambda: pl.EquationParams(n=n, p=2.0, a=1.0, sigma=1.0),
+        lambda: pl.ModelSpace(n=n),
+        lambda: pl.regime_constants(n, 2.0),
+        lambda: pl.moser_exponents(n, 2.0, 1.0, 10),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
