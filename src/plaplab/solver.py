@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import cached_property
 from types import SimpleNamespace
 from typing import get_type_hints
 
@@ -63,12 +64,11 @@ class ShootingConfig:
             value = getattr(self, f.name)
             if isinstance(f.default, float) and not 0 < value < math.inf:
                 raise ParameterError(f"{f.name} must be positive and finite, got {value}")
-        if not self.zero_threshold < self.u0:
+        if not self.zero_threshold < self.u0 < self.blowup_threshold:
             raise ParameterError(
-                f"zero_threshold ({self.zero_threshold}) must be below u0 ({self.u0})"
+                f"center value u0 = {self.u0} is outside (zero_threshold, blowup_threshold)"
+                f" = ({self.zero_threshold}, {self.blowup_threshold})"
             )
-        if not self.u0 < self.blowup_threshold:
-            raise ParameterError("u0 must be below blowup_threshold")
         _require_integer("output_points", self.output_points, 5)
 
     def to_dict(self):
@@ -97,20 +97,23 @@ class Termination:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Uniformly resampled radial profile (r, u, u', flux w) plus verdict."""
+    """Uniformly resampled radial profile (r, u, flux w) plus verdict.
+
+    The derivative du = u' is not stored: it is a function of the flux,
+    u' = sgn(w) |w|^(1/(p-1)), computed from w and params.p on first use.
+    """
 
     params: EquationParams
     space: ModelSpace
     config: ShootingConfig
     r: np.ndarray
     u: np.ndarray
-    du: np.ndarray
     w: np.ndarray
     termination: Termination
 
     def __post_init__(self):
         m = len(self.r)
-        if not (len(self.u) == len(self.du) == len(self.w) == m):
+        if not (len(self.u) == len(self.w) == m):
             raise ParameterError("grid arrays must have equal length")
         if m < 2 or self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0):
             raise ParameterError("r must increase strictly from 0")
@@ -118,6 +121,16 @@ class RadialSolution:
     @property
     def r_end(self) -> float:
         return float(self.r[-1])
+
+    @cached_property
+    def du(self) -> np.ndarray:
+        """u' on the grid, derived from the flux w."""
+        return _du_from_flux(self.w, self.params.p)
+
+
+def _du_from_flux(w, p):
+    """u' = sgn(w) |w|^(1/(p-1)), the inverse of w = |u'|^(p-2) u'."""
+    return np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -146,6 +159,14 @@ def _series_w(a, sig, n, u0, r):
     return -a * u0**sig * r / n
 
 
+def _start_inside(u, w, zt, bt):
+    """Whether both event functions are positive at a series start,
+    u - zt > 0 and bt - max(|u|, |w|) > 0 (false on nan).  A start where
+    either is not is already past its event, which can no longer fire.
+    Elementwise on arrays."""
+    return (zt < u) & (abs(u) < bt) & (abs(w) < bt)
+
+
 def solve_radial(
     params: EquationParams, space: ModelSpace, config: ShootingConfig
 ) -> RadialSolution:
@@ -162,6 +183,11 @@ def solve_radial(
     same radius.  The profile is returned uniformly resampled on
     [0, r_end] from the steps' C^1 dense output (downstream off-grid
     interpolation is monotone cubic, in the checkers).
+
+    Raises ParameterError when the series start is already past the zero
+    or the blow-up event (u <= zero_threshold, max(|u|, |w|) >=
+    blowup_threshold, or not finite), and when the integration span
+    collapses.
     """
     if params.n != space.n:
         raise ParameterError(
@@ -201,11 +227,17 @@ def solve_radial(
     t = r_start
     try:
         u, w = float(_series_u(p, a, sig, n, u0, t)), float(_series_w(a, sig, n, u0, t))
-    except OverflowError:  # u0**sigma beyond the float range: the first step fails
+    except OverflowError:  # u0**sigma beyond the float range
         u = w = math.nan
+    if not _start_inside(u, w, zt, bt):
+        raise ParameterError(
+            f"series start at r = {r_start} (u = {u}, w = {w}) is past the zero or "
+            f"blow-up event (zero_threshold = {zt}, blowup_threshold = {bt}); "
+            "check the configuration"
+        )
     ku1, kw1 = rhs(t, u, w)
     start = SimpleNamespace(t=np.array([t]), y=np.array([[u], [w]]), f=np.array([[ku1], [kw1]]))
-    with np.errstate(all="ignore"):  # an overflowing start gives a nan step, which fails
+    with np.errstate(all="ignore"):  # an overflowing stage gives a nan step, which fails
         h_abs = float(_initial_step(rhs_columns, start, r_max - r_start, rtol, atol)[0])
 
     c2, c3, c4, c5, c6 = _DP_C
@@ -309,7 +341,6 @@ def solve_radial(
     tail = rs[~head]
     index = np.searchsorted(step[1], tail, side="left")
     u[~head], w[~head] = _dense_output(tuple(part[..., index] for part in step), tail)
-    du = np.sign(w) * np.abs(w) ** inv_pm1
 
     return RadialSolution(
         params=params,
@@ -317,7 +348,6 @@ def solve_radial(
         config=config,
         r=rs,
         u=u,
-        du=du,
         w=w,
         termination=termination,
     )
@@ -418,7 +448,8 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
 
     Returns three arrays with one entry per run: the termination kind (one
     of Termination.KINDS, as solve_radial classifies it, with a collapsed
-    span reported as step_failure), its radius, and the largest relative
+    span or a series start that solve_radial rejects reported as
+    step_failure), its radius, and the largest relative
     excursion max |u - u0| / u0 over accepted step ends.
     """
     params = list(params)
@@ -466,6 +497,8 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
             retry=np.zeros(m, dtype=bool),  # the last attempt was rejected
             moved=np.zeros(m),
         )
+        # a start that solve_radial rejects is a step failure at radius 0
+        _keep(runs, _start_inside(*y0, zt, bt))
         runs.f = rhs(runs.t, runs.y, runs)
         runs.g_zero = runs.y[0] - zt
         runs.g_blow = bt - _max_abs(runs.y)
@@ -790,8 +823,10 @@ def flux_residual(solution: RadialSolution) -> float:
 # CSV serialization: '#'-prefixed key=value metadata, then one row per sample
 
 _FLOAT_FMT = "%.17g"
-_HEADER = "r,u,du,w"
-_ROW_FMT = ",".join([_FLOAT_FMT] * 4) + "\n"
+_HEADER = "r,u,w"
+# files written before du was derived from w: du is parsed and dropped
+_LEGACY_HEADER = "r,u,du,w"
+_ROW_FMT = ",".join([_FLOAT_FMT] * 3) + "\n"
 
 
 @contextmanager
@@ -805,10 +840,11 @@ def _opened(path_or_file, mode):
 
 
 def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
-    """Write a solution as CSV with metadata comment lines.
+    """Write a solution as CSV: metadata comment lines, the header r,u,w
+    and one row per sample.
 
-    Decimal output carries 17 significant digits, enough to round-trip
-    float64 exactly.
+    du is not written; it is derived from w.  Decimal output carries 17
+    significant digits, enough to round-trip float64 exactly.
     """
     meta = {}
     meta.update(solution.params.to_dict())
@@ -821,7 +857,7 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
         for key, value in meta.items()
     ]
     lines.append(_HEADER + "\n")
-    data = np.column_stack((solution.r, solution.u, solution.du, solution.w))
+    data = np.column_stack((solution.r, solution.u, solution.w))
     lines.append((_ROW_FMT * len(data)) % tuple(data.ravel().tolist()))
     with _opened(path_or_file, "w") as fh:
         fh.write("".join(lines))
@@ -837,7 +873,9 @@ def _from_meta(cls, meta):
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
-    A data row is four comma-separated plain decimal fields.  Metadata keys
+    A data row is three comma-separated plain decimal fields r, u, w, and
+    du is derived from w.  Files with the older header r,u,du,w still read:
+    their du field must be a number and is then dropped.  Metadata keys
     that name no field, such as the retired min_step and termination_detail,
     are ignored.
     """
@@ -858,7 +896,7 @@ def read_solution_csv(path_or_file) -> RadialSolution:
             meta[key.strip()] = value.strip()
         elif header is None:
             header = line
-            if header != _HEADER:
+            if header not in (_HEADER, _LEGACY_HEADER):
                 raise SolutionFormatError(f"unexpected column header: {header!r}")
         else:
             rows.append(line)
@@ -868,8 +906,9 @@ def read_solution_csv(path_or_file) -> RadialSolution:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise SolutionFormatError(f"malformed data rows: {exc}") from exc
-    if data.shape[1] != 4:
-        raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected 4")
+    columns = header.count(",") + 1
+    if data.shape[1] != columns:
+        raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected {columns}")
     try:
         params, space, config = (
             _from_meta(cls, meta) for cls in (EquationParams, ModelSpace, ShootingConfig)
@@ -884,8 +923,7 @@ def read_solution_csv(path_or_file) -> RadialSolution:
             config=config,
             r=data[:, 0],
             u=data[:, 1],
-            du=data[:, 2],
-            w=data[:, 3],
+            w=data[:, -1],
             termination=termination,
         )
     except ParameterError as exc:

@@ -62,7 +62,8 @@ class SweepGrid:
     equivalent to rescaling the coefficient and dilating, so the cell
     classification is invariant, and the default scans config.u0 alone.
     For K > 0 there is no dilation symmetry and the default scans
-    {u0/4, u0, 4 u0} around u0 = config.u0.
+    {u0/4, u0, 4 u0} around u0 = config.u0.  Every center value, given or
+    default, must lie inside (zero_threshold, blowup_threshold) of config.
     """
 
     n: int
@@ -95,6 +96,8 @@ class SweepGrid:
             object.__setattr__(self, "u0_list", scan)
         elif not self.u0_list:
             raise ParameterError("u0_list must be nonempty")
+        for u0 in self.u0_list:
+            replace(self.config, u0=u0)  # checks u0 against the thresholds
 
     @property
     def p_values(self):
@@ -154,37 +157,34 @@ def classify_existence(
     constant: r_max was too small to classify and the cell is reported as
     numerical_failure rather than as (spurious) persistence.
     The excursion is measured at the integrator's accepted step ends.
+    A center value outside (zero_threshold, blowup_threshold) of config
+    raises ParameterError.
     """
+    for u0 in u0_list:
+        replace(config, u0=u0)  # checks u0 against the thresholds
     return _classify_batch([params], space, config, u0_list)[0]
 
 
 def _classify_batch(params_list, space, config, u0_list):
     """classify_existence for every parameter point, with all points and
     center values integrated as one batch by shoot_batch."""
-    u0_valid = []
-    for u0 in u0_list:
-        try:
-            replace(config, u0=u0)
-        except ParameterError:
-            continue  # a center value the configuration rejects is a failed run
-        u0_valid.append(u0)
-    invalid = len(u0_valid) < len(u0_list)
     kinds, radii, moved = shoot_batch(
-        [prm for prm in params_list for _ in u0_valid],
-        [u0 for _ in params_list for u0 in u0_valid],
+        [prm for prm in params_list for _ in u0_list],
+        [u0 for _ in params_list for u0 in u0_list],
         space,
         config,
     )
-    shape = (len(params_list), len(u0_valid))
+    shape = (len(params_list), len(u0_list))
     return [
-        _verdict(*runs, invalid)
+        _verdict(*runs)
         for runs in zip(kinds.reshape(shape), radii.reshape(shape), moved.reshape(shape))
     ]
 
 
-def _verdict(kinds, radii, moved, failed):
+def _verdict(kinds, radii, moved):
     """Cell classification from its runs' termination kinds, radii and
     relative excursions (see classify_existence)."""
+    failed = False
     terminal = []
     for kind, r, excursion in zip(kinds, radii, moved):
         if kind == "reached_rmax":

@@ -63,6 +63,9 @@ def scipy_reference(params, space, config):
     r_start = _SERIES_FRACTION * config.r_max
     u0 = config.u0
     y0 = [_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start)]
+    zt, bt = config.zero_threshold, config.blowup_threshold
+    if not (zt < y0[0] and abs(y0[0]) < bt and abs(y0[1]) < bt):
+        raise ParameterError(f"series start {y0} at r = {r_start} is past an event")
     u_floor = 0.5 * config.zero_threshold  # Lipschitz continuation below the zero event
 
     if space.K == 0:
@@ -135,7 +138,6 @@ def scipy_reference(params, space, config):
     u[head] = _series_u(p, a, sig, n, u0, rs[head])
     w[head] = _series_w(a, sig, n, u0, rs[head])
     u[~head], w[~head] = sol.sol(rs[~head])
-    du = np.sign(w) * np.abs(w) ** inv_pm1
 
     return pl.RadialSolution(
         params=params,
@@ -143,7 +145,6 @@ def scipy_reference(params, space, config):
         config=config,
         r=rs,
         u=u,
-        du=du,
         w=w,
         termination=termination,
     )

@@ -240,7 +240,6 @@ def test_criterion_08_harnack(flat3):
         config=pl.ShootingConfig(u0=1.0, r_max=2.0, output_points=101),
         r=r,
         u=np.ones_like(r),
-        du=np.zeros_like(r),
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 2.0),
     )

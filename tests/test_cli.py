@@ -320,16 +320,18 @@ def test_check_accepts_only_its_own_flags(kind, flag, sinc_csv, capsys):
 
 
 def test_check_corrupted_solution_fails(sinc_csv, tmp_path):
-    """Scaling du and w so that f halves must trip the pointwise check."""
-    lines = open(sinc_csv).read().splitlines()
-    c = 1 / math.sqrt(2.0)  # f = |(p-1) du / u|^p scales by 1/2 at p = 2
+    """Scaling w, and with it the derived du, so that f halves must trip
+    the pointwise check."""
+    with open(sinc_csv) as fh:
+        lines = fh.read().splitlines()
+    c = 1 / math.sqrt(2.0)  # f = |(p-1) du / u|^p scales by 1/2 at p = 2, where du = w
     rows = []
     for ln in lines:
         if ln.startswith("#") or ln.startswith("r,"):
             rows.append(ln)
         else:
-            r, u, du, w = ln.split(",")
-            rows.append(f"{r},{u},{float(du) * c:.17g},{float(w) * c:.17g}")
+            r, u, w = ln.split(",")
+            rows.append(f"{r},{u},{float(w) * c:.17g}")
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(rows) + "\n")
     assert run("check", "bochner", "--solution", str(bad), "--R", "2") == 1
@@ -460,6 +462,24 @@ def test_sweep_non_finite_range_is_invalid(flag, value, tmp_path, capsys):
     )
     assert code == 2
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+def test_sweep_center_value_beyond_threshold_is_invalid(tmp_path, capsys):
+    """At K > 0 the default scan u0/4, u0, 4 u0 with u0 = 3e7 puts 1.2e8
+    above the blow-up threshold: the sweep is invalid input, not a table of
+    unexplained numerical failures."""
+    out = tmp_path / "t.csv"
+    code = run(
+        "sweep", "--n", "3", "--a-sign", "1", "--K", "1", "--u0", "3e7",
+        "--p-min", "2", "--p-max", "2.5", "--p-step", "0.25",
+        "--sigma-min", "1", "--sigma-max", "1.5", "--sigma-step", "0.25",
+        "--r-max", "10", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "center value u0 = 120000000.0 is outside" in err
+    assert "blowup_threshold) = (1e-08, 100000000.0)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["gradient", "harnack", "caccioppoli", "sobolev"])

@@ -132,6 +132,27 @@ def test_overflowing_run_fails_without_stalling_its_batch():
     assert abs(radii[1] - np.pi) < 1e-6
 
 
+NAN_STEP_BATCH = """
+import json
+import plaplab as pl
+flat = pl.ModelSpace(n=3)
+params = [pl.EquationParams(3, 2.0, 1.0, 1.0), pl.EquationParams(3, 1.5, -1.0, 2.0)]
+kinds, radii, _ = pl.shoot_batch(params, [1.0, 2.0], flat, pl.ShootingConfig(r_max=1e-303))
+print(json.dumps([kinds.tolist(), radii.tolist()]))
+"""
+
+
+def test_nan_initial_step_fails_without_stalling_its_batch():
+    """At r_max = 1e-303 every start is finite and inside the thresholds,
+    but the warp term (n-1)/r overflows at r = 1e-309, so each run's
+    initial step is nan.  A nan step counts as below the step floor: both
+    runs end as step_failure at the start instead of stepping forever."""
+    proc = run_bounded("-W", "error", "-c", NAN_STEP_BATCH)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [["step_failure", "step_failure"], [1e-309, 1e-309]]
+
+
 def random_step(rng, t_scale):
     """(t_old, t_new, y_old, Q) of one step as shoot_batch holds it, with
     random stage combinations, and thresholds zt and bt that the zero and

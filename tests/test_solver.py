@@ -12,6 +12,7 @@ from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
 from plaplab.errors import ParameterError, SolutionFormatError
+from plaplab.solver import _du_from_flux
 
 from conftest import run_bounded, scipy_reference, sinc
 
@@ -141,6 +142,83 @@ def test_reached_rmax_has_no_zero(flat3):
 
 
 # ---------------------------------------------------------------------------
+# closed-form oracle for p != 2: Talenti's bubble at the critical exponent
+
+
+def talenti_bubble(n, p, u0, r):
+    """U = u0 (1 + (lam r)^(p/(p-1)))^(-(n-p)/p) and U', which solve the
+    equation with a = 1 at sigma = p* - 1 = (n(p-1)+p)/(n-p), and lam."""
+    c0 = (n * ((n - p) / (p - 1)) ** (p - 1)) ** ((n - p) / p**2)
+    lam = (u0 / c0) ** (p / (n - p))
+    q = p / (p - 1)
+    base = 1 + (lam * r) ** q
+    u = u0 * base ** (-(n - p) / p)
+    du = -u0 * (n - p) / (p - 1) * lam**q * r ** (q - 1) * base ** (-(n - p) / p - 1)
+    return u, du, lam
+
+
+def critical_params(p, n=3):
+    return pl.EquationParams(n=n, p=p, a=1.0, sigma=(n * (p - 1) + p) / (n - p))
+
+
+@pytest.mark.parametrize(
+    "p, u0, r_max, blowup_threshold",
+    [
+        (1.5, 1.0, 4.0, 1e8),
+        (2.0, 1.0, 4.0, 1e8),
+        (2.5, 1.0, 4.0, 1e8),
+        (2.8, 1.0, 4.0, 1e8),
+        pytest.param(
+            2.8, 3.0, 0.04, 1e20,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the series starts at r = 1e-6 r_max = 4e-8, within the bubble's "
+                "scale 1/lam = 7.5e-8; with the blow-up threshold above its w = -4.9e11 "
+                "the start is accepted and u is 15% off; the start needs to follow 1/lam",
+            ),
+        ),
+    ],
+)
+def test_talenti_bubble(flat3, p, u0, r_max, blowup_threshold):
+    """The profile, its derived du and its CSV record on the exact bubble."""
+    config = pl.ShootingConfig(u0=u0, r_max=r_max, blowup_threshold=blowup_threshold)
+    sol = pl.solve_radial(critical_params(p), flat3, config)
+    u, du, _ = talenti_bubble(3, p, u0, sol.r)
+    assert sol.termination.kind == "reached_rmax"
+    assert np.max(np.abs(sol.u - u) / u) <= 1e-7
+    assert np.max(np.abs(sol.du - du)) / np.max(np.abs(du)) <= 1e-6
+    buf = io.StringIO()
+    pl.write_solution_csv(sol, buf)
+    back = pl.read_solution_csv(io.StringIO(buf.getvalue()))
+    for name in ("r", "u", "du", "w"):
+        assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(sol, name)))
+
+
+@pytest.mark.parametrize(
+    "r_max, start",
+    [
+        pytest.param(4.0, r"r = 4e-06 \(u = -100\.", id="past-zero"),
+        pytest.param(0.04, r"r = 4e-08 \(u = 2\.92\d*, w = -486306618362\.", id="past-blow-up"),
+    ],
+)
+def test_talenti_bubble_start_past_an_event(flat3, r_max, start):
+    """At u0 = 3, p = 2.8 the bubble's scale is 1/lam = 7.5e-8.  The series
+    start r = 1e-6 r_max is beyond it at r_max = 4, where u = -100 is past
+    the zero event, and near it at r_max = 0.04, where |w| = 4.9e11 is past
+    the blow-up event.  Neither event can fire any more, so the start is
+    rejected instead of integrating to r_max as a persisting profile."""
+    params = critical_params(2.8)
+    config = pl.ShootingConfig(u0=3.0, r_max=r_max)
+    assert talenti_bubble(3, 2.8, 3.0, 0.0)[2] > 1 / 4e-6
+    with pytest.raises(ParameterError, match="series start at " + start):
+        pl.solve_radial(params, flat3, config)
+    kinds, radii, _ = pl.shoot_batch([params, params], [3.0, 1.0], flat3, config)
+    assert list(kinds) == ["step_failure", "reached_rmax"]
+    assert radii[0] == 0.0
+    assert pl.classify_existence(params, flat3, config, (3.0,)) == ("numerical_failure", None)
+
+
+# ---------------------------------------------------------------------------
 # scipy's solve_ivp as the oracle of the scalar stepper
 
 
@@ -255,7 +333,6 @@ def test_coefficient_scaling_by_residual_substitution(flat3):
                               zero_threshold=lam * sol.config.zero_threshold),
             r=sol.r,
             u=lam * sol.u,
-            du=lam * sol.du,
             w=lam ** (p - 1) * sol.w,
             termination=sol.termination,
         )
@@ -305,7 +382,6 @@ def test_log_transform_exponential_profile(flat3):
         config=pl.ShootingConfig(u0=1.0, r_max=2.0, output_points=201),
         r=r,
         u=u,
-        du=u.copy(),
         w=u.copy(),
         termination=pl.Termination("reached_rmax", 2.0),
     )
@@ -334,7 +410,6 @@ def test_log_transform_rejects_nonpositive(flat3):
         config=pl.ShootingConfig(u0=1.0, r_max=1.0, output_points=11),
         r=r,
         u=u,
-        du=np.zeros(11),
         w=np.zeros(11),
         termination=pl.Termination("reached_rmax", 1.0),
     )
@@ -354,7 +429,6 @@ def test_constant_profile_is_not_a_solution(flat3):
         config=pl.ShootingConfig(u0=1.0, r_max=2.0, output_points=101),
         r=r,
         u=np.ones_like(r),
-        du=np.zeros_like(r),
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 2.0),
     )
@@ -369,7 +443,6 @@ def test_residual_needs_samples(flat3):
         config=pl.ShootingConfig(u0=1.0, r_max=1.0, output_points=5),
         r=r,
         u=np.ones_like(r),
-        du=np.zeros_like(r),
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 1.0),
     )
@@ -402,24 +475,45 @@ def test_config_rejects_infinite_span():
         pl.ShootingConfig(r_max=math.inf)
 
 
+def _past_an_event(start):
+    return (
+        f"error: series start at r = 4e-06 ({start}) is past the zero or blow-up event "
+        "(zero_threshold = 1e-08, blowup_threshold = 100000000.0); check the configuration"
+    )
+
+
 @pytest.mark.parametrize(
-    "flags",
+    "flags, message",
     [
-        ("--a", "1e308", "--sigma", "3", "--u0", "10"),  # the start overflows to inf
-        ("--a", "1", "--sigma", "2000", "--u0", "2"),  # u0**sigma overflows in the series
+        pytest.param(  # the start overflows to inf
+            ("--a", "1e308", "--sigma", "3", "--u0", "10", "--r-max", "4"),
+            _past_an_event("u = -inf, w = -inf"),
+            id="flags0",
+        ),
+        pytest.param(  # u0**sigma overflows in the series
+            ("--a", "1", "--sigma", "2000", "--u0", "2", "--r-max", "4"),
+            _past_an_event("u = nan, w = nan"),
+            id="flags1",
+        ),
+        pytest.param(  # a finite start inside the thresholds at r = 1e-309,
+            # where (n-1)/r overflows: the first derivative and the initial
+            # step are nan, and a nan step counts as below the step floor
+            ("--a", "1", "--sigma", "1", "--r-max", "1e-303"),
+            "error: integration span collapsed (r_end = 1e-309); check the configuration",
+            id="nan-initial-step",
+        ),
     ],
 )
-def test_overflowing_start_ends_as_invalid_input(flags, tmp_path):
-    """A start state beyond the float range gives a nan step; the solve
+def test_overflowing_start_ends_as_invalid_input(flags, message, tmp_path):
+    """A start state beyond the float range is rejected before the first
+    step, and a start whose first step is nan fails at once: the solve
     ends with exit 2 and one line on stderr instead of retrying forever."""
     proc = run_bounded(
         "-m", "plaplab.cli", "solve", "--n", "3", "--p", "2", *flags,
-        "--r-max", "4", "--out", str(tmp_path / "s.csv"),
+        "--out", str(tmp_path / "s.csv"),
     )
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [
-        "error: integration span collapsed (r_end = 4e-06); check the configuration"
-    ]
+    assert proc.stderr.splitlines() == [message]
 
 
 @pytest.mark.parametrize("flag", ["--a", "--sigma", "--K", "--p", "--r-max"])
@@ -512,53 +606,95 @@ VALID_META = """\
 # termination=hit_zero
 # termination_r=3.1415926223734867
 """
-VALID_ROWS = [
-    "0,1,0,-0",
-    "1.5707963111867433,0.63661977864062869,-0.40528473266127835,-0.40528473266127835",
-    "3.1415926223734867,1.0000000026327382e-08,-0.31830989204867161,-0.31830989204867161",
+# r, u, du, w of each row; a file under the r,u,w header leaves du out
+VALID_FIELDS = [
+    ("0", "1", "0", "-0"),
+    (
+        "1.5707963111867433",
+        "0.63661977864062869",
+        "-0.40528473266127835",
+        "-0.40528473266127835",
+    ),
+    (
+        "3.1415926223734867",
+        "1.0000000026327382e-08",
+        "-0.31830989204867161",
+        "-0.31830989204867161",
+    ),
 ]
+HEADERS = ("r,u,w", "r,u,du,w")
 
 
-def _csv(rows):
-    return VALID_META + "r,u,du,w\n" + "".join(row + "\n" for row in rows)
+def _rows(header):
+    keep = [("r", "u", "du", "w").index(name) for name in header.split(",")]
+    return [",".join(fields[k] for k in keep) for fields in VALID_FIELDS]
 
 
-def _first_row(row):
-    return _csv([row] + VALID_ROWS[1:])
+def _csv(header, rows):
+    return VALID_META + header + "\n" + "".join(row + "\n" for row in rows)
+
+
+def _edit_first(header, edit):
+    """The valid file under header, with its first row replaced by edit
+    applied to that row's list of fields."""
+    rows = _rows(header)
+    rows[0] = edit(rows[0].split(","))
+    return _csv(header, rows)
+
+
+def _malformed(header):
+    """(name, text) of each malformed file built from the valid file under
+    header; each breaks one thing in it."""
+    def with_u(text):
+        return _edit_first(header, lambda f: ",".join([f[0], text] + f[2:]))
+
+    return [
+        ("no-rows", _csv(header, [])),
+        ("wrong-header", _csv("bad,header", _rows(header))),
+        ("short-row", _edit_first(header, lambda f: ",".join(f[:-1]))),
+        ("non-numeric", with_u("one")),
+        ("metadata-without-equals", "# broken line\n" + _csv(header, _rows(header))),
+        ("trailing-comment", _edit_first(header, lambda f: ",".join(f) + " # x")),
+        ("trailing-comma", _edit_first(header, lambda f: ",".join(f) + ",")),
+        ("empty-field", with_u("")),
+        ("tab-separated", _edit_first(header, "\t".join)),
+        ("extra-column", _csv(header, [row + ",0" for row in _rows(header)])),
+        # fields are plain ASCII decimals, although float() takes these two
+        ("digit-separator", with_u("0.9_0")),
+        ("fullwidth-digit", with_u("\uff11")),
+    ]
+
+
+# the r,u,du,w cases keep the ids they had when that was the only header;
+# the first five are the bare fragments these cases once were
+LEGACY_IDS = {
+    "no-rows": "# n=3\nr,u,du,w\n",
+    "wrong-header": "# n=3\nbad,header\n0,1,0,0\n",
+    "short-row": "# n=3\nr,u,du,w\n0,1,0\n",
+    "non-numeric": "# n=3\nr,u,du,w\n0,one,0,0\n",
+    "metadata-without-equals": "# broken line\nr,u,du,w\n0,1,0,0\n",
+    "extra-column": "five-columns",
+}
 
 
 def test_valid_csv_reads():
-    sol = pl.read_solution_csv(io.StringIO(_csv(VALID_ROWS)))
-    assert sol.config == pl.ShootingConfig(r_max=4.0, output_points=5)
-    assert np.array_equal(sol.u, [1.0, 0.63661977864062869, 1.0000000026327382e-08])
+    for header in HEADERS:
+        sol = pl.read_solution_csv(io.StringIO(_csv(header, _rows(header))))
+        assert sol.config == pl.ShootingConfig(r_max=4.0, output_points=5)
+        assert np.array_equal(sol.u, [1.0, 0.63661977864062869, 1.0000000026327382e-08])
+        assert np.array_equal(sol.du, [0.0, -0.40528473266127835, -0.31830989204867161])
 
 
 @pytest.mark.parametrize(
     "text",
-    [
-        "",  # empty
-        # the ids of the next five are the bare fragments these cases once were
-        pytest.param(_csv([]), id="# n=3\nr,u,du,w\n"),  # no rows
-        pytest.param(
-            _csv(VALID_ROWS).replace("r,u,du,w", "bad,header"),
-            id="# n=3\nbad,header\n0,1,0,0\n",
-        ),  # wrong header
-        pytest.param(_first_row("0,1,0"), id="# n=3\nr,u,du,w\n0,1,0\n"),  # short row
-        pytest.param(
-            _first_row("0,one,0,-0"), id="# n=3\nr,u,du,w\n0,one,0,0\n"
-        ),  # non-numeric
-        pytest.param(
-            "# broken line\n" + _csv(VALID_ROWS), id="# broken line\nr,u,du,w\n0,1,0,0\n"
-        ),  # metadata without '='
-        pytest.param(_first_row("0,1,0,-0 # x"), id="trailing-comment"),
-        pytest.param(_first_row("0,1,0,-0,"), id="trailing-comma"),
-        pytest.param(_first_row("0,,0,-0"), id="empty-field"),
-        pytest.param(_first_row("0\t1\t0\t-0"), id="tab-separated"),
-        pytest.param(_csv([row + ",0" for row in VALID_ROWS]), id="five-columns"),
-        # fields are plain ASCII decimals, although float() takes these two
-        pytest.param(_first_row("0,0.9_0,0,-0"), id="digit-separator"),
-        pytest.param(_first_row("0,\uff11,0,-0"), id="fullwidth-digit"),
-    ],
+    [pytest.param("", id="")]  # empty
+    + [
+        pytest.param(text, id=LEGACY_IDS.get(name, name))
+        for name, text in _malformed("r,u,du,w")
+    ]
+    + [pytest.param(text, id="r,u,w-" + name) for name, text in _malformed("r,u,w")]
+    # a legacy du field is parsed as a number before it is dropped
+    + [pytest.param(_edit_first("r,u,du,w", lambda f: "0,1,one,-0"), id="legacy-du-non-numeric")],
 )
 def test_csv_rejects_malformed(text):
     with pytest.raises(SolutionFormatError):
@@ -570,9 +706,9 @@ def test_csv_accepts_loose_layout(sinc_solution):
     after the data read back to the same solution."""
     buf = io.StringIO()
     pl.write_solution_csv(sinc_solution, buf)
-    meta, _, body = buf.getvalue().partition("r,u,du,w\n")
+    meta, _, body = buf.getvalue().partition("r,u,w\n")
     rows = body.splitlines()
-    loose = "r,u,du,w\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n" + meta
+    loose = "r,u,w\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n" + meta
     back = pl.read_solution_csv(io.StringIO(loose))
     assert (back.params, back.space, back.config, back.termination) == (
         sinc_solution.params,
@@ -605,12 +741,12 @@ CSV_VALUES = st.one_of(
 
 @st.composite
 def csv_profiles(draw):
-    """A strictly increasing r from 0 and arbitrary u, du, w."""
+    """A strictly increasing r from 0 and arbitrary u and w."""
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     r = [0.0] + sorted(draw(st.lists(positive, min_size=1, max_size=30, unique=True)))
     m = len(r)
-    u, du, w = (draw(st.lists(CSV_VALUES, min_size=m, max_size=m)) for _ in range(3))
-    return tuple(np.array(col, dtype=float) for col in (r, u, du, w))
+    u, w = (draw(st.lists(CSV_VALUES, min_size=m, max_size=m)) for _ in range(2))
+    return tuple(np.array(col, dtype=float) for col in (r, u, w))
 
 
 def _bits(x):
@@ -618,42 +754,47 @@ def _bits(x):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(profile=csv_profiles(), r_end=CSV_VALUES)
+@given(profile=csv_profiles(), r_end=CSV_VALUES, p=st.sampled_from([1.25, 2.0, 3.5]))
 @example(
     profile=tuple(
         np.array(col, dtype=float)
         for col in (
             [0.0, 5e-324, 1.0, 1.7976931348623157e308],
             [math.nan, -0.0, 5e-324, -1.7976931348623157e308],
-            [math.inf, -math.inf, 0.0, 2.225073858507201e-308],
             [-5e-324, 1e-310, 0.1, 1.7976931348623155e308],
         )
     ),
     r_end=-0.0,
+    p=1.25,
 )
-def test_csv_round_trip_property(sinc_solution, profile, r_end):
-    """Data rows equal the per-value '{:.17g}' text the row-by-row writer
-    produced, and every value, termination radius included, reads back
-    bit for bit."""
-    r, u, du, w = profile
+def test_csv_round_trip_property(sinc_solution, profile, r_end, p):
+    """Data rows equal the per-value '{:.17g}' text of r, u, w that the
+    row-by-row writer produced, every value, termination radius included,
+    reads back bit for bit, and du is the flux helper's output on both
+    sides."""
+    r, u, w = profile
     sol = dataclasses.replace(
         sinc_solution,
+        params=dataclasses.replace(sinc_solution.params, p=p),
         r=r,
         u=u,
-        du=du,
         w=w,
         termination=pl.Termination("reached_rmax", r_end),
     )
     buf = io.StringIO()
     pl.write_solution_csv(sol, buf)
     text = buf.getvalue()
-    expected_rows = [",".join("{:.17g}".format(x) for x in row) for row in zip(r, u, du, w)]
-    assert text.splitlines()[-len(r):] == expected_rows
+    expected_rows = [",".join("{:.17g}".format(x) for x in row) for row in zip(r, u, w)]
+    assert text.splitlines()[-len(r) - 1:] == ["r,u,w"] + expected_rows
     assert "# termination_r={:.17g}\n".format(r_end) in text
     back = pl.read_solution_csv(io.StringIO(text))
-    for name, col in zip(("r", "u", "du", "w"), profile):
+    for name, col in zip(("r", "u", "w"), profile):
         assert np.array_equal(_bits(getattr(back, name)), _bits(col))
     assert _bits(back.termination.r) == _bits(r_end)
+    with np.errstate(all="ignore"):  # the drawn w include values that overflow
+        du = _du_from_flux(w, p)
+        assert np.array_equal(_bits(sol.du), _bits(du))
+        assert np.array_equal(_bits(back.du), _bits(du))
 
 
 # written when ShootingConfig still had a min_step field and Termination a
@@ -730,7 +871,8 @@ RETIRED_KEYS = ("# min_step=", "# termination_detail=")
 )
 def test_csv_with_retired_keys_reads_back(text, config, termination):
     """Retired keys are ignored: each file reads back to the solution its
-    text without those lines gives, and is written back without them."""
+    text without those lines gives, with du derived from w, and is written
+    back without them, under the r,u,w header without its du column."""
     old = pl.read_solution_csv(io.StringIO(text))
     current = "".join(
         ln for ln in text.splitlines(keepends=True) if not ln.startswith(RETIRED_KEYS)
@@ -746,9 +888,15 @@ def test_csv_with_retired_keys_reads_back(text, config, termination):
     )
     for name in ("r", "u", "du", "w"):
         assert np.array_equal(getattr(old, name), getattr(new, name))
+    meta, _, body = current.partition("r,u,du,w\n")
+    rows = [ln.split(",") for ln in body.splitlines()]
+    # the du column these files carry is the derived one, bit for bit
+    assert np.array_equal(_bits(old.du), _bits([float(f[2]) for f in rows]))
+    assert np.array_equal(_bits(old.du), _bits(_du_from_flux(old.w, old.params.p)))
     buf = io.StringIO()
     pl.write_solution_csv(old, buf)
-    assert buf.getvalue() == current
+    expected = meta + "r,u,w\n" + "".join(f"{r},{u},{w}\n" for r, u, _, w in rows)
+    assert buf.getvalue() == expected
 
 
 def test_config_metadata_follows_fields(sinc_solution):

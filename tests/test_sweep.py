@@ -185,6 +185,41 @@ def test_default_scan_centres_on_config_u0():
     assert small_grid(K=1.0).u0_list == (0.25, 1.0, 4.0)
 
 
+@pytest.mark.parametrize(
+    "overrides, value",
+    [
+        # the default scan's 4 u0 at K > 0 reaches the blow-up threshold 1e8
+        (dict(K=1.0, config=pl.ShootingConfig(u0=3e7, r_max=20.0)), "120000000.0"),
+        (dict(u0_list=(1.0, 1e8)), "100000000.0"),
+        (dict(u0_list=(1e-8, 1.0)), "1e-08"),
+    ],
+)
+def test_grid_rejects_center_value_outside_thresholds(overrides, value):
+    """A center value, given or default, outside (zero_threshold,
+    blowup_threshold) is an error in the grid, named with the thresholds."""
+    with pytest.raises(ParameterError) as err:
+        small_grid(**overrides)
+    assert str(err.value) == (
+        f"center value u0 = {value} is outside (zero_threshold, blowup_threshold)"
+        " = (1e-08, 100000000.0)"
+    )
+
+
+def test_grid_rejects_nan_center_value():
+    with pytest.raises(ParameterError, match="u0 must be positive and finite, got nan"):
+        small_grid(u0_list=(1.0, math.nan))
+
+
+def test_classify_existence_rejects_center_value_outside_thresholds(flat3):
+    """classify_existence names a center value outside the thresholds
+    instead of counting its run as a numerical failure."""
+    params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=3.0)
+    config = pl.ShootingConfig(r_max=50.0)
+    assert pl.classify_existence(params, flat3, config, (1.0,))[0] == "zero_hit"
+    with pytest.raises(ParameterError, match=r"center value u0 = 200000000\.0 is outside"):
+        pl.classify_existence(params, flat3, config, (1.0, 2e8))
+
+
 def test_sweep_empty_sigma_range():
     """An inverted range is an error in the grid itself, not an empty sweep."""
     with pytest.raises(ParameterError, match="inverted sigma range"):

@@ -60,7 +60,6 @@ def _constant_record():
         config=pl.ShootingConfig(u0=1.0, r_max=4.0, output_points=401),
         r=r,
         u=np.ones_like(r),
-        du=np.zeros_like(r),
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 4.0),
     )
@@ -143,7 +142,6 @@ def _synthetic_log_solution(a=1e-12, sigma=2.0):
         config=pl.ShootingConfig(u0=1.3, r_max=3.0, output_points=1501),
         r=r,
         u=u,
-        du=du,
         w=du.copy(),
         termination=pl.Termination("reached_rmax", 3.0),
     )
