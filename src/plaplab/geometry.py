@@ -67,16 +67,17 @@ def warp_log_derivative(space: ModelSpace, r):
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0):
         raise ParameterError("warp_log_derivative requires r > 0")
-    out = _warp_log_derivative(space.K, r)
+    out = _log_warp(space.K)(r)
     return out if out.ndim else float(out)
 
 
-def _warp_log_derivative(K, r):
-    """warp_log_derivative on an array r > 0, unchecked."""
+def _log_warp(K, tanh=np.tanh):
+    """The function r -> s_K'(r)/s_K(r) for r > 0, unchecked: on arrays, or
+    on floats with tanh=math.tanh."""
     if K == 0:
-        return 1.0 / r
+        return lambda r: 1.0 / r
     rk = math.sqrt(K)
-    return rk / np.tanh(rk * r)
+    return lambda r: rk / tanh(rk * r)
 
 
 def radial_p_laplacian(p: float, space: ModelSpace, du, d2u, r):

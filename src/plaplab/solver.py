@@ -19,14 +19,13 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from types import SimpleNamespace
 from typing import get_type_hints
 
 import numpy as np
 
 from ._fd import fd4_first, fd4_second
 from .errors import ParameterError, SolutionFormatError, _require_integer
-from .geometry import ModelSpace, _warp_log_derivative, radial_p_laplacian, warp
+from .geometry import ModelSpace, _log_warp, radial_p_laplacian, warp
 from .thresholds import EquationParams
 
 __all__ = [
@@ -200,17 +199,7 @@ def solve_radial(
     rtol, atol = max(config.rel_tol, 100 * _EPS), config.abs_tol
     r_start = _SERIES_FRACTION * r_max
     u_floor = 0.5 * zt  # Lipschitz continuation below the zero event
-
-    if space.K == 0:
-
-        def log_warp(r):
-            return 1.0 / r
-
-    else:
-        rk = math.sqrt(space.K)
-
-        def log_warp(r):
-            return rk / math.tanh(rk * r)
+    log_warp = _log_warp(space.K, math.tanh)
 
     def rhs(r, u, w):
         u_eff = u if u > u_floor else u_floor
@@ -221,7 +210,7 @@ def solve_radial(
             return math.nan, math.nan
         return du, dw
 
-    def rhs_columns(t, y, _):
+    def rhs_columns(t, y):
         return np.array(rhs(t[0], y[0, 0], y[1, 0]))[:, None]
 
     t = r_start
@@ -236,9 +225,9 @@ def solve_radial(
             "check the configuration"
         )
     ku1, kw1 = rhs(t, u, w)
-    start = SimpleNamespace(t=np.array([t]), y=np.array([[u], [w]]), f=np.array([[ku1], [kw1]]))
+    start = (np.array([t]), np.array([[u], [w]]), np.array([[ku1], [kw1]]))
     with np.errstate(all="ignore"):  # an overflowing stage gives a nan step, which fails
-        h_abs = float(_initial_step(rhs_columns, start, r_max - r_start, rtol, atol)[0])
+        h_abs = float(_initial_step(rhs_columns, *start, r_max - r_start, rtol, atol)[0])
 
     c2, c3, c4, c5, c6 = _DP_C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
@@ -359,8 +348,8 @@ def solve_radial(
 # Tableau, error norm, initial step and step controller are those of
 # scipy.integrate's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
 # Hairer, Norsett & Wanner, Solving ODEs I, II.4 and II.6), so both take
-# scipy's step sequence.  In shoot_batch stage sums run left to right
-# elementwise: no reduction crosses runs, so a run's result does not depend
+# scipy's step sequence.  In shoot_batch every operation is elementwise
+# across runs: no reduction crosses runs, so a run's result does not depend
 # on the rest of its batch.
 
 _DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
@@ -412,13 +401,22 @@ _KIND_NAMES = np.asarray(Termination.KINDS)
 _REACHED, _ZERO, _BLOW, _FAILED = range(4)  # positions in Termination.KINDS
 
 
-def _combine(coeffs, stages):
-    """sum_k coeffs[k] stages[k], accumulated left to right."""
-    total = None
-    for c, k in zip(coeffs, stages):
-        if c:
-            total = c * k if total is None else total + c * k
-    return total
+# shoot_batch keeps a step's seven stages in one array, in the order k2, k1,
+# k3, ..., k7, and sums them with np.add.reduce over the leading axis from
+# -0.0: numpy adds along a slow axis one row after another, -0.0 + x = x, and
+# a2 k2 + a1 k1 = a1 k1 + a2 k2, so each sum equals the left-to-right sum of
+# the tableau's nonzero terms bit for bit.  B, E and the dense output weigh
+# k2 by zero: they sum rows 1 to 6.
+_A_ROWS = tuple(np.array((*row[1::-1], *row[2:]))[:, None, None] for row in _DP_A[1:])
+_B_ROWS = np.array((_DP_B[0], *_DP_B[2:]))[:, None, None]
+_E_ROWS = np.array((_DP_E[0], *_DP_E[2:]))[:, None, None]
+_P_ROWS = tuple(np.array((row[0], *row[2:]))[:, None, None] for row in _DP_P[1:])
+_STAGE_C = np.array((*_DP_C, 1.0))[:, None]  # stages 2 to 7 sit at t + c h
+
+
+def _stage_sum(coeffs, stages):
+    """sum_k coeffs[k] stages[k] over the leading axis, added in order."""
+    return np.add.reduce(coeffs * stages, axis=0, initial=-0.0)
 
 
 def _rms(y):
@@ -430,21 +428,18 @@ def _max_abs(y):
     return np.maximum(np.abs(y[0]), np.abs(y[1]))
 
 
-def _keep(runs, mask):
-    """Drop the runs outside mask from every per-run array."""
-    for name, value in vars(runs).items():
-        setattr(runs, name, value[..., mask])
-
-
 def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     """Shoot many radial runs at once: run i solves params[i] from center
     value u0[i] on ``space``, with ``config`` for everything but u0.
 
     The runs advance in lockstep, each with its own adaptive step, and
-    leave the batch as they finish.  Zero and blow-up events are located on
-    the dense-output polynomial of the step in which the event function
-    changed sign, by bisection to scipy's 4 eps tolerance; when both fire in
-    one step the earlier wins.  No profile is kept.
+    leave the batch as they finish.  A lockstep step is a fixed sequence of
+    numpy calls on arrays with one column per live run: the damping term
+    at all six stage radii at once, one reduction per stage sum, and one
+    masked copy that accepts the steps.  Zero and blow-up events are
+    located on the dense-output polynomial of the step in which the event
+    function changed sign, by bisection to scipy's 4 eps tolerance; when
+    both fire in one step the earlier wins.  No profile is kept.
 
     Returns three arrays with one entry per run: the termination kind (one
     of Termination.KINDS, as solve_radial classifies it, with a collapsed
@@ -474,117 +469,111 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     r_start = _SERIES_FRACTION * r_max
     p, a, sig = (np.array([getattr(x, k) for x in params]) for k in ("p", "a", "sigma"))
 
-    def rhs(t, y, runs):
-        u, w = y
-        out = np.empty_like(y)
-        np.copysign(np.abs(w) ** runs.inv_pm1, w, out=out[0])
-        u_eff = np.where(u > u_floor, u, u_floor)
-        lam = _warp_log_derivative(space.K, t)
-        np.subtract(runs.neg_a * u_eff**runs.sig, ((n - 1) * lam) * w, out=out[1])
+    log_warp = _log_warp(space.K)
+
+    def rhs(y, damping, consts, out):
+        """(u', w') into out, with damping = (n-1) s'/s at the stage radii."""
+        neg_a, sigma, inv_pm1 = consts
+        np.copysign(np.abs(y[1]) ** inv_pm1, y[1], out=out[0])
+        np.subtract(neg_a * np.fmax(y[0], u_floor) ** sigma, damping * y[1], out=out[1])
         return out
 
     fired = []  # per lockstep iteration: the steps in which an event fired
     with np.errstate(all="ignore"):  # overflow and nan end a run, as in scipy
-        y0 = (_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start))
-        runs = SimpleNamespace(
-            index=np.arange(m),
-            neg_a=-a,
-            sig=sig,
-            inv_pm1=1.0 / (p - 1.0),
-            u0=u0,
-            t=np.full(m, r_start),
-            y=np.stack(y0),
-            retry=np.zeros(m, dtype=bool),  # the last attempt was rejected
-            moved=np.zeros(m),
-        )
+        y0 = np.stack((_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start)))
         # a start that solve_radial rejects is a step failure at radius 0
-        _keep(runs, _start_inside(*y0, zt, bt))
-        runs.f = rhs(runs.t, runs.y, runs)
-        runs.g_zero = runs.y[0] - zt
-        runs.g_blow = bt - _max_abs(runs.y)
-        runs.h_abs = _initial_step(rhs, runs, r_max - r_start, rtol, atol)
-        while runs.index.size:
-            t, y = runs.t, runs.y
-            h_floor = 10 * np.abs(np.nextafter(t, np.inf) - t)
-            below = ~(runs.h_abs >= h_floor)  # a nan step is below the floor too
-            h_abs = np.where(below, h_floor, runs.h_abs)
-            failed = runs.retry & below
-            t_new = t + h_abs
-            t_new = np.where(t_new > r_max, r_max, t_new)
-            h = t_new - t
-            stages = [runs.f]
-            for c, coeffs in zip(_DP_C, _DP_A):
-                stages.append(rhs(t + c * h, y + _combine(coeffs, stages) * h, runs))
-            y_new = y + h * _combine(_DP_B, stages)
-            f_new = rhs(t + h, y_new, runs)
-            stages.append(f_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(_combine(_DP_E, stages) * h / scale)
+        index = np.flatnonzero(_start_inside(*y0, zt, bt))
+        consts, y0 = np.stack((-a, sig, 1.0 / (p - 1.0)))[:, index], y0[:, index]
+        t0 = np.full(index.size, r_start)
 
-            # step control, no growth right after a rejection; the
-            # comparisons keep the nan behaviour of Python's min and max
+        def rhs_at(t, y):
+            return rhs(y, (n - 1) * log_warp(t), consts, np.empty_like(y))
+
+        f0 = rhs_at(t0, y0)
+        h0 = _initial_step(rhs_at, t0, y0, f0, r_max - r_start, rtol, atol)
+        # one column per live run, one row per quantity: t, u, w, u', w', the
+        # zero and blow-up functions, the excursion, the step size, -a, sigma,
+        # 1/(p-1), u0.  Rows 0-7 are what an accepted step replaces, so
+        # accepting steps and dropping finished runs are one numpy call each
+        state = np.vstack(
+            (t0, y0, f0, y0[0] - zt, bt - _max_abs(y0), np.zeros(index.size), h0, consts, u0[index])
+        )
+        retry = np.zeros(index.size, dtype=bool)  # the last attempt was rejected
+        while index.size:
+            t, _, _, _, _, _, _, excursion, h_abs, *consts, u0_run = state
+            y, f, g = state[1:3], state[3:5], state[5:7]  # g: zero and blow-up functions
+            new = np.empty((8, index.size))  # rows 0-7 of state after the step
+            h_floor = 10 * np.spacing(t)
+            below = ~(h_abs >= h_floor)  # a nan step is below the floor too
+            failed = retry & below
+            t_new = np.minimum(t + np.fmax(h_abs, h_floor), r_max, out=new[0])
+            h = t_new - t
+            damping = (n - 1) * log_warp(t + _STAGE_C * h)
+            stages = np.empty((7, *y.shape))  # k2, k1, k3, ..., k7
+            stages[1] = f
+            rhs(y + (_DP_A[0][0] * f) * h, damping[0], consts, stages[0])
+            for s, coeffs in enumerate(_A_ROWS, start=2):
+                rhs(y + _stage_sum(coeffs, stages[:s]) * h, damping[s - 1], consts, stages[s])
+            y_new = np.add(y, h * _stage_sum(_B_ROWS, stages[1:6]), out=new[1:3])
+            new[3:5] = rhs(y_new, damping[5], consts, stages[6])
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(_stage_sum(_E_ROWS, stages[1:]) * h / scale)
+
+            # step control, no growth right after a rejection; fmin and fmax
+            # clamp a nan factor as Python's min and max do in solve_radial,
+            # and error 0 gives an infinite factor, clamped to _MAX_FACTOR
             accepted = (error < 1) & ~failed
             factor = _SAFETY * error**_ERROR_EXPONENT
-            grow = np.where(factor < _MAX_FACTOR, factor, _MAX_FACTOR)
-            grow = np.where(error == 0, _MAX_FACTOR, grow)
-            grow = np.where(runs.retry & ~(grow < 1), 1.0, grow)
-            shrink = np.where(factor > _MIN_FACTOR, factor, _MIN_FACTOR)
-            runs.h_abs = h * np.where(accepted, grow, shrink)
-            runs.retry = ~accepted
+            grow = np.fmin(factor, np.where(retry, 1.0, _MAX_FACTOR))
+            np.multiply(h, np.where(accepted, grow, np.fmax(factor, _MIN_FACTOR)), out=h_abs)
+            retry = ~accepted
 
-            g_zero = y_new[0] - zt
-            g_blow = bt - _max_abs(y_new)
-            fire_zero = accepted & (runs.g_zero >= 0) & (g_zero <= 0)
-            fire_blow = accepted & (runs.g_blow >= 0) & (g_blow <= 0)
-            event = fire_zero | fire_blow
+            np.subtract(y_new[0], zt, out=new[5])
+            np.subtract(bt, _max_abs(y_new), out=new[6])
+            fire = accepted & (g >= 0) & (new[5:7] <= 0)
+            event = fire[0] | fire[1]
             if event.any():
-                at = [stage[:, event] for stage in stages]
-                dense = np.stack([_combine(row, at) for row in _DP_P])
                 fired.append(
-                    (runs.index[event], t[event], t_new[event], y[:, event], dense,
-                     fire_zero[event], fire_blow[event])
+                    (index[event], t[event], t_new[event], y[:, event], stages[1:, :, event],
+                     fire[:, event])
                 )
-            excursion = np.maximum(runs.moved, np.abs(y_new[0] - runs.u0))
-            runs.moved = np.where(accepted, excursion, runs.moved)
-            runs.t = np.where(accepted, t_new, t)
-            runs.y = np.where(accepted, y_new, y)
-            runs.f = np.where(accepted, f_new, runs.f)
-            runs.g_zero = np.where(accepted, g_zero, runs.g_zero)
-            runs.g_blow = np.where(accepted, g_blow, runs.g_blow)
+            np.maximum(excursion, np.abs(y_new[0] - u0_run), out=new[7])
+            np.copyto(state[:8], new, where=accepted)
 
             finished = accepted & ~event & (t_new >= r_max)
             done = event | finished | failed
             if not done.any():
                 continue
-            kind[runs.index[finished]] = _REACHED
-            r_end[runs.index[finished]] = r_max
-            moved[runs.index[done]] = runs.moved[done] / runs.u0[done]
+            kind[index[finished]] = _REACHED
+            r_end[index[finished]] = r_max
+            moved[index[done]] = excursion[done] / u0_run[done]
             # a failing step close to the blow-up threshold is a blow-up
-            blown = _max_abs(runs.y[:, failed]) >= 0.99 * bt
-            kind[runs.index[failed]] = np.where(blown, _BLOW, _FAILED)
-            r_end[runs.index[failed]] = runs.t[failed]
-            _keep(runs, ~done)
+            blown = _max_abs(y[:, failed]) >= 0.99 * bt
+            kind[index[failed]] = np.where(blown, _BLOW, _FAILED)
+            r_end[index[failed]] = t[failed]
+            keep = ~done
+            state, index, retry = state[:, keep], index[keep], retry[keep]
 
         if fired:
-            index, *step, fire_zero, fire_blow = (
+            index, t_old, t_new, y_old, at, fire = (
                 np.concatenate(part, axis=-1) for part in zip(*fired)
             )
-            hit, r_end[index] = _first_event(step, fire_zero, fire_blow, zt, bt)
+            q = np.stack((at[0], *(_stage_sum(row, at) for row in _P_ROWS)))
+            hit, r_end[index] = _first_event((t_old, t_new, y_old, q), *fire, zt, bt)
             kind[index] = np.where(hit, _ZERO, _BLOW)
 
     kind[r_end <= r_start] = _FAILED  # collapsed span: nothing was integrated
     return _KIND_NAMES[kind], r_end, moved
 
 
-def _initial_step(rhs, runs, interval, rtol, atol):
+def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):
     """scipy's select_initial_step (Hairer, Norsett & Wanner II.4), per run."""
-    t0, y0, f0 = runs.t, runs.y, runs.f
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.where(interval < h0, interval, h0)
-    f1 = rhs(t0 + h0, y0 + h0 * f0, runs)
+    f1 = rhs(t0 + h0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     h1 = np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15),

@@ -83,6 +83,131 @@ def test_runs_independent_of_batch(flat3):
             assert ours[i] == single[0] == reversed_[-1 - i]
 
 
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    K=st.floats(0.0, 4.0),
+    runs=st.lists(
+        st.tuples(
+            st.floats(1.2, 5.0, exclude_min=True, exclude_max=True),
+            st.sampled_from([1.0, -1.0]),
+            st.floats(0.1, 6.0, exclude_min=True, exclude_max=True),
+            st.floats(0.25, 4.0),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_runs_independent_of_shuffled_batch(K, runs, data):
+    """Each run alone equals itself inside a shuffled batch, bit for bit,
+    on flat and curved spaces: no run's arithmetic reads another run."""
+    space = pl.ModelSpace(n=3, K=K)
+    config = pl.ShootingConfig(r_max=20.0)
+    order = data.draw(st.permutations(range(len(runs))))
+
+    def shoot(subset):
+        params = [pl.EquationParams(n=3, p=p, a=a, sigma=s) for p, a, s, _ in subset]
+        kinds, radii, moved = shoot_batch(params, [c for *_, c in subset], space, config)
+        return [(str(k), float(r).hex(), float(x).hex()) for k, r, x in zip(kinds, radii, moved)]
+
+    batch = shoot([runs[i] for i in order])
+    for position, i in enumerate(order):
+        assert batch[position] == shoot([runs[i]])[0]
+
+
+# shoot_batch's (kind, r_end, excursion) per run, r_end and the excursion as
+# float.hex, on GOLDEN_PARAMS x GOLDEN_U0 at r_max = 10 for each K
+GOLDEN_PARAMS = (
+    (1.5, 1.0, 1.0),
+    (1.5, -1.0, 3.0),
+    (3.0, 1.0, 1.0),
+    (1.2, -1.0, 3.0),
+    (4.0, -1.0, 2.0),
+    (2.0, 1.0, 0.5),
+)
+GOLDEN_U0 = (0.25, 1.0, 4.0)
+GOLDEN = {
+    0.0: """
+hit_zero 0x1.a5c2cda96c51cp+2 0x1.0023d1bc88268p+0
+hit_zero 0x1.09b158adf0232p+2 0x1.0292167b79855p+0
+hit_zero 0x1.4ec07cbd25984p+1 0x1.001f008f33e0bp+0
+reached_rmax 0x1.4000000000000p+3 0x1.395e4d066a0e0p-5
+blow_up 0x1.38f52bab3d114p+1 0x1.06b75b9f52c5bp+20
+blow_up 0x1.f0ca14b12b8e4p-3 0x1.0ca9dca2cb4b3p+18
+hit_zero 0x1.699b708a2d7a2p+0 0x1.00397cd6b2cebp+0
+hit_zero 0x1.1f02008e9792ap+1 0x1.002ae28294c49p+0
+hit_zero 0x1.c798b574cf662p+1 0x1.001d4b6079e02p+0
+reached_rmax 0x1.4000000000000p+3 0x1.56ef9ede80000p-19
+step_failure 0x1.61a5ff0df94a9p+1 0x1.0f32485305736p+18
+step_failure 0x1.bd91b00b8b8aep-4 0x1.24c59fcd0d6a3p+18
+reached_rmax 0x1.4000000000000p+3 0x1.3ea74de11023dp+7
+reached_rmax 0x1.4000000000000p+3 0x1.ce34769ad4b75p+5
+reached_rmax 0x1.4000000000000p+3 0x1.7134caabe50fbp+4
+hit_zero 0x1.f24aa3a2fe06fp+0 0x1.0000322f8f00cp+0
+hit_zero 0x1.605868bfc25f8p+1 0x1.00002fbe05d5fp+0
+hit_zero 0x1.f24aa486f0bacp+1 0x1.000183353f3d7p+0
+""",
+    1.0: """
+reached_rmax 0x1.4000000000000p+3 0x1.703657e5481e2p-2
+reached_rmax 0x1.4000000000000p+3 0x1.6b8afec06a068p-1
+reached_rmax 0x1.4000000000000p+3 0x1.d6ce006066a67p-1
+reached_rmax 0x1.4000000000000p+3 0x1.13cb2b8cb8200p-9
+blow_up 0x1.7924164b7e0eep+1 0x1.0d185dd87b057p+20
+blow_up 0x1.f1af11f1a6b02p-3 0x1.0b95de620401dp+18
+hit_zero 0x1.7d3229b2635f6p+0 0x1.00313acd36287p+0
+hit_zero 0x1.47a728f9aa2b2p+1 0x1.001a17c9e8a05p+0
+hit_zero 0x1.37006f61c771ep+2 0x1.0006eaf258949p+0
+reached_rmax 0x1.4000000000000p+3 0x1.fe06e00000000p-31
+step_failure 0x1.6afb1b68d2fcbp+2 0x1.8a2004a0d3b74p+17
+step_failure 0x1.bde463d4d7153p-4 0x1.26b401ffbec92p+18
+reached_rmax 0x1.4000000000000p+3 0x1.7d359363cb1b3p+6
+reached_rmax 0x1.4000000000000p+3 0x1.17c0e15af98bcp+5
+reached_rmax 0x1.4000000000000p+3 0x1.c64ade6bf4db6p+3
+hit_zero 0x1.260c5dd616634p+1 0x1.000063d051823p+0
+hit_zero 0x1.f1021bbb8fa4bp+1 0x1.00004e387f2b9p+0
+hit_zero 0x1.db7958646df16p+2 0x1.00004b6c2bc40p+0
+""",
+    4.0: """
+reached_rmax 0x1.4000000000000p+3 0x1.0510e4c945bdcp-3
+reached_rmax 0x1.4000000000000p+3 0x1.7dc4308f453dap-2
+reached_rmax 0x1.4000000000000p+3 0x1.6cb9c82385d32p-1
+reached_rmax 0x1.4000000000000p+3 0x1.2999d59a83000p-11
+blow_up 0x1.38438e97ca320p+2 0x1.0a93699b77c43p+20
+blow_up 0x1.f46182806858ep-3 0x1.07b8aaa9f2a78p+18
+hit_zero 0x1.bc9cf76975fd4p+0 0x1.002631a857bf2p+0
+hit_zero 0x1.bd92324c2c9b8p+1 0x1.000bf0affae97p+0
+hit_zero 0x1.d1ce3c23dd254p+2 0x1.0004edb5bb2d3p+0
+reached_rmax 0x1.4000000000000p+3 0x1.1f81800000000p-35
+reached_rmax 0x1.4000000000000p+3 0x1.32f991cccf400p-7
+step_failure 0x1.bedd7755276d0p-4 0x1.18d8b3b865b23p+18
+reached_rmax 0x1.4000000000000p+3 0x1.0911f96bce70dp+6
+reached_rmax 0x1.4000000000000p+3 0x1.8d04394d8be6fp+4
+reached_rmax 0x1.4000000000000p+3 0x1.4a5af02288438p+3
+hit_zero 0x1.db79540840af1p+1 0x1.0000893632413p+0
+hit_zero 0x1.e156bfafc3c32p+2 0x1.000003e48a38ap+0
+reached_rmax 0x1.4000000000000p+3 0x1.b1447210051c1p-1
+""",
+}
+
+
+@pytest.mark.parametrize("K", sorted(GOLDEN))
+def test_batch_matches_golden_bits(K):
+    """A mixed batch (every termination kind, a = +-1) ends bit for bit as
+    recorded.  The sweep reference tables compare r_star only to 1e-8
+    relative; a reordered stage sum or a changed clamp in the lockstep loop
+    shows here in the last bit of some run."""
+    params = [pl.EquationParams(n=3, p=p, a=a, sigma=s) for p, a, s in GOLDEN_PARAMS]
+    kinds, radii, moved = shoot_batch(
+        [prm for prm in params for _ in GOLDEN_U0],
+        [u0 for _ in params for u0 in GOLDEN_U0],
+        pl.ModelSpace(n=3, K=K),
+        pl.ShootingConfig(r_max=10.0),
+    )
+    ours = [f"{k} {float(r).hex()} {float(x).hex()}" for k, r, x in zip(kinds, radii, moved)]
+    assert ours == GOLDEN[K].split("\n")[1:-1]
+    assert set(kinds) == set(pl.Termination.KINDS)
+
+
 def test_reached_rmax_excursion_matches_profile(flat3):
     """The running excursion equals max |u - u0| / u0 of the resampled
     profile: both are taken at r_max for a monotone profile."""

@@ -255,6 +255,30 @@ def test_negative_a_column_blows_up():
     assert pl.compare_with_theory(table).contradiction_count == 0
 
 
+def test_curved_failures_are_small_center_values_that_barely_move():
+    """On the 264-cell grid at K = 1, a = -1, r_max = 50 with center values
+    0.25, 1 and 4, 17 cells fail, all for one reason: the u0 = 0.25 run
+    reaches r_max within _MOVE_TOL of its center value, so it neither
+    persists nor ends, while u0 = 1 and u0 = 4 blow up."""
+    from plaplab.solver import shoot_batch
+    from plaplab.sweep import _MOVE_TOL
+
+    grid = small_grid(a_sign=-1.0, K=1.0, p_min=1.5, p_max=4.0, p_step=0.25, sigma_min=0.25,
+                      sigma_max=6.0, sigma_step=0.25, config=pl.ShootingConfig(r_max=50.0))
+    assert grid.u0_list == (0.25, 1.0, 4.0)
+    failing = [c for c in pl.sweep(grid) if c.classification == "numerical_failure"]
+    assert len(failing) == 17
+    params = [pl.EquationParams(n=3, p=c.p, a=-1.0, sigma=c.sigma) for c in failing]
+    kinds, _, moved = shoot_batch(
+        [prm for prm in params for _ in grid.u0_list],
+        [u0 for _ in params for u0 in grid.u0_list],
+        pl.ModelSpace(n=3, K=1.0),
+        grid.config,
+    )
+    assert kinds.reshape(-1, 3).tolist() == [["reached_rmax", "blow_up", "blow_up"]] * 17
+    assert all(0 < x < _MOVE_TOL for x in moved[::3])
+
+
 def test_monotone_zero_radius_in_sigma():
     grid = small_grid(sigma_min=0.5, sigma_max=2.5, sigma_step=0.5,
                       config=pl.ShootingConfig(u0=1.0, r_max=50.0))
