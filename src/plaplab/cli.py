@@ -10,12 +10,13 @@ Four subcommands expose the library with file-based inputs and outputs:
 The options of thresholds, solve and sweep are the fields of the library's
 dataclasses, and may also come from a flat key=value configuration file
 (``--config``); explicit flags win over file values, and a file key that
-names no option is invalid input.  Each check kind takes only the flags it
-reads.  Exit codes are total: 0 on success or a passing check, 1 when a
-check fails (or a sweep finds contradictions), 2 on invalid input, 3 on
-numerical or I/O failure.  There is no randomness anywhere, so identical
-inputs reproduce identical outputs bitwise on a fixed floating-point
-platform.
+names no option is invalid input.  A check kind takes --solution, --R and
+--out, and caccioppoli also --b, its test-function exponent; the checkers'
+tolerances and grids are fixed.  thresholds and check write JSON.  Exit
+codes are total: 0 on success or a passing check, 1 when a check fails (or
+a sweep finds contradictions), 2 on invalid input, 3 on numerical or I/O
+failure.  There is no randomness anywhere, so identical inputs reproduce
+identical outputs bitwise on a fixed floating-point platform.
 """
 
 from __future__ import annotations
@@ -47,15 +48,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL_IO = 3
 
-# the flags each check kind reads besides --solution, --R, --out and --format
-CHECK_KINDS = {
-    "gradient": {"theorem": {"choices": ("thm1", "thm2")}},
-    "harnack": {},
-    "bochner": {"tol_rel": {"type": float}},
-    "bochner2": {"tol_rel": {"type": float}},
-    "caccioppoli": {"b": {"type": float}, "quadrature_points": {"type": int}},
-    "sobolev": {},
-}
+# the check kinds; each takes --solution, --R and --out, and caccioppoli --b
+CHECK_KINDS = ("gradient", "harnack", "bochner", "bochner2", "caccioppoli", "sobolev")
 
 
 # config-file keys of removed fields, accepted and ignored so that older
@@ -154,21 +148,13 @@ def _build(cls, values, default=None):
     return cls(**kwargs)
 
 
-def _write_or_print(text, out_path):
+def _write_json(report, out_path):
+    text = json.dumps(report, indent=2)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
     else:
         print(text)
-
-
-def _format_report(report_dict, fmt):
-    if fmt == "json":
-        return json.dumps(report_dict, indent=2)
-    lines = []
-    for key, value in report_dict.items():
-        lines.append(f"{key},{value}")
-    return "\n".join(lines)
 
 
 def cmd_thresholds(args):
@@ -177,7 +163,7 @@ def cmd_thresholds(args):
         report = classify_regime(_build(EquationParams, values)).to_dict()
     else:
         report = regime_constants(*_require(values, "n", "p"))
-    _write_or_print(_format_report(report, args.format), args.out)
+    _write_json(report, args.out)
     return EXIT_OK
 
 
@@ -194,27 +180,20 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _given(args, *names):
-    """The named flags the user gave, as keyword arguments: a flag left out
-    keeps the library's default."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
 def _check_report(args, solution):
     kind = args.kind
     if kind == "gradient":
-        return check_gradient_estimate(solution, args.R, **_given(args, "theorem"))
+        return check_gradient_estimate(solution, args.R)
     if kind == "harnack":
         return check_harnack(solution, args.R)
     if kind in ("bochner", "bochner2"):
         log_solution = to_log_solution(solution)
         window = None if args.R is None else (0.0, args.R)
         checker = check_bochner_lemma if kind == "bochner" else check_bochner_thm2
-        return checker(log_solution, r_window=window, **_given(args, "tol_rel"))
+        return checker(log_solution, r_window=window)
     if kind == "caccioppoli":
         log_solution = to_log_solution(solution)
-        config = CaccioppoliConfig(**_given(args, "b", "quadrature_points"))
-        return check_caccioppoli(log_solution, config=config, R=args.R)
+        return check_caccioppoli(log_solution, config=CaccioppoliConfig(b=args.b), R=args.R)
     g, dg = sobolev_test_function(solution, args.R)
     return measure_sobolev_ratio(g, solution.space, args.R, dg=dg)
 
@@ -223,7 +202,7 @@ def cmd_check(args):
     solution = read_solution_csv(args.solution)
     report = _check_report(args, solution)
     report_dict = report.to_report_dict()
-    _write_or_print(_format_report(report_dict, args.format), args.out)
+    _write_json(report_dict, args.out)
     passed = report_dict.get("pass")
     if passed is False:
         return EXIT_CHECK_FAILED
@@ -260,8 +239,7 @@ def build_parser():
     sp = sub.add_parser("thresholds", help="evaluate regime constants and flags")
     _add_field_flags(sp, EquationParams)
     sp.add_argument("--config", help="flat key=value configuration file")
-    sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--out", help="JSON output path (default: stdout)")
     sp.set_defaults(func=cmd_thresholds)
 
     sp = sub.add_parser("solve", help="shoot the radial profile, write CSV")
@@ -272,15 +250,14 @@ def build_parser():
 
     sp = sub.add_parser("check", help="run one inequality check on a solution file")
     kinds = sp.add_subparsers(dest="kind", required=True)
-    for kind, flags in CHECK_KINDS.items():
+    for kind in CHECK_KINDS:
         kp = kinds.add_parser(kind)
         kp.add_argument("--solution", required=True, help="solution CSV from solve")
         # --R only narrows the Bochner window; every other kind needs it
         kp.add_argument("--R", type=float, required=not kind.startswith("bochner"))
-        for name, spec in flags.items():
-            kp.add_argument("--" + name.replace("_", "-"), **spec)
+        if kind == "caccioppoli":
+            kp.add_argument("--b", type=float, help="test-function exponent (default: 1.1 b_min)")
         kp.add_argument("--out", help="report JSON path (default: stdout)")
-        kp.add_argument("--format", choices=("json", "csv"), default="json")
         kp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("sweep", help="map existence over a (p, sigma) grid")

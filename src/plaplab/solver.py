@@ -177,11 +177,12 @@ def solve_radial(
     shoot_batch also reproduces for many runs at once (solve_radial keeps
     the profile, shoot_batch does not).  A terminal event (zero hit,
     blow-up) is located on the final step in Python floats, by bisecting
-    its dense-output polynomial to scipy's 4 eps tolerance, with the
-    operations shoot_batch applies to its numpy arrays, so both give the
-    same radius.  The profile is returned uniformly resampled on
-    [0, r_end] from the steps' C^1 dense output (downstream off-grid
-    interpolation is monotone cubic, in the checkers).
+    its dense-output polynomial to scipy's 4 eps tolerance, the bisection
+    shoot_batch applies to its numpy arrays; the steps leading there are
+    computed apart, so the two radii agree to rounding, not bitwise.  The
+    profile is returned uniformly resampled on [0, r_end] from the steps'
+    C^1 dense output (downstream off-grid interpolation is monotone cubic,
+    in the checkers).
 
     Raises ParameterError when the series start is already past the zero
     or the blow-up event (u <= zero_threshold, max(|u|, |w|) >=

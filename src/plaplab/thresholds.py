@@ -81,6 +81,38 @@ def _check_p_window(n, p):
         raise RegimeError(f"p must satisfy 1 < p < 2n-1 = {2 * n - 1}, got p = {p}")
 
 
+def _alpha(n, p):
+    """alpha inside the p-window: n(p-1)^2/(n-1) up to p = 3 - 2/n, 2(p-1) above."""
+    return n * (p - 1) ** 2 / (n - 1) if p <= 3 - 2 / n else 2 * (p - 1)
+
+
+def _first_estimate(n, p):
+    """(alpha, discriminant, sigma1, sigma2) of the first estimate, or None
+    outside its window 1 < p < 2n-1; n must be an integer >= 3."""
+    if not _in_p_window(n, p):
+        return None
+    al = _alpha(n, p)
+    d = 1 - (p - 1) ** 2 / ((n - 1) * al)
+    if d <= 0:  # only by rounding, within a few ulps of p = 2n-1
+        raise RegimeError(f"discriminant nonpositive at n={n}, p={p}")
+    root = 2 / (n - 1) * math.sqrt(d)
+    return al, d, (p - 1) * ((n + 1) / (n - 1) + root), (p - 1) * ((n + 1) / (n - 1) - root)
+
+
+def _window_constants(n, p):
+    """_first_estimate(n, p), raising RegimeError outside the p-window."""
+    _check_p_window(n, p)
+    return _first_estimate(n, p)
+
+
+def _in_sigma_window(sigma, sign_of_a, constants):
+    """Whether sigma lies in the first estimate's window matched to the sign
+    of a: below sigma1 for a > 0, above sigma2 for a < 0, open at that
+    outer endpoint, where beta degenerates to 0."""
+    _, _, s1, s2 = constants
+    return sigma < s1 if sign_of_a > 0 else sigma > s2
+
+
 def alpha(n: int, p: float) -> float:
     """Hessian lower-bound coefficient, piecewise in p.
 
@@ -88,9 +120,7 @@ def alpha(n: int, p: float) -> float:
     branches agree at the junction.  Strictly positive on 1 < p < 2n-1.
     """
     _check_p_window(n, p)
-    if p <= 3 - 2 / n:
-        return n * (p - 1) ** 2 / (n - 1)
-    return 2 * (p - 1)
+    return _alpha(n, p)
 
 
 def discriminant(n: int, p: float) -> float:
@@ -99,10 +129,7 @@ def discriminant(n: int, p: float) -> float:
     On the first alpha branch this simplifies to 1 - 1/n; it decreases to 0
     as p approaches 2n-1.
     """
-    d = 1 - (p - 1) ** 2 / ((n - 1) * alpha(n, p))
-    if d <= 0:  # cannot happen inside the p-window; guard for rounding
-        raise RegimeError(f"discriminant nonpositive at n={n}, p={p}")
-    return d
+    return _window_constants(n, p)[1]
 
 
 def sigma_midpoint(n: int, p: float) -> float:
@@ -112,12 +139,12 @@ def sigma_midpoint(n: int, p: float) -> float:
 
 def sigma1(n: int, p: float) -> float:
     """Upper sigma threshold (p-1)[(n+1)/(n-1) + (2/(n-1)) sqrt(discriminant)]."""
-    return (p - 1) * ((n + 1) / (n - 1) + 2 / (n - 1) * math.sqrt(discriminant(n, p)))
+    return _window_constants(n, p)[2]
 
 
 def sigma2(n: int, p: float) -> float:
     """Lower sigma threshold (p-1)[(n+1)/(n-1) - (2/(n-1)) sqrt(discriminant)]."""
-    return (p - 1) * ((n + 1) / (n - 1) - 2 / (n - 1) * math.sqrt(discriminant(n, p)))
+    return _window_constants(n, p)[3]
 
 
 def beta(n: int, p: float, sigma: float, sign_of_a: float) -> float:
@@ -133,29 +160,23 @@ def beta(n: int, p: float, sigma: float, sign_of_a: float) -> float:
     _check_p_window(n, p)
     if sign_of_a == 0:
         raise ParameterError("sign_of_a must be nonzero")
+    return _beta(n, p, sigma, sign_of_a, _first_estimate(n, p))
+
+
+def _beta(n, p, sigma, sign_of_a, constants):
+    """beta from the first estimate's constants at (n, p)."""
+    _, d, s1, s2 = constants
+    if not _in_sigma_window(sigma, sign_of_a, constants):
+        if sign_of_a > 0:
+            window, bound = "a>0", f"sigma < sigma1 = {s1:.12g}"
+        else:
+            window, bound = "a<0", f"sigma > sigma2 = {s2:.12g}"
+        raise RegimeError(f"sigma = {sigma} is outside the {window} window (requires {bound})")
     mid = sigma_midpoint(n, p)
     full = p / (n - 1)
-    if sign_of_a > 0:
-        if sigma >= sigma1(n, p):
-            raise RegimeError(
-                f"sigma = {sigma} is outside the a>0 window (requires sigma < "
-                f"sigma1 = {sigma1(n, p):.12g})"
-            )
-        if sigma <= mid:
-            return full
-    else:
-        if sigma <= sigma2(n, p):
-            raise RegimeError(
-                f"sigma = {sigma} is outside the a<0 window (requires sigma > "
-                f"sigma2 = {sigma2(n, p):.12g})"
-            )
-        if sigma > mid:
-            return full
-    penalty = (
-        p
-        * ((sigma / (p - 1) - 1) - 2 / (n - 1)) ** 2
-        / (4 / (n - 1) * discriminant(n, p))
-    )
+    if (sigma <= mid) if sign_of_a > 0 else (sigma > mid):
+        return full
+    penalty = p * ((sigma / (p - 1) - 1) - 2 / (n - 1)) ** 2 / (4 / (n - 1) * d)
     return full - penalty
 
 
@@ -212,17 +233,16 @@ class RegimeReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _named_constants(n, p, constants):
+    al, _, s1, s2 = constants or (None, None, None, None)
+    return {"alpha": al, "sigma1": s1, "sigma2": s2, "thm2_threshold": thm2_threshold(n, p)}
+
+
 def regime_constants(n: int, p: float) -> dict:
     """The constants that depend on (n, p) alone: alpha, sigma1 and sigma2,
     each None outside 1 < p < 2n-1 where the first estimate does not apply,
     and thm2_threshold.  Requires an integer n >= 3 and p > 1."""
-    in_window = _in_p_window(n, p)
-    return {
-        "alpha": alpha(n, p) if in_window else None,
-        "sigma1": sigma1(n, p) if in_window else None,
-        "sigma2": sigma2(n, p) if in_window else None,
-        "thm2_threshold": thm2_threshold(n, p),
-    }
+    return _named_constants(n, p, _first_estimate(n, p))
 
 
 def classify_regime(params: EquationParams) -> RegimeReport:
@@ -233,12 +253,11 @@ def classify_regime(params: EquationParams) -> RegimeReport:
     estimate is classified as not applicable.
     """
     n, p, a, s = params.n, params.p, params.a, params.sigma
-    constants = regime_constants(n, p)
-    s1, s2 = constants["sigma1"], constants["sigma2"]
-    thm1 = s1 is not None and ((a > 0 and s < s1) or (a < 0 and s > s2))
+    constants = _first_estimate(n, p)
+    thm1 = constants is not None and _in_sigma_window(s, a, constants)
     return RegimeReport(
-        **constants,
-        beta=beta(n, p, s, a) if thm1 else None,
+        **_named_constants(n, p, constants),
+        beta=_beta(n, p, s, a, constants) if thm1 else None,
         thm1_applicable=thm1,
         thm2_applicable=thm2_condition(n, p, s, a),
     )

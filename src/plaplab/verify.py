@@ -15,6 +15,9 @@ Conventions shared by every checker:
   uniform grid; the pointwise checks exclude the first _EDGE_FRAC (5%) of
   the span near r = 0 and the samples with |v'| < _DV_FLOOR (1e-6) near
   critical points of v;
+* the tolerances, sample filters and quadrature grid are fixed module
+  constants; the one value a caller chooses is the exponent b of the
+  Caccioppoli test function (CaccioppoliConfig);
 * reports serialize through ``to_report_dict`` into one flat JSON object
   per check, whose metrics are the report's fields outside the envelope.
 """
@@ -28,17 +31,10 @@ import numpy as np
 
 from ._fd import fd4_first
 from ._quad import pchip, simpson
-from .errors import ParameterError, RegimeError, _require_integer
+from .errors import ParameterError, RegimeError
 from .geometry import ModelSpace, radial_L_coefficient, warp
 from .solver import LogSolution, RadialSolution, ShootingConfig, solve_radial
-from .thresholds import (
-    EquationParams,
-    alpha,
-    beta,
-    classify_regime,
-    discriminant,
-    thm2_condition,
-)
+from .thresholds import EquationParams, beta, classify_regime, discriminant, thm2_condition
 
 __all__ = [
     "GradientCheckReport",
@@ -76,6 +72,7 @@ def _jsonable(value):
 # fixed settings of the checkers, printed in their reports
 _EDGE_FRAC = 0.05  # pointwise checks skip r < _EDGE_FRAC * span
 _DV_FLOOR = 1e-6  # pointwise checks skip |v'| < _DV_FLOOR
+_TOL_REL = 1e-3  # pointwise margin tolerance, relative to the sample's scale
 _REQUIRED_FRACTION = 0.95  # share of retained samples that must pass
 _TOL_QUAD = 1e-6  # Caccioppoli slack tolerance, relative to its scale
 _QUADRATURE_POINTS = 4001  # grid of the integral checks
@@ -125,18 +122,19 @@ class GradientCheckReport(_Report):
     """sup |u'|/u over the half ball against the Cheng-Yau shape
     (1+sqrt(K)R)/R.  The multiplicative constant is not asserted (no
     explicit value exists); boundedness is checked across dilations
-    separately."""
+    separately.  The two flags say which estimate claims the bound for
+    these parameters."""
 
     _check = "gradient"
 
     params: EquationParams
     space: ModelSpace
     R: float
-    theorem: str
     sup_ratio: float
     bound_shape: float
     empirical_C: float
-    regime_applicable: bool
+    thm1_applicable: bool
+    thm2_applicable: bool
 
 
 def _require_radius(R):
@@ -153,12 +151,8 @@ def _require_span(solution, R):
         )
 
 
-def check_gradient_estimate(
-    solution: RadialSolution, R: float, theorem: str = "thm1"
-) -> GradientCheckReport:
+def check_gradient_estimate(solution: RadialSolution, R: float) -> GradientCheckReport:
     """Measure sup_{r <= R/2} |u'|/u and divide out the bound shape."""
-    if theorem not in ("thm1", "thm2"):
-        raise ParameterError(f"theorem must be 'thm1' or 'thm2', got {theorem!r}")
     _require_span(solution, R)
     mask = solution.r <= R / 2
     sup_ratio = float(np.max(np.abs(solution.du[mask]) / solution.u[mask]))
@@ -166,16 +160,15 @@ def check_gradient_estimate(
     # no p-dependent power
     bound_shape = (1 + math.sqrt(solution.space.K) * R) / R
     regime = classify_regime(solution.params)
-    applicable = regime.thm1_applicable if theorem == "thm1" else regime.thm2_applicable
     return GradientCheckReport(
         params=solution.params,
         space=solution.space,
         R=R,
-        theorem=theorem,
         sup_ratio=sup_ratio,
         bound_shape=bound_shape,
         empirical_C=sup_ratio / bound_shape,
-        regime_applicable=applicable,
+        thm1_applicable=regime.thm1_applicable,
+        thm2_applicable=regime.thm2_applicable,
     )
 
 
@@ -294,13 +287,13 @@ def _bochner_common(log_solution, r_window):
     return Lf, df, mask
 
 
-def _bochner_report(log_solution, which, mask, lhs, terms, tol_rel):
+def _bochner_report(log_solution, which, mask, lhs, terms):
     """BochnerReport on the retained samples for L(f) >= sum of terms, the
     right-hand terms added in the order given."""
     rhs = sum(terms[1:], terms[0])
     scale = np.max(np.abs(np.stack([lhs, *terms])), axis=0)
     margin = lhs - rhs
-    frac = float(np.mean(margin >= -tol_rel * scale))
+    frac = float(np.mean(margin >= -_TOL_REL * scale))
     return BochnerReport(
         params=log_solution.params,
         space=log_solution.space,
@@ -312,14 +305,12 @@ def _bochner_report(log_solution, which, mask, lhs, terms, tol_rel):
         scale=scale,
         pass_fraction=frac,
         passed=frac >= _REQUIRED_FRACTION,
-        tol_rel=tol_rel,
+        tol_rel=_TOL_REL,
         required_fraction=_REQUIRED_FRACTION,
     )
 
 
-def check_bochner_lemma(
-    log_solution: LogSolution, tol_rel: float = 1e-3, *, r_window=None
-) -> BochnerReport:
+def check_bochner_lemma(log_solution: LogSolution, *, r_window=None) -> BochnerReport:
     """Check the full pointwise inequality for L(f) away from {f = 0}.
 
     The right-hand side combines the curvature term, the square of the
@@ -330,8 +321,7 @@ def check_bochner_lemma(
     params, space = log_solution.params, log_solution.space
     Lf, df, mask = _bochner_common(log_solution, r_window)
     n, p, a, sig = params.n, params.p, params.a, params.sigma
-    al = alpha(n, p)  # raises RegimeError outside 1 < p < 2n-1
-    disc = discriminant(n, p)
+    disc = discriminant(n, p)  # raises RegimeError outside 1 < p < 2n-1
     K = space.K
     f = log_solution.f[mask]
     hsrc = log_solution.h[mask]
@@ -345,12 +335,10 @@ def check_bochner_lemma(
     t_mix = (2 * (p - 1) / (n - 1) - p) * f ** ((p - 2) / p) * dfm * dvm
     t_src = a * p * hsrc * (2 / (n - 1) - (sig / (p - 1) - 1)) * f
     terms = (t_curv, t_h2, t_f2, t_mix, t_src)
-    return _bochner_report(log_solution, "lemma", mask, lhs, terms, tol_rel)
+    return _bochner_report(log_solution, "lemma", mask, lhs, terms)
 
 
-def check_bochner_thm2(
-    log_solution: LogSolution, tol_rel: float = 1e-3, *, r_window=None
-) -> BochnerReport:
+def check_bochner_thm2(log_solution: LogSolution, *, r_window=None) -> BochnerReport:
     """Check L(f) >= (p/n) f^2 - (n-1)Kp f^(2-2/p) - p f^(1-2/p) f' v'.
 
     Requires the sign condition a ((n+2)/n - sigma/(p-1)) >= 0; outside it
@@ -374,7 +362,7 @@ def check_bochner_thm2(
     t_curv = -(n - 1) * K * p * f ** (2 - 2 / p)
     t_mix = -p * f ** (1 - 2 / p) * dfm * dvm
     terms = (t_f2, t_curv, t_mix)
-    return _bochner_report(log_solution, "thm2", mask, lhs, terms, tol_rel)
+    return _bochner_report(log_solution, "thm2", mask, lhs, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +402,16 @@ def cutoff_eta(R: float) -> CutoffEta:
 
 @dataclass(frozen=True)
 class CaccioppoliConfig:
-    """Exponent b of the test function psi = f^b eta^2 and quadrature
-    resolution.  b must exceed
+    """Exponent b of the test function psi = f^b eta^2.  b must exceed
     b_min = max(1, 2 [p - 2(p-1)/(n-1)]^2 / (beta min(1, p-1))); the bound
     depends on the equation parameters and is enforced by check_caccioppoli,
     which takes b = 1.1 b_min when b is None."""
 
     b: float | None = None
-    quadrature_points: int = _QUADRATURE_POINTS
 
     def __post_init__(self):
         if self.b is not None and not self.b > 1:
             raise ParameterError(f"b must be > 1, got {self.b}")
-        _require_integer("quadrature_points", self.quadrature_points, 11)
 
 
 def caccioppoli_b_min(n: int, p: float, sigma: float, sign_of_a: float) -> float:
@@ -488,7 +473,7 @@ def check_caccioppoli(
         )
 
     eta = cutoff_eta(R)
-    x = np.linspace(0.0, R, config.quadrature_points)
+    x = np.linspace(0.0, R, _QUADRATURE_POINTS)
     f_i = pchip(r, log_solution.f)
     dv_i = pchip(r, log_solution.dv)
     fx = np.clip(f_i(x), 0.0, None)
@@ -535,7 +520,7 @@ def check_caccioppoli(
         scale=float(scale),
         passed=bool(slack >= -_TOL_QUAD * scale),
         tol_quad=_TOL_QUAD,
-        quadrature_points=config.quadrature_points,
+        quadrature_points=_QUADRATURE_POINTS,
     )
 
 

@@ -153,8 +153,8 @@ def test_criterion_05_bochner_suite():
         sol = pl.solve_radial(params, space, pl.ShootingConfig(u0=1.0, r_max=rmax))
         ls = pl.to_log_solution(sol)
         window = (0.2, 0.9 * sol.r_end)
-        r1 = pl.check_bochner_lemma(ls, tol_rel=1e-3, r_window=window)
-        r2 = pl.check_bochner_thm2(ls, tol_rel=1e-3, r_window=window)
+        r1 = pl.check_bochner_lemma(ls, r_window=window)
+        r2 = pl.check_bochner_thm2(ls, r_window=window)
         ok &= r1.passed and r2.passed
         lines.append(f"{r1.pass_fraction:.2f}/{r2.pass_fraction:.2f}")
 
@@ -164,8 +164,8 @@ def test_criterion_05_bochner_suite():
     ls = pl.to_log_solution(sol)
     bad = replace(ls, f=2.0 * ls.f)
     window = (0.1, 0.9 * sol.r_end)
-    b1 = pl.check_bochner_lemma(bad, tol_rel=1e-3, r_window=window)
-    b2 = pl.check_bochner_thm2(bad, tol_rel=1e-3, r_window=window)
+    b1 = pl.check_bochner_lemma(bad, r_window=window)
+    b2 = pl.check_bochner_thm2(bad, r_window=window)
     control_fails = (not b1.passed) and (not b2.passed)
     ok &= control_fails
     report(

@@ -66,10 +66,10 @@ def test_thresholds_half_given_regime_is_invalid(given, missing, capsys):
     assert f"missing required option {missing!r}" in capsys.readouterr().err
 
 
-def test_thresholds_csv_format(capsys):
-    assert run("thresholds", "--n", "3", "--p", "2", "--format", "csv") == 0
-    out = capsys.readouterr().out
-    assert any(line.startswith("sigma1,") for line in out.splitlines())
+def test_thresholds_has_no_format_flag(capsys):
+    """thresholds writes JSON only."""
+    assert run("thresholds", "--n", "3", "--p", "2", "--format", "json") == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_thresholds_config_file_and_override(tmp_path, capsys):
@@ -138,7 +138,7 @@ COMMAND_CLASSES = {
     "solve": (pl.EquationParams, pl.ModelSpace, pl.ShootingConfig),
     "sweep": (pl.SweepGrid, pl.ShootingConfig),
 }
-OTHER_FLAGS = {"--config", "--out", "--format", "--summary"}
+OTHER_FLAGS = {"--config", "--out", "--summary"}
 
 
 def shooting_flags(values):
@@ -157,8 +157,7 @@ def subparser(command):
 
 def test_flags_follow_dataclass_fields():
     """Each subcommand has one flag per field, parsed as the field's
-    annotated type, and no other flags but --config, --out, --format and
-    --summary."""
+    annotated type, and no other flags but --config, --out and --summary."""
     assert set(SHOOTING_VALUES) == {f.name for f in fields(pl.ShootingConfig)}
     assert all(SHOOTING_VALUES[f.name] != f.default for f in fields(pl.ShootingConfig))
     for command, classes in COMMAND_CLASSES.items():
@@ -249,7 +248,7 @@ BOCHNER_METRICS = [
 BOCHNER_TOLERANCES = {"tol_rel": 1e-3, "required_fraction": 0.95}
 REPORT_LAYOUT = {
     "gradient": (
-        ["theorem", "sup_ratio", "bound_shape", "empirical_C", "regime_applicable"],
+        ["sup_ratio", "bound_shape", "empirical_C", "thm1_applicable", "thm2_applicable"],
         {},
         type(None),
     ),
@@ -288,21 +287,14 @@ def test_check_report_keys(kind, sinc_csv, capsys):
     assert type(report["samples_retained"]) is retained
 
 
-@pytest.mark.parametrize("points", ["0", "4"])
-def test_check_quadrature_points_below_minimum_is_invalid(points, sinc_csv, capsys):
-    """A given --quadrature-points reaches the library, which rejects fewer
-    than 11."""
-    argv = ["check", "caccioppoli", "--solution", sinc_csv, "--R", "2"]
-    assert run(*argv, "--quadrature-points", points) == 2
-    assert "quadrature_points must be an integer >= 11" in capsys.readouterr().err
-
-
-# a value for each flag only some check kinds read, and the kinds that read it
+# a value for each flag beyond --solution, --R and --out, and the kinds that
+# read it; the checkers' tolerances and grids are fixed and the output is JSON
 KIND_FLAGS = {
-    "--theorem": ("thm2", {"gradient"}),
-    "--tol-rel": ("0.5", {"bochner", "bochner2"}),
+    "--theorem": ("thm2", set()),
+    "--tol-rel": ("0.5", set()),
     "--b": ("50", {"caccioppoli"}),
-    "--quadrature-points": ("11", {"caccioppoli"}),
+    "--quadrature-points": ("11", set()),
+    "--format": ("json", set()),
 }
 
 

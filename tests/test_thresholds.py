@@ -132,6 +132,9 @@ def test_beta_rejects_outside_window():
         pl.beta(n, p, pl.sigma1(n, p), +1)  # endpoint excluded
     with pytest.raises(RegimeError):
         pl.beta(n, p, pl.sigma2(n, p) - 0.1, -1)
+    for sign in (+1, -1):
+        with pytest.raises(RegimeError):
+            pl.beta(n, p, math.nan, sign)  # inside no window
 
 
 def test_beta_bounded_by_full_value_on_grid():

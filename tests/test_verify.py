@@ -24,7 +24,8 @@ def test_gradient_estimate_sinc(sinc_solution):
     assert rep.sup_ratio == pytest.approx(expected, abs=1e-3)
     assert rep.bound_shape == pytest.approx(0.5, abs=1e-15)
     assert rep.empirical_C == pytest.approx(expected / 0.5, abs=2e-3)
-    assert rep.regime_applicable  # sigma = 1 < sigma1
+    assert rep.thm1_applicable  # sigma = 1 < sigma1
+    assert rep.thm2_applicable  # a > 0 and sigma = 1 <= (n+2)(p-1)/n = 5/3
 
 
 def test_gradient_bound_shape():
@@ -48,8 +49,6 @@ def test_gradient_bound_shape_has_no_p_power():
 def test_gradient_requires_span(sinc_solution):
     with pytest.raises(ParameterError):
         pl.check_gradient_estimate(sinc_solution, 10.0)
-    with pytest.raises(ParameterError):
-        pl.check_gradient_estimate(sinc_solution, 2.0, theorem="both")
 
 
 def _constant_record():
@@ -285,8 +284,6 @@ def test_caccioppoli_detects_vanishing_f():
 def test_caccioppoli_config_validation():
     with pytest.raises(ParameterError):
         pl.CaccioppoliConfig(b=0.5)
-    with pytest.raises(ParameterError):
-        pl.CaccioppoliConfig(b=2.0, quadrature_points=4)
 
 
 # ---------------------------------------------------------------------------
