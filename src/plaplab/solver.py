@@ -299,7 +299,8 @@ def solve_radial(
 
     table = np.array(steps).reshape(len(steps), 18)
     dense = np.einsum("jk,mkc->jcm", np.array(_DP_P), table[:, 4:].reshape(len(steps), 7, 2))
-    step = (table[:, 0], table[:, 1], table[:, 2:4].T, dense)
+    step_ends = table[:, 1]
+    step = (table[:, 0], step_ends - table[:, 0], table[:, 2:4].T, dense)
     if failed:
         # a failing step close to the blow-up threshold is a blow-up
         blew_up = max(abs(u), abs(w)) >= 0.99 * bt
@@ -329,7 +330,7 @@ def solve_radial(
     u[head] = _series_u(p, a, sig, n, u0, rs[head])
     w[head] = _series_w(a, sig, n, u0, rs[head])
     tail = rs[~head]
-    index = np.searchsorted(step[1], tail, side="left")
+    index = np.searchsorted(step_ends, tail, side="left")
     u[~head], w[~head] = _dense_output(tuple(part[..., index] for part in step), tail)
 
     return RadialSolution(
@@ -422,7 +423,8 @@ def _stage_sum(coeffs, stages):
 
 def _rms(y):
     """scipy's RMS norm of each run's two-component vector (columns of y)."""
-    return np.sqrt(y[0] * y[0] + y[1] * y[1]) / 2**0.5
+    squares = y * y
+    return np.sqrt(squares[0] + squares[1]) / 2**0.5
 
 
 def _max_abs(y):
@@ -501,8 +503,8 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
         )
         retry = np.zeros(index.size, dtype=bool)  # the last attempt was rejected
         while index.size:
-            t, _, _, _, _, _, _, excursion, h_abs, *consts, u0_run = state
-            y, f, g = state[1:3], state[3:5], state[5:7]  # g: zero and blow-up functions
+            t, y, f, g = state[0], state[1:3], state[3:5], state[5:7]  # g: zero, blow-up
+            excursion, h_abs, consts, u0_run = state[7], state[8], tuple(state[9:12]), state[12]
             new = np.empty((8, index.size))  # rows 0-7 of state after the step
             h_floor = 10 * np.spacing(t)
             below = ~(h_abs >= h_floor)  # a nan step is below the floor too
@@ -517,7 +519,8 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
                 rhs(y + _stage_sum(coeffs, stages[:s]) * h, damping[s - 1], consts, stages[s])
             y_new = np.add(y, h * _stage_sum(_B_ROWS, stages[1:6]), out=new[1:3])
             new[3:5] = rhs(y_new, damping[5], consts, stages[6])
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            abs_new = np.abs(y_new)  # for the error scale and the blow-up function
+            scale = atol + np.maximum(np.abs(y), abs_new) * rtol
             error = _rms(_stage_sum(_E_ROWS, stages[1:]) * h / scale)
 
             # step control, no growth right after a rejection; fmin and fmax
@@ -530,10 +533,10 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
             retry = ~accepted
 
             np.subtract(y_new[0], zt, out=new[5])
-            np.subtract(bt, _max_abs(y_new), out=new[6])
+            np.subtract(bt, np.maximum(abs_new[0], abs_new[1]), out=new[6])
             fire = accepted & (g >= 0) & (new[5:7] <= 0)
             event = fire[0] | fire[1]
-            if event.any():
+            if np.count_nonzero(event):
                 fired.append(
                     (index[event], t[event], t_new[event], y[:, event], stages[1:, :, event],
                      fire[:, event])
@@ -543,15 +546,16 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
 
             finished = accepted & ~event & (t_new >= r_max)
             done = event | finished | failed
-            if not done.any():
+            if not np.count_nonzero(done):
                 continue
             kind[index[finished]] = _REACHED
             r_end[index[finished]] = r_max
             moved[index[done]] = excursion[done] / u0_run[done]
-            # a failing step close to the blow-up threshold is a blow-up
-            blown = _max_abs(y[:, failed]) >= 0.99 * bt
-            kind[index[failed]] = np.where(blown, _BLOW, _FAILED)
-            r_end[index[failed]] = t[failed]
+            if np.count_nonzero(failed):
+                # a failing step close to the blow-up threshold is a blow-up
+                blown = _max_abs(y[:, failed]) >= 0.99 * bt
+                kind[index[failed]] = np.where(blown, _BLOW, _FAILED)
+                r_end[index[failed]] = t[failed]
             keep = ~done
             state, index, retry = state[:, keep], index[keep], retry[keep]
 
@@ -586,9 +590,8 @@ def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):
 
 def _dense_output(step, t):
     """y(t) on the dense-output polynomial of each step (last axis), from
-    step = (t_old, t_new, y_old, Q)."""
-    t_old, t_new, y_old, q = step
-    h = t_new - t_old
+    step = (t_old, h, y_old, Q) with the step width h = t_new - t_old."""
+    t_old, h, y_old, q = step
     x = (t - t_old) / h
     x2 = x * x
     x3 = x2 * x
@@ -597,8 +600,10 @@ def _dense_output(step, t):
 
 def _first_event(step, fire_zero, fire_blow, zt, bt):
     """(hit_zero, radius) for each step in which an event fired: the
-    earlier root of the zero and the blow-up event, the zero on a tie."""
-    r_zero = _event_root(lambda y: y[0] - zt, step, fire_zero)
+    earlier root of the zero and the blow-up event, the zero on a tie.
+    step = (t_old, t_new, y_old, Q); the zero event is located on u alone."""
+    t_old, t_new, y_old, q = step
+    r_zero = _event_root(lambda u: u - zt, (t_old, t_new, y_old[0], q[:, 0]), fire_zero)
     r_blow = _event_root(lambda y: bt - _max_abs(y), step, fire_blow)
     hit = r_zero <= r_blow
     return hit, np.where(hit, r_zero, r_blow)
@@ -611,17 +616,19 @@ def _event_root(g, step, fires):
     halved on its step's dense-output polynomial until it is narrower than
     scipy's event tolerance 4 eps (1 + |t|), and then left alone, so a
     root does not depend on the other brackets."""
-    step = tuple(part[..., fires] for part in step)
-    lo, hi = step[0], step[1]
+    roots = np.full(fires.shape, np.inf)
+    if not np.count_nonzero(fires):
+        return roots
+    lo, hi, y_old, q = (part[..., fires] for part in step)
+    polynomial = (lo, hi - lo, y_old, q)
     while True:
         wide = hi - lo > 4 * _EPS * (1 + np.abs(hi))
-        if not wide.any():
+        if not np.count_nonzero(wide):
             break
         mid = 0.5 * (lo + hi)
-        above = g(_dense_output(step, mid)) > 0
-        lo = np.where(wide & above, mid, lo)
-        hi = np.where(wide & ~above, mid, hi)
-    roots = np.full(fires.shape, np.inf)
+        raise_lo = wide & (g(_dense_output(polynomial, mid)) > 0)
+        lo = np.where(raise_lo, mid, lo)
+        hi = np.where(wide ^ raise_lo, mid, hi)
     roots[fires] = 0.5 * (lo + hi)
     return roots
 

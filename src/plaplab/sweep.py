@@ -22,7 +22,10 @@ from .geometry import ModelSpace
 
 # solve_radial is unused, but perfbench's traced run wraps it in this module by name
 from .solver import ShootingConfig, _opened, shoot_batch, solve_radial  # noqa: F401
-from .thresholds import EquationParams, classify_regime
+
+# classify_regime is unused, but perfbench's traced run wraps it in this module by name
+from .thresholds import classify_regime  # noqa: F401
+from .thresholds import EquationParams, _first_estimate, _regime_flags
 
 __all__ = [
     "SweepGrid",
@@ -177,7 +180,7 @@ def _classify_batch(params_list, space, config, u0_list):
     shape = (len(params_list), len(u0_list))
     return [
         _verdict(*runs)
-        for runs in zip(kinds.reshape(shape), radii.reshape(shape), moved.reshape(shape))
+        for runs in zip(*(x.reshape(shape).tolist() for x in (kinds, radii, moved)))
     ]
 
 
@@ -194,7 +197,7 @@ def _verdict(kinds, radii, moved):
         elif kind == "step_failure":
             failed = True
         else:
-            terminal.append((float(r), str(kind)))
+            terminal.append((r, kind))
     if failed or not terminal:
         return "numerical_failure", None
     r_star, kind = min(terminal)
@@ -206,31 +209,33 @@ def sweep(grid: SweepGrid) -> SweepTable:
     batch, and annotate each cell with the regime flags.
 
     The nonexistence theorems assume nonnegative Ricci curvature, so the
-    flags are set only for K = 0.  Each run's arithmetic is independent of
-    the rest of the batch, so a cell's result equals classify_existence's
-    and identical grids give identical tables."""
+    flags are set only for K = 0, where they are classify_regime's flags
+    (from the regime constants of each p, evaluated once).  Each run's
+    arithmetic is independent of the rest of the batch, so a cell's result
+    equals classify_existence's and identical grids give identical tables."""
     space = ModelSpace(n=grid.n, K=grid.K)
     a = 1.0 if grid.a_sign > 0 else -1.0
-    params = [
-        EquationParams(n=grid.n, p=float(p), a=a, sigma=float(s))
-        for p in grid.p_values
-        for s in grid.sigma_values
-    ]
+    flat = grid.K == 0
+    sigmas = [float(s) for s in grid.sigma_values]
+    params, flags = [], []
+    for p in map(float, grid.p_values):
+        constants = _first_estimate(grid.n, p) if flat else None
+        for s in sigmas:
+            params.append(EquationParams(n=grid.n, p=p, a=a, sigma=s))
+            flags.append(_regime_flags(grid.n, p, s, a, constants) if flat else (False, False))
     verdicts = _classify_batch(params, space, grid.config, grid.u0_list)
-    cells = []
-    for prm, (classification, r_star) in zip(params, verdicts):
-        regime = classify_regime(prm)
-        cells.append(
-            ExistenceCell(
-                p=prm.p,
-                sigma=prm.sigma,
-                classification=classification,
-                r_star=r_star,
-                theory_thm1=regime.thm1_applicable and grid.K == 0,
-                theory_thm2=regime.thm2_applicable and grid.K == 0,
-            )
+    cells = tuple(
+        ExistenceCell(
+            p=prm.p,
+            sigma=prm.sigma,
+            classification=classification,
+            r_star=r_star,
+            theory_thm1=thm1,
+            theory_thm2=thm2,
         )
-    return SweepTable(grid=grid, cells=tuple(cells))
+        for prm, (classification, r_star), (thm1, thm2) in zip(params, verdicts, flags)
+    )
+    return SweepTable(grid=grid, cells=cells)
 
 
 @dataclass(frozen=True)

@@ -81,20 +81,17 @@ def _check_p_window(n, p):
         raise RegimeError(f"p must satisfy 1 < p < 2n-1 = {2 * n - 1}, got p = {p}")
 
 
-def _alpha(n, p):
-    """alpha inside the p-window: n(p-1)^2/(n-1) up to p = 3 - 2/n, 2(p-1) above."""
-    return n * (p - 1) ** 2 / (n - 1) if p <= 3 - 2 / n else 2 * (p - 1)
-
-
 def _first_estimate(n, p):
     """(alpha, discriminant, sigma1, sigma2) of the first estimate, or None
     outside its window 1 < p < 2n-1; n must be an integer >= 3."""
     if not _in_p_window(n, p):
         return None
-    al = _alpha(n, p)
-    d = 1 - (p - 1) ** 2 / ((n - 1) * al)
-    if d <= 0:  # only by rounding, within a few ulps of p = 2n-1
-        raise RegimeError(f"discriminant nonpositive at n={n}, p={p}")
+    if p <= 3 - 2 / n:
+        al = n * (p - 1) ** 2 / (n - 1)
+        d = 1 - (p - 1) ** 2 / ((n - 1) * al)
+    else:  # d = 1 - (p-1)/(2(n-1)), written without its cancellation near p = 2n-1
+        al = 2 * (p - 1)
+        d = (2 * n - 1 - p) / (2 * (n - 1))
     root = 2 / (n - 1) * math.sqrt(d)
     return al, d, (p - 1) * ((n + 1) / (n - 1) + root), (p - 1) * ((n + 1) / (n - 1) - root)
 
@@ -119,15 +116,15 @@ def alpha(n: int, p: float) -> float:
     Equals n(p-1)^2/(n-1) for p <= 3 - 2/n and 2(p-1) above; the two
     branches agree at the junction.  Strictly positive on 1 < p < 2n-1.
     """
-    _check_p_window(n, p)
-    return _alpha(n, p)
+    return _window_constants(n, p)[0]
 
 
 def discriminant(n: int, p: float) -> float:
     """1 - (p-1)^2 / ((n-1) alpha), guaranteed in (0, 1] for 1 < p < 2n-1.
 
-    On the first alpha branch this simplifies to 1 - 1/n; it decreases to 0
-    as p approaches 2n-1.
+    On the first alpha branch this simplifies to 1 - 1/n.  On the second it
+    is evaluated as (2n-1-p)/(2(n-1)), which decreases to 0 as p approaches
+    2n-1 and stays positive in floating point up to the last float below it.
     """
     return _window_constants(n, p)[1]
 
@@ -254,13 +251,20 @@ def classify_regime(params: EquationParams) -> RegimeReport:
     """
     n, p, a, s = params.n, params.p, params.a, params.sigma
     constants = _first_estimate(n, p)
-    thm1 = constants is not None and _in_sigma_window(s, a, constants)
+    thm1, thm2 = _regime_flags(n, p, s, a, constants)
     return RegimeReport(
         **_named_constants(n, p, constants),
         beta=_beta(n, p, s, a, constants) if thm1 else None,
         thm1_applicable=thm1,
-        thm2_applicable=thm2_condition(n, p, s, a),
+        thm2_applicable=thm2,
     )
+
+
+def _regime_flags(n, p, sigma, sign_of_a, constants):
+    """(thm1_applicable, thm2_applicable) of (n, p, sigma) and the sign of
+    a, from constants = _first_estimate(n, p)."""
+    thm1 = constants is not None and _in_sigma_window(sigma, sign_of_a, constants)
+    return thm1, thm2_condition(n, p, sigma, sign_of_a)
 
 
 @dataclass(frozen=True)

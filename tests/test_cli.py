@@ -55,6 +55,13 @@ def test_thresholds_with_regime_flags(capsys):
     assert out["thm2_applicable"] is False
 
 
+def test_thresholds_just_below_window_end(capsys):
+    """The last float below p = 2n-1 is inside the first estimate's window."""
+    assert run("thresholds", "--n", "4", "--p", "6.999999999999999") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["sigma2"] < out["sigma1"]
+
+
 def test_thresholds_invalid_dimension():
     assert run("thresholds", "--n", "2", "--p", "2") == 2
 

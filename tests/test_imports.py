@@ -1,6 +1,7 @@
 """plaplab runs on numpy alone: `import plaplab`, every `plaplab check`,
 a library solve, a CLI solve and sweep, and the dilation check (which
-solves) leave scipy unloaded."""
+solves) leave scipy unloaded.  The checks also leave numpy.ma unloaded,
+which np.median imports."""
 
 import json
 import os
@@ -26,6 +27,7 @@ csv, out = sys.argv[1], sys.argv[2]
 report = {"import": scipy_modules(), "checks": {}}
 for kind in plaplab.cli.CHECK_KINDS:
     report["checks"][kind] = cli("check", kind, "--solution", csv, "--R", "2")
+report["checks_numpy_ma"] = "numpy.ma" in sys.modules
 params = plaplab.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0)
 flat = plaplab.ModelSpace(n=3)
 sol = plaplab.solve_radial(params, flat, plaplab.ShootingConfig(r_max=4.0))
@@ -56,6 +58,7 @@ def test_checks_load_no_scipy(tmp_path):
     report = json.loads(proc.stdout)
     assert report["import"] == []
     assert report["checks"] == {kind: [0, []] for kind in CHECK_KINDS}
+    assert report["checks_numpy_ma"] is False
     assert report["solve"] == ["hit_zero", []]
     assert report["cli_solve"] == [0, []]
     assert report["cli_sweep"] == [0, []]

@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plaplab as pl
 from plaplab.errors import ParameterError
@@ -89,6 +90,39 @@ def test_sweep_table_order_and_flags():
         assert cell.theory_thm1 == regime.thm1_applicable
         assert cell.theory_thm2 == regime.thm2_applicable
         assert cell.classification == "zero_hit"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 6),
+    a_sign=st.sampled_from([1.0, -1.0]),
+    K=st.sampled_from([0.0, 1.0]),
+)
+def test_sweep_flags_are_classify_regime_flags(data, n, a_sign, K):
+    """At K = 0 every cell carries classify_regime's thm1/thm2 flags, and at
+    K != 0 both flags are False.  The p column runs across the alpha
+    junction 3 - 2/n and the window end 2n - 1, the sigma row across both
+    sigma windows."""
+    junction, end = 3 - 2 / n, 2 * n - 1
+    p_min = data.draw(
+        st.sampled_from([junction, math.nextafter(end, 0.0)]) | st.floats(1.05, junction)
+    )
+    p_step = data.draw(st.floats(0.05, end - 1))
+    sigma_min = data.draw(st.floats(0.05, 1.0))
+    sigma_step = data.draw(st.floats(0.25, 2.0 * (n + 1)))
+    grid = pl.SweepGrid(
+        n=n, a_sign=a_sign, K=K,
+        p_min=p_min, p_max=p_min + data.draw(st.integers(1, 3)) * p_step, p_step=p_step,
+        sigma_min=sigma_min, sigma_max=sigma_min + 3 * sigma_step, sigma_step=sigma_step,
+        config=pl.ShootingConfig(r_max=1.0),
+    )
+    table = pl.sweep(grid)
+    assert len(table) == len(grid.p_values) * 4
+    for cell in table:
+        regime = pl.classify_regime(pl.EquationParams(n=n, p=cell.p, a=a_sign, sigma=cell.sigma))
+        flags = (regime.thm1_applicable, regime.thm2_applicable) if K == 0 else (False, False)
+        assert (cell.theory_thm1, cell.theory_thm2) == flags
 
 
 def curved_grid(**overrides):

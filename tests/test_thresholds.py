@@ -1,6 +1,7 @@
 """Closed-form constants: hand-derived oracle values and window invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,39 @@ def test_discriminant_in_unit_interval_on_grid():
     for n, p in grid_points():
         d = pl.discriminant(n, p)
         assert 0 < d <= 1
+
+
+def floats_below_window_end(n, count=64):
+    """The `count` largest floats below p = 2n-1."""
+    p, out = float(2 * n - 1), []
+    for _ in range(count):
+        p = math.nextafter(p, 0.0)
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 51))
+def test_constants_defined_just_below_window_end(n):
+    """Within ulps of p = 2n-1 the discriminant is (2n-1-p)/(2(n-1))
+    correctly rounded, hence positive, and every (n, p) constant is defined
+    where alpha is.  The form 1 - (p-1)^2/((n-1) alpha) cancels there and
+    rounds to 0 or below from n = 4 on."""
+    for p in floats_below_window_end(n):
+        exact = (Fraction(2 * n - 1) - Fraction(p)) / (2 * (n - 1))
+        assert pl.discriminant(n, p) == float(exact) > 0
+        assert pl.alpha(n, p) == 2 * (p - 1)
+        s1, s2 = pl.sigma1(n, p), pl.sigma2(n, p)
+        assert s2 < pl.sigma_midpoint(n, p) < s1
+        assert pl.regime_constants(n, p) == {
+            "alpha": 2 * (p - 1), "sigma1": s1, "sigma2": s2,
+            "thm2_threshold": pl.thm2_threshold(n, p),
+        }
+        assert pl.compare_thresholds(n, p) == (pl.thm2_threshold(n, p), s1)
+        mid = pl.sigma_midpoint(n, p)
+        for a in (1.0, -1.0):
+            report = pl.classify_regime(pl.EquationParams(n=n, p=p, a=a, sigma=mid))
+            assert report.thm1_applicable
+            assert 0 < pl.beta(n, p, mid, a) == report.beta <= p / (n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
 from plaplab._quad import pchip
 from plaplab.errors import ParameterError, RegimeError
-from plaplab.verify import _linearized_operator_fd
+from plaplab.verify import _linearized_operator_fd, _median
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +203,21 @@ def test_bochner_thm2_guards_sign_condition(sinc_log):
 def test_bochner_empty_retained_set(sinc_log):
     with pytest.raises(RegimeError):
         pl.check_bochner_lemma(sinc_log, r_window=(100.0, 200.0))
+
+
+MEDIAN_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(MEDIAN_VALUES, min_size=1, max_size=12))
+def test_median_is_numpys_bit_for_bit(values):
+    """The Bochner reports' median equals np.median's bits, signed zeros,
+    infinities and nan included, on arrays of either parity."""
+    x = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf + -inf in the middle pair
+        ours, numpys = _median(x), np.median(x)
+    assert type(ours) is type(numpys)
+    assert float(ours).hex() == float(numpys).hex()
 
 
 # ---------------------------------------------------------------------------
