@@ -30,7 +30,6 @@ from typing import get_type_hints
 from .errors import ParameterError, RegimeError, SolutionFormatError
 from .geometry import ModelSpace
 from .solver import ShootingConfig, read_solution_csv, solve_radial, to_log_solution, write_solution_csv
-from .sweep import SweepGrid, compare_with_theory, sweep, write_sweep_csv
 from .thresholds import EquationParams, classify_regime, regime_constants
 from .verify import (
     CaccioppoliConfig,
@@ -210,6 +209,8 @@ def cmd_check(args):
 
 
 def cmd_sweep(args):
+    from .sweep import SweepGrid, compare_with_theory, sweep, write_sweep_csv
+
     table = sweep(_build(SweepGrid, _field_values(args, SweepGrid)))
     write_sweep_csv(table, args.out)
     comparison = compare_with_theory(table)
@@ -226,7 +227,9 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of every subcommand; given a command, only that one gets
+    its field flags."""
     parser = argparse.ArgumentParser(
         prog="plaplab",
         description=(
@@ -237,13 +240,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("thresholds", help="evaluate regime constants and flags")
-    _add_field_flags(sp, EquationParams)
+    if command in (None, "thresholds"):
+        _add_field_flags(sp, EquationParams)
     sp.add_argument("--config", help="flat key=value configuration file")
     sp.add_argument("--out", help="JSON output path (default: stdout)")
     sp.set_defaults(func=cmd_thresholds)
 
     sp = sub.add_parser("solve", help="shoot the radial profile, write CSV")
-    _add_field_flags(sp, EquationParams, ModelSpace, ShootingConfig)
+    if command in (None, "solve"):
+        _add_field_flags(sp, EquationParams, ModelSpace, ShootingConfig)
     sp.add_argument("--config", help="flat key=value configuration file")
     sp.add_argument("--out", required=True, help="solution CSV path")
     sp.set_defaults(func=cmd_solve)
@@ -261,7 +266,10 @@ def build_parser():
         kp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("sweep", help="map existence over a (p, sigma) grid")
-    _add_field_flags(sp, SweepGrid)
+    if command in (None, "sweep"):
+        from .sweep import SweepGrid
+
+        _add_field_flags(sp, SweepGrid)
     sp.add_argument("--config", help="flat key=value configuration file")
     sp.add_argument("--out", required=True, help="table CSV path")
     sp.add_argument("--summary", help="summary JSON path")
@@ -271,7 +279,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,9 +16,9 @@ short power series.  Termination is classified as reached_rmax, hit_zero
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import get_type_hints
 
 import numpy as np
@@ -114,7 +114,7 @@ class RadialSolution:
         m = len(self.r)
         if not (len(self.u) == len(self.w) == m):
             raise ParameterError("grid arrays must have equal length")
-        if m < 2 or self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0):
+        if m < 2 or self.r[0] != 0.0 or not np.all(np.diff(self.r) > 0):
             raise ParameterError("r must increase strictly from 0")
 
     @property
@@ -824,6 +824,7 @@ _HEADER = "r,u,w"
 # files written before du was derived from w: du is parsed and dropped
 _LEGACY_HEADER = "r,u,du,w"
 _ROW_FMT = ",".join([_FLOAT_FMT] * 3) + "\n"
+_type_hints = cache(get_type_hints)  # a class's annotations resolve once per process
 
 
 @contextmanager
@@ -863,8 +864,23 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
 def _from_meta(cls, meta):
     """The dataclass cls built from the metadata value of each of its
     fields, parsed as the field's annotated type."""
-    types = get_type_hints(cls)
+    types = _type_hints(cls)
     return cls(**{f.name: types[f.name](meta[f.name]) for f in fields(cls)})
+
+
+def _content_lines(lines, meta):
+    """(index, line) of each non-blank line that is not metadata, stripped;
+    the '#' lines on the way are parsed as key=value into meta."""
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" not in body:
+                raise SolutionFormatError(f"malformed metadata line: {line!r}")
+            key, _, value = body.partition("=")
+            meta[key.strip()] = value.strip()
+        elif line:
+            yield i, line
 
 
 def read_solution_csv(path_or_file) -> RadialSolution:
@@ -877,32 +893,26 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     are ignored.
     """
     with _opened(path_or_file, "r") as fh:
-        text = fh.read()
+        lines = fh.read().split("\n")
     meta = {}
-    header = None
-    rows = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
-                raise SolutionFormatError(f"malformed metadata line: {line!r}")
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-        elif header is None:
-            header = line
-            if header not in (_HEADER, _LEGACY_HEADER):
-                raise SolutionFormatError(f"unexpected column header: {header!r}")
-        else:
-            rows.append(line)
-    if header is None or not rows:
-        raise SolutionFormatError("no data rows found")
-    try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise SolutionFormatError(f"malformed data rows: {exc}") from exc
+    content = _content_lines(lines, meta)
+    start, header = next(content, (len(lines), None))
+    if header not in (None, _HEADER, _LEGACY_HEADER):
+        raise SolutionFormatError(f"unexpected column header: {header!r}")
+    rows, data = lines[start + 1 :], None
+    if any(rows):
+        # the rows as they stand: loadtxt skips empty lines and strips each
+        # field, and fails on a '#' line or a blank line that is not empty
+        with suppress(ValueError):
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if data is None:
+        rows = [line for _, line in content]
+        if header is None or not rows:
+            raise SolutionFormatError("no data rows found")
+        try:
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise SolutionFormatError(f"malformed data rows: {exc}") from exc
     columns = header.count(",") + 1
     if data.shape[1] != columns:
         raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected {columns}")

@@ -648,6 +648,9 @@ def _malformed(header):
     def with_u(text):
         return _edit_first(header, lambda f: ",".join([f[0], text] + f[2:]))
 
+    rows = _rows(header)
+    nan_radius = [rows[0], "nan" + rows[1][rows[1].index(",") :], rows[2]]
+
     return [
         ("no-rows", _csv(header, [])),
         ("wrong-header", _csv("bad,header", _rows(header))),
@@ -662,6 +665,8 @@ def _malformed(header):
         # fields are plain ASCII decimals, although float() takes these two
         ("digit-separator", with_u("0.9_0")),
         ("fullwidth-digit", with_u("\uff11")),
+        # np.diff(r) <= 0 is False at a NaN, yet r does not increase there
+        ("nan-radius", _csv(header, nan_radius)),
     ]
 
 
@@ -701,14 +706,18 @@ def test_csv_rejects_malformed(text):
         pl.read_solution_csv(io.StringIO(text))
 
 
-def test_csv_accepts_loose_layout(sinc_solution):
+@pytest.mark.parametrize("header", HEADERS)
+def test_csv_accepts_loose_layout(sinc_solution, header):
     """Blank lines between rows, a space after each comma and metadata
-    after the data read back to the same solution."""
+    after the data read back to the same solution, under either header."""
     buf = io.StringIO()
     pl.write_solution_csv(sinc_solution, buf)
     meta, _, body = buf.getvalue().partition("r,u,w\n")
     rows = body.splitlines()
-    loose = "r,u,w\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n" + meta
+    if header == "r,u,du,w":  # the legacy layout holds du between u and w
+        fields = [row.split(",") for row in rows]
+        rows = [f"{r},{u},{du:.17g},{w}" for (r, u, w), du in zip(fields, sinc_solution.du)]
+    loose = header + "\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n" + meta
     back = pl.read_solution_csv(io.StringIO(loose))
     assert (back.params, back.space, back.config, back.termination) == (
         sinc_solution.params,
