@@ -14,7 +14,7 @@ from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-_MODULES = ("errors", "geometry", "thresholds", "solver", "verify", "sweep")
+_MODULES = ("errors", "geometry", "thresholds", "solution", "solver", "verify", "proof", "sweep")
 
 
 class _Package(_ModuleType):

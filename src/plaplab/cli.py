@@ -28,19 +28,40 @@ from dataclasses import MISSING, fields, is_dataclass
 from typing import get_type_hints
 
 from .errors import ParameterError, RegimeError, SolutionFormatError
-from .geometry import ModelSpace
-from .solver import ShootingConfig, read_solution_csv, solve_radial, to_log_solution, write_solution_csv
-from .thresholds import EquationParams, classify_regime, regime_constants
-from .verify import (
-    CaccioppoliConfig,
-    check_bochner_lemma,
-    check_bochner_thm2,
-    check_caccioppoli,
-    check_gradient_estimate,
-    check_harnack,
-    measure_sobolev_ratio,
-    sobolev_test_function,
-)
+
+# the library names the commands call, by module.  Each loads on first use
+# (__getattr__), so a command compiles only the modules it runs, and the
+# commands call them as attributes of this module, _cli, where perfbench's
+# traced run swaps in its wrappers.
+_LIBRARY = {
+    "geometry": ("ModelSpace",),
+    "thresholds": ("EquationParams", "classify_regime", "regime_constants"),
+    "solution": ("ShootingConfig", "read_solution_csv", "to_log_solution", "write_solution_csv"),
+    "solver": ("solve_radial",),
+    "verify": ("check_gradient_estimate", "check_harnack"),
+    "proof": (
+        "CaccioppoliConfig",
+        "check_bochner_lemma",
+        "check_bochner_thm2",
+        "check_caccioppoli",
+        "measure_sobolev_ratio",
+        "sobolev_test_function",
+    ),
+    "sweep": ("SweepGrid", "compare_with_theory", "sweep", "write_sweep_csv"),
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """A library name, imported from its module and kept here."""
+    for module, names in _LIBRARY.items():
+        if name in names:
+            # __import__, unlike importlib.import_module, shows in -X importtime
+            value = getattr(__import__(f"plaplab.{module}", fromlist=[name]), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -157,21 +178,23 @@ def _write_json(report, out_path):
 
 
 def cmd_thresholds(args):
-    values = _field_values(args, EquationParams)
+    values = _field_values(args, _cli.EquationParams)
     if "a" in values or "sigma" in values:
-        report = classify_regime(_build(EquationParams, values)).to_dict()
+        report = _cli.classify_regime(_build(_cli.EquationParams, values)).to_dict()
     else:
-        report = regime_constants(*_require(values, "n", "p"))
+        report = _cli.regime_constants(*_require(values, "n", "p"))
     _write_json(report, args.out)
     return EXIT_OK
 
 
 def cmd_solve(args):
-    values = _field_values(args, EquationParams, ModelSpace, ShootingConfig)
-    solution = solve_radial(
-        _build(EquationParams, values), _build(ModelSpace, values), _build(ShootingConfig, values)
+    values = _field_values(args, _cli.EquationParams, _cli.ModelSpace, _cli.ShootingConfig)
+    solution = _cli.solve_radial(
+        _build(_cli.EquationParams, values),
+        _build(_cli.ModelSpace, values),
+        _build(_cli.ShootingConfig, values),
     )
-    write_solution_csv(solution, args.out)
+    _cli.write_solution_csv(solution, args.out)
     t = solution.termination
     print(f"termination={t.kind} r={t.r:.12g} samples={len(solution.r)} out={args.out}")
     if t.kind == "step_failure":
@@ -182,23 +205,24 @@ def cmd_solve(args):
 def _check_report(args, solution):
     kind = args.kind
     if kind == "gradient":
-        return check_gradient_estimate(solution, args.R)
+        return _cli.check_gradient_estimate(solution, args.R)
     if kind == "harnack":
-        return check_harnack(solution, args.R)
+        return _cli.check_harnack(solution, args.R)
     if kind in ("bochner", "bochner2"):
-        log_solution = to_log_solution(solution)
+        log_solution = _cli.to_log_solution(solution)
         window = None if args.R is None else (0.0, args.R)
-        checker = check_bochner_lemma if kind == "bochner" else check_bochner_thm2
+        checker = _cli.check_bochner_lemma if kind == "bochner" else _cli.check_bochner_thm2
         return checker(log_solution, r_window=window)
     if kind == "caccioppoli":
-        log_solution = to_log_solution(solution)
-        return check_caccioppoli(log_solution, config=CaccioppoliConfig(b=args.b), R=args.R)
-    g, dg = sobolev_test_function(solution, args.R)
-    return measure_sobolev_ratio(g, solution.space, args.R, dg=dg)
+        log_solution = _cli.to_log_solution(solution)
+        config = _cli.CaccioppoliConfig(b=args.b)
+        return _cli.check_caccioppoli(log_solution, config=config, R=args.R)
+    g, dg = _cli.sobolev_test_function(solution, args.R)
+    return _cli.measure_sobolev_ratio(g, solution.space, args.R, dg=dg)
 
 
 def cmd_check(args):
-    solution = read_solution_csv(args.solution)
+    solution = _cli.read_solution_csv(args.solution)
     report = _check_report(args, solution)
     report_dict = report.to_report_dict()
     _write_json(report_dict, args.out)
@@ -209,11 +233,9 @@ def cmd_check(args):
 
 
 def cmd_sweep(args):
-    from .sweep import SweepGrid, compare_with_theory, sweep, write_sweep_csv
-
-    table = sweep(_build(SweepGrid, _field_values(args, SweepGrid)))
-    write_sweep_csv(table, args.out)
-    comparison = compare_with_theory(table)
+    table = _cli.sweep(_build(_cli.SweepGrid, _field_values(args, _cli.SweepGrid)))
+    _cli.write_sweep_csv(table, args.out)
+    comparison = _cli.compare_with_theory(table)
     summary = comparison.to_dict()
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -241,14 +263,14 @@ def build_parser(command=None):
 
     sp = sub.add_parser("thresholds", help="evaluate regime constants and flags")
     if command in (None, "thresholds"):
-        _add_field_flags(sp, EquationParams)
+        _add_field_flags(sp, _cli.EquationParams)
     sp.add_argument("--config", help="flat key=value configuration file")
     sp.add_argument("--out", help="JSON output path (default: stdout)")
     sp.set_defaults(func=cmd_thresholds)
 
     sp = sub.add_parser("solve", help="shoot the radial profile, write CSV")
     if command in (None, "solve"):
-        _add_field_flags(sp, EquationParams, ModelSpace, ShootingConfig)
+        _add_field_flags(sp, _cli.EquationParams, _cli.ModelSpace, _cli.ShootingConfig)
     sp.add_argument("--config", help="flat key=value configuration file")
     sp.add_argument("--out", required=True, help="solution CSV path")
     sp.set_defaults(func=cmd_solve)
@@ -267,9 +289,7 @@ def build_parser(command=None):
 
     sp = sub.add_parser("sweep", help="map existence over a (p, sigma) grid")
     if command in (None, "sweep"):
-        from .sweep import SweepGrid
-
-        _add_field_flags(sp, SweepGrid)
+        _add_field_flags(sp, _cli.SweepGrid)
     sp.add_argument("--config", help="flat key=value configuration file")
     sp.add_argument("--out", required=True, help="table CSV path")
     sp.add_argument("--summary", help="summary JSON path")

@@ -16,135 +16,28 @@ short power series.  Termination is classified as reached_rmax, hit_zero
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
-from functools import cache, cached_property
-from typing import get_type_hints
 
 import numpy as np
 
-from ._fd import fd4_first, fd4_second
-from .errors import ParameterError, SolutionFormatError, _require_integer
-from .geometry import ModelSpace, _log_warp, radial_p_laplacian, warp
+from .errors import ParameterError
+from .geometry import ModelSpace, _log_warp
+from .solution import RadialSolution, ShootingConfig, Termination
 from .thresholds import EquationParams
 
-__all__ = [
-    "ShootingConfig",
-    "Termination",
-    "RadialSolution",
-    "LogSolution",
-    "solve_radial",
-    "shoot_batch",
-    "pde_residual",
-    "to_log_solution",
-    "flux_residual",
-    "write_solution_csv",
-    "read_solution_csv",
-]
+__all__ = ["solve_radial", "shoot_batch"]
 
 # fraction of r_max at which the power-series start hands over to the ODE
 _SERIES_FRACTION = 1e-6
+_EPS = math.ulp(1.0)
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Shooting-run configuration: start value, span, and control knobs."""
-
-    u0: float = 1.0
-    r_max: float = 10.0
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    zero_threshold: float = 1e-8
-    blowup_threshold: float = 1e8
-    output_points: int = 2001
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not 0 < value < math.inf:
-                raise ParameterError(f"{f.name} must be positive and finite, got {value}")
-        if not self.zero_threshold < self.u0 < self.blowup_threshold:
-            raise ParameterError(
-                f"center value u0 = {self.u0} is outside (zero_threshold, blowup_threshold)"
-                f" = ({self.zero_threshold}, {self.blowup_threshold})"
-            )
-        _require_integer("output_points", self.output_points, 5)
-
-    def to_dict(self):
-        """Field values in field order, each as its default's type."""
-        return {f.name: type(f.default)(getattr(self, f.name)) for f in fields(self)}
-
-
-@dataclass(frozen=True)
-class Termination:
-    """How a shooting run ended.
-
-    kind is one of reached_rmax | hit_zero | blow_up | step_failure and r is
-    the radius at which the run stopped.  A step that fails close to the
-    blow-up threshold ends the run as a blow-up at that radius.
-    """
-
-    kind: str
-    r: float
-
-    KINDS = ("reached_rmax", "hit_zero", "blow_up", "step_failure")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ParameterError(f"unknown termination kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class RadialSolution:
-    """Uniformly resampled radial profile (r, u, flux w) plus verdict.
-
-    The derivative du = u' is not stored: it is a function of the flux,
-    u' = sgn(w) |w|^(1/(p-1)), computed from w and params.p on first use.
-    """
-
-    params: EquationParams
-    space: ModelSpace
-    config: ShootingConfig
-    r: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    termination: Termination
-
-    def __post_init__(self):
-        m = len(self.r)
-        if not (len(self.u) == len(self.w) == m):
-            raise ParameterError("grid arrays must have equal length")
-        if m < 2 or self.r[0] != 0.0 or not np.all(np.diff(self.r) > 0):
-            raise ParameterError("r must increase strictly from 0")
-
-    @property
-    def r_end(self) -> float:
-        return float(self.r[-1])
-
-    @cached_property
-    def du(self) -> np.ndarray:
-        """u' on the grid, derived from the flux w."""
-        return _du_from_flux(self.w, self.params.p)
-
-
-def _du_from_flux(w, p):
-    """u' = sgn(w) |w|^(1/(p-1)), the inverse of w = |u'|^(p-2) u'."""
-    return np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
-
-
-@dataclass(frozen=True)
-class LogSolution:
-    """Log-transformed profile: v = (p-1) log u, f = |v'|^p, and the
-    source weight h = (p-1)^(p-1) exp((sigma/(p-1) - 1) v)."""
-
-    params: EquationParams
-    space: ModelSpace
-    r: np.ndarray
-    v: np.ndarray
-    dv: np.ndarray
-    f: np.ndarray
-    h: np.ndarray
-    transformed_residual: float
+def _run_limits(config: ShootingConfig):
+    """(rtol, atol, u_floor, r_start) of a run: scipy's tolerances, rtol
+    raised to 100 eps as RK45 raises it; the floor below the zero event
+    under which u^sigma is continued Lipschitz; and the radius where the
+    power-series start hands over to the ODE."""
+    rtol = max(config.rel_tol, 100 * _EPS)
+    return rtol, config.abs_tol, 0.5 * config.zero_threshold, _SERIES_FRACTION * config.r_max
 
 
 def _series_u(p, a, sig, n, u0, r):
@@ -197,9 +90,7 @@ def solve_radial(
     inv_pm1 = 1.0 / (p - 1.0)
     r_max, u0 = config.r_max, config.u0
     zt, bt = config.zero_threshold, config.blowup_threshold
-    rtol, atol = max(config.rel_tol, 100 * _EPS), config.abs_tol
-    r_start = _SERIES_FRACTION * r_max
-    u_floor = 0.5 * zt  # Lipschitz continuation below the zero event
+    rtol, atol, u_floor, r_start = _run_limits(config)
     log_warp = _log_warp(space.K, math.tanh)
 
     def rhs(r, u, w):
@@ -398,7 +289,6 @@ _DP_P = (
 )
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
-_EPS = math.ulp(1.0)
 _KIND_NAMES = np.asarray(Termination.KINDS)
 _REACHED, _ZERO, _BLOW, _FAILED = range(4)  # positions in Termination.KINDS
 
@@ -467,9 +357,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
         return _KIND_NAMES[kind], r_end, moved
 
     n, r_max = space.n, config.r_max
-    rtol, atol = max(config.rel_tol, 100 * _EPS), config.abs_tol
-    u_floor = 0.5 * zt  # Lipschitz continuation below the zero event
-    r_start = _SERIES_FRACTION * r_max
+    rtol, atol, u_floor, r_start = _run_limits(config)
     p, a, sig = (np.array([getattr(x, k) for x in params]) for k in ("p", "a", "sigma"))
 
     log_warp = _log_warp(space.K)
@@ -672,266 +560,3 @@ def _step_event(step, fire_zero, fire_blow, zt, bt):
     hit = r_zero <= r_blow
     return hit, r_zero if hit else r_blow
 
-
-def _residual_mask(solution, du_fd, rel_change, max_step_change):
-    """Retained samples for residual checks: inside the central exclusion
-    band, with complete FD stencils, nondegenerate gradient for p < 2, and
-    resolvable on the grid (relative change per grid step capped, which
-    drops the unresolvable tail next to a zero hit or a blow-up)."""
-    r = solution.r
-    h = r[1] - r[0]
-    band = min(0.02 * solution.config.r_max, 0.25 * solution.r_end)
-    mask = (r > band) & np.isfinite(du_fd)
-    mask &= rel_change * h <= max_step_change
-    if solution.params.p < 2:
-        mask &= du_fd != 0
-    return mask
-
-
-def pde_residual(solution: RadialSolution) -> float:
-    """Max relative residual of the original equation on the resampled grid.
-
-    u' and u'' are rebuilt from (r, u) alone by 4th-order central
-    differences, so this is an independent verification of the profile, not
-    of the solver's own flux variable.  The residual is normalized by the
-    largest source magnitude max |a| u^sigma over retained samples.
-    """
-    if len(solution.r) < 5:
-        raise ParameterError("pde_residual needs at least 5 samples")
-    p, a, sig = solution.params.p, solution.params.a, solution.params.sigma
-    r, u = solution.r, solution.u
-    h = r[1] - r[0]
-    du = fd4_first(u, h)
-    d2u = fd4_second(u, h)
-    mask = _residual_mask(solution, du, np.abs(solution.du) / u, 0.02)
-    if not np.any(mask):
-        raise ParameterError("no samples retained for the residual check")
-    plap = radial_p_laplacian(p, solution.space, du[mask], d2u[mask], r[mask])
-    source = a * u[mask] ** sig
-    scale = np.max(np.abs(source))
-    return float(np.max(np.abs(plap + source)) / scale)
-
-
-def to_log_solution(solution: RadialSolution) -> LogSolution:
-    """Pointwise log-transform of a positive profile.
-
-    Also re-verifies the transformed equation
-
-        div(|v'|^(p-2) v') + |v'|^p + a (p-1)^(p-1) e^((sigma/(p-1)-1) v) = 0
-
-    by finite differences on v alone; the normalized residual is recorded on
-    the returned object.
-    """
-    if np.any(solution.u <= 0):
-        raise ParameterError("log transform requires u > 0 on all samples")
-    p, a, sig = solution.params.p, solution.params.a, solution.params.sigma
-    v = (p - 1) * np.log(solution.u)
-    dv = (p - 1) * solution.du / solution.u
-    f = np.abs(dv) ** p
-    hsrc = (p - 1) ** (p - 1) * np.exp((sig / (p - 1) - 1) * v)
-
-    r = solution.r
-    hstep = r[1] - r[0]
-    dv_fd = fd4_first(v, hstep)
-    d2v_fd = fd4_second(v, hstep)
-    # the log profile is singular at a zero hit, so its grid change per step
-    # must stay well below the u-profile cap for the 4th-order stencil
-    mask = _residual_mask(solution, dv_fd, np.abs(dv), 0.01)
-    resid = math.nan
-    if np.any(mask):
-        dvm = dv_fd[mask]
-        plap_v = radial_p_laplacian(p, solution.space, dvm, d2v_fd[mask], r[mask])
-        full = plap_v + np.abs(dvm) ** p + a * hsrc[mask]
-        scale = np.max(np.abs(a * hsrc[mask]))
-        resid = float(np.max(np.abs(full)) / scale)
-
-    return LogSolution(
-        params=solution.params,
-        space=solution.space,
-        r=r,
-        v=v,
-        dv=dv,
-        f=f,
-        h=hsrc,
-        transformed_residual=resid,
-    )
-
-
-def _cumulative_weighted_integral(r, g, n):
-    """Cumulative integral of t^(n-1) g(t) on the grid r (r[0] = 0).
-
-    Product quadrature: g is fitted by the parabola through each sample
-    triple and integrated against the exact moments of t^(n-1), so the
-    weight's vanishing at t = 0 costs no accuracy (plain Simpson is exact
-    for parabolas but not for t^(n-1) * parabola, and its startup error is
-    amplified by s^(1-n) in the flux identity).
-    """
-    m = len(r)
-    k = np.arange(m - 1)
-    left = np.clip(k - 1, 0, m - 3)  # triple (left, left+1, left+2) per interval
-    t0, t1, t2 = r[left], r[left + 1], r[left + 2]
-    g0, g1, g2 = g[left], g[left + 1], g[left + 2]
-    d01 = (g1 - g0) / (t1 - t0)
-    d12 = (g2 - g1) / (t2 - t1)
-    c2 = (d12 - d01) / (t2 - t0)  # second divided difference
-    # parabola around tau = t - r[k]:  A + B tau + C tau^2
-    dk = r[k] - t0
-    A = g0 + d01 * dk + c2 * dk * (r[k] - t1)
-    B = d01 + c2 * (2 * r[k] - t0 - t1)
-    C = c2
-    h = r[k + 1] - r[k]
-    increments = np.zeros(m - 1)
-    for j in range(n):  # binomial expansion of (r_k + tau)^(n-1)
-        binom = math.comb(n - 1, j)
-        base = binom * r[k] ** (n - 1 - j)
-        increments += base * (
-            A * h ** (j + 1) / (j + 1)
-            + B * h ** (j + 2) / (j + 2)
-            + C * h ** (j + 3) / (j + 3)
-        )
-    out = np.zeros(m)
-    np.cumsum(increments, out=out[1:])
-    return out
-
-
-def flux_residual(solution: RadialSolution) -> float:
-    """Deviation of w from -s^(1-n) * integral_0^r a u^sigma s^(n-1) dt.
-
-    The integral is evaluated by a product quadrature (exact moments of
-    t^(n-1) against a piecewise-parabolic fit of the smooth factor), and
-    the maximum absolute deviation is normalized by max(1, max |w|).  The
-    final sample is excluded: it sits on the termination event, where the
-    integrand may end in a cusp (u^sigma with sigma < 1 at a zero hit).
-    """
-    params, space = solution.params, solution.space
-    r, u, w = solution.r, solution.u, solution.w
-    n = space.n
-    warp_ratio = np.ones_like(r)  # (s(t)/t)^(n-1), smooth, -> 1 at 0
-    warp_ratio[1:] = (warp(space, r[1:]) / r[1:]) ** (n - 1)
-    g = params.a * u**params.sigma * warp_ratio
-    integral = _cumulative_weighted_integral(r, g, n)
-    s_pow = warp_ratio[1:] * r[1:] ** (n - 1)
-    dev = w[1:-1] + integral[1:-1] / s_pow[:-1]
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return float(np.max(np.abs(dev)) / scale)
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization: '#'-prefixed key=value metadata, then one row per sample
-
-_FLOAT_FMT = "%.17g"
-_HEADER = "r,u,w"
-# files written before du was derived from w: du is parsed and dropped
-_LEGACY_HEADER = "r,u,du,w"
-_ROW_FMT = ",".join([_FLOAT_FMT] * 3) + "\n"
-_type_hints = cache(get_type_hints)  # a class's annotations resolve once per process
-
-
-@contextmanager
-def _opened(path_or_file, mode):
-    """Open a path for the block and close it after; pass an open file through."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, mode) as fh:
-            yield fh
-    else:
-        yield path_or_file
-
-
-def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
-    """Write a solution as CSV: metadata comment lines, the header r,u,w
-    and one row per sample.
-
-    du is not written; it is derived from w.  Decimal output carries 17
-    significant digits, enough to round-trip float64 exactly.
-    """
-    meta = {}
-    meta.update(solution.params.to_dict())
-    meta.update(solution.space.to_dict())
-    meta.update(solution.config.to_dict())
-    meta["termination"] = solution.termination.kind
-    meta["termination_r"] = solution.termination.r
-    lines = [
-        f"# {key}={_FLOAT_FMT % value if isinstance(value, float) else value}\n"
-        for key, value in meta.items()
-    ]
-    lines.append(_HEADER + "\n")
-    data = np.column_stack((solution.r, solution.u, solution.w))
-    lines.append((_ROW_FMT * len(data)) % tuple(data.ravel().tolist()))
-    with _opened(path_or_file, "w") as fh:
-        fh.write("".join(lines))
-
-
-def _from_meta(cls, meta):
-    """The dataclass cls built from the metadata value of each of its
-    fields, parsed as the field's annotated type."""
-    types = _type_hints(cls)
-    return cls(**{f.name: types[f.name](meta[f.name]) for f in fields(cls)})
-
-
-def _content_lines(lines, meta):
-    """(index, line) of each non-blank line that is not metadata, stripped;
-    the '#' lines on the way are parsed as key=value into meta."""
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
-                raise SolutionFormatError(f"malformed metadata line: {line!r}")
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-        elif line:
-            yield i, line
-
-
-def read_solution_csv(path_or_file) -> RadialSolution:
-    """Parse a solution CSV written by write_solution_csv.
-
-    A data row is three comma-separated plain decimal fields r, u, w, and
-    du is derived from w.  Files with the older header r,u,du,w still read:
-    their du field must be a number and is then dropped.  Metadata keys
-    that name no field, such as the retired min_step and termination_detail,
-    are ignored.
-    """
-    with _opened(path_or_file, "r") as fh:
-        lines = fh.read().split("\n")
-    meta = {}
-    content = _content_lines(lines, meta)
-    start, header = next(content, (len(lines), None))
-    if header not in (None, _HEADER, _LEGACY_HEADER):
-        raise SolutionFormatError(f"unexpected column header: {header!r}")
-    rows, data = lines[start + 1 :], None
-    if any(rows):
-        # the rows as they stand: loadtxt skips empty lines and strips each
-        # field, and fails on a '#' line or a blank line that is not empty
-        with suppress(ValueError):
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    if data is None:
-        rows = [line for _, line in content]
-        if header is None or not rows:
-            raise SolutionFormatError("no data rows found")
-        try:
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise SolutionFormatError(f"malformed data rows: {exc}") from exc
-    columns = header.count(",") + 1
-    if data.shape[1] != columns:
-        raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected {columns}")
-    try:
-        params, space, config = (
-            _from_meta(cls, meta) for cls in (EquationParams, ModelSpace, ShootingConfig)
-        )
-        termination = Termination(meta["termination"], float(meta["termination_r"]))
-    except (KeyError, ValueError) as exc:
-        raise SolutionFormatError(f"bad or missing metadata: {exc}") from exc
-    try:
-        return RadialSolution(
-            params=params,
-            space=space,
-            config=config,
-            r=data[:, 0],
-            u=data[:, 1],
-            w=data[:, -1],
-            termination=termination,
-        )
-    except ParameterError as exc:
-        raise SolutionFormatError(str(exc)) from exc

@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import ParameterError, _require_finite
 from .geometry import ModelSpace
+from .solution import ShootingConfig, _opened
 
 # solve_radial is unused, but perfbench's traced run wraps it in this module by name
-from .solver import ShootingConfig, _opened, shoot_batch, solve_radial  # noqa: F401
+from .solver import shoot_batch, solve_radial  # noqa: F401
 
 # classify_regime is unused, but perfbench's traced run wraps it in this module by name
 from .thresholds import classify_regime  # noqa: F401

@@ -1,8 +1,10 @@
 """plaplab runs on numpy alone: `import plaplab`, every `plaplab check`,
 a library solve, a CLI solve and sweep, and the dilation check (which
 solves) leave scipy unloaded.  The checks also leave numpy.ma unloaded,
-which np.median imports, and plaplab.sweep, which they do not run; pl.sweep
-is the sweep function whichever import loads plaplab.sweep."""
+which np.median imports, and plaplab.sweep, which they do not run; each
+command loads only the plaplab modules it runs, and calls the library
+through the names on plaplab.cli that the traced CLI swaps; pl.sweep is the
+sweep function whichever import loads plaplab.sweep."""
 
 import json
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import plaplab as pl
+import plaplab.cli as cli
 from plaplab.cli import CHECK_KINDS, main
 
 SCRIPT = """
@@ -75,12 +78,100 @@ def test_checks_load_no_scipy(tmp_path):
     assert report["scale_invariance"] == [True, []]
 
 
+COMMAND = """
+import contextlib, io, json, sys
+import plaplab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = plaplab.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("plaplab."))]))
+"""
+
+# per command: the plaplab modules it must leave unloaded
+NOT_LOADED = {
+    "solve": {"plaplab.verify", "plaplab.proof", "plaplab._quad"},
+    "gradient": {"plaplab.solver", "plaplab.proof"},
+    "harnack": {"plaplab.solver", "plaplab.proof"},
+    **dict.fromkeys(
+        ("bochner", "bochner2", "caccioppoli", "sobolev"), {"plaplab.solver", "plaplab.verify"}
+    ),
+}
+
+
+@pytest.mark.parametrize("command", [*NOT_LOADED, "thresholds"])
+def test_command_loads_only_what_it_runs(command, tmp_path):
+    """Each command, in its own fresh interpreter, loads the modules it runs
+    and not the others: solve no checker, a check no stepper and no checker
+    module but its own, thresholds nothing but errors and thresholds."""
+    csv = tmp_path / "sinc.csv"
+    solve = ["solve", "--n", "3", "--p", "2", "--a", "1", "--sigma", "1", "--r-max", "4"]
+    if command == "thresholds":
+        argv = ["thresholds", "--n", "3", "--p", "2"]
+    elif command == "solve":
+        argv = [*solve, "--out", csv]
+    else:
+        assert main([*solve, "--out", str(csv)]) == 0
+        argv = ["check", command, "--solution", csv, "--R", "2"]
+    code, loaded = _run_fresh(COMMAND, *argv)
+    assert code == 0
+    if command == "thresholds":
+        assert loaded == ["plaplab.cli", "plaplab.errors", "plaplab.thresholds"]
+    else:
+        assert not NOT_LOADED[command] & set(loaded)
+
+
+# the names perfbench's traced CLI swaps wrappers into, and their modules
+TRACED = {
+    "solve_radial": "plaplab.solver",
+    "write_solution_csv": "plaplab.solution",
+    "read_solution_csv": "plaplab.solution",
+    "to_log_solution": "plaplab.solution",
+    "check_gradient_estimate": "plaplab.verify",
+    "check_harnack": "plaplab.verify",
+    "check_bochner_lemma": "plaplab.proof",
+    "check_bochner_thm2": "plaplab.proof",
+    "check_caccioppoli": "plaplab.proof",
+    "measure_sobolev_ratio": "plaplab.proof",
+}
+
+
+def test_cli_resolves_the_traced_names():
+    """A freshly imported plaplab.cli gives each traced name as an attribute,
+    the function of the library module."""
+    script = (
+        "import json, sys\n"
+        "import plaplab.cli\n"
+        "print(json.dumps({n: getattr(plaplab.cli, n).__module__ for n in sys.argv[1:]}))\n"
+    )
+    assert _run_fresh(script, *TRACED) == TRACED
+
+
+def test_commands_call_the_names_on_the_cli_module(monkeypatch, tmp_path):
+    """A wrapper set on plaplab.cli, as the traced CLI sets it, is what the
+    command calls: once per name for solve and for check gradient."""
+    calls = dict.fromkeys(
+        ("solve_radial", "write_solution_csv", "read_solution_csv", "check_gradient_estimate"), 0
+    )
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    csv = str(tmp_path / "sinc.csv")
+    assert main(["solve", "--n", "3", "--p", "2", "--a", "1", "--sigma", "1",
+                 "--r-max", "4", "--out", csv]) == 0
+    assert calls == {"solve_radial": 1, "write_solution_csv": 1,
+                     "read_solution_csv": 0, "check_gradient_estimate": 0}
+    assert main(["check", "gradient", "--solution", csv, "--R", "2"]) == 0
+    assert set(calls.values()) == {1}
+
+
 def test_package_all_is_the_module_lists():
     """plaplab.__all__ is the modules' __all__ lists end to end: each public
     name is listed once, in the module that defines it, and resolves."""
     import importlib
 
-    modules = ("errors", "geometry", "thresholds", "solver", "verify", "sweep")
+    modules = ("errors", "geometry", "thresholds", "solution", "solver", "verify", "proof", "sweep")
     lists = [importlib.import_module(f"plaplab.{m}").__all__ for m in modules]
     assert pl.__all__ == [name for names in lists for name in names]
     assert len(set(pl.__all__)) == len(pl.__all__)

@@ -12,7 +12,7 @@ from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
 from plaplab.errors import ParameterError, SolutionFormatError
-from plaplab.solver import _du_from_flux
+from plaplab.solution import _du_from_flux
 
 from conftest import run_bounded, scipy_reference, sinc
 
@@ -53,7 +53,7 @@ def test_sinc_flux_identity(sinc_solution):
 
 def test_weighted_cumulative_quadrature_exact_for_parabolas():
     """The flux quadrature integrates t^(n-1) times any parabola exactly."""
-    from plaplab.solver import _cumulative_weighted_integral
+    from plaplab.solution import _cumulative_weighted_integral
 
     r = np.linspace(0.0, 2.0, 41)
     for n in (3, 4, 6):
@@ -71,7 +71,7 @@ def test_weighted_cumulative_quadrature_converges():
     """Fourth-order-like convergence on a smooth non-polynomial factor."""
     from scipy.integrate import quad
 
-    from plaplab.solver import _cumulative_weighted_integral
+    from plaplab.solution import _cumulative_weighted_integral
 
     n = 4
     exact, _ = quad(lambda t: t ** (n - 1) * math.cos(t), 0.0, 2.0, epsrel=1e-13)

@@ -11,7 +11,7 @@ from scipy.interpolate import PchipInterpolator
 import plaplab as pl
 from plaplab._quad import pchip
 from plaplab.errors import ParameterError, RegimeError
-from plaplab.verify import _linearized_operator_fd, _median
+from plaplab.proof import _linearized_operator_fd, _median
 
 
 # ---------------------------------------------------------------------------
