@@ -51,12 +51,26 @@ def _series_w(a, sig, n, u0, r):
     return -a * u0**sig * r / n
 
 
-def _start_inside(u, w, zt, bt):
-    """Whether both event functions are positive at a series start,
-    u - zt > 0 and bt - max(|u|, |w|) > 0 (false on nan).  A start where
-    either is not is already past its event, which can no longer fire.
-    Elementwise on arrays."""
-    return (zt < u) & (abs(u) < bt) & (abs(w) < bt)
+# How a run ends, in both steppers: a run is inside while both event functions
+# are > 0 (false on nan; a start that is not is past its event, which can no
+# longer fire), and an event fires in the step in which its function goes from
+# >= 0 to <= 0.  Elementwise on arrays; on floats, with maximum=_float_maximum.
+def _zero_event(u, zt):
+    return u - zt
+
+
+def _blowup_event(u, w, bt, maximum=np.maximum):
+    return bt - maximum(abs(u), abs(w))
+
+
+def _float_maximum(x, y):
+    """np.maximum on two floats: the larger, nan if either is nan."""
+    return x if x >= y or x != x else y
+
+
+def _blew_up(u, w, bt, maximum=np.maximum):
+    """Whether a step failing from (u, w), close to the threshold, is a blow-up."""
+    return _blowup_event(u, w, 0.99 * bt, maximum) <= 0
 
 
 def solve_radial(
@@ -64,23 +78,21 @@ def solve_radial(
 ) -> RadialSolution:
     """Integrate the radial profile from the regular center outward.
 
-    Starts from a power series at r = 1e-6 * r_max and advances one run
-    with a scalar Dormand-Prince 5(4) loop on Python floats: the scheme,
-    error norm, initial step and step control of scipy's RK45, which
-    shoot_batch also reproduces for many runs at once (solve_radial keeps
-    the profile, shoot_batch does not).  A terminal event (zero hit,
-    blow-up) is located on the final step in Python floats, by bisecting
-    its dense-output polynomial to scipy's 4 eps tolerance, the bisection
-    shoot_batch applies to its numpy arrays; the steps leading there are
-    computed apart, so the two radii agree to rounding, not bitwise.  The
-    profile is returned uniformly resampled on [0, r_end] from the steps'
-    C^1 dense output (downstream off-grid interpolation is monotone cubic,
-    in the checkers).
+    Starts from a power series at the start radius of _run_limits and
+    advances one run with a scalar Dormand-Prince 5(4) loop on Python
+    floats: the scheme, error norm, initial step and step control of
+    scipy's RK45, which shoot_batch also reproduces for many runs at once
+    (solve_radial keeps the profile, shoot_batch does not).  The run ends
+    as shoot_batch's does, by the shared rules _zero_event, _blowup_event
+    and _blew_up.  A terminal event is located on the final step in Python
+    floats, by _step_event, the bisection shoot_batch applies to its numpy
+    arrays; the steps leading there are computed apart, so the two radii
+    agree to rounding, not bitwise.  The profile is returned uniformly
+    resampled on [0, r_end] from the steps' C^1 dense output (downstream
+    off-grid interpolation is monotone cubic, in the checkers).
 
-    Raises ParameterError when the series start is already past the zero
-    or the blow-up event (u <= zero_threshold, max(|u|, |w|) >=
-    blowup_threshold, or not finite), and when the integration span
-    collapses.
+    Raises ParameterError when the series start is not inside (_zero_event
+    or _blowup_event is not > 0) and when the integration span collapses.
     """
     if params.n != space.n:
         raise ParameterError(
@@ -110,7 +122,8 @@ def solve_radial(
         u, w = float(_series_u(p, a, sig, n, u0, t)), float(_series_w(a, sig, n, u0, t))
     except OverflowError:  # u0**sigma beyond the float range
         u = w = math.nan
-    if not _start_inside(u, w, zt, bt):
+    g_zero, g_blow = _zero_event(u, zt), _blowup_event(u, w, bt, _float_maximum)
+    if not (g_zero > 0 and g_blow > 0):
         raise ParameterError(
             f"series start at r = {r_start} (u = {u}, w = {w}) is past the zero or "
             f"blow-up event (zero_threshold = {zt}, blowup_threshold = {bt}); "
@@ -126,7 +139,6 @@ def solve_radial(
     # the second stage has weight zero in the solution and in the error
     b1, _, b3, b4, b5, b6 = _DP_B
     e1, _, e3, e4, e5, e6, e7 = _DP_E
-    g_zero, g_blow = u - zt, bt - max(abs(u), abs(w))
     retry = False  # the last attempt was rejected
     failed = fire_zero = fire_blow = False
     steps = []  # per accepted step: t_old, t_new, y_old and the seven stages
@@ -181,7 +193,7 @@ def solve_radial(
             (t, t_new, u, w, ku1, kw1, ku2, kw2, ku3, kw3, ku4, kw4, ku5, kw5, ku6, kw6, ku7, kw7)
         )
         t, u, w, ku1, kw1 = t_new, u_new, w_new, ku7, kw7
-        g_zero_new, g_blow_new = u - zt, bt - max(abs(u), abs(w))
+        g_zero_new, g_blow_new = _zero_event(u, zt), _blowup_event(u, w, bt, _float_maximum)
         fire_zero = g_zero >= 0 and g_zero_new <= 0
         fire_blow = g_blow >= 0 and g_blow_new <= 0
         if fire_zero or fire_blow or t >= r_max:
@@ -193,9 +205,8 @@ def solve_radial(
     step_ends = table[:, 1]
     step = (table[:, 0], step_ends - table[:, 0], table[:, 2:4].T, dense)
     if failed:
-        # a failing step close to the blow-up threshold is a blow-up
-        blew_up = max(abs(u), abs(w)) >= 0.99 * bt
-        termination = Termination("blow_up" if blew_up else "step_failure", t)
+        blown = _blew_up(u, w, bt, _float_maximum)
+        termination = Termination("blow_up" if blown else "step_failure", t)
     elif fire_zero or fire_blow:
         t_old, t_new, u_old, w_old = steps[-1][:4]
         last = (t_old, t_new, (u_old, w_old), dense[..., -1].tolist())
@@ -317,10 +328,6 @@ def _rms(y):
     return np.sqrt(squares[0] + squares[1]) / 2**0.5
 
 
-def _max_abs(y):
-    return np.maximum(np.abs(y[0]), np.abs(y[1]))
-
-
 def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     """Shoot many radial runs at once: run i solves params[i] from center
     value u0[i] on ``space``, with ``config`` for everything but u0.
@@ -329,10 +336,12 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     leave the batch as they finish.  A lockstep step is a fixed sequence of
     numpy calls on arrays with one column per live run: the damping term
     at all six stage radii at once, one reduction per stage sum, and one
-    masked copy that accepts the steps.  Zero and blow-up events are
+    masked copy that accepts the steps.  Runs end by the rules
+    solve_radial shares: the events of _zero_event and _blowup_event are
     located on the dense-output polynomial of the step in which the event
-    function changed sign, by bisection to scipy's 4 eps tolerance; when
-    both fire in one step the earlier wins.  No profile is kept.
+    function changed sign, by bisection to scipy's 4 eps tolerance (the
+    earlier wins when both fire in one step), and _blew_up tells a failed
+    step's blow-up from a step failure.  No profile is kept.
 
     Returns three arrays with one entry per run: the termination kind (one
     of Termination.KINDS, as solve_radial classifies it, with a collapsed
@@ -373,8 +382,9 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     with np.errstate(all="ignore"):  # overflow and nan end a run, as in scipy
         y0 = np.stack((_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start)))
         # a start that solve_radial rejects is a step failure at radius 0
-        index = np.flatnonzero(_start_inside(*y0, zt, bt))
-        consts, y0 = np.stack((-a, sig, 1.0 / (p - 1.0)))[:, index], y0[:, index]
+        g0 = np.stack((_zero_event(y0[0], zt), _blowup_event(*y0, bt)))
+        index = np.flatnonzero(np.all(g0 > 0, axis=0))
+        consts, y0, g0 = np.stack((-a, sig, 1.0 / (p - 1.0)))[:, index], y0[:, index], g0[:, index]
         t0 = np.full(index.size, r_start)
 
         def rhs_at(t, y):
@@ -387,7 +397,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
         # 1/(p-1), u0.  Rows 0-7 are what an accepted step replaces, so
         # accepting steps and dropping finished runs are one numpy call each
         state = np.vstack(
-            (t0, y0, f0, y0[0] - zt, bt - _max_abs(y0), np.zeros(index.size), h0, consts, u0[index])
+            (t0, y0, f0, g0, np.zeros(index.size), h0, consts, u0[index])
         )
         retry = np.zeros(index.size, dtype=bool)  # the last attempt was rejected
         while index.size:
@@ -407,8 +417,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
                 rhs(y + _stage_sum(coeffs, stages[:s]) * h, damping[s - 1], consts, stages[s])
             y_new = np.add(y, h * _stage_sum(_B_ROWS, stages[1:6]), out=new[1:3])
             new[3:5] = rhs(y_new, damping[5], consts, stages[6])
-            abs_new = np.abs(y_new)  # for the error scale and the blow-up function
-            scale = atol + np.maximum(np.abs(y), abs_new) * rtol
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error = _rms(_stage_sum(_E_ROWS, stages[1:]) * h / scale)
 
             # step control, no growth right after a rejection; fmin and fmax
@@ -420,8 +429,8 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
             np.multiply(h, np.where(accepted, grow, np.fmax(factor, _MIN_FACTOR)), out=h_abs)
             retry = ~accepted
 
-            np.subtract(y_new[0], zt, out=new[5])
-            np.subtract(bt, np.maximum(abs_new[0], abs_new[1]), out=new[6])
+            new[5] = _zero_event(y_new[0], zt)
+            new[6] = _blowup_event(*y_new, bt)
             fire = accepted & (g >= 0) & (new[5:7] <= 0)
             event = fire[0] | fire[1]
             if np.count_nonzero(event):
@@ -440,8 +449,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
             r_end[index[finished]] = r_max
             moved[index[done]] = excursion[done] / u0_run[done]
             if np.count_nonzero(failed):
-                # a failing step close to the blow-up threshold is a blow-up
-                blown = _max_abs(y[:, failed]) >= 0.99 * bt
+                blown = _blew_up(*y[:, failed], bt)
                 kind[index[failed]] = np.where(blown, _BLOW, _FAILED)
                 r_end[index[failed]] = t[failed]
             keep = ~done
@@ -491,8 +499,8 @@ def _first_event(step, fire_zero, fire_blow, zt, bt):
     earlier root of the zero and the blow-up event, the zero on a tie.
     step = (t_old, t_new, y_old, Q); the zero event is located on u alone."""
     t_old, t_new, y_old, q = step
-    r_zero = _event_root(lambda u: u - zt, (t_old, t_new, y_old[0], q[:, 0]), fire_zero)
-    r_blow = _event_root(lambda y: bt - _max_abs(y), step, fire_blow)
+    r_zero = _event_root(lambda u: _zero_event(u, zt), (t_old, t_new, y_old[0], q[:, 0]), fire_zero)
+    r_blow = _event_root(lambda y: _blowup_event(*y, bt), step, fire_blow)
     hit = r_zero <= r_blow
     return hit, np.where(hit, r_zero, r_blow)
 
@@ -525,38 +533,26 @@ def _step_event(step, fire_zero, fire_blow, zt, bt):
     """_first_event for one step on Python floats: (hit_zero, radius).
 
     step = (t_old, t_new, (u_old, w_old), q) with q[j] = (Q_j of u, Q_j of
-    w).  Every value is computed by the operations of _event_root and
-    _dense_output in their order, and the blow-up function takes the larger
-    of |u| and |w| with np.maximum's nan, so the radius equals theirs bit
-    for bit; only numpy's per-call cost on one-element arrays is gone."""
+    w).  It bisects as _event_root does, on _dense_output of each component
+    and on _zero_event and _blowup_event (with _float_maximum, np.maximum's
+    nan rule), so the radius equals _first_event's bit for bit; only
+    numpy's per-call cost on one-element arrays is gone."""
     t_old, t_new, y_old, q = step
-    h = t_new - t_old
-
-    def y_at(t):
-        x = (t - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        return [
-            h * (q[0][c] * x + q[1][c] * x2 + q[2][c] * x3 + q[3][c] * (x3 * x)) + y_old[c]
-            for c in (0, 1)
-        ]
+    # each component's (t_old, h, y_old, Q) for _dense_output
+    polys = [(t_old, t_new - t_old, y, q_c) for y, q_c in zip(y_old, zip(*q))]
 
     def root(g):
         lo, hi = t_old, t_new
         while hi - lo > 4 * _EPS * (1 + abs(hi)):
             mid = 0.5 * (lo + hi)
-            if g(*y_at(mid)) > 0:
+            if g(*[_dense_output(poly, mid) for poly in polys]) > 0:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def g_blow(u, w):
-        u, w = abs(u), abs(w)
-        return bt - (u if u >= w or u != u else w)
-
-    r_zero = root(lambda u, w: u - zt) if fire_zero else math.inf
-    r_blow = root(g_blow) if fire_blow else math.inf
+    r_zero = root(lambda u, w: _zero_event(u, zt)) if fire_zero else math.inf
+    r_blow = root(lambda u, w: _blowup_event(u, w, bt, _float_maximum)) if fire_blow else math.inf
     hit = r_zero <= r_blow
     return hit, r_zero if hit else r_blow
 

@@ -2,14 +2,25 @@
 run by run, and independence of each run from the rest of its batch."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import plaplab as pl
 from plaplab.errors import ParameterError
-from plaplab.solver import _dense_output, _first_event, _step_event, shoot_batch
+from plaplab.solver import (
+    _SERIES_FRACTION,
+    _blew_up,
+    _blowup_event,
+    _dense_output,
+    _first_event,
+    _float_maximum,
+    _step_event,
+    _zero_event,
+    shoot_batch,
+)
 
 from conftest import run_bounded, scipy_reference
 
@@ -43,25 +54,78 @@ def test_batch_of_one_matches_scipy(p, sigma, a, K, u0, r_max):
         assert abs(radii[0] - r_ref) <= 1e-8 * r_ref
 
 
-@pytest.mark.parametrize(
-    "p, a, sigma, K",
-    [
-        (1.5, 1.0, 1.0, 0.0),  # hit_zero
-        (1.5, 1.0, 5.0, 0.0),  # reached_rmax
-        (1.5, -1.0, 3.0, 0.0),  # blow_up
-        (3.0, 4.0, 1.0, 1.0),  # hit_zero, curved
-        (1.2, -1.0, 3.0, 0.0),  # step_failure
-    ],
-)
-def test_batch_of_one_matches_solve_radial(p, a, sigma, K):
-    """The two steppers end a run alike: same kind, same radius."""
-    params = pl.EquationParams(n=3, p=p, a=a, sigma=sigma)
-    space = pl.ModelSpace(n=3, K=K)
-    config = pl.ShootingConfig(r_max=10.0)
-    t = pl.solve_radial(params, space, config).termination
-    kinds, radii, _ = shoot_batch([params], [config.u0], space, config)
+@st.composite
+def shooting_runs(draw):
+    """(n, p, a, sigma, K, u0, r_max, zero_threshold, blowup_threshold)
+    across the admissible window, center values and thresholds spread over
+    decades."""
+    n = draw(st.integers(3, 6))
+    p = draw(st.floats(1.0, 2 * n - 1.0, exclude_min=True, exclude_max=True))
+    a = draw(st.sampled_from([1.0, -1.0])) * 10 ** draw(st.floats(-1.0, 1.0))
+    sigma = draw(st.floats(0.05, 8.0))
+    K = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    u0, r_max, zt, bt = (10 ** draw(st.floats(lo, hi)) for lo, hi in
+                         ((-2.0, 2.0), (-1.0, 2.0), (-12.0, -4.0), (4.0, 14.0)))
+    return n, p, a, sigma, K, u0, r_max, zt, bt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(run=shooting_runs())
+@example(run=(3, 1.5, 1.0, 1.0, 0.0, 1.0, 10.0, 1e-8, 1e8))  # hit_zero
+@example(run=(3, 1.5, 1.0, 5.0, 0.0, 1.0, 10.0, 1e-8, 1e8))  # reached_rmax
+@example(run=(3, 1.5, -1.0, 3.0, 0.0, 1.0, 10.0, 1e-8, 1e8))  # blow_up
+@example(run=(3, 3.0, 4.0, 1.0, 1.0, 1.0, 10.0, 1e-8, 1e8))  # hit_zero, curved
+@example(run=(3, 1.2, -1.0, 3.0, 0.0, 1.0, 10.0, 1e-8, 1e8))  # step_failure
+# every step from the series start fails: solve_radial's span collapses
+@example(run=(5, 1.5, -1.0, 7.3249018655778295, 3.3963356340842843, 66.66106837805097, 1.0,
+              2.23275479940515e-06, 1240490256426.4636))
+def test_batch_of_one_matches_solve_radial(run):
+    """The two steppers end a run alike: same kind, same radius to 1e-8
+    relative (the steps leading to an event are computed apart, so the
+    radii agree to rounding, not bitwise).  Where solve_radial raises,
+    shoot_batch reports a step failure: at radius 0 for a rejected series
+    start, at the start radius for a span that collapsed there."""
+    n, p, a, sigma, K, u0, r_max, zt, bt = run
+    assume(zt < u0 < bt)
+    params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
+    space = pl.ModelSpace(n=n, K=K)
+    config = pl.ShootingConfig(
+        u0=u0, r_max=r_max, zero_threshold=zt, blowup_threshold=bt, output_points=5
+    )
+    kinds, radii, _ = shoot_batch([params], [u0], space, config)
+    try:
+        t = pl.solve_radial(params, space, config).termination
+    except ParameterError as exc:
+        r_failed = 0.0 if "series start" in str(exc) else _SERIES_FRACTION * r_max
+        assert (kinds[0], radii[0]) == ("step_failure", r_failed)
+        return
     assert kinds[0] == t.kind
     assert abs(radii[0] - t.r) <= 1e-8 * t.r
+
+
+def test_event_rules_match_the_comparisons_they_replace():
+    """The start test (both event functions > 0) and the failed-step rule
+    (the blow-up event at 0.99 bt is <= 0) decide as the comparisons they
+    replace, kept here as the reference, on arrays and on floats: at and
+    next to each threshold, at 0, -1 and -bt, and on +-inf and nan.  The
+    reference maximum has np.maximum's nan rule; Python's max, which the
+    float stepper took before, differs from it only where w is nan, and
+    an accepted step never holds nan (its error norm is nan)."""
+    zt, bt = 1e-8, 1e8
+    values = [0.0, -1.0, math.inf, -math.inf, math.nan, -bt]
+    for x in (zt, bt, 0.99 * bt):
+        values += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    u, w = (grid.ravel() for grid in np.meshgrid(values, values))
+    inside = (zt < u) & (abs(u) < bt) & (abs(w) < bt)
+    blown = np.maximum(abs(u), abs(w)) >= 0.99 * bt
+    assert u.size == 225 and 0 < np.count_nonzero(inside) < np.count_nonzero(blown) < 225
+    assert np.array_equal((_zero_event(u, zt) > 0) & (_blowup_event(u, w, bt) > 0), inside)
+    assert np.array_equal(_blew_up(u, w, bt), blown)
+    for x, y, inside_xy, blown_xy in zip(u.tolist(), w.tolist(), inside, blown):
+        g_zero, g_blow = _zero_event(x, zt), _blowup_event(x, y, bt, _float_maximum)
+        assert (g_zero > 0 and g_blow > 0) == inside_xy
+        assert _blew_up(x, y, bt, _float_maximum) == blown_xy
+        assert float(_float_maximum(x, y)).hex() == float(np.maximum(x, y)).hex()
 
 
 def test_runs_independent_of_batch(flat3):
