@@ -54,6 +54,28 @@ def test_batch_of_one_matches_scipy(p, sigma, a, K, u0, r_max):
         assert abs(radii[0] - r_ref) <= 1e-8 * r_ref
 
 
+@pytest.mark.parametrize(
+    "p, a, sigma, K",
+    [
+        (1.5, 1.0, 1.0, 0.0),  # hit_zero
+        (1.5, 1.0, 5.0, 0.0),  # reached_rmax
+        (1.5, -1.0, 3.0, 0.0),  # blow_up
+        (3.0, 4.0, 1.0, 1.0),  # hit_zero, curved
+        (1.2, -1.0, 3.0, 0.0),  # step_failure
+    ],
+)
+def test_batch_of_one_matches_solve_radial(p, a, sigma, K):
+    """The two steppers end a run alike: same kind, same radius, on one
+    run of each termination kind."""
+    params = pl.EquationParams(n=3, p=p, a=a, sigma=sigma)
+    space = pl.ModelSpace(n=3, K=K)
+    config = pl.ShootingConfig(r_max=10.0)
+    t = pl.solve_radial(params, space, config).termination
+    kinds, radii, _ = shoot_batch([params], [config.u0], space, config)
+    assert kinds[0] == t.kind
+    assert abs(radii[0] - t.r) <= 1e-8 * t.r
+
+
 @st.composite
 def shooting_runs(draw):
     """(n, p, a, sigma, K, u0, r_max, zero_threshold, blowup_threshold)
@@ -71,15 +93,10 @@ def shooting_runs(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(run=shooting_runs())
-@example(run=(3, 1.5, 1.0, 1.0, 0.0, 1.0, 10.0, 1e-8, 1e8))  # hit_zero
-@example(run=(3, 1.5, 1.0, 5.0, 0.0, 1.0, 10.0, 1e-8, 1e8))  # reached_rmax
-@example(run=(3, 1.5, -1.0, 3.0, 0.0, 1.0, 10.0, 1e-8, 1e8))  # blow_up
-@example(run=(3, 3.0, 4.0, 1.0, 1.0, 1.0, 10.0, 1e-8, 1e8))  # hit_zero, curved
-@example(run=(3, 1.2, -1.0, 3.0, 0.0, 1.0, 10.0, 1e-8, 1e8))  # step_failure
 # every step from the series start fails: solve_radial's span collapses
 @example(run=(5, 1.5, -1.0, 7.3249018655778295, 3.3963356340842843, 66.66106837805097, 1.0,
               2.23275479940515e-06, 1240490256426.4636))
-def test_batch_of_one_matches_solve_radial(run):
+def test_drawn_batch_of_one_matches_solve_radial(run):
     """The two steppers end a run alike: same kind, same radius to 1e-8
     relative (the steps leading to an event are computed apart, so the
     radii agree to rounding, not bitwise).  Where solve_radial raises,
