@@ -5,16 +5,86 @@
 on model spaces (Euclidean, or hyperbolic realizing Ric = -(n-1)K):
 closed-form regime thresholds, a flux-form radial shooting solver,
 inequality checkers for the gradient/Harnack estimates and their proof
-machinery, and existence sweeps over (p, sigma) grids.  A submodule loads
-on first use of one of its names.
+machinery, and existence sweeps over (p, sigma) grids.  _NAMES lists each
+public name once, by its module; a name loads only that module, on first use.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-_MODULES = ("errors", "geometry", "thresholds", "solution", "solver", "verify", "proof", "sweep")
+_NAMES = {
+    "errors": ("ParameterError", "RegimeError", "SolutionFormatError"),
+    "geometry": (
+        "ModelSpace",
+        "warp",
+        "warp_log_derivative",
+        "radial_p_laplacian",
+        "radial_L_coefficient",
+    ),
+    "thresholds": (
+        "EquationParams",
+        "RegimeReport",
+        "MoserExponents",
+        "alpha",
+        "discriminant",
+        "sigma1",
+        "sigma2",
+        "sigma_midpoint",
+        "beta",
+        "thm2_threshold",
+        "thm2_condition",
+        "compare_thresholds",
+        "regime_constants",
+        "classify_regime",
+        "moser_exponents",
+    ),
+    "solution": (
+        "ShootingConfig",
+        "Termination",
+        "RadialSolution",
+        "LogSolution",
+        "pde_residual",
+        "to_log_solution",
+        "flux_residual",
+        "write_solution_csv",
+        "read_solution_csv",
+    ),
+    "solver": ("solve_radial", "shoot_batch"),
+    "verify": (
+        "GradientCheckReport",
+        "HarnackReport",
+        "ScaleInvarianceReport",
+        "check_gradient_estimate",
+        "check_harnack",
+        "check_gradient_scale_invariance",
+    ),
+    "proof": (
+        "BochnerReport",
+        "CaccioppoliConfig",
+        "CaccioppoliReport",
+        "SobolevRatioReport",
+        "caccioppoli_b_min",
+        "check_bochner_lemma",
+        "check_bochner_thm2",
+        "cutoff_eta",
+        "check_caccioppoli",
+        "sobolev_test_function",
+        "measure_sobolev_ratio",
+    ),
+    "sweep": (
+        "SweepGrid",
+        "ExistenceCell",
+        "SweepTable",
+        "RegionComparison",
+        "classify_existence",
+        "sweep",
+        "compare_with_theory",
+        "write_sweep_csv",
+    ),
+}
+__all__ = [name for names in _NAMES.values() for name in names]
 
 
 class _Package(_ModuleType):
@@ -26,20 +96,18 @@ class _Package(_ModuleType):
 
 
 def __getattr__(name):
-    """Load the modules in order until one lists name in its __all__, binding
-    each one's public names here; __all__ is those lists end to end."""
-    if name == "__all__":
-        return [n for m in _MODULES for n in _import_module(f"{__name__}.{m}").__all__]
-    namespace = globals()
-    for module in (_import_module(f"{__name__}.{m}") for m in _MODULES):
-        namespace.update((n, getattr(module, n)) for n in module.__all__)
-        if name in namespace:
-            return namespace[name]
+    """A public name, imported from the module whose row lists it and kept here."""
+    for module, names in _NAMES.items():
+        if name in names:
+            # __import__, unlike importlib.import_module, shows in -X importtime
+            value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+            globals()[name] = value
+            return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__getattr__("__all__")))
+    return sorted(set(globals()) | set(__all__))
 
 
-_import_module(__name__).__class__ = _Package
+_sys.modules[__name__].__class__ = _Package

@@ -41,19 +41,18 @@ _DILATION_FACTORS = (1, 2, 4, 8)
 _SPREAD_TOL = 0.02  # relative spread of empirical_C across the dilations
 
 # report fields that go into the envelope rather than its metrics
-_ENVELOPE_FIELDS = ("params", "space", "R", "passed", "quadrature_points")
+_ENVELOPE = ("params", "space", "R", "passed")
 
 
 class _Report:
     """to_report_dict for the report dataclasses: each declares its check
-    name and tolerance fields, and its other fields outside the envelope
-    are its metrics, in field order."""
+    name and its tolerances, class attributes set to the fixed settings,
+    and its fields outside the envelope are its metrics, in field order."""
 
     _tolerances = ()
 
     def _metrics(self):
-        skip = _ENVELOPE_FIELDS + self._tolerances
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _ENVELOPE}
 
     def _samples_retained(self):
         return getattr(self, "quadrature_points", None)

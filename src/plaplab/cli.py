@@ -16,7 +16,9 @@ tolerances and grids are fixed.  thresholds and check write JSON.  Exit
 codes are total: 0 on success or a passing check, 1 when a check fails (or
 a sweep finds contradictions), 2 on invalid input, 3 on numerical or I/O
 failure.  There is no randomness anywhere, so identical inputs reproduce
-identical outputs bitwise on a fixed floating-point platform.
+identical outputs bitwise on a fixed floating-point platform.  A command
+calls the package's public names as attributes of this module, each loaded
+from its own module on first use, so it compiles only the modules it runs.
 """
 
 from __future__ import annotations
@@ -27,40 +29,18 @@ import sys
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_type_hints
 
+import plaplab
+
 from .errors import ParameterError, RegimeError, SolutionFormatError
 
-# the library names the commands call, by module.  Each loads on first use
-# (__getattr__), so a command compiles only the modules it runs, and the
-# commands call them as attributes of this module, _cli, where perfbench's
-# traced run swaps in its wrappers.
-_LIBRARY = {
-    "geometry": ("ModelSpace",),
-    "thresholds": ("EquationParams", "classify_regime", "regime_constants"),
-    "solution": ("ShootingConfig", "read_solution_csv", "to_log_solution", "write_solution_csv"),
-    "solver": ("solve_radial",),
-    "verify": ("check_gradient_estimate", "check_harnack"),
-    "proof": (
-        "CaccioppoliConfig",
-        "check_bochner_lemma",
-        "check_bochner_thm2",
-        "check_caccioppoli",
-        "measure_sobolev_ratio",
-        "sobolev_test_function",
-    ),
-    "sweep": ("SweepGrid", "compare_with_theory", "sweep", "write_sweep_csv"),
-}
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name):
-    """A library name, imported from its module and kept here."""
-    for module, names in _LIBRARY.items():
-        if name in names:
-            # __import__, unlike importlib.import_module, shows in -X importtime
-            value = getattr(__import__(f"plaplab.{module}", fromlist=[name]), name)
-            globals()[name] = value
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A public name of the package, here where perfbench's tracer swaps it."""
+    if name not in plaplab.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(plaplab, name)
 
 
 EXIT_OK = 0

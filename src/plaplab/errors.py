@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 
-__all__ = ["ParameterError", "RegimeError", "SolutionFormatError"]
-
 
 class ParameterError(ValueError):
     """A constructor or configuration argument is out of its admissible range."""

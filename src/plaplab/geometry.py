@@ -16,14 +16,6 @@ import numpy as np
 
 from .errors import ParameterError, _require_integer
 
-__all__ = [
-    "ModelSpace",
-    "warp",
-    "warp_log_derivative",
-    "radial_p_laplacian",
-    "radial_L_coefficient",
-]
-
 
 @dataclass(frozen=True)
 class ModelSpace:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fd import fd4_first
-from ._quad import pchip, simpson
 from ._report import (
     _DV_FLOOR,
     _EDGE_FRAC,
@@ -39,20 +38,6 @@ from .geometry import ModelSpace, radial_L_coefficient, warp
 from .solution import LogSolution, RadialSolution
 from .thresholds import EquationParams, beta, discriminant, thm2_condition
 
-__all__ = [
-    "BochnerReport",
-    "CaccioppoliConfig",
-    "CaccioppoliReport",
-    "SobolevRatioReport",
-    "caccioppoli_b_min",
-    "check_bochner_lemma",
-    "check_bochner_thm2",
-    "cutoff_eta",
-    "check_caccioppoli",
-    "sobolev_test_function",
-    "measure_sobolev_ratio",
-]
-
 
 # ---------------------------------------------------------------------------
 # pointwise differential inequalities for f = |grad v|^p
@@ -65,6 +50,8 @@ class BochnerReport(_Report):
     -tol_rel * scale with scale the largest term magnitude at that sample."""
 
     _tolerances = ("tol_rel", "required_fraction")
+    tol_rel = _TOL_REL
+    required_fraction = _REQUIRED_FRACTION
 
     params: EquationParams
     space: ModelSpace
@@ -76,8 +63,6 @@ class BochnerReport(_Report):
     scale: np.ndarray
     pass_fraction: float
     passed: bool
-    tol_rel: float
-    required_fraction: float
 
     @property
     def _check(self):
@@ -157,8 +142,6 @@ def _bochner_report(log_solution, which, mask, lhs, terms):
         scale=scale,
         pass_fraction=frac,
         passed=frac >= _REQUIRED_FRACTION,
-        tol_rel=_TOL_REL,
-        required_fraction=_REQUIRED_FRACTION,
     )
 
 
@@ -221,7 +204,7 @@ def check_bochner_thm2(log_solution: LogSolution, *, r_window=None) -> BochnerRe
 # cutoff and Caccioppoli-type integral inequality
 
 
-class CutoffEta:
+class _CutoffEta:
     """C^1 cutoff: 1 on [0, 3R/4], smoothstep down to 0 at R, 0 beyond.
 
     max |eta'| = 6/R, attained mid-band.
@@ -247,9 +230,9 @@ class CutoffEta:
         return out if out.ndim else float(out)
 
 
-def cutoff_eta(R: float) -> CutoffEta:
+def cutoff_eta(R: float) -> _CutoffEta:
     """Build the cutoff used as eta in the integral inequality tests."""
-    return CutoffEta(R)
+    return _CutoffEta(R)
 
 
 @dataclass(frozen=True)
@@ -276,6 +259,8 @@ def caccioppoli_b_min(n: int, p: float, sigma: float, sign_of_a: float) -> float
 class CaccioppoliReport(_Report):
     _check = "caccioppoli"
     _tolerances = ("tol_quad",)
+    tol_quad = _TOL_QUAD
+    quadrature_points = _QUADRATURE_POINTS
 
     params: EquationParams
     space: ModelSpace
@@ -288,8 +273,6 @@ class CaccioppoliReport(_Report):
     slack: float
     scale: float
     passed: bool
-    tol_quad: float
-    quadrature_points: int
 
 
 def check_caccioppoli(
@@ -324,6 +307,7 @@ def check_caccioppoli(
             + ", ".join(f"{x:.6g}" for x in r[bad][:8])
         )
 
+    from ._quad import pchip, simpson  # the Bochner checks never interpolate
     eta = cutoff_eta(R)
     x = np.linspace(0.0, R, _QUADRATURE_POINTS)
     f_i = pchip(r, log_solution.f)
@@ -371,8 +355,6 @@ def check_caccioppoli(
         slack=float(slack),
         scale=float(scale),
         passed=bool(slack >= -_TOL_QUAD * scale),
-        tol_quad=_TOL_QUAD,
-        quadrature_points=_QUADRATURE_POINTS,
     )
 
 
@@ -401,6 +383,7 @@ def sobolev_test_function(solution: RadialSolution, R: float):
     """g = u eta and g' = u' eta + u eta' for the cutoff eta of radius R,
     with u and u' the monotone cubic interpolants of the solved profile: the
     test function that measure_sobolev_ratio takes from a solution."""
+    from ._quad import pchip
     _require_span(solution, R)
     eta = cutoff_eta(R)
     u_i = pchip(solution.r, solution.u)
@@ -424,8 +407,9 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
     power 1 - 2/n once V is measured without it), so all integrals here are
     radial.  Scaling g leaves the ratio invariant: both sides are
     2-homogeneous in g.  Without dg, g' is the analytic derivative of a
-    CutoffEta and np.gradient on the quadrature grid for any other g.
+    cutoff_eta cutoff and np.gradient on the quadrature grid for any other g.
     """
+    from ._quad import simpson
     _require_radius(R)
     n = space.n
     x = np.linspace(0.0, R, _QUADRATURE_POINTS)
@@ -435,7 +419,7 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
         raise ParameterError("degenerate input: g vanishes identically")
     if abs(gx[-1]) > 1e-8 * gmax:
         raise ParameterError(f"g(R) must vanish, got g({R}) = {gx[-1]:.6g}")
-    if dg is None and isinstance(g, CutoffEta):
+    if dg is None and isinstance(g, _CutoffEta):
         dg = g.derivative
     dgx = np.gradient(gx, x) if dg is None else np.asarray(dg(x), dtype=float)
     s_pow = warp(space, x) ** (n - 1)

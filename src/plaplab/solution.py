@@ -22,18 +22,6 @@ from .errors import ParameterError, SolutionFormatError, _require_integer
 from .geometry import ModelSpace, radial_p_laplacian, warp
 from .thresholds import EquationParams
 
-__all__ = [
-    "ShootingConfig",
-    "Termination",
-    "RadialSolution",
-    "LogSolution",
-    "pde_residual",
-    "to_log_solution",
-    "flux_residual",
-    "write_solution_csv",
-    "read_solution_csv",
-]
-
 
 @dataclass(frozen=True)
 class ShootingConfig:

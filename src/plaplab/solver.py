@@ -24,8 +24,6 @@ from .geometry import ModelSpace, _log_warp
 from .solution import RadialSolution, ShootingConfig, Termination
 from .thresholds import EquationParams
 
-__all__ = ["solve_radial", "shoot_batch"]
-
 # fraction of r_max at which the power-series start hands over to the ODE
 _SERIES_FRACTION = 1e-6
 _EPS = math.ulp(1.0)

@@ -28,17 +28,6 @@ from .solver import shoot_batch, solve_radial  # noqa: F401
 from .thresholds import classify_regime  # noqa: F401
 from .thresholds import EquationParams, _first_estimate, _regime_flags
 
-__all__ = [
-    "SweepGrid",
-    "ExistenceCell",
-    "SweepTable",
-    "RegionComparison",
-    "classify_existence",
-    "sweep",
-    "compare_with_theory",
-    "write_sweep_csv",
-]
-
 _CAVEAT = (
     "persistence at finite r_max is evidence, not proof: the nonexistence "
     "flags assume a complete space with nonnegative Ricci curvature (K = 0), "
@@ -148,9 +137,10 @@ def classify_existence(
     params: EquationParams,
     space: ModelSpace,
     config: ShootingConfig,
-    u0_list=(1.0,),
+    u0_list=None,
 ):
-    """Classify one parameter point by shooting from each center value.
+    """Classify one parameter point by shooting from each center value of
+    u0_list, by default config.u0 alone.
 
     persists if any run reaches r_max positive; zero_hit/blow_up (with the
     minimal termination radius) if all runs terminate before r_max; and
@@ -164,6 +154,7 @@ def classify_existence(
     A center value outside (zero_threshold, blowup_threshold) of config
     raises ParameterError.
     """
+    u0_list = (config.u0,) if u0_list is None else u0_list
     for u0 in u0_list:
         replace(config, u0=u0)  # checks u0 against the thresholds
     return _classify_batch([params], space, config, u0_list)[0]

@@ -21,24 +21,6 @@ import numpy as np
 
 from .errors import ParameterError, RegimeError, _require_finite, _require_integer
 
-__all__ = [
-    "EquationParams",
-    "RegimeReport",
-    "MoserExponents",
-    "alpha",
-    "discriminant",
-    "sigma1",
-    "sigma2",
-    "sigma_midpoint",
-    "beta",
-    "thm2_threshold",
-    "thm2_condition",
-    "compare_thresholds",
-    "regime_constants",
-    "classify_regime",
-    "moser_exponents",
-]
-
 
 @dataclass(frozen=True)
 class EquationParams:

@@ -20,15 +20,6 @@ from .geometry import ModelSpace
 from .solution import RadialSolution, ShootingConfig
 from .thresholds import EquationParams, classify_regime
 
-__all__ = [
-    "GradientCheckReport",
-    "HarnackReport",
-    "ScaleInvarianceReport",
-    "check_gradient_estimate",
-    "check_harnack",
-    "check_gradient_scale_invariance",
-]
-
 
 # ---------------------------------------------------------------------------
 # gradient estimate and Harnack
@@ -127,6 +118,7 @@ class ScaleInvarianceReport(_Report):
 
     _check = "gradient_scale_invariance"
     _tolerances = ("rel_tol",)
+    rel_tol = _SPREAD_TOL
 
     params: EquationParams
     space: ModelSpace
@@ -135,7 +127,6 @@ class ScaleInvarianceReport(_Report):
     empirical_C: tuple
     spread: float
     passed: bool
-    rel_tol: float
 
 
 def check_gradient_scale_invariance(
@@ -173,5 +164,4 @@ def check_gradient_scale_invariance(
         empirical_C=tuple(values),
         spread=float(spread),
         passed=bool(spread <= _SPREAD_TOL),
-        rel_tol=_SPREAD_TOL,
     )

@@ -4,7 +4,8 @@ solves) leave scipy unloaded.  The checks also leave numpy.ma unloaded,
 which np.median imports, and plaplab.sweep, which they do not run; each
 command loads only the plaplab modules it runs, and calls the library
 through the names on plaplab.cli that the traced CLI swaps; pl.sweep is the
-sweep function whichever import loads plaplab.sweep."""
+sweep function whichever import loads plaplab.sweep.  The package lists each
+public name once, and a name loads only its own module."""
 
 import json
 import os
@@ -91,9 +92,8 @@ NOT_LOADED = {
     "solve": {"plaplab.verify", "plaplab.proof", "plaplab._quad"},
     "gradient": {"plaplab.solver", "plaplab.proof"},
     "harnack": {"plaplab.solver", "plaplab.proof"},
-    **dict.fromkeys(
-        ("bochner", "bochner2", "caccioppoli", "sobolev"), {"plaplab.solver", "plaplab.verify"}
-    ),
+    **dict.fromkeys(("bochner", "bochner2"), {"plaplab.solver", "plaplab.verify", "plaplab._quad"}),
+    **dict.fromkeys(("caccioppoli", "sobolev"), {"plaplab.solver", "plaplab.verify"}),
 }
 
 
@@ -166,19 +166,60 @@ def test_commands_call_the_names_on_the_cli_module(monkeypatch, tmp_path):
     assert set(calls.values()) == {1}
 
 
-def test_package_all_is_the_module_lists():
-    """plaplab.__all__ is the modules' __all__ lists end to end: each public
-    name is listed once, in the module that defines it, and resolves."""
+def test_public_names_are_listed_once():
+    """plaplab.__all__ is the rows of plaplab._NAMES end to end, each name
+    once; each is its module's object, and each row is every public
+    function and class its module defines, so a new name cannot go unlisted."""
     import importlib
+    import inspect
 
-    modules = ("errors", "geometry", "thresholds", "solution", "solver", "verify", "proof", "sweep")
-    lists = [importlib.import_module(f"plaplab.{m}").__all__ for m in modules]
-    assert pl.__all__ == [name for names in lists for name in names]
+    assert pl.__all__ == [name for names in pl._NAMES.values() for name in names]
     assert len(set(pl.__all__)) == len(pl.__all__)
-    for module, names in zip(modules, lists):
+    for module, names in pl._NAMES.items():
+        mod = importlib.import_module(f"plaplab.{module}")
         for name in names:
-            assert getattr(pl, name) is getattr(importlib.import_module(f"plaplab.{module}"), name)
+            assert getattr(pl, name) is getattr(mod, name)
+        defined = {
+            name
+            for name, value in vars(mod).items()
+            if (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == mod.__name__
+            and not name.startswith("_")
+        }
+        assert set(names) == defined, module
     assert callable(pl.sweep) and importlib.import_module("plaplab.sweep").__name__ == "plaplab.sweep"
+
+
+LOADS = """
+import json, sys
+import plaplab as pl
+loaded = {}
+for expr in sys.argv[1:]:
+    before = set(sys.modules)
+    eval(expr)
+    loaded[expr] = sorted(m[len("plaplab."):] for m in set(sys.modules) - before
+                          if m.startswith("plaplab."))
+print(json.dumps(loaded))
+"""
+
+SWEEP_MODULES = ["_fd", "errors", "geometry", "solution", "solver", "sweep", "thresholds"]
+
+
+@pytest.mark.parametrize(
+    "exprs, modules",
+    [
+        (("pl.__all__", "dir(pl)"), [[], []]),
+        (("pl.EquationParams",), [["errors", "thresholds"]]),
+        (("pl.SweepGrid",), [SWEEP_MODULES]),
+        (("pl.sweep",), [SWEEP_MODULES]),
+        (("pl.compare_with_theory",), [SWEEP_MODULES]),
+    ],
+    ids=["listing", "EquationParams", "SweepGrid", "sweep", "compare_with_theory"],
+)
+def test_name_loads_its_module_alone(exprs, modules):
+    """In a fresh interpreter, listing the public names loads no submodule,
+    and a name loads its own module and what that module imports, no other."""
+    assert _run_fresh(LOADS, *exprs) == dict(zip(exprs, modules))
 
 
 SWEEP_LOADERS = {

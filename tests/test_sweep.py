@@ -68,6 +68,17 @@ def test_classification_invariant_in_center_value(flat3):
         assert kinds == {expected}
 
 
+def test_classify_existence_starts_from_config_u0(flat3):
+    """Without u0_list the one center value is config.u0, as in solve_radial
+    and a K = 0 SweepGrid; with sigma != p - 1 the zero radius depends on it."""
+    params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0)
+    config = pl.ShootingConfig(u0=4.0, r_max=20.0)
+    cls, r_star = pl.classify_existence(params, flat3, config)
+    assert (cls, r_star) == pl.classify_existence(params, flat3, config, u0_list=(4.0,))
+    assert r_star != pl.classify_existence(params, flat3, config, u0_list=(1.0,))[1]
+    assert r_star == pytest.approx(pl.solve_radial(params, flat3, config).termination.r, rel=1e-12)
+
+
 def test_tiny_span_is_indeterminate(flat3):
     """Reaching r_max with the profile still at its center value is not
     persistence; the cell is reported as numerical/indeterminate."""

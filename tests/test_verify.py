@@ -345,7 +345,7 @@ def test_sobolev_test_function_of_solution(sinc_solution):
 @pytest.mark.parametrize("interpolant", [pchip, PchipInterpolator])
 def test_sobolev_ratio_of_interpolant(interpolant, flat3):
     """An interpolant's derivative() returns a function, not values, so g'
-    comes from np.gradient, as for any g that is not a CutoffEta."""
+    comes from np.gradient, as for any g that is not a cutoff_eta cutoff."""
     r = np.linspace(0.0, 1.0, 201)
     g = interpolant(r, 1 - r**2)
     rep = pl.measure_sobolev_ratio(g, flat3, 1.0)
