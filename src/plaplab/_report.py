@@ -1,10 +1,10 @@
 """What the checkers of plaplab.verify and plaplab.proof share.
 
-* the tolerances, sample filters and quadrature grid are fixed module
-  constants, printed in the reports; the one value a caller chooses is the
-  exponent b of the Caccioppoli test function (CaccioppoliConfig);
 * reports serialize through ``to_report_dict`` into one flat JSON object
-  per check, whose metrics are the report's fields outside the envelope;
+  per check, whose metrics are the report's fields outside the envelope
+  and whose tolerances and sample count are class attributes of the
+  report (each checker's fixed settings are constants of the one module
+  that reads them);
 * a radius R must be positive, and inside the span of the solution it is
   checked on.
 """
@@ -30,16 +30,6 @@ def _jsonable(value):
     return value
 
 
-# fixed settings of the checkers, printed in their reports
-_EDGE_FRAC = 0.05  # pointwise checks skip r < _EDGE_FRAC * span
-_DV_FLOOR = 1e-6  # pointwise checks skip |v'| < _DV_FLOOR
-_TOL_REL = 1e-3  # pointwise margin tolerance, relative to the sample's scale
-_REQUIRED_FRACTION = 0.95  # share of retained samples that must pass
-_TOL_QUAD = 1e-6  # Caccioppoli slack tolerance, relative to its scale
-_QUADRATURE_POINTS = 4001  # grid of the integral checks
-_DILATION_FACTORS = (1, 2, 4, 8)
-_SPREAD_TOL = 0.02  # relative spread of empirical_C across the dilations
-
 # report fields that go into the envelope rather than its metrics
 _ENVELOPE = ("params", "space", "R", "passed")
 
@@ -47,15 +37,14 @@ _ENVELOPE = ("params", "space", "R", "passed")
 class _Report:
     """to_report_dict for the report dataclasses: each declares its check
     name and its tolerances, class attributes set to the fixed settings,
-    and its fields outside the envelope are its metrics, in field order."""
+    and may state samples_retained, the number of samples it was measured
+    on; its fields outside the envelope are its metrics, in field order."""
 
     _tolerances = ()
+    samples_retained = None
 
     def _metrics(self):
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _ENVELOPE}
-
-    def _samples_retained(self):
-        return getattr(self, "quadrature_points", None)
 
     def to_report_dict(self):
         params = getattr(self, "params", None)
@@ -67,7 +56,7 @@ class _Report:
                 "R": getattr(self, "R", None),
                 "pass": getattr(self, "passed", None),
                 "metrics": self._metrics(),
-                "samples_retained": self._samples_retained(),
+                "samples_retained": self.samples_retained,
                 "tolerances": {name: getattr(self, name) for name in self._tolerances},
             }
         )

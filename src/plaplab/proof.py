@@ -22,21 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fd import fd4_first
-from ._report import (
-    _DV_FLOOR,
-    _EDGE_FRAC,
-    _QUADRATURE_POINTS,
-    _REQUIRED_FRACTION,
-    _TOL_QUAD,
-    _TOL_REL,
-    _Report,
-    _require_radius,
-    _require_span,
-)
+from ._report import _Report, _require_radius, _require_span
 from .errors import ParameterError, RegimeError
 from .geometry import ModelSpace, radial_L_coefficient, warp
 from .solution import LogSolution, RadialSolution
 from .thresholds import EquationParams, beta, discriminant, thm2_condition
+
+# fixed settings of the checkers; the reports print the tolerances and grid size
+_EDGE_FRAC = 0.05  # pointwise checks skip r < _EDGE_FRAC * span
+_DV_FLOOR = 1e-6  # pointwise checks skip |v'| < _DV_FLOOR
+_TOL_REL = 1e-3  # pointwise margin tolerance, relative to the sample's scale
+_REQUIRED_FRACTION = 0.95  # share of retained samples that must pass
+_TOL_QUAD = 1e-6  # Caccioppoli slack tolerance, relative to its scale
+_QUADRATURE_POINTS = 4001  # grid of the integral checks
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +76,8 @@ class BochnerReport(_Report):
             "r_max": float(self.radii[-1]),
         }
 
-    def _samples_retained(self):
+    @property
+    def samples_retained(self):
         return len(self.radii)
 
 
@@ -204,6 +203,13 @@ def check_bochner_thm2(log_solution: LogSolution, *, r_window=None) -> BochnerRe
 # cutoff and Caccioppoli-type integral inequality
 
 
+def _quadrature_grid(space, R):
+    """The grid of the integral checks on [0, R] and the radial volume
+    weight s^(n-1) on it."""
+    x = np.linspace(0.0, R, _QUADRATURE_POINTS)
+    return x, warp(space, x) ** (space.n - 1)
+
+
 class _CutoffEta:
     """C^1 cutoff: 1 on [0, 3R/4], smoothstep down to 0 at R, 0 beyond.
 
@@ -260,7 +266,7 @@ class CaccioppoliReport(_Report):
     _check = "caccioppoli"
     _tolerances = ("tol_quad",)
     tol_quad = _TOL_QUAD
-    quadrature_points = _QUADRATURE_POINTS
+    samples_retained = _QUADRATURE_POINTS
 
     params: EquationParams
     space: ModelSpace
@@ -309,7 +315,7 @@ def check_caccioppoli(
 
     from ._quad import pchip, simpson  # the Bochner checks never interpolate
     eta = cutoff_eta(R)
-    x = np.linspace(0.0, R, _QUADRATURE_POINTS)
+    x, s_pow = _quadrature_grid(space, R)
     f_i = pchip(r, log_solution.f)
     dv_i = pchip(r, log_solution.dv)
     fx = np.clip(f_i(x), 0.0, None)
@@ -317,7 +323,6 @@ def check_caccioppoli(
     dvx = dv_i(x)
     ex = eta(x)
     dex = eta.derivative(x)
-    s_pow = warp(space, x) ** (n - 1)
 
     # f -> 0 only at the center; every integrand below carries at least one
     # positive power of f there, so the limit contribution is 0
@@ -369,6 +374,7 @@ class SobolevRatioReport(_Report):
     constant is claimed)."""
 
     _check = "sobolev"
+    samples_retained = _QUADRATURE_POINTS
 
     space: ModelSpace
     R: float
@@ -412,7 +418,7 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
     from ._quad import simpson
     _require_radius(R)
     n = space.n
-    x = np.linspace(0.0, R, _QUADRATURE_POINTS)
+    x, s_pow = _quadrature_grid(space, R)
     gx = np.asarray(g(x), dtype=float)
     gmax = float(np.max(np.abs(gx)))
     if gmax == 0:
@@ -422,7 +428,6 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
     if dg is None and isinstance(g, _CutoffEta):
         dg = g.derivative
     dgx = np.gradient(gx, x) if dg is None else np.asarray(dg(x), dtype=float)
-    s_pow = warp(space, x) ** (n - 1)
     q = n / (n - 2)
     integrands = (np.abs(gx) ** (2 * q) * s_pow, dgx**2 * s_pow, gx**2 * s_pow, s_pow)
     i_g2q, i_dg2, i_g2, volume = simpson(np.stack(integrands), x=x)

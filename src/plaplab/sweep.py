@@ -238,7 +238,7 @@ class RegionComparison:
     n_failures: int
     boundary: dict
     r_max: float
-    caveat: str = _CAVEAT
+    caveat = _CAVEAT
 
     @property
     def contradiction_count(self) -> int:

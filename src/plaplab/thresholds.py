@@ -51,22 +51,11 @@ class EquationParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _in_p_window(n, p):
-    """Whether 1 < p < 2n-1, the window of the first estimate; n must be
-    an integer >= 3."""
-    _require_integer("n", n, 3)
-    return 1 < p < 2 * n - 1
-
-
-def _check_p_window(n, p):
-    if not _in_p_window(n, p):
-        raise RegimeError(f"p must satisfy 1 < p < 2n-1 = {2 * n - 1}, got p = {p}")
-
-
 def _first_estimate(n, p):
     """(alpha, discriminant, sigma1, sigma2) of the first estimate, or None
     outside its window 1 < p < 2n-1; n must be an integer >= 3."""
-    if not _in_p_window(n, p):
+    _require_integer("n", n, 3)
+    if not 1 < p < 2 * n - 1:
         return None
     if p <= 3 - 2 / n:
         al = n * (p - 1) ** 2 / (n - 1)
@@ -80,8 +69,10 @@ def _first_estimate(n, p):
 
 def _window_constants(n, p):
     """_first_estimate(n, p), raising RegimeError outside the p-window."""
-    _check_p_window(n, p)
-    return _first_estimate(n, p)
+    constants = _first_estimate(n, p)
+    if constants is None:
+        raise RegimeError(f"p must satisfy 1 < p < 2n-1 = {2 * n - 1}, got p = {p}")
+    return constants
 
 
 def _in_sigma_window(sigma, sign_of_a, constants):
@@ -136,10 +127,10 @@ def beta(n: int, p: float, sigma: float, sign_of_a: float) -> float:
 
     ``sign_of_a`` may be any nonzero real; only its sign is used.
     """
-    _check_p_window(n, p)
+    constants = _window_constants(n, p)
     if sign_of_a == 0:
         raise ParameterError("sign_of_a must be nonzero")
-    return _beta(n, p, sigma, sign_of_a, _first_estimate(n, p))
+    return _beta(n, p, sigma, sign_of_a, constants)
 
 
 def _beta(n, p, sigma, sign_of_a, constants):

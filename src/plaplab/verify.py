@@ -14,11 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._report import _DILATION_FACTORS, _SPREAD_TOL, _Report, _require_span
+from ._report import _Report, _require_span
 from .errors import RegimeError
 from .geometry import ModelSpace
 from .solution import RadialSolution, ShootingConfig
 from .thresholds import EquationParams, classify_regime
+
+# fixed settings of the scale-invariance check, printed in its report
+_DILATION_FACTORS = (1, 2, 4, 8)
+_SPREAD_TOL = 0.02  # relative spread of empirical_C across the dilations
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import plaplab as pl
 from plaplab.errors import ParameterError, RegimeError
@@ -215,6 +216,42 @@ def test_compare_thresholds():
 def test_thm2_threshold_below_sigma1_on_grid():
     for n, p in grid_points():
         assert pl.thm2_threshold(n, p) < pl.sigma1(n, p)
+
+
+def window_points(upper):
+    """(n, p) with n in 3..60 and 1 < p < upper(n)."""
+    return st.integers(3, 60).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.floats(1.0, upper(n), exclude_min=True, exclude_max=True)
+        )
+    )
+
+
+PROPERTY_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(point=window_points(lambda n: 2 * n - 1))
+@example(point=(3, math.nextafter(5.0, 0.0)))
+@example(point=(60, math.nextafter(1.0, 2.0)))
+def test_sigma2_above_p_minus_1(point):
+    """The a < 0 window (sigma2, inf) lies strictly above p - 1 on the
+    whole p-window."""
+    n, p = point
+    assert pl.sigma2(n, p) > p - 1
+
+
+@PROPERTY_SETTINGS
+@given(point=window_points(lambda n: n))
+@example(point=(3, math.nextafter(3.0, 0.0)))
+@example(point=(60, math.nextafter(1.0, 2.0)))
+def test_thresholds_below_sobolev_exponent(point):
+    """For p < n, sigma1 and the second estimate's threshold both lie
+    below p* - 1 = (n(p-1)+p)/(n-p), with p* = np/(n-p)."""
+    n, p = point
+    critical = (n * (p - 1) + p) / (n - p)
+    assert pl.sigma1(n, p) < critical
+    assert pl.thm2_threshold(n, p) < critical
 
 
 # ---------------------------------------------------------------------------
