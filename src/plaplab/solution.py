@@ -88,6 +88,7 @@ class RadialSolution:
     termination: Termination
 
     def __post_init__(self):
+        _dimension(self.params, self.space)
         m = len(self.r)
         if not (len(self.u) == len(self.w) == m):
             raise ParameterError("grid arrays must have equal length")
@@ -104,6 +105,13 @@ class RadialSolution:
         return _du_from_flux(self.w, self.params.p)
 
 
+def _dimension(params, space) -> int:
+    """The dimension n of a run, which its params and its space must share."""
+    if params.n != space.n:
+        raise ParameterError(f"dimension mismatch: params.n = {params.n}, space.n = {space.n}")
+    return space.n
+
+
 def _du_from_flux(w, p):
     """u' = sgn(w) |w|^(1/(p-1)), the inverse of w = |u'|^(p-2) u'."""
     return np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
@@ -116,31 +124,52 @@ class LogSolution:
 
     params: EquationParams
     space: ModelSpace
+    config: ShootingConfig
     r: np.ndarray
     v: np.ndarray
     dv: np.ndarray
     f: np.ndarray
     h: np.ndarray
-    transformed_residual: float
+
+    def __post_init__(self):
+        _dimension(self.params, self.space)
+
+    @cached_property
+    def transformed_residual(self) -> float:
+        """Max relative residual, by finite differences on v alone, of the
+        transformed equation div(|v'|^(p-2) v') + |v'|^p + a h = 0 (h as
+        above); computed on first use, nan when no sample is retained."""
+        # the log profile is singular at a zero hit, so its grid change per step
+        # must stay well below the u-profile cap for the 4th-order stencil
+        mask, dv, plap_v = _fd_p_laplacian(self, self.v, np.abs(self.dv), 0.01)
+        if not np.any(mask):
+            return math.nan
+        source = self.params.a * self.h[mask]
+        full = plap_v + np.abs(dv) ** self.params.p + source
+        return float(np.max(np.abs(full)) / np.max(np.abs(source)))
 
 
 # ---------------------------------------------------------------------------
 # finite-difference residuals and the log transform
 
 
-def _residual_mask(solution, du_fd, rel_change, max_step_change):
-    """Retained samples for residual checks: inside the central exclusion
-    band, with complete FD stencils, nondegenerate gradient for p < 2, and
-    resolvable on the grid (relative change per grid step capped, which
-    drops the unresolvable tail next to a zero hit or a blow-up)."""
-    r = solution.r
+def _fd_p_laplacian(solution, y, rel_change, max_step_change):
+    """(mask, y', div(|y'|^(p-2) y')) of the profile y on the solution's
+    grid, by 4th-order central differences, on the samples retained for
+    residual checks: inside the central exclusion band, with complete FD
+    stencils, nondegenerate gradient for p < 2, and resolvable on the grid
+    (relative change per grid step capped, which drops the unresolvable
+    tail next to a zero hit or a blow-up)."""
+    p, r = solution.params.p, solution.r
     h = r[1] - r[0]
-    band = min(0.02 * solution.config.r_max, 0.25 * solution.r_end)
-    mask = (r > band) & np.isfinite(du_fd)
+    dy = fd4_first(y, h)
+    band = min(0.02 * solution.config.r_max, 0.25 * r[-1])
+    mask = (r > band) & np.isfinite(dy)
     mask &= rel_change * h <= max_step_change
-    if solution.params.p < 2:
-        mask &= du_fd != 0
-    return mask
+    if p < 2:
+        mask &= dy != 0
+    dy = dy[mask]
+    return mask, dy, radial_p_laplacian(p, solution.space, dy, fd4_second(y, h)[mask], r[mask])
 
 
 def pde_residual(solution: RadialSolution) -> float:
@@ -153,62 +182,34 @@ def pde_residual(solution: RadialSolution) -> float:
     """
     if len(solution.r) < 5:
         raise ParameterError("pde_residual needs at least 5 samples")
-    p, a, sig = solution.params.p, solution.params.a, solution.params.sigma
-    r, u = solution.r, solution.u
-    h = r[1] - r[0]
-    du = fd4_first(u, h)
-    d2u = fd4_second(u, h)
-    mask = _residual_mask(solution, du, np.abs(solution.du) / u, 0.02)
+    u = solution.u
+    mask, _, plap = _fd_p_laplacian(solution, u, np.abs(solution.du) / u, 0.02)
     if not np.any(mask):
         raise ParameterError("no samples retained for the residual check")
-    plap = radial_p_laplacian(p, solution.space, du[mask], d2u[mask], r[mask])
-    source = a * u[mask] ** sig
+    source = solution.params.a * u[mask] ** solution.params.sigma
     scale = np.max(np.abs(source))
     return float(np.max(np.abs(plap + source)) / scale)
 
 
 def to_log_solution(solution: RadialSolution) -> LogSolution:
-    """Pointwise log-transform of a positive profile.
-
-    Also re-verifies the transformed equation
-
-        div(|v'|^(p-2) v') + |v'|^p + a (p-1)^(p-1) e^((sigma/(p-1)-1) v) = 0
-
-    by finite differences on v alone; the normalized residual is recorded on
-    the returned object.
-    """
+    """Pointwise log-transform of a positive profile; the transformed
+    equation is checked when its transformed_residual is first read."""
     if np.any(solution.u <= 0):
         raise ParameterError("log transform requires u > 0 on all samples")
-    p, a, sig = solution.params.p, solution.params.a, solution.params.sigma
+    p, sig = solution.params.p, solution.params.sigma
     v = (p - 1) * np.log(solution.u)
     dv = (p - 1) * solution.du / solution.u
     f = np.abs(dv) ** p
     hsrc = (p - 1) ** (p - 1) * np.exp((sig / (p - 1) - 1) * v)
-
-    r = solution.r
-    hstep = r[1] - r[0]
-    dv_fd = fd4_first(v, hstep)
-    d2v_fd = fd4_second(v, hstep)
-    # the log profile is singular at a zero hit, so its grid change per step
-    # must stay well below the u-profile cap for the 4th-order stencil
-    mask = _residual_mask(solution, dv_fd, np.abs(dv), 0.01)
-    resid = math.nan
-    if np.any(mask):
-        dvm = dv_fd[mask]
-        plap_v = radial_p_laplacian(p, solution.space, dvm, d2v_fd[mask], r[mask])
-        full = plap_v + np.abs(dvm) ** p + a * hsrc[mask]
-        scale = np.max(np.abs(a * hsrc[mask]))
-        resid = float(np.max(np.abs(full)) / scale)
-
     return LogSolution(
         params=solution.params,
         space=solution.space,
-        r=r,
+        config=solution.config,
+        r=solution.r,
         v=v,
         dv=dv,
         f=f,
         h=hsrc,
-        transformed_residual=resid,
     )
 
 

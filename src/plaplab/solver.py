@@ -16,12 +16,13 @@ short power series.  Termination is classified as reached_rmax, hit_zero
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ParameterError
 from .geometry import ModelSpace, _log_warp
-from .solution import RadialSolution, ShootingConfig, Termination
+from .solution import RadialSolution, ShootingConfig, Termination, _dimension
 from .thresholds import EquationParams
 
 # fraction of r_max at which the power-series start hands over to the ODE
@@ -87,16 +88,15 @@ def solve_radial(
     arrays; the steps leading there are computed apart, so the two radii
     agree to rounding, not bitwise.  The profile is returned uniformly
     resampled on [0, r_end] from the steps' C^1 dense output (downstream
-    off-grid interpolation is monotone cubic, in the checkers).
+    off-grid interpolation is monotone cubic, in the checkers).  With no
+    accepted step the run ends as step_failure at r_start, and its profile
+    is the series start on [0, r_start].
 
-    Raises ParameterError when the series start is not inside (_zero_event
-    or _blowup_event is not > 0) and when the integration span collapses.
+    Raises ParameterError when params and space disagree on n and when the
+    series start is not inside (_zero_event or _blowup_event is not > 0).
     """
-    if params.n != space.n:
-        raise ParameterError(
-            f"dimension mismatch: params.n = {params.n}, space.n = {space.n}"
-        )
-    p, a, sig, n = params.p, params.a, params.sigma, params.n
+    n = _dimension(params, space)
+    p, a, sig = params.p, params.a, params.sigma
     inv_pm1 = 1.0 / (p - 1.0)
     r_max, u0 = config.r_max, config.u0
     zt, bt = config.zero_threshold, config.blowup_threshold
@@ -202,7 +202,9 @@ def solve_radial(
     dense = np.einsum("jk,mkc->jcm", np.array(_DP_P), table[:, 4:].reshape(len(steps), 7, 2))
     step_ends = table[:, 1]
     step = (table[:, 0], step_ends - table[:, 0], table[:, 2:4].T, dense)
-    if failed:
+    if not steps:  # nothing was integrated: a step failure at the start
+        termination = Termination("step_failure", r_start)
+    elif failed:
         blown = _blew_up(u, w, bt, _float_maximum)
         termination = Termination("blow_up" if blown else "step_failure", t)
     elif fire_zero or fire_blow:
@@ -213,20 +215,14 @@ def solve_radial(
     else:
         termination = Termination("reached_rmax", r_max)
 
-    r_end = termination.r
-    if not steps or r_end <= r_start:
-        raise ParameterError(
-            f"integration span collapsed (r_end = {r_end}); check the configuration"
-        )
-
     # uniform resample straight from the steps' continuous extension: it is
     # C^1 across steps, so downstream finite differences on the uniform grid
     # see only the (smooth, tolerance-sized) integration error.  A sample on
     # a step boundary takes the step that ends there, as scipy's does.
-    rs = np.linspace(0.0, r_end, config.output_points)
+    rs = np.linspace(0.0, termination.r, config.output_points)
     u = np.empty_like(rs)
     w = np.empty_like(rs)
-    head = rs < r_start
+    head = rs < (r_start if steps else math.inf)  # with no step, all take the series
     u[head] = _series_u(p, a, sig, n, u0, rs[head])
     w[head] = _series_w(a, sig, n, u0, rs[head])
     tail = rs[~head]
@@ -342,20 +338,24 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     step's blow-up from a step failure.  No profile is kept.
 
     Returns three arrays with one entry per run: the termination kind (one
-    of Termination.KINDS, as solve_radial classifies it, with a collapsed
-    span or a series start that solve_radial rejects reported as
-    step_failure), its radius, and the largest relative
-    excursion max |u - u0| / u0 over accepted step ends.
+    of Termination.KINDS, as solve_radial classifies it, with a series
+    start that solve_radial rejects reported as step_failure at radius 0),
+    its radius, and the largest relative excursion max |u - u0| / u0 over
+    accepted step ends.
+
+    Raises ParameterError when a parameter set and space disagree on n,
+    and ShootingConfig's error for the first center value it rejects.
     """
     params = list(params)
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (len(params),):
         raise ParameterError("need one center value per parameter set")
-    if any(prm.n != space.n for prm in params):
-        raise ParameterError(f"dimension mismatch with space.n = {space.n}")
+    for prm in params:
+        _dimension(prm, space)
     zt, bt = config.zero_threshold, config.blowup_threshold
-    if not np.all((zt < u0) & (u0 < bt)):
-        raise ParameterError("center values must lie between the thresholds")
+    outside = ~((zt < u0) & (u0 < bt))
+    if np.count_nonzero(outside):
+        replace(config, u0=float(u0[outside][0]))  # raises ShootingConfig's error
     m = len(params)
     kind = np.full(m, _FAILED)
     r_end = np.zeros(m)
@@ -461,7 +461,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
             hit, r_end[index] = _first_event((t_old, t_new, y_old, q), *fire, zt, bt)
             kind[index] = np.where(hit, _ZERO, _BLOW)
 
-    kind[r_end <= r_start] = _FAILED  # collapsed span: nothing was integrated
+    kind[r_end <= r_start] = _FAILED  # no accepted step: a step failure at the start
     return _KIND_NAMES[kind], r_end, moved
 
 

@@ -152,11 +152,9 @@ def classify_existence(
     numerical_failure rather than as (spurious) persistence.
     The excursion is measured at the integrator's accepted step ends.
     A center value outside (zero_threshold, blowup_threshold) of config
-    raises ParameterError.
+    raises ShootingConfig's ParameterError, from shoot_batch.
     """
     u0_list = (config.u0,) if u0_list is None else u0_list
-    for u0 in u0_list:
-        replace(config, u0=u0)  # checks u0 against the thresholds
     return _classify_batch([params], space, config, u0_list)[0]
 
 

@@ -109,7 +109,10 @@ def scipy_reference(params, space, config):
         dense_output=True,
     )
 
-    if sol.status == 1:
+    accepted = len(sol.t) > 1
+    if not accepted:  # nothing was integrated: a step failure at the start
+        termination = pl.Termination("step_failure", r_start)
+    elif sol.status == 1:
         if len(sol.t_events[0]):
             termination = pl.Termination("hit_zero", float(sol.t_events[0][0]))
         else:
@@ -122,22 +125,18 @@ def scipy_reference(params, space, config):
         blew_up = max(abs(u_last), abs(w_last)) >= 0.99 * config.blowup_threshold
         termination = pl.Termination("blow_up" if blew_up else "step_failure", r_fail)
 
-    r_end = termination.r
-    if len(sol.t) < 2 or r_end <= r_start:
-        raise ParameterError(
-            f"integration span collapsed (r_end = {r_end}); check the configuration"
-        )
-
     # uniform resample straight from the integrator's continuous extension:
     # it is C^1 across steps, so downstream finite differences on the uniform
-    # grid see only the (smooth, tolerance-sized) integration error
-    rs = np.linspace(0.0, r_end, config.output_points)
+    # grid see only the (smooth, tolerance-sized) integration error; with no
+    # step, every sample takes the series
+    rs = np.linspace(0.0, termination.r, config.output_points)
     u = np.empty_like(rs)
     w = np.empty_like(rs)
-    head = rs < r_start
+    head = rs < (r_start if accepted else math.inf)
     u[head] = _series_u(p, a, sig, n, u0, rs[head])
     w[head] = _series_w(a, sig, n, u0, rs[head])
-    u[~head], w[~head] = sol.sol(rs[~head])
+    if accepted:
+        u[~head], w[~head] = sol.sol(rs[~head])
 
     return pl.RadialSolution(
         params=params,

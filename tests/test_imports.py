@@ -145,6 +145,28 @@ def test_cli_resolves_the_traced_names():
     assert _run_fresh(script, *TRACED) == TRACED
 
 
+# the names perfbench's traced sweep swaps wrappers into on the plaplab.sweep
+# module, and their modules: the sweep calls only the first, and imports the
+# other two for the tracer alone
+SWEEP_TRACED = {
+    "classify_existence": "plaplab.sweep",
+    "solve_radial": "plaplab.solver",
+    "classify_regime": "plaplab.thresholds",
+}
+
+
+def test_sweep_module_resolves_the_traced_names():
+    """A freshly imported plaplab.sweep module gives each name the traced
+    sweep patches on it as an attribute, the function of its module."""
+    script = (
+        "import json, sys\n"
+        "import plaplab.sweep\n"
+        "module = sys.modules['plaplab.sweep']\n"
+        "print(json.dumps({n: getattr(module, n).__module__ for n in sys.argv[1:]}))\n"
+    )
+    assert _run_fresh(script, *SWEEP_TRACED) == SWEEP_TRACED
+
+
 def test_commands_call_the_names_on_the_cli_module(monkeypatch, tmp_path):
     """A wrapper set on plaplab.cli, as the traced CLI sets it, is what the
     command calls: once per name for solve and for check gradient."""

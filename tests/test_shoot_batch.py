@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 import plaplab as pl
 from plaplab.errors import ParameterError
 from plaplab.solver import (
-    _SERIES_FRACTION,
     _blew_up,
     _blowup_event,
     _dense_output,
@@ -26,7 +25,7 @@ from conftest import run_bounded, scipy_reference
 
 
 def reference(params, space, config):
-    """(kind, r) of scipy's solve; a collapsed span is a step failure."""
+    """(kind, r) of scipy's solve; a rejected series start is a step failure."""
     try:
         t = scipy_reference(params, space, config).termination
     except ParameterError:
@@ -84,7 +83,7 @@ def shooting_runs(draw):
     n = draw(st.integers(3, 6))
     p = draw(st.floats(1.0, 2 * n - 1.0, exclude_min=True, exclude_max=True))
     a = draw(st.sampled_from([1.0, -1.0])) * 10 ** draw(st.floats(-1.0, 1.0))
-    sigma = draw(st.floats(0.05, 8.0))
+    sigma = draw(st.one_of(st.floats(-6.3, -0.03), st.floats(0.05, 8.0)))
     K = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
     u0, r_max, zt, bt = (10 ** draw(st.floats(lo, hi)) for lo, hi in
                          ((-2.0, 2.0), (-1.0, 2.0), (-12.0, -4.0), (4.0, 14.0)))
@@ -93,15 +92,14 @@ def shooting_runs(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(run=shooting_runs())
-# every step from the series start fails: solve_radial's span collapses
+# every step from the series start fails: both end as step_failure at the start
 @example(run=(5, 1.5, -1.0, 7.3249018655778295, 3.3963356340842843, 66.66106837805097, 1.0,
               2.23275479940515e-06, 1240490256426.4636))
 def test_drawn_batch_of_one_matches_solve_radial(run):
     """The two steppers end a run alike: same kind, same radius to 1e-8
     relative (the steps leading to an event are computed apart, so the
-    radii agree to rounding, not bitwise).  Where solve_radial raises,
-    shoot_batch reports a step failure: at radius 0 for a rejected series
-    start, at the start radius for a span that collapsed there."""
+    radii agree to rounding, not bitwise).  Where solve_radial rejects the
+    series start, shoot_batch reports a step failure at radius 0."""
     n, p, a, sigma, K, u0, r_max, zt, bt = run
     assume(zt < u0 < bt)
     params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
@@ -113,8 +111,8 @@ def test_drawn_batch_of_one_matches_solve_radial(run):
     try:
         t = pl.solve_radial(params, space, config).termination
     except ParameterError as exc:
-        r_failed = 0.0 if "series start" in str(exc) else _SERIES_FRACTION * r_max
-        assert (kinds[0], radii[0]) == ("step_failure", r_failed)
+        assert "series start" in str(exc)
+        assert (kinds[0], radii[0]) == ("step_failure", 0.0)
         return
     assert kinds[0] == t.kind
     assert abs(radii[0] - t.r) <= 1e-8 * t.r

@@ -495,25 +495,38 @@ def _past_an_event(start):
             _past_an_event("u = nan, w = nan"),
             id="flags1",
         ),
-        pytest.param(  # a finite start inside the thresholds at r = 1e-309,
-            # where (n-1)/r overflows: the first derivative and the initial
-            # step are nan, and a nan step counts as below the step floor
-            ("--a", "1", "--sigma", "1", "--r-max", "1e-303"),
-            "error: integration span collapsed (r_end = 1e-309); check the configuration",
-            id="nan-initial-step",
-        ),
     ],
 )
 def test_overflowing_start_ends_as_invalid_input(flags, message, tmp_path):
     """A start state beyond the float range is rejected before the first
-    step, and a start whose first step is nan fails at once: the solve
-    ends with exit 2 and one line on stderr instead of retrying forever."""
+    step: the solve ends with exit 2 and one line on stderr."""
     proc = run_bounded(
         "-m", "plaplab.cli", "solve", "--n", "3", "--p", "2", *flags,
         "--out", str(tmp_path / "s.csv"),
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [message]
+
+
+def test_start_with_no_accepted_step_is_a_step_failure(tmp_path):
+    """A finite start inside the thresholds at r = 1e-309, where (n-1)/r
+    overflows: the first derivative and the initial step are nan, and a nan
+    step counts as below the step floor, so no step is accepted.  The solve
+    fails at once instead of retrying forever, as a numerical failure (exit
+    3): step_failure at the start radius, with the series start written as
+    a CSV that reads back."""
+    out = tmp_path / "s.csv"
+    proc = run_bounded(
+        "-W", "error", "-m", "plaplab.cli", "solve", "--n", "3", "--p", "2", "--a", "1",
+        "--sigma", "1", "--r-max", "1e-303", "--out", str(out),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert proc.stdout == f"termination=step_failure r=1e-309 samples=2001 out={out}\n"
+    back = pl.read_solution_csv(out)
+    assert back.termination == pl.Termination("step_failure", 1e-309)
+    assert back.r[-1] == 1e-309
+    assert np.all(back.u == 1.0)
 
 
 @pytest.mark.parametrize("flag", ["--a", "--sigma", "--K", "--p", "--r-max"])
@@ -527,10 +540,22 @@ def test_non_finite_solve_flags_are_invalid(flag, value, tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
-def test_dimension_mismatch_rejected(flat3):
-    params = pl.EquationParams(n=4, p=2.0, a=1.0, sigma=1.0)
-    with pytest.raises(ParameterError):
-        pl.solve_radial(params, flat3, pl.ShootingConfig(u0=1.0, r_max=1.0))
+def test_dimension_mismatch_rejected(sinc_solution, sinc_log):
+    """params.n and space.n must agree wherever a run is solved or held:
+    solve_radial, shoot_batch, a RadialSolution and a LogSolution each
+    raise the one dimension mismatch error."""
+    params, config = sinc_solution.params, sinc_solution.config
+    space5 = pl.ModelSpace(n=5)
+    attempts = {
+        "solve_radial": lambda: pl.solve_radial(params, space5, config),
+        "shoot_batch": lambda: pl.shoot_batch([params], [config.u0], space5, config),
+        "RadialSolution": lambda: dataclasses.replace(sinc_solution, space=space5),
+        "LogSolution": lambda: dataclasses.replace(sinc_log, space=space5),
+    }
+    for name, attempt in attempts.items():
+        with pytest.raises(ParameterError) as exc:
+            attempt()
+        assert str(exc.value) == "dimension mismatch: params.n = 3, space.n = 5", name
 
 
 def test_hyperbolic_critical_damping_never_crosses():

@@ -257,12 +257,15 @@ def test_grid_rejects_nan_center_value():
 
 def test_classify_existence_rejects_center_value_outside_thresholds(flat3):
     """classify_existence names a center value outside the thresholds
-    instead of counting its run as a numerical failure."""
+    instead of counting its run as a numerical failure; shoot_batch, which
+    checks for it, names the first such value in ShootingConfig's words."""
     params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=3.0)
     config = pl.ShootingConfig(r_max=50.0)
     assert pl.classify_existence(params, flat3, config, (1.0,))[0] == "zero_hit"
     with pytest.raises(ParameterError, match=r"center value u0 = 200000000\.0 is outside"):
         pl.classify_existence(params, flat3, config, (1.0, 2e8))
+    with pytest.raises(ParameterError, match=r"center value u0 = 1e-09 is outside"):
+        pl.shoot_batch([params] * 3, [1.0, 1e-9, 2e8], flat3, config)
 
 
 def test_sweep_empty_sigma_range():
