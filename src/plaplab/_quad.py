@@ -49,15 +49,27 @@ class PPoly:
         self.c = c
 
     def __call__(self, t):
+        return self.at(self.locate(t))
+
+    def locate(self, t):
+        """(i, t - x[i]) for the points t: the interval of each point and its
+        offset in it, which every PPoly on the same breakpoints shares."""
         t = np.asarray(t, dtype=float)
-        x, c = self.x, self.c
-        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-        s = t - x[i]
+        # how many of x[1:-1] lie at or below t: scipy's interval index, with
+        # points beyond either end (and nan) in the end intervals
+        i = np.searchsorted(self.x[1:-1], t, side="right")
+        return i, t - np.take(self.x, i)
+
+    def at(self, where):
+        """The polynomial at points located by locate on these breakpoints."""
+        i, s = where
+        c = np.take(self.c, i, axis=1)
         k = len(c)
-        res = np.zeros_like(s)
-        z = np.ones_like(s)
-        for m in range(k):  # scipy's order: ascending powers of s, summed
-            res = res + c[k - m - 1, i] * z
+        # scipy's order: ascending powers of s, summed from 0.0
+        res = c[k - 1] + 0.0
+        z = s
+        for m in range(1, k):
+            res = res + c[k - m - 1] * z
             if m < k - 1:
                 z = z * s
         return res

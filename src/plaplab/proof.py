@@ -17,14 +17,15 @@ the inequalities that feed the Moser iteration.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fd import fd4_first
 from ._report import _Report, _require_radius, _require_span
 from .errors import ParameterError, RegimeError
-from .geometry import ModelSpace, radial_L_coefficient, warp
+from .geometry import ModelSpace, warp
 from .solution import LogSolution, RadialSolution
 from .thresholds import EquationParams, beta, discriminant, thm2_condition
 
@@ -91,26 +92,8 @@ def _median(x):
     return part[-1] if np.isnan(part[-1]) else np.mean(part[kth[0] : half + 1])
 
 
-def _linearized_operator_fd(log_solution):
-    """L(f) = s^(1-n) d/dr [ s^(n-1) (p-1)|v'|^(p-2) f' ] by nested FD;
-    the weight is NaN where v' = 0."""
-    r, f, dv = log_solution.r, log_solution.f, log_solution.dv
-    p = log_solution.params.p
-    n = log_solution.space.n
-    h = r[1] - r[0]
-    df = fd4_first(f, h)
-    s_pow = warp(log_solution.space, r) ** (n - 1)
-    coef = np.full_like(r, np.nan)
-    moving = dv != 0
-    coef[moving] = radial_L_coefficient(p, dv[moving])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        G = s_pow * coef * df
-        Lf = fd4_first(G, h) / s_pow
-    return Lf, df
-
-
 def _bochner_common(log_solution, r_window):
-    Lf, df = _linearized_operator_fd(log_solution)
+    Lf, df = log_solution.linearized_operator
     r = log_solution.r
     span = r[-1]
     mask = np.isfinite(Lf) & (r >= _EDGE_FRAC * span)
@@ -203,9 +186,22 @@ def check_bochner_thm2(log_solution: LogSolution, *, r_window=None) -> BochnerRe
 # cutoff and Caccioppoli-type integral inequality
 
 
+def _require_grid_step(R):
+    """Raise ParameterError unless the quadrature grid on [0, R] has a
+    normal float step: a subnormal step loses the grid's spacing to
+    rounding, and the interpolants and integrands overflow to NaN."""
+    step = R / (_QUADRATURE_POINTS - 1)
+    if not sys.float_info.min <= step < math.inf:
+        raise ParameterError(
+            f"R = {R} gives the {_QUADRATURE_POINTS}-point quadrature grid the step "
+            f"{step}, which is not a normal float"
+        )
+
+
 def _quadrature_grid(space, R):
     """The grid of the integral checks on [0, R] and the radial volume
     weight s^(n-1) on it."""
+    _require_grid_step(R)
     x = np.linspace(0.0, R, _QUADRATURE_POINTS)
     return x, warp(space, x) ** (space.n - 1)
 
@@ -304,6 +300,7 @@ def check_caccioppoli(
     b = 1.1 * b_min if config.b is None else config.b
     if b <= b_min:
         raise ParameterError(f"b = {b} is not above the lower bound b_min = {b_min:.6g}")
+    x, s_pow = _quadrature_grid(space, R)
     r = log_solution.r
     inner = (r > 0) & (r <= 0.75 * R)
     bad = inner & (log_solution.f <= 0)
@@ -315,12 +312,11 @@ def check_caccioppoli(
 
     from ._quad import pchip, simpson  # the Bochner checks never interpolate
     eta = cutoff_eta(R)
-    x, s_pow = _quadrature_grid(space, R)
     f_i = pchip(r, log_solution.f)
-    dv_i = pchip(r, log_solution.dv)
-    fx = np.clip(f_i(x), 0.0, None)
-    dfx = f_i.derivative()(x)
-    dvx = dv_i(x)
+    where = f_i.locate(x)  # the three interpolants share the breakpoints r
+    fx = np.clip(f_i.at(where), 0.0, None)
+    dfx = f_i.derivative().at(where)
+    dvx = pchip(r, log_solution.dv).at(where)
     ex = eta(x)
     dex = eta.derivative(x)
 
@@ -391,6 +387,7 @@ def sobolev_test_function(solution: RadialSolution, R: float):
     test function that measure_sobolev_ratio takes from a solution."""
     from ._quad import pchip
     _require_span(solution, R)
+    _require_grid_step(R)
     eta = cutoff_eta(R)
     u_i = pchip(solution.r, solution.u)
     du_i = pchip(solution.r, solution.du)

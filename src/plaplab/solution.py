@@ -3,8 +3,9 @@
 A shooting run ends in a RadialSolution: the resampled profile (r, u, w)
 with the flux w = |u'|^(p-2) u', the run's configuration and how it ended.
 From it follow the independent finite-difference residuals, the log
-transform v = (p-1) log u that the pointwise checkers read, and the CSV
-form in which the CLI hands a solution from solve to check.
+transform v = (p-1) log u and the linearized operator on it that the
+pointwise checkers read, and the CSV form in which the CLI hands a
+solution from solve to check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._fd import fd4_first, fd4_second
 from .errors import ParameterError, SolutionFormatError, _require_integer
-from .geometry import ModelSpace, radial_p_laplacian, warp
+from .geometry import ModelSpace, radial_L_coefficient, radial_p_laplacian, warp
 from .thresholds import EquationParams
 
 
@@ -147,6 +148,23 @@ class LogSolution:
         source = self.params.a * self.h[mask]
         full = plap_v + np.abs(dv) ** self.params.p + source
         return float(np.max(np.abs(full)) / np.max(np.abs(source)))
+
+    @cached_property
+    def linearized_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L f, f') on the grid, L(f) = s^(1-n) d/dr [ s^(n-1) (p-1)|v'|^(p-2) f' ]
+        by nested 4th-order differences, NaN where v' = 0; computed on
+        first use, so both Bochner checks of one profile share it."""
+        r, dv = self.r, self.dv
+        n = self.space.n
+        h = r[1] - r[0]
+        df = fd4_first(self.f, h)
+        s_pow = warp(self.space, r) ** (n - 1)
+        coef = np.full_like(r, np.nan)
+        moving = dv != 0
+        coef[moving] = radial_L_coefficient(self.params.p, dv[moving])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Lf = fd4_first(s_pow * coef * df, h) / s_pow
+        return Lf, df
 
 
 # ---------------------------------------------------------------------------

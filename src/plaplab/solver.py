@@ -102,12 +102,14 @@ def solve_radial(
     zt, bt = config.zero_threshold, config.blowup_threshold
     rtol, atol, u_floor, r_start = _run_limits(config)
     log_warp = _log_warp(space.K, math.tanh)
+    # bound once per run: -a * x is (-a) * x and (n - 1) * l * w is ((n - 1) * l) * w
+    neg_a, n_m1 = -a, n - 1
 
     def rhs(r, u, w):
         u_eff = u if u > u_floor else u_floor
         try:
             du = math.copysign(abs(w) ** inv_pm1, w)
-            dw = -a * u_eff**sig - (n - 1) * log_warp(r) * w
+            dw = neg_a * u_eff**sig - n_m1 * log_warp(r) * w
         except OverflowError:  # where numpy gives inf; either way the step is rejected
             return math.nan, math.nan
         return du, dw
@@ -227,7 +229,7 @@ def solve_radial(
     w[head] = _series_w(a, sig, n, u0, rs[head])
     tail = rs[~head]
     index = np.searchsorted(step_ends, tail, side="left")
-    u[~head], w[~head] = _dense_output(tuple(part[..., index] for part in step), tail)
+    u[~head], w[~head] = _dense_output(tuple(np.take(part, index, axis=-1) for part in step), tail)
 
     return RadialSolution(
         params=params,

@@ -524,3 +524,23 @@ def test_sweep_center_value_follows_the_dilation_law(tmp_path):
             assert abs(two[(p, sigma)][1] - predicted) <= 1e-6 * predicted, (p, sigma)
             checked += 1
     assert checked > 200
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["caccioppoli", "sobolev"])
+def test_check_subnormal_grid_step_is_invalid(kind, tmp_path, capsys):
+    """A radius whose quadrature grid step is subnormal is invalid input
+    for both integral checks: exit 2, naming R, before any arithmetic on
+    the grid can warn or turn a report into NaN."""
+    path = tmp_path / "tiny.csv"
+    code = run(
+        "solve", "--n", "3", "--p", "2", "--a", "1", "--sigma", "1",
+        "--r-max", "1e-303", "--out", str(path),
+    )
+    assert code == 3  # no accepted step; the series start is written
+    capsys.readouterr()
+    assert run("check", kind, "--solution", str(path), "--R", "5e-310") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "R = 5e-310 gives the 4001-point quadrature grid" in captured.err
+    assert "not a normal float" in captured.err

@@ -1,0 +1,132 @@
+"""A ledger of wrong verdicts across the admissible window.
+
+Fixed grids are swept at r_max = 50 with the default center values, and
+each grid's cells are counted twice: cells whose label contradicts a sharp
+statement about the radial problem, and cells that read numerical_failure,
+which fail without a reason.  The sharp statements hold at K = 0:
+
+* a < 0: a finite-radius blow-up needs sigma > p - 1 (Keller, CPAM 10
+  (1957); Osserman, Pacific J. Math. 7 (1957)), so blow_up with
+  sigma <= p - 1 is wrong;
+* a > 0: (s^(n-1) w)' = -a u^sigma s^(n-1) < 0, so u falls from u0 and
+  cannot blow up; and every solution hits zero when p >= n (a positive
+  p-superharmonic function on R^n is constant) or sigma < p* - 1 =
+  (n(p-1)+p)/(n-p) (Serrin & Zou, Acta Math. 189 (2002); every sigma < 0
+  is below it), so blow_up or persists there is wrong.
+
+The test prints every count and fails when a K = 0 count rises above the
+value written here; a change that lowers a count lowers it here and names
+the changed cells in CHANGES.md.  No sharp result covers K = 1, so the
+K = 1 counts are printed but not gated.  The Caccioppoli row counts the
+checker points whose verdict is vacuous (its scale at the 1e-300 floor)
+or NaN.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import plaplab as pl
+
+_FLAT_P, _FLAT_SIGMA = (1.5, 4.0, 0.25), (0.25, 6.0, 0.25)  # the sweep_flat grid
+_END_SIGMA = (0.1, 6.0, 0.1)
+
+# name: (n, sign of a, (p_min, p_max, p_step), (sigma_min, sigma_max, sigma_step), K,
+#        written contradictions, written failures); counts of None are not gated
+GRIDS = {
+    "flat, a < 0": (3, -1, _FLAT_P, _FLAT_SIGMA, 0.0, 27, 0),
+    "flat, a > 0": (3, 1, _FLAT_P, _FLAT_SIGMA, 0.0, 1, 0),
+    "window end n = 3, a < 0": (3, -1, (4.5, 4.98, 0.06), _END_SIGMA, 0.0, 143, 0),
+    "window end n = 3, a > 0": (3, 1, (4.5, 4.98, 0.06), _END_SIGMA, 0.0, 0, 0),
+    "window end n = 5, a < 0": (5, -1, (8.5, 8.98, 0.06), _END_SIGMA, 0.0, 279, 0),
+    "window end n = 5, a > 0": (5, 1, (8.5, 8.98, 0.06), _END_SIGMA, 0.0, 0, 0),
+    "p -> 1, n = 3, a < 0": (3, -1, (1.02, 1.42, 0.04), _END_SIGMA, 0.0, 14, 423),
+    "p -> 1, n = 5, a < 0": (5, -1, (1.02, 1.42, 0.04), _END_SIGMA, 0.0, 12, 426),
+    "sigma < 0, a > 0": (3, 1, _FLAT_P, (-3.0, -0.25, 0.25), 0.0, 18, 15),
+    "flat, a < 0, K = 1": (3, -1, _FLAT_P, _FLAT_SIGMA, 1.0, None, None),
+    "sigma < 0, a > 0, K = 1": (3, 1, _FLAT_P, (-3.0, -0.25, 0.25), 1.0, None, None),
+}
+
+# (n, p, sigma) with a = 1, K = 0, checked with the default b at R = 0.9 r_end
+CACCIOPPOLI_POINTS = ((3, 1.02, 0.04), (10, 18.0, 2.0))
+CACCIOPPOLI_WRITTEN = 2
+
+
+def _contradicts(cell, n, a):
+    if a < 0:
+        return cell.classification == "blow_up" and cell.sigma <= cell.p - 1
+    hits_zero = cell.p >= n or cell.sigma < (n * (cell.p - 1) + cell.p) / (n - cell.p)
+    return cell.classification == "blow_up" or (hits_zero and cell.classification == "persists")
+
+
+def _grid_counts(n, a, p, sigma, K):
+    grid = pl.SweepGrid(
+        n=n,
+        a_sign=a,
+        p_min=p[0],
+        p_max=p[1],
+        p_step=p[2],
+        sigma_min=sigma[0],
+        sigma_max=sigma[1],
+        sigma_step=sigma[2],
+        K=K,
+        config=pl.ShootingConfig(r_max=50.0),
+    )
+    cells = pl.sweep(grid).cells
+    wrong = sum(_contradicts(c, n, a) for c in cells)
+    failed = sum(c.classification == "numerical_failure" for c in cells)
+    return wrong, failed, len(cells)
+
+
+def _caccioppoli_unsound(n, p, sigma):
+    params = pl.EquationParams(n=n, p=p, a=1.0, sigma=sigma)
+    space = pl.ModelSpace(n=n)
+    sol = pl.solve_radial(params, space, pl.ShootingConfig(r_max=50.0))
+    log_sol = pl.to_log_solution(sol)
+    with np.errstate(all="ignore"):  # the NaN verdict overflows on its way
+        rep = pl.check_caccioppoli(log_sol, pl.CaccioppoliConfig(), 0.9 * sol.r_end)
+    return not rep.scale > 1e-300 or not math.isfinite(rep.slack)
+
+
+def test_wrong_verdicts_do_not_rise_above_the_ledger(capsys):
+    rows, risen = [], []
+    for name, (n, a, p, sigma, K, written_wrong, written_failed) in GRIDS.items():
+        wrong, failed, cells = _grid_counts(n, a, p, sigma, K)
+        gated = written_wrong is not None
+        rows.append(
+            f"{name}: {wrong} contradict, {failed} fail of {cells} cells"
+            + (f" (ledger {written_wrong}, {written_failed})" if gated else " (not gated)")
+        )
+        if gated and (wrong > written_wrong or failed > written_failed):
+            risen.append(name)
+    unsound = sum(_caccioppoli_unsound(*point) for point in CACCIOPPOLI_POINTS)
+    rows.append(
+        f"Caccioppoli, vacuous or NaN: {unsound} of {len(CACCIOPPOLI_POINTS)} points"
+        f" (ledger {CACCIOPPOLI_WRITTEN})"
+    )
+    if unsound > CACCIOPPOLI_WRITTEN:
+        risen.append("Caccioppoli")
+    with capsys.disabled():
+        print("\nledger of wrong verdicts:\n  " + "\n  ".join(rows))
+    assert not risen, f"counts rose above the ledger: {risen}\n" + "\n".join(rows)
+
+
+@pytest.mark.parametrize(
+    "a, p, sigma, label, wrong",
+    [
+        (-1, 3.0, 2.0, "blow_up", True),  # sigma = p - 1
+        (-1, 3.0, 2.5, "blow_up", False),
+        (-1, 3.0, 1.0, "persists", False),
+        (1, 2.0, 4.75, "persists", True),  # below p* - 1 = 5
+        (1, 2.0, 5.0, "persists", False),
+        (1, 3.0, 9.0, "persists", True),  # p >= n
+        (1, 2.0, -1.0, "persists", True),
+        (1, 2.0, 6.0, "blow_up", True),
+        (1, 2.0, 1.0, "zero_hit", False),
+    ],
+)
+def test_ledger_rule_reads_the_sharp_statements(a, p, sigma, label, wrong):
+    """The contradiction rule behind the ledger, on cells of n = 3."""
+    cell = pl.ExistenceCell(p, sigma, label, None, False, False)
+    assert _contradicts(cell, 3, a) == wrong

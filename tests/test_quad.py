@@ -71,6 +71,27 @@ def test_pchip_matches_scipy(grid, t):
     assert_bitwise(ours.derivative()(pts), theirs.derivative()(pts))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # as scipy's
+@SETTINGS
+@given(grid=grids(), t=st.lists(st.floats(0.0, 1.0), max_size=20).map(np.array))
+def test_one_lookup_serves_every_interpolant_on_the_grid(grid, t):
+    """Interpolants and a derivative on the same breakpoints, evaluated from
+    one locate of the points (inside, on the breakpoints and beyond either
+    end), equal their own calls and scipy's bit for bit."""
+    x, y = grid
+    pts = evaluation_points(x, t)
+    ours = (pchip(x, y), pchip(x, y[::-1]), pchip(x, y).derivative())
+    theirs = (
+        PchipInterpolator(x, y),
+        PchipInterpolator(x, y[::-1]),
+        PchipInterpolator(x, y).derivative(),
+    )
+    where = ours[0].locate(pts)
+    for poly, reference in zip(ours, theirs):
+        assert_bitwise(poly.at(where), poly(pts))
+        assert_bitwise(poly.at(where), reference(pts))
+
+
 @SETTINGS
 @given(grid=grids())
 @example(grid=(np.array([0.0, 1.5]), np.array([2.0, -1.0])))

@@ -255,6 +255,33 @@ def test_grid_rejects_nan_center_value():
         small_grid(u0_list=(1.0, math.nan))
 
 
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 6),
+    data=st.data(),
+    a_sign=st.sampled_from([1.0, -1.0]),
+    sigma=st.one_of(st.floats(-6.3, -0.03), st.floats(0.05, 8.0)),
+    K=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    # decades of |a|, zero_threshold, u0, blowup_threshold and r_max
+    decades=st.tuples(
+        *(st.floats(lo, hi) for lo, hi in ((-1, 1), (-12, -3), (-2, 2), (3, 14), (-1, 2)))
+    ),
+)
+def test_classify_existence_never_raises_on_admissible_input(n, data, a_sign, sigma, K, decades):
+    """Any (n, p, a, sigma, K) of the window, center value and thresholds
+    over decades (zero_threshold < u0 < blowup_threshold) and r_max give one
+    of the four labels, without an error or a warning."""
+    p = data.draw(st.floats(1.0, 2 * n - 1.0, exclude_min=True, exclude_max=True))
+    a_abs, zt, u0, bt, r_max = (10.0**e for e in decades)
+    a = a_sign * a_abs
+    config = pl.ShootingConfig(u0=u0, r_max=r_max, zero_threshold=zt, blowup_threshold=bt)
+    params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
+    label, r_star = pl.classify_existence(params, pl.ModelSpace(n=n, K=K), config)
+    assert label in ("zero_hit", "blow_up", "persists", "numerical_failure")
+    assert (r_star is None) == (label in ("persists", "numerical_failure"))
+
+
 def test_classify_existence_rejects_center_value_outside_thresholds(flat3):
     """classify_existence names a center value outside the thresholds
     instead of counting its run as a numerical failure; shoot_batch, which

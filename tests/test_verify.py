@@ -11,7 +11,7 @@ from scipy.interpolate import PchipInterpolator
 import plaplab as pl
 from plaplab._quad import pchip
 from plaplab.errors import ParameterError, RegimeError
-from plaplab.proof import _linearized_operator_fd, _median
+from plaplab.proof import _median
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +111,32 @@ def test_bochner_lemma_corrupted_f_fails(sinc_solution, sinc_log):
     assert not rep.passed
 
 
+def test_bochner_checks_share_one_operator_per_log_profile(sinc_solution, monkeypatch):
+    """Both pointwise checks of one LogSolution build its linearized
+    operator once; a replaced LogSolution builds its own."""
+    prop = vars(pl.LogSolution)["linearized_operator"]
+    built = []
+
+    def counted(log_solution, build=prop.func):
+        built.append(log_solution)
+        return build(log_solution)
+
+    monkeypatch.setattr(prop, "func", counted)
+    log_sol = pl.to_log_solution(sinc_solution)
+    window = (0.2, 0.9 * sinc_solution.termination.r)
+    lemma = pl.check_bochner_lemma(log_sol, r_window=window)
+    thm2 = pl.check_bochner_thm2(log_sol, r_window=window)
+    assert built == [log_sol]
+    assert np.array_equal(lemma.lhs, thm2.lhs)
+    halved = replace(log_sol, f=0.5 * log_sol.f)
+    assert not pl.check_bochner_lemma(halved, r_window=window).passed
+    pl.check_bochner_thm2(halved, r_window=window)
+    assert len(built) == 2 and built[1] is halved
+    # f' is linear in f, and halving is exact
+    halved_df, df = halved.linearized_operator[1], log_sol.linearized_operator[1]
+    assert np.array_equal(halved_df, 0.5 * df, equal_nan=True)
+
+
 def test_bochner_p2_operator_collapse(flat3):
     """At p = 2 the weighted operator is the plain Laplacian; compare the
     generic evaluation against an independent Laplacian stencil."""
@@ -119,7 +145,7 @@ def test_bochner_p2_operator_collapse(flat3):
     params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0)
     cfg = pl.ShootingConfig(u0=1.0, r_max=4.0, rel_tol=1e-12, abs_tol=1e-13)
     ls = pl.to_log_solution(pl.solve_radial(params, flat3, cfg))
-    Lf, _ = _linearized_operator_fd(ls)
+    Lf, _ = ls.linearized_operator
     h = ls.r[1] - ls.r[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         lap = fd4_second(ls.f, h) + 2 / np.where(ls.r > 0, ls.r, np.nan) * fd4_first(
