@@ -1,8 +1,7 @@
 """Exception classes and the argument checks shared across the package."""
 
 import math
-
-import numpy as np
+from numbers import Integral
 
 
 class ParameterError(ValueError):
@@ -21,7 +20,7 @@ class SolutionFormatError(ValueError):
 
 def _require_integer(name, value, minimum):
     """value must be an integer, not a bool, and at least minimum."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 

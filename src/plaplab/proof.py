@@ -26,7 +26,7 @@ import numpy as np
 from ._report import _Report, _require_radius, _require_span
 from .errors import ParameterError, RegimeError
 from .geometry import ModelSpace, warp
-from .solution import LogSolution, RadialSolution
+from .solution import LogSolution, RadialSolution, _require_finite_profile
 from .thresholds import EquationParams, beta, discriminant, thm2_condition
 
 # fixed settings of the checkers; the reports print the tolerances and grid size
@@ -388,6 +388,7 @@ def sobolev_test_function(solution: RadialSolution, R: float):
     from ._quad import pchip
     _require_span(solution, R)
     _require_grid_step(R)
+    _require_finite_profile(solution)
     eta = cutoff_eta(R)
     u_i = pchip(solution.r, solution.u)
     du_i = pchip(solution.r, solution.du)
@@ -396,7 +397,8 @@ def sobolev_test_function(solution: RadialSolution, R: float):
         return u_i(r) * eta(r)
 
     def dg(r):
-        return du_i(r) * eta(r) + u_i(r) * eta.derivative(r)
+        where = u_i.locate(r)  # du_i shares the breakpoints of u_i
+        return du_i.at(where) * eta(r) + u_i.at(where) * eta.derivative(r)
 
     return g, dg
 

@@ -18,7 +18,6 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ._fd import fd4_first, fd4_second
 from .errors import ParameterError, SolutionFormatError, _require_integer
 from .geometry import ModelSpace, radial_L_coefficient, radial_p_laplacian, warp
 from .thresholds import EquationParams
@@ -139,12 +138,10 @@ class LogSolution:
     def transformed_residual(self) -> float:
         """Max relative residual, by finite differences on v alone, of the
         transformed equation div(|v'|^(p-2) v') + |v'|^p + a h = 0 (h as
-        above); computed on first use, nan when no sample is retained."""
+        above); computed on first use."""
         # the log profile is singular at a zero hit, so its grid change per step
         # must stay well below the u-profile cap for the 4th-order stencil
         mask, dv, plap_v = _fd_p_laplacian(self, self.v, np.abs(self.dv), 0.01)
-        if not np.any(mask):
-            return math.nan
         source = self.params.a * self.h[mask]
         full = plap_v + np.abs(dv) ** self.params.p + source
         return float(np.max(np.abs(full)) / np.max(np.abs(source)))
@@ -157,18 +154,37 @@ class LogSolution:
         r, dv = self.r, self.dv
         n = self.space.n
         h = r[1] - r[0]
-        df = fd4_first(self.f, h)
+        df = _fd4_first(self.f, h)
         s_pow = warp(self.space, r) ** (n - 1)
         coef = np.full_like(r, np.nan)
         moving = dv != 0
         coef[moving] = radial_L_coefficient(self.params.p, dv[moving])
         with np.errstate(divide="ignore", invalid="ignore"):
-            Lf = fd4_first(s_pow * coef * df, h) / s_pow
+            Lf = _fd4_first(s_pow * coef * df, h) / s_pow
         return Lf, df
 
 
 # ---------------------------------------------------------------------------
-# finite-difference residuals and the log transform
+# finite-difference residuals and the log transform; the 4th-order central
+# stencils leave NaN in the two border cells at each end, which masks drop
+
+
+def _fd4_first(y, h):
+    """(y[i-2] - 8 y[i-1] + 8 y[i+1] - y[i+2]) / (12 h), O(h^4)."""
+    y = np.asarray(y, dtype=float)
+    out = np.full_like(y, np.nan)
+    out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    return out
+
+
+def _fd4_second(y, h):
+    """(-y[i-2] + 16 y[i-1] - 30 y[i] + 16 y[i+1] - y[i+2]) / (12 h^2), O(h^4)."""
+    y = np.asarray(y, dtype=float)
+    out = np.full_like(y, np.nan)
+    out[2:-2] = (
+        -y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]
+    ) / (12 * h * h)
+    return out
 
 
 def _fd_p_laplacian(solution, y, rel_change, max_step_change):
@@ -177,17 +193,20 @@ def _fd_p_laplacian(solution, y, rel_change, max_step_change):
     residual checks: inside the central exclusion band, with complete FD
     stencils, nondegenerate gradient for p < 2, and resolvable on the grid
     (relative change per grid step capped, which drops the unresolvable
-    tail next to a zero hit or a blow-up)."""
+    tail next to a zero hit or a blow-up).  A grid of fewer than 5 samples
+    has no complete stencil; a check that retains no sample is refused."""
     p, r = solution.params.p, solution.r
     h = r[1] - r[0]
-    dy = fd4_first(y, h)
+    dy = _fd4_first(y, h)
     band = min(0.02 * solution.config.r_max, 0.25 * r[-1])
     mask = (r > band) & np.isfinite(dy)
     mask &= rel_change * h <= max_step_change
     if p < 2:
         mask &= dy != 0
+    if not np.any(mask):
+        raise ParameterError("no samples retained for the residual check")
     dy = dy[mask]
-    return mask, dy, radial_p_laplacian(p, solution.space, dy, fd4_second(y, h)[mask], r[mask])
+    return mask, dy, radial_p_laplacian(p, solution.space, dy, _fd4_second(y, h)[mask], r[mask])
 
 
 def pde_residual(solution: RadialSolution) -> float:
@@ -198,20 +217,29 @@ def pde_residual(solution: RadialSolution) -> float:
     of the solver's own flux variable.  The residual is normalized by the
     largest source magnitude max |a| u^sigma over retained samples.
     """
-    if len(solution.r) < 5:
-        raise ParameterError("pde_residual needs at least 5 samples")
     u = solution.u
     mask, _, plap = _fd_p_laplacian(solution, u, np.abs(solution.du) / u, 0.02)
-    if not np.any(mask):
-        raise ParameterError("no samples retained for the residual check")
     source = solution.params.a * u[mask] ** solution.params.sigma
     scale = np.max(np.abs(source))
     return float(np.max(np.abs(plap + source)) / scale)
 
 
+def _require_finite_profile(solution):
+    """Raise ParameterError unless u and w are finite on the whole grid: the
+    rule of every checker that reads a RadialSolution."""
+    bad = ~(np.isfinite(solution.u) & np.isfinite(solution.w))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ParameterError(
+            f"profile is not finite at r = {solution.r[i]:.6g}:"
+            f" u = {solution.u[i]}, w = {solution.w[i]}"
+        )
+
+
 def to_log_solution(solution: RadialSolution) -> LogSolution:
     """Pointwise log-transform of a positive profile; the transformed
     equation is checked when its transformed_residual is first read."""
+    _require_finite_profile(solution)
     if np.any(solution.u <= 0):
         raise ParameterError("log transform requires u > 0 on all samples")
     p, sig = solution.params.p, solution.params.sigma

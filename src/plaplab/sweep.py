@@ -51,10 +51,13 @@ class SweepGrid:
     (min, max, step) ranges for p and sigma with min <= max, curvature, the
     per-cell shooting configuration, and the list of center values to scan.
 
-    For K = 0 a single center value suffices: rescaling the center is
-    equivalent to rescaling the coefficient and dilating, so the cell
-    classification is invariant, and the default scans config.u0 alone.
-    For K > 0 there is no dilation symmetry and the default scans
+    For K = 0 the default scans config.u0 alone: rescaling the center is
+    rescaling the profile and dilating it, so on the complete space the
+    cell classification is invariant.  At a finite r_max it is not: the run
+    from lam u0 on [0, r_max] is lam times the run from u0 on
+    [0, lam^((sigma+1-p)/p) r_max], and the zero and blow-up thresholds do
+    not rescale with it, so a cell can change class with u0.  For K > 0
+    there is no dilation symmetry and the default scans
     {u0/4, u0, 4 u0} around u0 = config.u0.  Every center value, given or
     default, must lie inside (zero_threshold, blowup_threshold) of config.
     """

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError, RegimeError, _require_finite, _require_integer
+
+if TYPE_CHECKING:  # numpy loads only where moser_exponents runs
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -260,6 +262,7 @@ class MoserExponents:
 
 def moser_exponents(n: int, p: float, b0: float, L: int) -> MoserExponents:
     """Build b_1 = (b0 + 2 - 2/p) n/(n-2) and b_{l+1} = b_l n/(n-2), l <= L."""
+    import numpy as np
     _require_integer("n", n, 3)
     if not p > 1:
         raise ParameterError(f"p must be > 1, got {p}")

@@ -17,7 +17,7 @@ import numpy as np
 from ._report import _Report, _require_span
 from .errors import RegimeError
 from .geometry import ModelSpace
-from .solution import RadialSolution, ShootingConfig
+from .solution import RadialSolution, ShootingConfig, _require_finite_profile
 from .thresholds import EquationParams, classify_regime
 
 # fixed settings of the scale-invariance check, printed in its report
@@ -52,6 +52,7 @@ class GradientCheckReport(_Report):
 def check_gradient_estimate(solution: RadialSolution, R: float) -> GradientCheckReport:
     """Measure sup_{r <= R/2} |u'|/u and divide out the bound shape."""
     _require_span(solution, R)
+    _require_finite_profile(solution)
     mask = solution.r <= R / 2
     sup_ratio = float(np.max(np.abs(solution.du[mask]) / solution.u[mask]))
     # |u'|/u scales like 1/R under dilation for every p, so the shape carries
@@ -94,6 +95,7 @@ def check_harnack(solution: RadialSolution, R: float) -> HarnackReport:
     so the bound holds whenever the profile is positive on [0, R].
     """
     _require_span(solution, R)
+    _require_finite_profile(solution)
     mask = solution.r <= R / 2
     u_half = solution.u[mask]
     ratio = float(np.max(u_half) / np.min(u_half))

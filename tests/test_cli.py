@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import plaplab as pl
-from plaplab.cli import build_parser, main
+from plaplab.cli import CHECK_KINDS, build_parser, main
 
 
 def run(*argv):
@@ -217,6 +217,20 @@ def test_config_key_naming_no_option_is_invalid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [("r_max 4", "error: {cfg}:6: expected key=value"), ("p=two", "error: config key 'p': ")],
+    ids=["no-equals", "unparsed-value"],
+)
+def test_malformed_config_line_is_invalid(line, error, tmp_path, capsys):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(f"n=3\np=2\na=1\nsigma=1\n# the span\n{line}\n")
+    out = tmp_path / "sol.csv"
+    assert run("solve", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(error.format(cfg=cfg))
+    assert not out.exists()
+
+
 def test_min_step_flag_is_rejected(tmp_path, capsys):
     out = tmp_path / "sol.csv"
     argv = ("solve", *SINC_PARAMS, "--r-max", "4", "--out", str(out))
@@ -384,6 +398,23 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert "caveat" in s
 
 
+def test_sweep_contradiction_exits_1_and_lists_the_cell(tmp_path, capsys):
+    """At r_max = 1 the n = 3, p = 2, sigma = 1 profile u = sin r / r has not
+    reached its zero at pi, so the cell persists while both nonexistence
+    flags hold: a contradiction, which the summary names."""
+    summary = tmp_path / "s.json"
+    code = run(
+        "sweep", "--n", "3", "--a-sign", "1", "--p-min", "2", "--p-max", "2", "--p-step", "1",
+        "--sigma-min", "1", "--sigma-max", "1", "--sigma-step", "1", "--r-max", "1",
+        "--out", str(tmp_path / "t.csv"), "--summary", str(summary),
+    )
+    assert code == 1
+    assert "contradictions=1" in capsys.readouterr().out
+    s = json.loads(summary.read_text())
+    assert s["contradiction_count"] == 1
+    assert s["contradictions"] == [{"p": 2.0, "sigma": 1.0, "classification": "persists"}]
+
+
 def test_sweep_config_defaults_are_the_library_defaults(tmp_path):
     """A grid without shooting keys integrates as far from the CLI as from
     the library: the nested ShootingConfig starts from SweepGrid's default."""
@@ -524,6 +555,28 @@ def test_sweep_center_value_follows_the_dilation_law(tmp_path):
             assert abs(two[(p, sigma)][1] - predicted) <= 1e-6 * predicted, (p, sigma)
             checked += 1
     assert checked > 200
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column, value", [("u", "nan"), ("u", "inf"), ("w", "nan")])
+@pytest.mark.parametrize("kind", CHECK_KINDS)
+def test_check_non_finite_profile_is_invalid(kind, column, value, sinc_csv, tmp_path, capsys):
+    """A solution file may hold nan and inf, but no check takes them: every
+    kind exits 2, naming the radius of the first non-finite sample, before
+    any arithmetic on the profile can warn or turn a report into NaN."""
+    with open(sinc_csv) as fh:
+        lines = fh.read().splitlines()
+    row = lines.index("r,u,w") + 500
+    r, u, w = lines[row].split(",")
+    lines[row] = ",".join((r, value, w) if column == "u" else (r, u, value))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert pl.read_solution_csv(bad).r[499] == float(r)
+    assert run("check", kind, "--solution", str(bad), "--R", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: profile is not finite at r = {float(r):.6g}: ")
+    assert f"{column} = {value}" in captured.err
 
 
 @pytest.mark.filterwarnings("error")

@@ -84,7 +84,8 @@ import contextlib, io, json, sys
 import plaplab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = plaplab.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("plaplab."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("plaplab.")),
+                  "numpy" in sys.modules]))
 """
 
 # per command: the plaplab modules it must leave unloaded
@@ -101,22 +102,26 @@ NOT_LOADED = {
 def test_command_loads_only_what_it_runs(command, tmp_path):
     """Each command, in its own fresh interpreter, loads the modules it runs
     and not the others: solve no checker, a check no stepper and no checker
-    module but its own, thresholds nothing but errors and thresholds."""
+    module but its own, thresholds nothing but errors and thresholds, and
+    in either of its forms no numpy."""
     csv = tmp_path / "sinc.csv"
     solve = ["solve", "--n", "3", "--p", "2", "--a", "1", "--sigma", "1", "--r-max", "4"]
     if command == "thresholds":
-        argv = ["thresholds", "--n", "3", "--p", "2"]
-    elif command == "solve":
+        constants = ["thresholds", "--n", "3", "--p", "2"]
+        for argv in (constants, [*constants, "--a", "1", "--sigma", "2"]):
+            code, loaded, numpy = _run_fresh(COMMAND, *argv)
+            assert code == 0
+            assert loaded == ["plaplab.cli", "plaplab.errors", "plaplab.thresholds"]
+            assert numpy is False, argv
+        return
+    if command == "solve":
         argv = [*solve, "--out", csv]
     else:
         assert main([*solve, "--out", str(csv)]) == 0
         argv = ["check", command, "--solution", csv, "--R", "2"]
-    code, loaded = _run_fresh(COMMAND, *argv)
+    code, loaded, _ = _run_fresh(COMMAND, *argv)
     assert code == 0
-    if command == "thresholds":
-        assert loaded == ["plaplab.cli", "plaplab.errors", "plaplab.thresholds"]
-    else:
-        assert not NOT_LOADED[command] & set(loaded)
+    assert not NOT_LOADED[command] & set(loaded)
 
 
 # the names perfbench's traced CLI swaps wrappers into, and their modules
@@ -224,7 +229,7 @@ for expr in sys.argv[1:]:
 print(json.dumps(loaded))
 """
 
-SWEEP_MODULES = ["_fd", "errors", "geometry", "solution", "solver", "sweep", "thresholds"]
+SWEEP_MODULES = ["errors", "geometry", "solution", "solver", "sweep", "thresholds"]
 
 
 @pytest.mark.parametrize(

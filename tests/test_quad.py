@@ -93,16 +93,13 @@ def test_one_lookup_serves_every_interpolant_on_the_grid(grid, t):
 
 
 @SETTINGS
-@given(grid=grids())
-@example(grid=(np.array([0.0, 1.5]), np.array([2.0, -1.0])))
+@given(grid=grids().filter(lambda grid: len(grid[0]) % 2))
 @example(grid=(np.array([0.0, 0.2, 1.5]), np.array([2.0, -1.0, 0.5])))
-@example(grid=(np.array([0.0, 0.2, 1.5, 1.6]), np.array([2.0, -1.0, 0.5, 0.0])))
-@example(grid=(np.array([0.0, 1.5]), np.array([-0.0, -0.0])))  # signed zeros
-@example(grid=(np.array([0.0, 0.2, 1.5, 1.6]), np.array([-0.0, -0.0, -0.0, -0.0])))
-@example(grid=(np.array([0.0, 0.2, 1.5]), np.array([-0.0, -0.0, -0.0])))
+@example(grid=(np.array([0.0, 0.2, 1.5]), np.array([-0.0, -0.0, -0.0])))  # signed zeros
 def test_simpson_matches_scipy(grid):
-    """One call and stacked integrands alike: each row of a (k, N) call, C
-    or Fortran ordered, is its own 1-D call and scipy's, bit for bit."""
+    """One call and stacked integrands alike, on the odd sample counts the
+    port takes: each row of a (k, N) call, C or Fortran ordered, is its own
+    1-D call and scipy's, bit for bit."""
     x, y = grid
     assert_bitwise(simpson(y, x=x), scipy_simpson(y, x=x))
     rows = np.stack((y, -y, y[::-1], 1.37 * y))
@@ -115,15 +112,16 @@ def test_simpson_matches_scipy(grid):
 
 
 def test_ports_match_scipy_on_generic_small_grids():
-    """Many short non-uniform grids of generic numbers: there the Simpson
-    end correction and the PCHIP end slopes weigh most in the result, so a
-    changed operation order shows in the last bit."""
+    """Many short non-uniform grids of generic numbers: there each Simpson
+    panel and the PCHIP end slopes weigh most in the result, so a changed
+    operation order shows in the last bit."""
     rng = np.random.default_rng(2024)
     for _ in range(1500):
         n = int(rng.integers(2, 9))
         x = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 10.0, n - 1))))
         y = rng.uniform(-1e3, 1e3, n)
-        assert_bitwise(simpson(y, x=x), scipy_simpson(y, x=x))
+        if n % 2:
+            assert_bitwise(simpson(y, x=x), scipy_simpson(y, x=x))
         pts = evaluation_points(x, rng.random(4))
         assert_bitwise(pchip(x, y)(pts), PchipInterpolator(x, y)(pts))
 
@@ -139,9 +137,7 @@ def test_ports_match_scipy_on_solved_profiles(p, K):
         ours, theirs = pchip(sol.r, y), PchipInterpolator(sol.r, y)
         assert_bitwise(ours(x), theirs(x))
         assert_bitwise(ours.derivative()(x), theirs.derivative()(x))
-        # odd and even sample counts
         assert_bitwise(simpson(y, x=sol.r), scipy_simpson(y, x=sol.r))
-        assert_bitwise(simpson(y[:-1], x=sol.r[:-1]), scipy_simpson(y[:-1], x=sol.r[:-1]))
 
 
 @pytest.mark.parametrize("port", [pchip, lambda x, y: simpson(y, x=x)])
@@ -157,3 +153,7 @@ def test_ports_reject_bad_grids(port):
     if port is pchip:  # Simpson takes rows of integrands, PCHIP one curve
         with pytest.raises(ValueError, match="1-D"):
             port(np.arange(4.0), np.ones((2, 4)))
+    else:  # and whole panels: an even count is refused, not cut short
+        for N in (2, 4, 4000):
+            with pytest.raises(ValueError, match=f"odd sample count, got {N}"):
+                port(np.linspace(0.0, 1.0, N), np.ones((2, N)))

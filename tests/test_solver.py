@@ -436,6 +436,8 @@ def test_constant_profile_is_not_a_solution(flat3):
 
 
 def test_residual_needs_samples(flat3):
+    """Both residuals refuse a grid too short for one complete 4th-order
+    stencil, by one rule."""
     r = np.linspace(0.0, 1.0, 4)
     syn = pl.RadialSolution(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
@@ -446,8 +448,16 @@ def test_residual_needs_samples(flat3):
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 1.0),
     )
-    with pytest.raises(ParameterError):
-        pl.pde_residual(syn)
+    for residual in (pl.pde_residual, lambda s: pl.to_log_solution(s).transformed_residual):
+        with pytest.raises(ParameterError, match="no samples retained for the residual check"):
+            residual(syn)
+
+
+def test_radial_solution_rejects_unequal_lengths(sinc_solution):
+    for field in ("u", "w"):
+        shorter = getattr(sinc_solution, field)[:-1]
+        with pytest.raises(ParameterError, match="grid arrays must have equal length"):
+            dataclasses.replace(sinc_solution, **{field: shorter})
 
 
 # ---------------------------------------------------------------------------

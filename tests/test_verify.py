@@ -140,7 +140,7 @@ def test_bochner_checks_share_one_operator_per_log_profile(sinc_solution, monkey
 def test_bochner_p2_operator_collapse(flat3):
     """At p = 2 the weighted operator is the plain Laplacian; compare the
     generic evaluation against an independent Laplacian stencil."""
-    from plaplab._fd import fd4_first, fd4_second
+    from plaplab.solution import _fd4_first, _fd4_second
 
     params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0)
     cfg = pl.ShootingConfig(u0=1.0, r_max=4.0, rel_tol=1e-12, abs_tol=1e-13)
@@ -148,7 +148,7 @@ def test_bochner_p2_operator_collapse(flat3):
     Lf, _ = ls.linearized_operator
     h = ls.r[1] - ls.r[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lap = fd4_second(ls.f, h) + 2 / np.where(ls.r > 0, ls.r, np.nan) * fd4_first(
+        lap = _fd4_second(ls.f, h) + 2 / np.where(ls.r > 0, ls.r, np.nan) * _fd4_first(
             ls.f, h
         )
     mask = np.isfinite(Lf) & np.isfinite(lap) & (ls.r >= 0.2) & (ls.r <= 2.5)
@@ -176,14 +176,14 @@ def _synthetic_log_solution(a=1e-12, sigma=2.0):
 
 def test_bochner_source_terms_vanish_with_a():
     """With |a| = 1e-12 the right side agrees with the a-free form."""
-    from plaplab._fd import fd4_first
+    from plaplab.solution import _fd4_first
 
     log_sol = _synthetic_log_solution(a=1e-12)
     rep = pl.check_bochner_lemma(log_sol)
     n, p = 3, 2.0
     # a-free right side at p = 2, K = 0: p/(n-1) f^2 + (2(p-1)/(n-1)-p) f' v'
     h = log_sol.r[1] - log_sol.r[0]
-    df = fd4_first(log_sol.f, h)
+    df = _fd4_first(log_sol.f, h)
     idx = np.searchsorted(log_sol.r, rep.radii)
     free = (
         p / (n - 1) * log_sol.f[idx] ** 2
@@ -204,10 +204,10 @@ def test_bochner_thm2_mixed_term_assembly():
     a hand evaluation on a synthetic record."""
     log_sol = _synthetic_log_solution(a=1.0, sigma=1.5)  # sigma <= 5/3
     rep = pl.check_bochner_thm2(log_sol)
-    from plaplab._fd import fd4_first
+    from plaplab.solution import _fd4_first
 
     h = log_sol.r[1] - log_sol.r[0]
-    df = fd4_first(log_sol.f, h)
+    df = _fd4_first(log_sol.f, h)
     idx = np.searchsorted(log_sol.r, rep.radii)
     n, p = 3, 2.0
     K = 0.0
@@ -366,6 +366,20 @@ def test_sobolev_test_function_of_solution(sinc_solution):
     assert dg(r) == pytest.approx(du * eta(r) + u * eta.derivative(r), abs=1e-6)
     with pytest.raises(ParameterError):
         pl.sobolev_test_function(sinc_solution, 10.0)
+    # g' from one interval lookup equals the sum of the two interpolants'
+    # own calls bit for bit, on the quadrature grid of measure_sobolev_ratio
+    others = [
+        pl.solve_radial(pl.EquationParams(n=3, p=p, a=1.0, sigma=1.0),
+                        pl.ModelSpace(n=3, K=K), pl.ShootingConfig(r_max=3.0))
+        for p, K in ((1.5, 1.0), (3.0, 0.0))
+    ]
+    for sol in (sinc_solution, *others):
+        R = 0.9 * sol.r_end
+        _, dg = pl.sobolev_test_function(sol, R)
+        eta = pl.cutoff_eta(R)
+        x = np.linspace(0.0, R, 4001)
+        calls = pchip(sol.r, sol.du)(x) * eta(x) + pchip(sol.r, sol.u)(x) * eta.derivative(x)
+        assert np.array_equal(dg(x).view(np.uint64), calls.view(np.uint64))
 
 
 @pytest.mark.parametrize("interpolant", [pchip, PchipInterpolator])
