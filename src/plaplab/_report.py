@@ -19,10 +19,8 @@ from .errors import ParameterError
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -93,6 +93,7 @@ def _median(x):
 
 
 def _bochner_common(log_solution, r_window):
+    """(mask, L f, f, v', f') with the last four on the retained samples."""
     Lf, df = log_solution.linearized_operator
     r = log_solution.r
     span = r[-1]
@@ -103,7 +104,7 @@ def _bochner_common(log_solution, r_window):
         mask &= (r >= lo) & (r <= hi)
     if not np.any(mask):
         raise RegimeError("no samples retained for the pointwise inequality check")
-    return Lf, df, mask
+    return mask, Lf[mask], log_solution.f[mask], log_solution.dv[mask], df[mask]
 
 
 def _bochner_report(log_solution, which, mask, lhs, terms):
@@ -136,15 +137,11 @@ def check_bochner_lemma(log_solution: LogSolution, *, r_window=None) -> BochnerR
     checked sample by sample on the retained set.
     """
     params, space = log_solution.params, log_solution.space
-    Lf, df, mask = _bochner_common(log_solution, r_window)
+    mask, lhs, f, dvm, dfm = _bochner_common(log_solution, r_window)
     n, p, a, sig = params.n, params.p, params.a, params.sigma
     disc = discriminant(n, p)  # raises RegimeError outside 1 < p < 2n-1
     K = space.K
-    f = log_solution.f[mask]
     hsrc = log_solution.h[mask]
-    dvm = log_solution.dv[mask]
-    dfm = df[mask]
-    lhs = Lf[mask]
 
     t_curv = -p * (n - 1) * K * f ** ((2 * p - 2) / p)
     t_h2 = disc * p * a**2 * hsrc**2 / (n - 1)
@@ -167,13 +164,9 @@ def check_bochner_thm2(log_solution: LogSolution, *, r_window=None) -> BochnerRe
             "sign condition violated: requires a > 0 with sigma <= (n+2)(p-1)/n "
             "or a < 0 with sigma >= (n+2)(p-1)/n"
         )
-    Lf, df, mask = _bochner_common(log_solution, r_window)
+    mask, lhs, f, dvm, dfm = _bochner_common(log_solution, r_window)
     n, p = params.n, params.p
     K = space.K
-    f = log_solution.f[mask]
-    dvm = log_solution.dv[mask]
-    dfm = df[mask]
-    lhs = Lf[mask]
 
     t_f2 = p / n * f**2
     t_curv = -(n - 1) * K * p * f ** (2 - 2 / p)
@@ -320,22 +313,20 @@ def check_caccioppoli(
     ex = eta(x)
     dex = eta.derivative(x)
 
-    # f -> 0 only at the center; every integrand below carries at least one
-    # positive power of f there, so the limit contribution is 0
-    pos = fx > 0
-    f_pos, e_pos = fx[pos], ex[pos]
-    fb_pos, e2_pos = f_pos**b, e_pos**2
-    fpow = np.zeros_like(x)
-    fpow[pos] = f_pos ** (1 - 2 / p)
-    psi = np.zeros_like(x)
-    psi[pos] = fb_pos * e2_pos
-    dpsi = np.zeros_like(x)
-    dpsi[pos] = b * f_pos ** (b - 1) * dfx[pos] * e2_pos + 2 * fb_pos * e_pos * dex[pos]
+    # f -> 0 only at the center, where every integrand below carries a
+    # positive power of f, so the limit contribution is 0: f^b, f^(b-1) and
+    # f^(2-2/p) vanish there (b > 1, p > 1), and f^(1-2/p) is set to 0
+    e2 = np.square(ex)
+    fb = fx**b
+    psi = fb * e2
+    dpsi = b * fx ** (b - 1) * dfx * e2 + 2 * fb * ex * dex
+    with np.errstate(divide="ignore"):
+        fpow = np.where(fx > 0, fx ** (1 - 2 / p), 0.0)
 
     integrands = (
         (p - 1) * fpow * dfx * dpsi * s_pow,
-        fx ** (b + 2) * np.square(ex) * s_pow,
-        np.where(pos, fx ** (2 - 2 / p), 0.0) * psi * s_pow,
+        fx ** (b + 2) * e2 * s_pow,
+        fx ** (2 - 2 / p) * psi * s_pow,
         fpow * dfx * dvx * psi * s_pow,
     )
     i_energy, i_f2, i_curv, i_mix = simpson(np.stack(integrands), x=x)

@@ -92,8 +92,8 @@ class RadialSolution:
         m = len(self.r)
         if not (len(self.u) == len(self.w) == m):
             raise ParameterError("grid arrays must have equal length")
-        if m < 2 or self.r[0] != 0.0 or not np.all(np.diff(self.r) > 0):
-            raise ParameterError("r must increase strictly from 0")
+        if m < 2 or self.r[0] != 0.0 or not np.all(np.diff(self.r) > 0) or self.r[-1] == np.inf:
+            raise ParameterError("r must increase strictly from 0 to a finite radius")
 
     @property
     def r_end(self) -> float:

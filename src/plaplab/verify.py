@@ -29,6 +29,15 @@ _SPREAD_TOL = 0.02  # relative spread of empirical_C across the dilations
 # gradient estimate and Harnack
 
 
+def _half_ball(solution, R):
+    """(mask of r <= R/2, sup |u'|/u on it) of a finite profile spanning R:
+    the half ball on which both checks below measure."""
+    _require_span(solution, R)
+    _require_finite_profile(solution)
+    mask = solution.r <= R / 2
+    return mask, float(np.max(np.abs(solution.du[mask]) / solution.u[mask]))
+
+
 @dataclass(frozen=True)
 class GradientCheckReport(_Report):
     """sup |u'|/u over the half ball against the Cheng-Yau shape
@@ -51,10 +60,7 @@ class GradientCheckReport(_Report):
 
 def check_gradient_estimate(solution: RadialSolution, R: float) -> GradientCheckReport:
     """Measure sup_{r <= R/2} |u'|/u and divide out the bound shape."""
-    _require_span(solution, R)
-    _require_finite_profile(solution)
-    mask = solution.r <= R / 2
-    sup_ratio = float(np.max(np.abs(solution.du[mask]) / solution.u[mask]))
+    _, sup_ratio = _half_ball(solution, R)
     # |u'|/u scales like 1/R under dilation for every p, so the shape carries
     # no p-dependent power
     bound_shape = (1 + math.sqrt(solution.space.K) * R) / R
@@ -94,12 +100,9 @@ def check_harnack(solution: RadialSolution, R: float) -> HarnackReport:
     changes along a radial segment by at most its length times sup |u'|/u,
     so the bound holds whenever the profile is positive on [0, R].
     """
-    _require_span(solution, R)
-    _require_finite_profile(solution)
-    mask = solution.r <= R / 2
+    mask, sup_ratio = _half_ball(solution, R)
     u_half = solution.u[mask]
     ratio = float(np.max(u_half) / np.min(u_half))
-    sup_ratio = float(np.max(np.abs(solution.du[mask]) / u_half))
     bound = math.exp(R * sup_ratio)
     return HarnackReport(
         params=solution.params,

@@ -558,23 +558,30 @@ def test_sweep_center_value_follows_the_dilation_law(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("column, value", [("u", "nan"), ("u", "inf"), ("w", "nan")])
+@pytest.mark.parametrize(
+    "column, value", [("u", "nan"), ("u", "inf"), ("w", "nan"), ("r", "inf")]
+)
 @pytest.mark.parametrize("kind", CHECK_KINDS)
 def test_check_non_finite_profile_is_invalid(kind, column, value, sinc_csv, tmp_path, capsys):
-    """A solution file may hold nan and inf, but no check takes them: every
-    kind exits 2, naming the radius of the first non-finite sample, before
-    any arithmetic on the profile can warn or turn a report into NaN."""
+    """A solution file may hold nan and inf in u and w, but no check takes
+    them: every kind exits 2, naming the radius of the first non-finite
+    sample, before any arithmetic on the profile can warn or turn a report
+    into NaN.  A last radius of inf is refused as the file is read."""
     with open(sinc_csv) as fh:
         lines = fh.read().splitlines()
-    row = lines.index("r,u,w") + 500
-    r, u, w = lines[row].split(",")
-    lines[row] = ",".join((r, value, w) if column == "u" else (r, u, value))
+    row = len(lines) - 1 if column == "r" else lines.index("r,u,w") + 500
+    fields = dict(zip("ruw", lines[row].split(",")))
+    r, fields[column] = fields["r"], value
+    lines[row] = ",".join(fields.values())
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    assert pl.read_solution_csv(bad).r[499] == float(r)
     assert run("check", kind, "--solution", str(bad), "--R", "2") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    if column == "r":
+        assert captured.err == "error: r must increase strictly from 0 to a finite radius\n"
+        return
+    assert pl.read_solution_csv(bad).r[499] == float(r)
     assert captured.err.startswith(f"error: profile is not finite at r = {float(r):.6g}: ")
     assert f"{column} = {value}" in captured.err
 

@@ -401,6 +401,16 @@ def test_log_transform_residual_contract(sinc_log):
     assert sinc_log.transformed_residual < 1e-4
 
 
+@pytest.mark.parametrize("K", [0.0, 1.0])
+def test_residual_contracts_below_p2(K):
+    """Both residual contracts hold at p < 2, where the residuals also drop
+    the samples at which the differenced gradient vanishes."""
+    params = pl.EquationParams(n=3, p=1.5, a=1.0, sigma=0.5)
+    sol = pl.solve_radial(params, pl.ModelSpace(n=3, K=K), pl.ShootingConfig(r_max=6.0))
+    assert pl.pde_residual(sol) < 1e-5
+    assert pl.to_log_solution(sol).transformed_residual < 1e-4
+
+
 def test_log_transform_rejects_nonpositive(flat3):
     r = np.linspace(0.0, 1.0, 11)
     u = np.linspace(1.0, -0.1, 11)
@@ -685,6 +695,7 @@ def _malformed(header):
 
     rows = _rows(header)
     nan_radius = [rows[0], "nan" + rows[1][rows[1].index(",") :], rows[2]]
+    inf_radius = [rows[0], rows[1], "inf" + rows[2][rows[2].index(",") :]]
 
     return [
         ("no-rows", _csv(header, [])),
@@ -702,6 +713,8 @@ def _malformed(header):
         ("fullwidth-digit", with_u("\uff11")),
         # np.diff(r) <= 0 is False at a NaN, yet r does not increase there
         ("nan-radius", _csv(header, nan_radius)),
+        # np.diff(r) > 0 holds at a last radius of inf
+        ("inf-radius", _csv(header, inf_radius)),
     ]
 
 

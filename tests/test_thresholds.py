@@ -409,3 +409,35 @@ def test_moser_rejects_bad_inputs():
         pl.moser_exponents(3, 2.0, 1.0, 0)
     with pytest.raises(ParameterError):
         pl.moser_exponents(2, 2.0, 1.0, 10)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: pl.beta(3, 2.0, 1.0, 0), "sign_of_a must be nonzero", id="beta"),
+        pytest.param(
+            lambda: pl.thm2_condition(3, 2.0, 1.0, 0.0),
+            "sign_of_a must be nonzero",
+            id="thm2_condition",
+        ),
+        pytest.param(
+            lambda: pl.radial_p_laplacian(1.0, pl.ModelSpace(n=3), 1.0, 0.0, 1.0),
+            "p must be > 1, got 1.0",
+            id="radial_p_laplacian",
+        ),
+        pytest.param(
+            lambda: pl.radial_L_coefficient(0.5, 1.0),
+            "p must be > 1, got 0.5",
+            id="radial_L_coefficient",
+        ),
+        pytest.param(
+            lambda: pl.moser_exponents(3, 1.0, 1.0, 10),
+            "p must be > 1, got 1.0",
+            id="moser_exponents",
+        ),
+    ],
+)
+def test_input_guards_refuse(call, message):
+    """A zero sign of a, or p <= 1, is refused before any arithmetic."""
+    with pytest.raises(ParameterError, match=message):
+        call()

@@ -489,3 +489,11 @@ def test_report_envelopes(sinc_solution, sinc_log):
         json.dumps(rep)  # must be serializable as-is
     assert grad["pass"] is None
     assert har["pass"] is True
+
+
+@pytest.mark.parametrize("check", [pl.check_gradient_estimate, pl.check_harnack])
+def test_report_of_a_0d_array_radius(sinc_solution, check):
+    """An admissible R given as a 0-d numpy array reports as the float R."""
+    rep = check(sinc_solution, np.array(2.0)).to_report_dict()
+    assert rep == check(sinc_solution, 2.0).to_report_dict()
+    assert type(rep["R"]) is float
