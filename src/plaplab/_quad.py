@@ -96,7 +96,7 @@ def _pchip_slopes(x, y):
     h = x[1:] - x[:-1]
     m = (y[1:] - y[:-1]) / h
     if len(x) == 2:
-        return np.array([m[0], m[0]])
+        return h, m, np.array([m[0], m[0]])
     sm = np.sign(m)
     flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
@@ -107,7 +107,7 @@ def _pchip_slopes(x, y):
     d[1:-1][~flat] = 1.0 / whmean[~flat]
     d[0] = _edge_slope(h[0], h[1], m[0], m[1])
     d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
-    return d
+    return h, m, d
 
 
 def pchip(x, y) -> PPoly:
@@ -117,10 +117,8 @@ def pchip(x, y) -> PPoly:
         raise ValueError(f"y must be 1-D, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must contain only finite values")
-    d = _pchip_slopes(x, y)
+    h, slope, d = _pchip_slopes(x, y)
     # cubic Hermite coefficients from values and slopes
-    h = np.diff(x)
-    slope = np.diff(y) / h
     t = (d[:-1] + d[1:] - 2 * slope) / h
     c = np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]))
     return PPoly(x, c)

@@ -54,7 +54,7 @@ CHECK_KINDS = ("gradient", "harnack", "bochner", "bochner2", "caccioppoli", "sob
 
 # config-file keys of removed fields, accepted and ignored so that older
 # files still run
-_RETIRED_KEYS = ("min_step",)
+_RETIRED_KEYS = ("min_step", "output_points")
 
 
 def float_list(text):

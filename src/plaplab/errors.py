@@ -29,3 +29,11 @@ def _require_finite(owner, *names):
     for name in names:
         if not math.isfinite(getattr(owner, name)):
             raise ParameterError(f"{name} must be finite, got {getattr(owner, name)}")
+
+
+def _require_p(p):
+    """p, the exponent of the p-Laplacian, must be a finite number > 1."""
+    if not math.isfinite(p):
+        raise ParameterError(f"p must be finite, got {p}")
+    if not p > 1:
+        raise ParameterError(f"p must be > 1, got {p}")

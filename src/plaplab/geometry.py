@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError, _require_integer
+from .errors import ParameterError, _require_integer, _require_p
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ def radial_p_laplacian(p: float, space: ModelSpace, du, d2u, r):
     ParameterError is raised -- solvers should work with the flux variable
     w = |u'|^(p-2) u' instead.
     """
-    if not p > 1:
-        raise ParameterError(f"p must be > 1, got {p}")
+    _require_p(p)
     lam = warp_log_derivative(space, r)
     du = np.asarray(du, dtype=float)
     d2u = np.asarray(d2u, dtype=float)
@@ -106,8 +105,7 @@ def radial_L_coefficient(p: float, dv) -> float:
 
     and this function returns the coefficient (p-1)|v'|^(p-2).
     """
-    if not p > 1:
-        raise ParameterError(f"p must be > 1, got {p}")
+    _require_p(p)
     dv = np.asarray(dv, dtype=float)
     if np.any(dv == 0):
         raise ParameterError("radial_L_coefficient requires v' != 0")

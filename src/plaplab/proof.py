@@ -232,7 +232,7 @@ def cutoff_eta(R: float) -> _CutoffEta:
 
 @dataclass(frozen=True)
 class CaccioppoliConfig:
-    """Exponent b of the test function psi = f^b eta^2.  b must exceed
+    """Exponent b of the test function psi = f^b eta^2: finite, and above
     b_min = max(1, 2 [p - 2(p-1)/(n-1)]^2 / (beta min(1, p-1))); the bound
     depends on the equation parameters and is enforced by check_caccioppoli,
     which takes b = 1.1 b_min when b is None."""
@@ -240,8 +240,8 @@ class CaccioppoliConfig:
     b: float | None = None
 
     def __post_init__(self):
-        if self.b is not None and not self.b > 1:
-            raise ParameterError(f"b must be > 1, got {self.b}")
+        if self.b is not None and not 1 < self.b < math.inf:
+            raise ParameterError(f"b must be finite and > 1, got {self.b}")
 
 
 def caccioppoli_b_min(n: int, p: float, sigma: float, sign_of_a: float) -> float:

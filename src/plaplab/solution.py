@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ParameterError, SolutionFormatError, _require_integer
+from .errors import ParameterError, SolutionFormatError
 from .geometry import ModelSpace, radial_L_coefficient, radial_p_laplacian, warp
 from .thresholds import EquationParams
 
@@ -33,23 +33,21 @@ class ShootingConfig:
     rel_tol: float = 1e-9
     zero_threshold: float = 1e-8
     blowup_threshold: float = 1e8
-    output_points: int = 2001
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, float) and not 0 < value < math.inf:
+            if not 0 < value < math.inf:
                 raise ParameterError(f"{f.name} must be positive and finite, got {value}")
         if not self.zero_threshold < self.u0 < self.blowup_threshold:
             raise ParameterError(
                 f"center value u0 = {self.u0} is outside (zero_threshold, blowup_threshold)"
                 f" = ({self.zero_threshold}, {self.blowup_threshold})"
             )
-        _require_integer("output_points", self.output_points, 5)
 
     def to_dict(self):
-        """Field values in field order, each as its default's type."""
-        return {f.name: type(f.default)(getattr(self, f.name)) for f in fields(self)}
+        """Field values in field order, each as a float."""
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -391,8 +389,8 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     A data row is three comma-separated plain decimal fields r, u, w, and
     du is derived from w.  Files with the older header r,u,du,w still read:
     their du field must be a number and is then dropped.  Metadata keys
-    that name no field, such as the retired min_step and termination_detail,
-    are ignored.
+    that name no field, such as the retired min_step, output_points and
+    termination_detail, are ignored.
     """
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().split("\n")

@@ -27,6 +27,7 @@ from .thresholds import EquationParams
 
 # fraction of r_max at which the power-series start hands over to the ODE
 _SERIES_FRACTION = 1e-6
+_OUTPUT_POINTS = 2001  # samples of a solved profile
 _EPS = math.ulp(1.0)
 
 
@@ -87,10 +88,10 @@ def solve_radial(
     floats, by _step_event, the bisection shoot_batch applies to its numpy
     arrays; the steps leading there are computed apart, so the two radii
     agree to rounding, not bitwise.  The profile is returned uniformly
-    resampled on [0, r_end] from the steps' C^1 dense output (downstream
-    off-grid interpolation is monotone cubic, in the checkers).  With no
-    accepted step the run ends as step_failure at r_start, and its profile
-    is the series start on [0, r_start].
+    resampled at _OUTPUT_POINTS samples on [0, r_end] from the steps' C^1
+    dense output (off-grid interpolation is monotone cubic, in the
+    checkers).  With no accepted step the run ends as step_failure at
+    r_start, and its profile is the series start on [0, r_start].
 
     Raises ParameterError when params and space disagree on n and when the
     series start is not inside (_zero_event or _blowup_event is not > 0).
@@ -221,7 +222,7 @@ def solve_radial(
     # C^1 across steps, so downstream finite differences on the uniform grid
     # see only the (smooth, tolerance-sized) integration error.  A sample on
     # a step boundary takes the step that ends there, as scipy's does.
-    rs = np.linspace(0.0, termination.r, config.output_points)
+    rs = np.linspace(0.0, termination.r, _OUTPUT_POINTS)
     u = np.empty_like(rs)
     w = np.empty_like(rs)
     head = rs < (r_start if steps else math.inf)  # with no step, all take the series
@@ -533,26 +534,26 @@ def _step_event(step, fire_zero, fire_blow, zt, bt):
     """_first_event for one step on Python floats: (hit_zero, radius).
 
     step = (t_old, t_new, (u_old, w_old), q) with q[j] = (Q_j of u, Q_j of
-    w).  It bisects as _event_root does, on _dense_output of each component
-    and on _zero_event and _blowup_event (with _float_maximum, np.maximum's
-    nan rule), so the radius equals _first_event's bit for bit; only
-    numpy's per-call cost on one-element arrays is gone."""
+    w).  It bisects as _event_root does, on _dense_output of u for
+    _zero_event and of (u, w) for _blowup_event (with _float_maximum,
+    np.maximum's nan rule), so the radius equals _first_event's bit for
+    bit; only numpy's per-call cost on one-element arrays is gone."""
     t_old, t_new, y_old, q = step
     # each component's (t_old, h, y_old, Q) for _dense_output
     polys = [(t_old, t_new - t_old, y, q_c) for y, q_c in zip(y_old, zip(*q))]
 
-    def root(g):
+    def root(g, components):
         lo, hi = t_old, t_new
         while hi - lo > 4 * _EPS * (1 + abs(hi)):
             mid = 0.5 * (lo + hi)
-            if g(*[_dense_output(poly, mid) for poly in polys]) > 0:
+            if g(*[_dense_output(poly, mid) for poly in components]) > 0:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    r_zero = root(lambda u, w: _zero_event(u, zt)) if fire_zero else math.inf
-    r_blow = root(lambda u, w: _blowup_event(u, w, bt, _float_maximum)) if fire_blow else math.inf
+    r_zero = root(lambda u: _zero_event(u, zt), polys[:1]) if fire_zero else math.inf
+    r_blow = root(lambda *y: _blowup_event(*y, bt, _float_maximum), polys) if fire_blow else math.inf
     hit = r_zero <= r_blow
     return hit, r_zero if hit else r_blow
 

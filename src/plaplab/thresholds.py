@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .errors import ParameterError, RegimeError, _require_finite, _require_integer
+from .errors import ParameterError, RegimeError, _require_finite, _require_integer, _require_p
 
 if TYPE_CHECKING:  # numpy loads only where moser_exponents runs
     import numpy as np
@@ -41,9 +41,8 @@ class EquationParams:
 
     def __post_init__(self):
         _require_integer("n", self.n, 3)
-        _require_finite(self, "p", "a", "sigma")
-        if not self.p > 1:
-            raise ParameterError(f"p must be > 1, got {self.p}")
+        _require_p(self.p)
+        _require_finite(self, "a", "sigma")
         if self.a == 0:
             raise ParameterError("a must be nonzero")
         if self.sigma == 0:
@@ -154,8 +153,7 @@ def _beta(n, p, sigma, sign_of_a, constants):
 
 def thm2_threshold(n: int, p: float) -> float:
     """(n+2)(p-1)/n, the sigma threshold of the second gradient estimate."""
-    if not p > 1:
-        raise ParameterError(f"p must be > 1, got {p}")
+    _require_p(p)
     return (n + 2) * (p - 1) / n
 
 
@@ -264,8 +262,7 @@ def moser_exponents(n: int, p: float, b0: float, L: int) -> MoserExponents:
     """Build b_1 = (b0 + 2 - 2/p) n/(n-2) and b_{l+1} = b_l n/(n-2), l <= L."""
     import numpy as np
     _require_integer("n", n, 3)
-    if not p > 1:
-        raise ParameterError(f"p must be > 1, got {p}")
+    _require_p(p)
     if not b0 > 0:
         raise ParameterError(f"b0 must be positive, got {b0}")
     _require_integer("L", L, 1)

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 import plaplab as pl
 from plaplab.errors import ParameterError
-from plaplab.solver import _SERIES_FRACTION, _series_u, _series_w
+from plaplab.solver import _OUTPUT_POINTS, _SERIES_FRACTION, _series_u, _series_w
 
 
 def run_bounded(*argv, timeout=60):
@@ -129,7 +129,7 @@ def scipy_reference(params, space, config):
     # it is C^1 across steps, so downstream finite differences on the uniform
     # grid see only the (smooth, tolerance-sized) integration error; with no
     # step, every sample takes the series
-    rs = np.linspace(0.0, termination.r, config.output_points)
+    rs = np.linspace(0.0, termination.r, _OUTPUT_POINTS)
     u = np.empty_like(rs)
     w = np.empty_like(rs)
     head = rs < (r_start if accepted else math.inf)

@@ -237,7 +237,7 @@ def test_criterion_08_harnack(flat3):
     flat = pl.RadialSolution(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=pl.ModelSpace(n=3, K=0.0),
-        config=pl.ShootingConfig(u0=1.0, r_max=2.0, output_points=101),
+        config=pl.ShootingConfig(u0=1.0, r_max=2.0),
         r=r,
         u=np.ones_like(r),
         w=np.zeros_like(r),

@@ -66,6 +66,15 @@ def test_thresholds_invalid_dimension():
     assert run("thresholds", "--n", "2", "--p", "2") == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_thresholds_infinite_p_is_invalid(capsys):
+    """p = inf is invalid input: exit 2 and one error line, not a JSON
+    report that holds Infinity."""
+    assert run("thresholds", "--n", "3", "--p", "inf") == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: p must be finite, got inf\n")
+
+
 @pytest.mark.parametrize("given, missing", [(("--a", "1"), "sigma"), (("--sigma", "2"), "a")])
 def test_thresholds_half_given_regime_is_invalid(given, missing, capsys):
     """a or sigma alone asks for a regime, which needs both."""
@@ -130,7 +139,6 @@ SHOOTING_VALUES = dict(
     rel_tol=1e-10,
     zero_threshold=1e-7,
     blowup_threshold=1e7,
-    output_points=101,
 )
 SINC_PARAMS = ("--n", "3", "--p", "2", "--a", "1", "--sigma", "1")
 
@@ -242,6 +250,37 @@ def test_min_step_flag_is_rejected(tmp_path, capsys):
     assert "unrecognized arguments: --min-step" in capsys.readouterr().err
 
 
+def test_config_file_with_retired_output_points_still_solves(tmp_path):
+    """The key is ignored: the profile keeps its fixed 2001 samples."""
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("n=3\np=2\na=1\nsigma=1\nr_max=4\noutput_points=5\n")
+    out = tmp_path / "sol.csv"
+    assert run("solve", "--config", str(cfg), "--out", str(out)) == 0
+    back = pl.read_solution_csv(out)
+    assert back.config == pl.ShootingConfig(r_max=4.0)
+    assert len(back.r) == 2001
+    assert "output_points" not in out.read_text()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_output_points_flag_is_rejected(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    given = (*SINC_PARAMS, "--r-max", "4") if command == "solve" else ()
+    assert run(command, *given, "--output-points", "5", "--out", str(out)) == 2
+    assert "unrecognized arguments: --output-points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flag_counts():
+    """solve has 11 field flags plus --config and --out; sweep has 16 plus
+    --config, --out and --summary."""
+    counts = {
+        command: sum(len(a.option_strings) for a in subparser(command)._actions) - 2  # -h, --help
+        for command in ("solve", "sweep")
+    }
+    assert counts == {"solve": 13, "sweep": 19}
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -338,6 +377,15 @@ def test_check_accepts_only_its_own_flags(kind, flag, sinc_csv, capsys):
     else:
         assert code == 2
         assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_infinite_b_is_invalid(sinc_csv, capsys):
+    """b = inf is invalid input: exit 2 before the test function's powers
+    can warn or turn the verdict into NaN."""
+    assert run("check", "caccioppoli", "--solution", sinc_csv, "--R", "1.5", "--b", "inf") == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: b must be finite and > 1, got inf\n")
 
 
 def test_check_corrupted_solution_fails(sinc_csv, tmp_path):

@@ -17,9 +17,10 @@ which fail without a reason.  The sharp statements hold at K = 0:
 The test prints every count and fails when a K = 0 count rises above the
 value written here; a change that lowers a count lowers it here and names
 the changed cells in CHANGES.md.  No sharp result covers K = 1, so the
-K = 1 counts are printed but not gated.  The Caccioppoli row counts the
-checker points whose verdict is vacuous (its scale at the 1e-300 floor)
-or NaN.
+K = 1 counts are printed but not gated.  Two rows count checker points
+on solved profiles: the Caccioppoli row those whose verdict is vacuous
+(its scale at the 1e-300 floor) or NaN, the Sobolev row those whose
+measured constant is NaN.
 """
 
 import math
@@ -48,9 +49,15 @@ GRIDS = {
     "sigma < 0, a > 0, K = 1": (3, 1, _FLAT_P, (-3.0, -0.25, 0.25), 1.0, None, None),
 }
 
-# (n, p, sigma) with a = 1, K = 0, checked with the default b at R = 0.9 r_end
-CACCIOPPOLI_POINTS = ((3, 1.02, 0.04), (10, 18.0, 2.0))
-CACCIOPPOLI_WRITTEN = 2
+# (n, p, sigma, R) with a = 1, K = 0, checked with the default b at R, or at
+# 0.9 r_end where R is None; at R = 1e-50 on sin(r)/r every integral
+# underflows and the verdict is a vacuous pass
+CACCIOPPOLI_POINTS = ((3, 1.02, 0.04, None), (10, 18.0, 2.0, None), (3, 2.0, 1.0, 1e-50))
+CACCIOPPOLI_WRITTEN = 3
+# (n, p, sigma, R) with a = 1, K = 0, measured on the profile's Sobolev test
+# function; at R = 1e-120 on sin(r)/r the constant reads NaN
+SOBOLEV_POINTS = ((3, 2.0, 1.0, 1e-120),)
+SOBOLEV_WRITTEN = 1
 
 
 def _contradicts(cell, n, a):
@@ -79,14 +86,26 @@ def _grid_counts(n, a, p, sigma, K):
     return wrong, failed, len(cells)
 
 
-def _caccioppoli_unsound(n, p, sigma):
+def _solved(n, p, sigma):
     params = pl.EquationParams(n=n, p=p, a=1.0, sigma=sigma)
-    space = pl.ModelSpace(n=n)
-    sol = pl.solve_radial(params, space, pl.ShootingConfig(r_max=50.0))
+    return pl.solve_radial(params, pl.ModelSpace(n=n), pl.ShootingConfig(r_max=50.0))
+
+
+def _caccioppoli_unsound(n, p, sigma, R):
+    sol = _solved(n, p, sigma)
     log_sol = pl.to_log_solution(sol)
+    R = 0.9 * sol.r_end if R is None else R
     with np.errstate(all="ignore"):  # the NaN verdict overflows on its way
-        rep = pl.check_caccioppoli(log_sol, pl.CaccioppoliConfig(), 0.9 * sol.r_end)
+        rep = pl.check_caccioppoli(log_sol, pl.CaccioppoliConfig(), R)
     return not rep.scale > 1e-300 or not math.isfinite(rep.slack)
+
+
+def _sobolev_unsound(n, p, sigma, R):
+    sol = _solved(n, p, sigma)
+    with np.errstate(all="ignore"):  # the NaN constant overflows on its way
+        g, dg = pl.sobolev_test_function(sol, R)
+        rep = pl.measure_sobolev_ratio(g, sol.space, R, dg=dg)
+    return not math.isfinite(rep.empirical_constant)
 
 
 def test_wrong_verdicts_do_not_rise_above_the_ledger(capsys):
@@ -100,13 +119,15 @@ def test_wrong_verdicts_do_not_rise_above_the_ledger(capsys):
         )
         if gated and (wrong > written_wrong or failed > written_failed):
             risen.append(name)
-    unsound = sum(_caccioppoli_unsound(*point) for point in CACCIOPPOLI_POINTS)
-    rows.append(
-        f"Caccioppoli, vacuous or NaN: {unsound} of {len(CACCIOPPOLI_POINTS)} points"
-        f" (ledger {CACCIOPPOLI_WRITTEN})"
-    )
-    if unsound > CACCIOPPOLI_WRITTEN:
-        risen.append("Caccioppoli")
+    for name, unsound, points, written in (
+        ("Caccioppoli, vacuous or NaN", _caccioppoli_unsound, CACCIOPPOLI_POINTS,
+         CACCIOPPOLI_WRITTEN),
+        ("Sobolev, NaN constant", _sobolev_unsound, SOBOLEV_POINTS, SOBOLEV_WRITTEN),
+    ):
+        count = sum(unsound(*point) for point in points)
+        rows.append(f"{name}: {count} of {len(points)} points (ledger {written})")
+        if count > written:
+            risen.append(name)
     with capsys.disabled():
         print("\nledger of wrong verdicts:\n  " + "\n  ".join(rows))
     assert not risen, f"counts rose above the ledger: {risen}\n" + "\n".join(rows)

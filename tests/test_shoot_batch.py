@@ -104,9 +104,7 @@ def test_drawn_batch_of_one_matches_solve_radial(run):
     assume(zt < u0 < bt)
     params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
     space = pl.ModelSpace(n=n, K=K)
-    config = pl.ShootingConfig(
-        u0=u0, r_max=r_max, zero_threshold=zt, blowup_threshold=bt, output_points=5
-    )
+    config = pl.ShootingConfig(u0=u0, r_max=r_max, zero_threshold=zt, blowup_threshold=bt)
     kinds, radii, _ = shoot_batch([params], [u0], space, config)
     try:
         t = pl.solve_radial(params, space, config).termination

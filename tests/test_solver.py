@@ -379,7 +379,7 @@ def test_log_transform_exponential_profile(flat3):
     syn = pl.RadialSolution(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0),
         space=flat3,
-        config=pl.ShootingConfig(u0=1.0, r_max=2.0, output_points=201),
+        config=pl.ShootingConfig(u0=1.0, r_max=2.0),
         r=r,
         u=u,
         w=u.copy(),
@@ -417,7 +417,7 @@ def test_log_transform_rejects_nonpositive(flat3):
     syn = pl.RadialSolution(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0),
         space=flat3,
-        config=pl.ShootingConfig(u0=1.0, r_max=1.0, output_points=11),
+        config=pl.ShootingConfig(u0=1.0, r_max=1.0),
         r=r,
         u=u,
         w=np.zeros(11),
@@ -436,7 +436,7 @@ def test_constant_profile_is_not_a_solution(flat3):
     syn = pl.RadialSolution(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=flat3,
-        config=pl.ShootingConfig(u0=1.0, r_max=2.0, output_points=101),
+        config=pl.ShootingConfig(u0=1.0, r_max=2.0),
         r=r,
         u=np.ones_like(r),
         w=np.zeros_like(r),
@@ -452,7 +452,7 @@ def test_residual_needs_samples(flat3):
     syn = pl.RadialSolution(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=flat3,
-        config=pl.ShootingConfig(u0=1.0, r_max=1.0, output_points=5),
+        config=pl.ShootingConfig(u0=1.0, r_max=1.0),
         r=r,
         u=np.ones_like(r),
         w=np.zeros_like(r),
@@ -481,7 +481,6 @@ def test_radial_solution_rejects_unequal_lengths(sinc_solution):
         dict(r_max=0.0),
         dict(abs_tol=0.0),
         dict(zero_threshold=2.0, u0=1.0),
-        dict(output_points=3),
         dict(u0=1e9),
     ],
 )
@@ -647,7 +646,6 @@ VALID_META = """\
 # rel_tol=1.0000000000000001e-09
 # zero_threshold=1e-08
 # blowup_threshold=100000000
-# output_points=5
 # termination=hit_zero
 # termination_r=3.1415926223734867
 """
@@ -733,9 +731,26 @@ LEGACY_IDS = {
 def test_valid_csv_reads():
     for header in HEADERS:
         sol = pl.read_solution_csv(io.StringIO(_csv(header, _rows(header))))
-        assert sol.config == pl.ShootingConfig(r_max=4.0, output_points=5)
+        assert sol.config == pl.ShootingConfig(r_max=4.0)
         assert np.array_equal(sol.u, [1.0, 0.63661977864062869, 1.0000000026327382e-08])
         assert np.array_equal(sol.du, [0.0, -0.40528473266127835, -0.31830989204867161])
+
+
+@pytest.mark.parametrize("value", ["5", "3", "2001", "1e9", "any"])
+def test_csv_output_points_line_is_ignored(value):
+    """A retired output_points line, whatever its value and whatever the
+    row count, reads back to the solution of the same file without it."""
+    text = _csv("r,u,w", _rows("r,u,w"))
+    old = pl.read_solution_csv(io.StringIO(f"# output_points={value}\n" + text))
+    new = pl.read_solution_csv(io.StringIO(text))
+    assert (old.params, old.space, old.config, old.termination) == (
+        new.params,
+        new.space,
+        new.config,
+        new.termination,
+    )
+    for name in ("r", "u", "w"):
+        assert np.array_equal(_bits(getattr(old, name)), _bits(getattr(new, name)))
 
 
 @pytest.mark.parametrize(
@@ -854,8 +869,8 @@ def test_csv_round_trip_property(sinc_solution, profile, r_end, p):
         assert np.array_equal(_bits(back.du), _bits(du))
 
 
-# written when ShootingConfig still had a min_step field and Termination a
-# detail field (sinc instance, r_max = 4, 5 output points)
+# written when ShootingConfig still had min_step and output_points fields and
+# Termination a detail field (sinc instance, r_max = 4, 5 output points)
 RETIRED_MIN_STEP_CSV = """\
 # n=3
 # p=2
@@ -907,7 +922,7 @@ r,u,du,w
 2.0721587289498862,1.0629639776820281,0.21185626738984728,0.73317603895032724
 2.7628783052665149,277376.61943381932,1.9512318913129006e+18,4550.527854654154
 """
-RETIRED_KEYS = ("# min_step=", "# termination_detail=")
+RETIRED_KEYS = ("# min_step=", "# output_points=", "# termination_detail=")
 
 
 @pytest.mark.parametrize(
@@ -915,12 +930,12 @@ RETIRED_KEYS = ("# min_step=", "# termination_detail=")
     [
         (
             RETIRED_MIN_STEP_CSV,
-            pl.ShootingConfig(r_max=4.0, output_points=5),
+            pl.ShootingConfig(r_max=4.0),
             pl.Termination("hit_zero", 3.1415926223734867),
         ),
         (
             RETIRED_DETAIL_CSV,
-            pl.ShootingConfig(r_max=10.0, output_points=5),
+            pl.ShootingConfig(r_max=10.0),
             pl.Termination("step_failure", 2.762878305266515),
         ),
     ],
@@ -958,14 +973,13 @@ def test_csv_with_retired_keys_reads_back(text, config, termination):
 
 def test_config_metadata_follows_fields(sinc_solution):
     """One metadata line per ShootingConfig field, in field order; each
-    is required and output_points reads back as an int."""
+    is required."""
     buf = io.StringIO()
     pl.write_solution_csv(sinc_solution, buf)
     text = buf.getvalue()
     names = [f.name for f in dataclasses.fields(pl.ShootingConfig)]
     keys = [ln[2:].partition("=")[0] for ln in text.splitlines() if ln.startswith("# ")]
     assert [k for k in keys if k in names] == names
-    assert type(pl.read_solution_csv(io.StringIO(text)).config.output_points) is int
     for name in names:
         body = "".join(
             ln for ln in text.splitlines(keepends=True) if not ln.startswith(f"# {name}=")

@@ -435,9 +435,24 @@ def test_moser_rejects_bad_inputs():
             "p must be > 1, got 1.0",
             id="moser_exponents",
         ),
+    ]
+    # p = inf, refused by the rule EquationParams applies
+    + [
+        pytest.param(call, "p must be finite, got inf", id=f"{name}-inf")
+        for name, call in [
+            ("thm2_threshold", lambda: pl.thm2_threshold(3, math.inf)),
+            ("thm2_condition", lambda: pl.thm2_condition(3, math.inf, 1.0, 1.0)),
+            ("moser_exponents", lambda: pl.moser_exponents(3, math.inf, 1.0, 10)),
+            (
+                "radial_p_laplacian",
+                lambda: pl.radial_p_laplacian(math.inf, pl.ModelSpace(n=3), 1.0, 0.0, 1.0),
+            ),
+            ("radial_L_coefficient", lambda: pl.radial_L_coefficient(math.inf, 1.0)),
+        ]
     ],
 )
 def test_input_guards_refuse(call, message):
-    """A zero sign of a, or p <= 1, is refused before any arithmetic."""
+    """A zero sign of a, or p <= 1 or infinite, is refused before any
+    arithmetic."""
     with pytest.raises(ParameterError, match=message):
         call()

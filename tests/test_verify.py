@@ -57,7 +57,7 @@ def _constant_record():
     return pl.RadialSolution(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=pl.ModelSpace(n=3, K=0.0),
-        config=pl.ShootingConfig(u0=1.0, r_max=4.0, output_points=401),
+        config=pl.ShootingConfig(u0=1.0, r_max=4.0),
         r=r,
         u=np.ones_like(r),
         w=np.zeros_like(r),
@@ -165,7 +165,7 @@ def _synthetic_log_solution(a=1e-12, sigma=2.0):
     sol = pl.RadialSolution(
         params=params,
         space=space,
-        config=pl.ShootingConfig(u0=1.3, r_max=3.0, output_points=1501),
+        config=pl.ShootingConfig(u0=1.3, r_max=3.0),
         r=r,
         u=u,
         w=du.copy(),
@@ -324,8 +324,9 @@ def test_caccioppoli_detects_vanishing_f():
 
 
 def test_caccioppoli_config_validation():
-    with pytest.raises(ParameterError):
-        pl.CaccioppoliConfig(b=0.5)
+    for b in (0.5, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="b must be finite and > 1"):
+            pl.CaccioppoliConfig(b=b)
 
 
 # ---------------------------------------------------------------------------
