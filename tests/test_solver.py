@@ -481,6 +481,7 @@ def test_radial_solution_rejects_unequal_lengths(sinc_solution):
         dict(r_max=0.0),
         dict(abs_tol=0.0),
         dict(zero_threshold=2.0, u0=1.0),
+        dict(rel_tol=math.nan),
         dict(u0=1e9),
     ],
 )
