@@ -24,11 +24,10 @@ def _require_integer(name, value, minimum):
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _require_finite(owner, *names):
-    """Each named attribute of owner must be a finite number."""
-    for name in names:
-        if not math.isfinite(getattr(owner, name)):
-            raise ParameterError(f"{name} must be finite, got {getattr(owner, name)}")
+def _require_finite(name, value):
+    """value must be a finite number."""
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def _require_p(p):

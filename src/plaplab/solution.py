@@ -11,7 +11,7 @@ solution from solve to check.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import get_type_hints
@@ -111,8 +111,8 @@ def _dimension(params, space) -> int:
 
 
 def _du_from_flux(w, p):
-    """u' = sgn(w) |w|^(1/(p-1)), the inverse of w = |u'|^(p-2) u'."""
-    return np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
+    """u' = copysign(|w|^(1/(p-1)), w), the inverse of w = |u'|^(p-2) u'."""
+    return np.copysign(np.abs(w) ** (1.0 / (p - 1.0)), w)
 
 
 @dataclass(frozen=True)
@@ -368,9 +368,10 @@ def _from_meta(cls, meta):
     return cls(**{f.name: types[f.name](meta[f.name]) for f in fields(cls)})
 
 
-def _content_lines(lines, meta):
-    """(index, line) of each non-blank line that is not metadata, stripped;
-    the '#' lines on the way are parsed as key=value into meta."""
+def _header_index(lines, meta):
+    """Index of the first non-blank line that is not metadata, len(lines)
+    if there is none; the '#' lines above it are parsed as key=value into
+    meta."""
     for i, line in enumerate(lines):
         line = line.strip()
         if line.startswith("#"):
@@ -380,7 +381,8 @@ def _content_lines(lines, meta):
             key, _, value = body.partition("=")
             meta[key.strip()] = value.strip()
         elif line:
-            yield i, line
+            return i
+    return len(lines)
 
 
 def read_solution_csv(path_or_file) -> RadialSolution:
@@ -388,31 +390,27 @@ def read_solution_csv(path_or_file) -> RadialSolution:
 
     A data row is three comma-separated plain decimal fields r, u, w, and
     du is derived from w.  Files with the older header r,u,du,w still read:
-    their du field must be a number and is then dropped.  Metadata keys
-    that name no field, such as the retired min_step, output_points and
-    termination_detail, are ignored.
+    their du field must be a number and is then dropped.  Metadata lines go
+    above the header; keys that name no field, such as the retired min_step,
+    output_points and termination_detail, are ignored.  Below the header a
+    '#' line or a line of spaces is refused; blank lines, spaces around
+    fields and \r\n line ends read.
     """
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().split("\n")
     meta = {}
-    content = _content_lines(lines, meta)
-    start, header = next(content, (len(lines), None))
+    start = _header_index(lines, meta)
+    header = lines[start].strip() if start < len(lines) else None
     if header not in (None, _HEADER, _LEGACY_HEADER):
         raise SolutionFormatError(f"unexpected column header: {header!r}")
-    rows, data = lines[start + 1 :], None
-    if any(rows):
-        # the rows as they stand: loadtxt skips empty lines and strips each
-        # field, and fails on a '#' line or a blank line that is not empty
-        with suppress(ValueError):
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    if data is None:
-        rows = [line for _, line in content]
-        if header is None or not rows:
-            raise SolutionFormatError("no data rows found")
-        try:
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise SolutionFormatError(f"malformed data rows: {exc}") from exc
+    # loadtxt skips empty lines (a lone '\r' too) and strips each field
+    rows = lines[start + 1 :]
+    if not any(rows):
+        raise SolutionFormatError("no data rows found")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SolutionFormatError(f"malformed data rows: {exc}") from exc
     columns = header.count(",") + 1
     if data.shape[1] != columns:
         raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected {columns}")

@@ -76,9 +76,8 @@ class SweepGrid:
 
     def __post_init__(self):
         ModelSpace(n=self.n, K=self.K)  # checks n and K
-        _require_finite(
-            self, "a_sign", "p_min", "p_max", "p_step", "sigma_min", "sigma_max", "sigma_step"
-        )
+        for name in ("a_sign", "p_min", "p_max", "p_step", "sigma_min", "sigma_max", "sigma_step"):
+            _require_finite(name, getattr(self, name))
         if self.a_sign == 0:
             raise ParameterError("a_sign must be nonzero")
         if self.p_step <= 0 or self.sigma_step <= 0:

@@ -42,7 +42,8 @@ class EquationParams:
     def __post_init__(self):
         _require_integer("n", self.n, 3)
         _require_p(self.p)
-        _require_finite(self, "a", "sigma")
+        _require_finite("a", self.a)
+        _require_finite("sigma", self.sigma)
         if self.a == 0:
             raise ParameterError("a must be nonzero")
         if self.sigma == 0:
@@ -164,6 +165,7 @@ def thm2_condition(n: int, p: float, sigma: float, sign_of_a: float) -> bool:
     """
     if sign_of_a == 0:
         raise ParameterError("sign_of_a must be nonzero")
+    _require_finite("sigma", sigma)
     t = thm2_threshold(n, p)
     return sigma <= t if sign_of_a > 0 else sigma >= t
 
@@ -263,8 +265,8 @@ def moser_exponents(n: int, p: float, b0: float, L: int) -> MoserExponents:
     import numpy as np
     _require_integer("n", n, 3)
     _require_p(p)
-    if not b0 > 0:
-        raise ParameterError(f"b0 must be positive, got {b0}")
+    if not 0 < b0 < math.inf:
+        raise ParameterError(f"b0 must be positive and finite, got {b0}")
     _require_integer("L", L, 1)
     ratio = n / (n - 2)
     b1 = (b0 + 2 - 2 / p) * ratio

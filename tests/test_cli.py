@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -410,6 +411,26 @@ def test_check_malformed_csv(tmp_path):
     bad = tmp_path / "garbage.csv"
     bad.write_text("# n=3\nnot,a,valid,header\n1,2\n")
     assert run("check", "bochner", "--solution", str(bad)) == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda rows: rows + ["# K=0"], id="metadata-after-rows"),
+        pytest.param(lambda rows: rows[:1] + ["# K=0"] + rows[1:], id="metadata-between-rows"),
+        pytest.param(lambda rows: rows[:1] + ["   "] + rows[1:], id="spaces-between-rows"),
+    ],
+)
+def test_check_refuses_lines_among_the_rows(sinc_csv, tmp_path, capsys, edit):
+    """Metadata goes above the header, and a blank row holds no spaces:
+    each layout below it exits 2 with one error line."""
+    meta, _, body = Path(sinc_csv).read_text().partition("r,u,w\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(meta + "r,u,w\n" + "\n".join(edit(body.splitlines())) + "\n")
+    capsys.readouterr()
+    assert run("check", "gradient", "--solution", str(bad), "--R", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed data rows:") and err.count("\n") == 1
 
 
 def test_check_missing_radius(sinc_csv):

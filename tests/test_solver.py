@@ -714,6 +714,10 @@ def _malformed(header):
         ("nan-radius", _csv(header, nan_radius)),
         # np.diff(r) > 0 holds at a last radius of inf
         ("inf-radius", _csv(header, inf_radius)),
+        # metadata goes above the header, and a blank row holds no spaces
+        ("metadata-after-rows", _csv(header, rows) + "# K=0\n"),
+        ("metadata-between-rows", _csv(header, [rows[0], "# K=0", *rows[1:]])),
+        ("spaces-between-rows", _csv(header, [rows[0], "   ", *rows[1:]])),
     ]
 
 
@@ -772,8 +776,8 @@ def test_csv_rejects_malformed(text):
 
 @pytest.mark.parametrize("header", HEADERS)
 def test_csv_accepts_loose_layout(sinc_solution, header):
-    """Blank lines between rows, a space after each comma and metadata
-    after the data read back to the same solution, under either header."""
+    """Blank lines between rows, a space after each comma and \\r\\n line
+    ends read back to the same solution, under either header."""
     buf = io.StringIO()
     pl.write_solution_csv(sinc_solution, buf)
     meta, _, body = buf.getvalue().partition("r,u,w\n")
@@ -781,8 +785,9 @@ def test_csv_accepts_loose_layout(sinc_solution, header):
     if header == "r,u,du,w":  # the legacy layout holds du between u and w
         fields = [row.split(",") for row in rows]
         rows = [f"{r},{u},{du:.17g},{w}" for (r, u, w), du in zip(fields, sinc_solution.du)]
-    loose = header + "\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n" + meta
-    back = pl.read_solution_csv(io.StringIO(loose))
+    loose = meta + header + "\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n"
+    # StringIO keeps each '\r', where a file opened by path would drop it
+    back = pl.read_solution_csv(io.StringIO(loose.replace("\n", "\r\n")))
     assert (back.params, back.space, back.config, back.termination) == (
         sinc_solution.params,
         sinc_solution.space,
@@ -790,7 +795,7 @@ def test_csv_accepts_loose_layout(sinc_solution, header):
         sinc_solution.termination,
     )
     for name in ("r", "u", "du", "w"):
-        assert np.array_equal(getattr(back, name), getattr(sinc_solution, name))
+        assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(sinc_solution, name)))
 
 
 # finite values at the edges of float64: subnormals, signed zeros, the
@@ -824,6 +829,23 @@ def csv_profiles(draw):
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("p", [1.25, 2.0, 3.5])
+def test_du_copies_the_sign_of_w(sinc_solution, p):
+    """u' takes the sign of w as both steppers do, a zero w's included: an
+    a > 0 profile starts at w = -0.0, and its du starts at -0.0 too."""
+    assert (_bits(sinc_solution.w[0]), _bits(sinc_solution.du[0])) == (_bits(-0.0),) * 2
+    w = np.array([-0.0, 0.0, -2.5, 3.0, -5e-324])
+    sol = dataclasses.replace(
+        sinc_solution,
+        params=dataclasses.replace(sinc_solution.params, p=p),
+        r=np.arange(5.0),
+        u=np.ones(5),
+        w=w,
+    )
+    expected = np.copysign(np.abs(w) ** (1 / (p - 1)), w)
+    assert np.array_equal(_bits(sol.du), _bits(expected))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -963,8 +985,11 @@ def test_csv_with_retired_keys_reads_back(text, config, termination):
         assert np.array_equal(getattr(old, name), getattr(new, name))
     meta, _, body = current.partition("r,u,du,w\n")
     rows = [ln.split(",") for ln in body.splitlines()]
-    # the du column these files carry is the derived one, bit for bit
-    assert np.array_equal(_bits(old.du), _bits([float(f[2]) for f in rows]))
+    # the du column these files carry is the derived one, bit for bit, but
+    # for the sign of a zero: it was written as sgn(w) |w|^(1/(p-1)), which
+    # is +0.0 at w = -0.0, and du now copies the sign of w
+    file_du = np.copysign([float(f[2]) for f in rows], old.w)
+    assert np.array_equal(_bits(old.du), _bits(file_du))
     assert np.array_equal(_bits(old.du), _bits(_du_from_flux(old.w, old.params.p)))
     buf = io.StringIO()
     pl.write_solution_csv(old, buf)

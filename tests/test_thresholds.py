@@ -449,10 +449,28 @@ def test_moser_rejects_bad_inputs():
             ),
             ("radial_L_coefficient", lambda: pl.radial_L_coefficient(math.inf, 1.0)),
         ]
+    ]
+    # a non-finite b0 or sigma, which would give b = [inf, ...] or a False verdict
+    + [
+        pytest.param(
+            lambda: pl.moser_exponents(3, 2.0, math.inf, 5),
+            "b0 must be positive and finite, got inf",
+            id="moser_exponents-b0-inf",
+        ),
+        pytest.param(
+            lambda: pl.thm2_condition(3, 2.0, math.nan, 1.0),
+            "sigma must be finite, got nan",
+            id="thm2_condition-sigma-nan-a+",
+        ),
+        pytest.param(
+            lambda: pl.thm2_condition(3, 2.0, math.nan, -1.0),
+            "sigma must be finite, got nan",
+            id="thm2_condition-sigma-nan-a-",
+        ),
     ],
 )
 def test_input_guards_refuse(call, message):
-    """A zero sign of a, or p <= 1 or infinite, is refused before any
-    arithmetic."""
+    """A zero sign of a, p <= 1 or infinite, an infinite b0 or a NaN sigma
+    is refused before any arithmetic."""
     with pytest.raises(ParameterError, match=message):
         call()
