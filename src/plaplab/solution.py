@@ -385,6 +385,18 @@ def _header_index(lines, meta):
     return len(lines)
 
 
+def _first_rejected_row(rows, columns):
+    """Index of the first row that np.loadtxt refuses below a row of
+    `columns` zeros: a row that is not `columns` numbers.  Called on the
+    error path only, one row at a time."""
+    zeros = ",".join("0" * columns)
+    for k, row in enumerate(rows):
+        try:
+            np.loadtxt([zeros, row], delimiter=",", comments=None)
+        except ValueError:
+            return k
+
+
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
@@ -393,8 +405,9 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     their du field must be a number and is then dropped.  Metadata lines go
     above the header; keys that name no field, such as the retired min_step,
     output_points and termination_detail, are ignored.  Below the header a
-    '#' line or a line of spaces is refused; blank lines, spaces around
-    fields and \r\n line ends read.
+    '#' line or a line of spaces is refused, and the error names the file
+    line of the first refused row; blank lines, spaces around fields and
+    \r\n line ends read.
     """
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().split("\n")
@@ -407,11 +420,15 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     rows = lines[start + 1 :]
     if not any(rows):
         raise SolutionFormatError("no data rows found")
+    columns = header.count(",") + 1
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise SolutionFormatError(f"malformed data rows: {exc}") from exc
-    columns = header.count(",") + 1
+    except ValueError:
+        k = _first_rejected_row(rows, columns)
+        raise SolutionFormatError(
+            f"malformed data rows: line {start + 2 + k} is not {columns} "
+            f"comma-separated numbers: {rows[k]!r}"
+        ) from None
     if data.shape[1] != columns:
         raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected {columns}")
     try:

@@ -80,18 +80,19 @@ def solve_radial(
 
     Starts from a power series at the start radius of _run_limits and
     advances one run with a scalar Dormand-Prince 5(4) loop on Python
-    floats: the scheme, error norm, initial step and step control of
-    scipy's RK45, which shoot_batch also reproduces for many runs at once
-    (solve_radial keeps the profile, shoot_batch does not).  The run ends
-    as shoot_batch's does, by the shared rules _zero_event, _blowup_event
-    and _blew_up.  A terminal event is located on the final step in Python
-    floats, by _step_event, the bisection shoot_batch applies to its numpy
-    arrays; the steps leading there are computed apart, so the two radii
-    agree to rounding, not bitwise.  The profile is returned uniformly
-    resampled at _OUTPUT_POINTS samples on [0, r_end] from the steps' C^1
-    dense output (off-grid interpolation is monotone cubic, in the
-    checkers).  With no accepted step the run ends as step_failure at
-    r_start, and its profile is the series start on [0, r_start].
+    floats: the scheme, error norm, initial step, step control and dense
+    output (_dense_coefficients) of scipy's RK45, which shoot_batch also
+    reproduces for many runs at once (solve_radial keeps the profile,
+    shoot_batch does not).  The run ends as shoot_batch's does, by the
+    shared rules _zero_event, _blowup_event and _blew_up.  A terminal event
+    is located on the final step in Python floats, by _step_event, the
+    bisection shoot_batch applies to its numpy arrays; the steps leading
+    there are computed apart, so the two radii agree to rounding, not
+    bitwise.  The profile is returned uniformly resampled at _OUTPUT_POINTS
+    samples on [0, r_end] from the steps' C^1 dense output (off-grid
+    interpolation is monotone cubic, in the checkers).  With no accepted
+    step the run ends as step_failure at r_start, and its profile is the
+    series start on [0, r_start].
 
     Raises ParameterError when params and space disagree on n and when the
     series start is not inside (_zero_event or _blowup_event is not > 0).
@@ -142,7 +143,7 @@ def solve_radial(
     e1, _, e3, e4, e5, e6, e7 = _DP_E
     retry = False  # the last attempt was rejected
     failed = fire_zero = fire_blow = False
-    steps = []  # per accepted step: t_old, t_new, y_old and the seven stages
+    steps = []  # per accepted step: t_old, t_new, y_old and the stages k1, k3, ..., k7
     while True:
         h_floor = 10 * (math.nextafter(t, math.inf) - t)
         if not h_abs >= h_floor:  # a nan step is below the floor too
@@ -190,9 +191,7 @@ def solve_radial(
         factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error**_ERROR_EXPONENT)
         h_abs = h * (min(1, factor) if retry else factor)
         retry = False
-        steps.append(
-            (t, t_new, u, w, ku1, kw1, ku2, kw2, ku3, kw3, ku4, kw4, ku5, kw5, ku6, kw6, ku7, kw7)
-        )
+        steps.append((t, t_new, u, w, ku1, kw1, ku3, kw3, ku4, kw4, ku5, kw5, ku6, kw6, ku7, kw7))
         t, u, w, ku1, kw1 = t_new, u_new, w_new, ku7, kw7
         g_zero_new, g_blow_new = _zero_event(u, zt), _blowup_event(u, w, bt, _float_maximum)
         fire_zero = g_zero >= 0 and g_zero_new <= 0
@@ -201,10 +200,11 @@ def solve_radial(
             break
         g_zero, g_blow = g_zero_new, g_blow_new
 
-    table = np.array(steps).reshape(len(steps), 18)
-    dense = np.einsum("jk,mkc->jcm", np.array(_DP_P), table[:, 4:].reshape(len(steps), 7, 2))
-    step_ends = table[:, 1]
-    step = (table[:, 0], step_ends - table[:, 0], table[:, 2:4].T, dense)
+    # one row per recorded quantity, C-contiguous, so that _stage_sum adds stages in order
+    table = np.array(steps, order="F").reshape(len(steps), 16).T
+    dense = _dense_coefficients(table[4:].reshape(6, 2, len(steps)))
+    step_ends = table[1]
+    step = (table[0], step_ends - table[0], table[2:4], dense)
     if not steps:  # nothing was integrated: a step failure at the start
         termination = Termination("step_failure", r_start)
     elif failed:
@@ -264,9 +264,8 @@ _DP_A = (
 _DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 # dense output (Shampine 1986): y(t_old + x h) = y_old + h sum_j Q_j x^(j+1),
-# with Q_j = sum_k _DP_P[j][k] K_k over the seven stages
+# with Q_0 = K_1 and Q_j = sum_k _DP_P[j - 1][k] K_k over the seven stages
 _DP_P = (
-    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     (
         -8048581381 / 2820520608,
         0.0,
@@ -310,13 +309,18 @@ _REACHED, _ZERO, _BLOW, _FAILED = range(4)  # positions in Termination.KINDS
 _A_ROWS = tuple(np.array((*row[1::-1], *row[2:]))[:, None, None] for row in _DP_A[1:])
 _B_ROWS = np.array((_DP_B[0], *_DP_B[2:]))[:, None, None]
 _E_ROWS = np.array((_DP_E[0], *_DP_E[2:]))[:, None, None]
-_P_ROWS = tuple(np.array((row[0], *row[2:]))[:, None, None] for row in _DP_P[1:])
+_P_ROWS = tuple(np.array((row[0], *row[2:]))[:, None, None] for row in _DP_P)
 _STAGE_C = np.array((*_DP_C, 1.0))[:, None]  # stages 2 to 7 sit at t + c h
 
 
 def _stage_sum(coeffs, stages):
     """sum_k coeffs[k] stages[k] over the leading axis, added in order."""
     return np.add.reduce(coeffs * stages, axis=0, initial=-0.0)
+
+
+def _dense_coefficients(stages):
+    """Q_0..Q_3 of _dense_output from the stages k1, k3, ..., k7 (leading axis)."""
+    return np.stack((stages[0], *(_stage_sum(row, stages) for row in _P_ROWS)))
 
 
 def _rms(y):
@@ -343,8 +347,10 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     Returns three arrays with one entry per run: the termination kind (one
     of Termination.KINDS, as solve_radial classifies it, with a series
     start that solve_radial rejects reported as step_failure at radius 0),
-    its radius, and the largest relative excursion max |u - u0| / u0 over
-    accepted step ends.
+    its radius, and the relative excursion |u - u0| / u0 of its last
+    accepted state (0 with no accepted step): its largest, as u is monotone
+    (by the flux identity (s^(n-1) w)' = -a u_eff^sigma s^(n-1), with
+    u_eff = max(u, zero_threshold / 2) > 0, w has the sign of -a).
 
     Raises ParameterError when a parameter set and space disagree on n,
     and ShootingConfig's error for the first center value it rejects.
@@ -362,9 +368,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     m = len(params)
     kind = np.full(m, _FAILED)
     r_end = np.zeros(m)
-    moved = np.zeros(m)
-    if m == 0:
-        return _KIND_NAMES[kind], r_end, moved
+    u_end = u0.copy()  # u at each run's last accepted state, u0 before its first
 
     n, r_max = space.n, config.r_max
     rtol, atol, u_floor, r_start = _run_limits(config)
@@ -393,18 +397,15 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
 
         f0 = rhs_at(t0, y0)
         h0 = _initial_step(rhs_at, t0, y0, f0, r_max - r_start, rtol, atol)
-        # one column per live run, one row per quantity: t, u, w, u', w', the
-        # zero and blow-up functions, the excursion, the step size, -a, sigma,
-        # 1/(p-1), u0.  Rows 0-7 are what an accepted step replaces, so
-        # accepting steps and dropping finished runs are one numpy call each
-        state = np.vstack(
-            (t0, y0, f0, g0, np.zeros(index.size), h0, consts, u0[index])
-        )
+        # one column per live run, one row per quantity: t, u, w, u', w', the zero and
+        # blow-up functions, the step size, -a, sigma, 1/(p-1).  Rows 0-6 are what an
+        # accepted step replaces, so accepting steps and dropping runs are one call each
+        state = np.vstack((t0, y0, f0, g0, h0, consts))
         retry = np.zeros(index.size, dtype=bool)  # the last attempt was rejected
         while index.size:
             t, y, f, g = state[0], state[1:3], state[3:5], state[5:7]  # g: zero, blow-up
-            excursion, h_abs, consts, u0_run = state[7], state[8], tuple(state[9:12]), state[12]
-            new = np.empty((8, index.size))  # rows 0-7 of state after the step
+            h_abs, consts = state[7], tuple(state[8:11])
+            new = np.empty((7, index.size))  # rows 0-6 of state after the step
             h_floor = 10 * np.spacing(t)
             below = ~(h_abs >= h_floor)  # a nan step is below the floor too
             failed = retry & below
@@ -439,8 +440,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
                     (index[event], t[event], t_new[event], y[:, event], stages[1:, :, event],
                      fire[:, event])
                 )
-            np.maximum(excursion, np.abs(y_new[0] - u0_run), out=new[7])
-            np.copyto(state[:8], new, where=accepted)
+            np.copyto(state[:7], new, where=accepted)
 
             finished = accepted & ~event & (t_new >= r_max)
             done = event | finished | failed
@@ -448,7 +448,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
                 continue
             kind[index[finished]] = _REACHED
             r_end[index[finished]] = r_max
-            moved[index[done]] = excursion[done] / u0_run[done]
+            u_end[index[done]] = y[0, done]  # y is the last accepted state
             if np.count_nonzero(failed):
                 blown = _blew_up(*y[:, failed], bt)
                 kind[index[failed]] = np.where(blown, _BLOW, _FAILED)
@@ -460,12 +460,13 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
             index, t_old, t_new, y_old, at, fire = (
                 np.concatenate(part, axis=-1) for part in zip(*fired)
             )
-            q = np.stack((at[0], *(_stage_sum(row, at) for row in _P_ROWS)))
-            hit, r_end[index] = _first_event((t_old, t_new, y_old, q), *fire, zt, bt)
+            step = (t_old, t_new, y_old, _dense_coefficients(at))
+            hit, r_end[index] = _first_event(step, *fire, zt, bt)
             kind[index] = np.where(hit, _ZERO, _BLOW)
 
-    kind[r_end <= r_start] = _FAILED  # no accepted step: a step failure at the start
-    return _KIND_NAMES[kind], r_end, moved
+    no_step = r_end <= r_start  # no accepted step: a step failure at the start
+    kind[no_step], u_end[no_step] = _FAILED, u0[no_step]
+    return _KIND_NAMES[kind], r_end, np.abs(u_end - u0) / u0
 
 
 def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):

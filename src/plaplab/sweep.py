@@ -40,6 +40,15 @@ _CAVEAT = (
 _MOVE_TOL = 0.01
 
 
+def _center_values(u0_list, default):
+    """The center values a cell scans: u0_list, or default when it is None."""
+    if u0_list is None:
+        return default
+    if len(u0_list) == 0:
+        raise ParameterError("u0_list must be nonempty")
+    return u0_list
+
+
 def _range_values(lo, hi, step):
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
@@ -85,12 +94,9 @@ class SweepGrid:
         for name, lo, hi in (("p", self.p_min, self.p_max), ("sigma", self.sigma_min, self.sigma_max)):
             if lo > hi:
                 raise ParameterError(f"inverted {name} range: {name}_min = {lo} > {name}_max = {hi}")
-        if self.u0_list is None:
-            u0 = self.config.u0
-            scan = (u0,) if self.K == 0 else (u0 / 4, u0, 4 * u0)
-            object.__setattr__(self, "u0_list", scan)
-        elif not self.u0_list:
-            raise ParameterError("u0_list must be nonempty")
+        u0 = self.config.u0
+        default = (u0,) if self.K == 0 else (u0 / 4, u0, 4 * u0)
+        object.__setattr__(self, "u0_list", _center_values(self.u0_list, default))
         for u0 in self.u0_list:
             replace(self.config, u0=u0)  # checks u0 against the thresholds
 
@@ -151,12 +157,16 @@ def classify_existence(
     A run that reaches r_max with the profile still within 1% (relative)
     of its center value never left the neighborhood of the starting
     constant: r_max was too small to classify and the cell is reported as
-    numerical_failure rather than as (spurious) persistence.
-    The excursion is measured at the integrator's accepted step ends.
-    A center value outside (zero_threshold, blowup_threshold) of config
-    raises ShootingConfig's ParameterError, from shoot_batch.
+    numerical_failure rather than as (spurious) persistence.  The
+    excursion |u - u0| / u0 is read at the run's last accepted state, where
+    it is largest: by the flux identity (s^(n-1) w)' = -a u_eff^sigma
+    s^(n-1), with u_eff = max(u, zero_threshold / 2) > 0, w has the sign of
+    -a, so u is monotone.
+    An empty u0_list raises ParameterError, as in SweepGrid, and a center
+    value outside (zero_threshold, blowup_threshold) of config raises
+    ShootingConfig's ParameterError, from shoot_batch.
     """
-    u0_list = (config.u0,) if u0_list is None else u0_list
+    u0_list = _center_values(u0_list, (config.u0,))
     return _classify_batch([params], space, config, u0_list)[0]
 
 

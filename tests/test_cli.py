@@ -413,24 +413,39 @@ def test_check_malformed_csv(tmp_path):
     assert run("check", "bochner", "--solution", str(bad)) == 2
 
 
+def _with_u(row, value):
+    r, _, w = row.split(",")
+    return f"{r},{value},{w}"
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, bad_row",
     [
-        pytest.param(lambda rows: rows + ["# K=0"], id="metadata-after-rows"),
-        pytest.param(lambda rows: rows[:1] + ["# K=0"] + rows[1:], id="metadata-between-rows"),
-        pytest.param(lambda rows: rows[:1] + ["   "] + rows[1:], id="spaces-between-rows"),
+        pytest.param(lambda rows: rows + ["# K=0"], 2001, id="metadata-after-rows"),
+        pytest.param(lambda rows: rows[:1] + ["# K=0"] + rows[1:], 1, id="metadata-between-rows"),
+        pytest.param(lambda rows: rows[:4] + ["# K=0"] + rows[4:], 4, id="metadata-fifth-row"),
+        pytest.param(lambda rows: rows[:1] + ["   "] + rows[1:], 1, id="spaces-between-rows"),
+        pytest.param(lambda rows: [*rows[:2], _with_u(rows[2], "abc"), *rows[3:]], 2,
+                     id="non-numeric-u"),
     ],
 )
-def test_check_refuses_lines_among_the_rows(sinc_csv, tmp_path, capsys, edit):
+def test_check_refuses_lines_among_the_rows(sinc_csv, tmp_path, capsys, edit, bad_row):
     """Metadata goes above the header, and a blank row holds no spaces:
-    each layout below it exits 2 with one error line."""
+    each layout below it exits 2 with one error line, which names the file
+    line of the first rejected row (0-based bad_row below the header) and
+    quotes it."""
     meta, _, body = Path(sinc_csv).read_text().partition("r,u,w\n")
+    rows = edit(body.splitlines())
     bad = tmp_path / "bad.csv"
-    bad.write_text(meta + "r,u,w\n" + "\n".join(edit(body.splitlines())) + "\n")
+    bad.write_text(meta + "r,u,w\n" + "\n".join(rows) + "\n")
     capsys.readouterr()
     assert run("check", "gradient", "--solution", str(bad), "--R", "2") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed data rows:") and err.count("\n") == 1
+    line = meta.count("\n") + 2 + bad_row  # the header is file line meta.count("\n") + 1
+    assert err == (
+        f"error: malformed data rows: line {line} is not 3 comma-separated numbers: "
+        f"{rows[bad_row]!r}\n"
+    )
 
 
 def test_check_missing_radius(sinc_csv):

@@ -99,21 +99,30 @@ def test_drawn_batch_of_one_matches_solve_radial(run):
     """The two steppers end a run alike: same kind, same radius to 1e-8
     relative (the steps leading to an event are computed apart, so the
     radii agree to rounding, not bitwise).  Where solve_radial rejects the
-    series start, shoot_batch reports a step failure at radius 0."""
+    series start, shoot_batch reports a step failure at radius 0.
+
+    shoot_batch's excursion is |u - u0| / u0 of the run's last accepted
+    state: at r_max it is that of solve_radial's last sample, to rounding,
+    and a run that hit zero has moved from u0 to at most zero_threshold."""
     n, p, a, sigma, K, u0, r_max, zt, bt = run
     assume(zt < u0 < bt)
     params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
     space = pl.ModelSpace(n=n, K=K)
     config = pl.ShootingConfig(u0=u0, r_max=r_max, zero_threshold=zt, blowup_threshold=bt)
-    kinds, radii, _ = shoot_batch([params], [u0], space, config)
+    kinds, radii, moved = shoot_batch([params], [u0], space, config)
     try:
-        t = pl.solve_radial(params, space, config).termination
+        sol = pl.solve_radial(params, space, config)
     except ParameterError as exc:
         assert "series start" in str(exc)
-        assert (kinds[0], radii[0]) == ("step_failure", 0.0)
+        assert (kinds[0], radii[0], moved[0]) == ("step_failure", 0.0, 0.0)
         return
+    t = sol.termination
     assert kinds[0] == t.kind
     assert abs(radii[0] - t.r) <= 1e-8 * t.r
+    if t.kind == "reached_rmax":
+        assert moved[0] == pytest.approx(abs(sol.u[-1] - u0) / u0, rel=1e-9, abs=1e-12)
+    elif t.kind == "hit_zero":
+        assert moved[0] >= 1 - zt / u0 - 1e-12
 
 
 def test_event_rules_match_the_comparisons_they_replace():
@@ -286,8 +295,9 @@ def test_batch_matches_golden_bits(K):
 
 
 def test_reached_rmax_excursion_matches_profile(flat3):
-    """The running excursion equals max |u - u0| / u0 of the resampled
-    profile: both are taken at r_max for a monotone profile."""
+    """The excursion, read at the last accepted state, equals
+    max |u - u0| / u0 of the resampled profile: the profile is monotone, so
+    both are taken at r_max."""
     params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=5.0)
     config = pl.ShootingConfig(u0=2.0, r_max=50.0)
     sol = pl.solve_radial(params, flat3, config)

@@ -373,6 +373,18 @@ def test_grid_validation():
         small_grid(u0_list=())
 
 
+@pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+def test_empty_center_values_are_refused_alike(flat3, empty):
+    """A cell with no center value shoots no run: classify_existence
+    refuses it with SweepGrid's error."""
+    params = pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0)
+    config = pl.ShootingConfig(r_max=20.0)
+    with pytest.raises(ParameterError, match="u0_list must be nonempty"):
+        small_grid(u0_list=empty)
+    with pytest.raises(ParameterError, match="u0_list must be nonempty"):
+        pl.classify_existence(params, flat3, config, u0_list=empty)
+
+
 def test_default_u0_scan_depends_on_curvature():
     assert small_grid().u0_list == (1.0,)
     assert small_grid(K=1.0).u0_list == (0.25, 1.0, 4.0)
