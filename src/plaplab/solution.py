@@ -1,11 +1,12 @@
 """The solved radial profile and what is computed from it alone.
 
-A shooting run ends in a RadialSolution: the resampled profile (r, u, w)
-with the flux w = |u'|^(p-2) u', the run's configuration and how it ended.
-From it follow the independent finite-difference residuals, the log
-transform v = (p-1) log u and the linearized operator on it that the
-pointwise checkers read, and the CSV form in which the CLI hands a
-solution from solve to check.
+A shooting run ends in a RadialSolution: the profile (u, w), with the flux
+w = |u'|^(p-2) u', on the uniform grid r from 0 to the termination radius,
+the run's configuration and how it ended.  From it follow the independent
+finite-difference residuals, the log transform v = (p-1) log u and the
+linearized operator on it that the pointwise checkers read, and the CSV
+form in which the CLI hands a solution from solve to check: the columns
+u, w, with r rebuilt from the termination radius and the row count.
 """
 
 from __future__ import annotations
@@ -73,8 +74,12 @@ class Termination:
 class RadialSolution:
     """Uniformly resampled radial profile (r, u, flux w) plus verdict.
 
-    The derivative du = u' is not stored: it is a function of the flux,
-    u' = sgn(w) |w|^(1/(p-1)), computed from w and params.p on first use.
+    r is the solver's sample grid, np.linspace(0, termination.r, len(r))
+    bit for bit, with termination.r finite and > 0 and a step above 0, so
+    that the finite differences' step h = r[1] - r[0] holds by construction
+    and the CSV form can leave r out.  The derivative du = u' is not stored
+    either: it is a function of the flux, u' = sgn(w) |w|^(1/(p-1)),
+    computed from w and params.p on first use.
     """
 
     params: EquationParams
@@ -90,8 +95,11 @@ class RadialSolution:
         m = len(self.r)
         if not (len(self.u) == len(self.w) == m):
             raise ParameterError("grid arrays must have equal length")
-        if m < 2 or self.r[0] != 0.0 or not np.all(np.diff(self.r) > 0) or self.r[-1] == np.inf:
-            raise ParameterError("r must increase strictly from 0 to a finite radius")
+        if not np.array_equal(self.r, _grid(self.termination.r, m)):
+            raise ParameterError(
+                f"r must be the uniform grid of {m} samples from 0 to"
+                f" termination.r = {self.termination.r}"
+            )
 
     @property
     def r_end(self) -> float:
@@ -108,6 +116,24 @@ def _dimension(params, space) -> int:
     if params.n != space.n:
         raise ParameterError(f"dimension mismatch: params.n = {params.n}, space.n = {space.n}")
     return space.n
+
+
+def _grid(r_end, m):
+    """np.linspace(0, r_end, m), the grid a solved profile is sampled on.
+
+    Refused unless r_end is finite and > 0 and the m >= 2 samples increase
+    strictly, i.e. the step r_end / (m - 1) does not underflow to 0.
+    """
+    if not 0 < r_end < math.inf:
+        raise ParameterError(f"termination.r must be finite and > 0, got {r_end}")
+    if m < 2 or r_end / (m - 1) == 0:
+        raise ParameterError(
+            f"{m} samples from 0 to termination.r = {r_end} do not increase strictly"
+        )
+    # near the float maximum (m - 1) * step overflows, and linspace sets the
+    # last sample to r_end, as it does for any r_end
+    with np.errstate(over="ignore"):
+        return np.linspace(0.0, r_end, m)
 
 
 def _du_from_flux(w, p):
@@ -320,10 +346,12 @@ def flux_residual(solution: RadialSolution) -> float:
 # CSV serialization: '#'-prefixed key=value metadata, then one row per sample
 
 _FLOAT_FMT = "%.17g"
-_HEADER = "r,u,w"
-# files written before du was derived from w: du is parsed and dropped
-_LEGACY_HEADER = "r,u,du,w"
-_ROW_FMT = ",".join([_FLOAT_FMT] * 3) + "\n"
+_HEADER = "u,w"
+# files written before r was rebuilt from termination_r (r,u,w) and before
+# du was derived from w (r,u,du,w): their r must be the grid, and du is
+# parsed and dropped
+_LEGACY_HEADERS = ("r,u,w", "r,u,du,w")
+_ROW_FMT = ",".join([_FLOAT_FMT] * 2) + "\n"
 _type_hints = cache(get_type_hints)  # a class's annotations resolve once per process
 
 
@@ -338,11 +366,13 @@ def _opened(path_or_file, mode):
 
 
 def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
-    """Write a solution as CSV: metadata comment lines, the header r,u,w
+    """Write a solution as CSV: metadata comment lines, the header u,w
     and one row per sample.
 
-    du is not written; it is derived from w.  Decimal output carries 17
-    significant digits, enough to round-trip float64 exactly.
+    r is not written; the reader rebuilds it as the grid from 0 to the
+    termination_r line, which RadialSolution guarantees it is.  Nor is du;
+    it is derived from w.  Decimal output carries 17 significant digits,
+    enough to round-trip float64 exactly.
     """
     meta = {}
     meta.update(solution.params.to_dict())
@@ -355,7 +385,7 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
         for key, value in meta.items()
     ]
     lines.append(_HEADER + "\n")
-    data = np.column_stack((solution.r, solution.u, solution.w))
+    data = np.column_stack((solution.u, solution.w))
     lines.append((_ROW_FMT * len(data)) % tuple(data.ravel().tolist()))
     with _opened(path_or_file, "w") as fh:
         fh.write("".join(lines))
@@ -400,25 +430,27 @@ def _first_rejected_row(rows, columns):
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
-    A data row is three comma-separated plain decimal fields r, u, w, and
-    du is derived from w.  Files with the older header r,u,du,w still read:
-    their du field must be a number and is then dropped.  Metadata lines go
-    above the header; keys that name no field, such as the retired min_step,
-    output_points and termination_detail, are ignored.  Below the header a
-    '#' line or a line of spaces is refused, and the error names the file
-    line of the first refused row; blank lines, spaces around fields and
-    \r\n line ends read.
+    A data row is two comma-separated plain decimal fields u, w; r is
+    rebuilt as np.linspace(0, termination_r, rows), the solver's grid, and
+    du is derived from w.  Files with the older headers r,u,w and r,u,du,w
+    still read: their r must be that grid bit for bit, and a du field must
+    be a number and is then dropped.  Metadata lines go above the header;
+    keys that name no field, such as the retired min_step, output_points
+    and termination_detail, are ignored.  Below the header a '#' line or a
+    line of spaces is refused, and the error names the file line of the
+    first refused row; blank lines, spaces around fields and \r\n line
+    ends read.
     """
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().split("\n")
     meta = {}
     start = _header_index(lines, meta)
     header = lines[start].strip() if start < len(lines) else None
-    if header not in (None, _HEADER, _LEGACY_HEADER):
+    if header not in (None, _HEADER, *_LEGACY_HEADERS):
         raise SolutionFormatError(f"unexpected column header: {header!r}")
-    # loadtxt skips empty lines (a lone '\r' too) and strips each field
+    # loadtxt skips empty lines (lone '\r's too) and strips each field
     rows = lines[start + 1 :]
-    if not any(rows):
+    if not any(row.strip("\r") for row in rows):
         raise SolutionFormatError("no data rows found")
     columns = header.count(",") + 1
     try:
@@ -439,12 +471,16 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     except (KeyError, ValueError) as exc:
         raise SolutionFormatError(f"bad or missing metadata: {exc}") from exc
     try:
+        if columns == 2:
+            r, u = _grid(termination.r, len(data)), data[:, 0]
+        else:
+            r, u = data[:, 0], data[:, 1]
         return RadialSolution(
             params=params,
             space=space,
             config=config,
-            r=data[:, 0],
-            u=data[:, 1],
+            r=r,
+            u=u,
             w=data[:, -1],
             termination=termination,
         )

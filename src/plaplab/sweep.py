@@ -49,9 +49,20 @@ def _center_values(u0_list, default):
     return u0_list
 
 
-def _range_values(lo, hi, step):
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+# the most float64 values one numpy array can hold
+_MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
+def _range_values(name, lo, hi, step):
+    """The points lo, lo + step, ... <= hi of a range; refused where their
+    count is not finite or passes what one numpy array can hold."""
+    count = np.floor((hi - lo) / step + 1e-9) + 1
+    if not count <= _MAX_POINTS:
+        raise ParameterError(
+            f"{name} range {lo}..{hi} by {name}_step = {step} has {count:g} points,"
+            " more than an array can hold"
+        )
+    return lo + step * np.arange(int(count))
 
 
 @dataclass(frozen=True)
@@ -91,9 +102,13 @@ class SweepGrid:
             raise ParameterError("a_sign must be nonzero")
         if self.p_step <= 0 or self.sigma_step <= 0:
             raise ParameterError("grid steps must be positive")
-        for name, lo, hi in (("p", self.p_min, self.p_max), ("sigma", self.sigma_min, self.sigma_max)):
+        for name, lo, hi, step in (
+            ("p", self.p_min, self.p_max, self.p_step),
+            ("sigma", self.sigma_min, self.sigma_max, self.sigma_step),
+        ):
             if lo > hi:
                 raise ParameterError(f"inverted {name} range: {name}_min = {lo} > {name}_max = {hi}")
+            _range_values(name, lo, hi, step)  # refuses a count numpy cannot hold
         u0 = self.config.u0
         default = (u0,) if self.K == 0 else (u0 / 4, u0, 4 * u0)
         object.__setattr__(self, "u0_list", _center_values(self.u0_list, default))
@@ -102,11 +117,11 @@ class SweepGrid:
 
     @property
     def p_values(self):
-        return _range_values(self.p_min, self.p_max, self.p_step)
+        return _range_values("p", self.p_min, self.p_max, self.p_step)
 
     @property
     def sigma_values(self):
-        return _range_values(self.sigma_min, self.sigma_max, self.sigma_step)
+        return _range_values("sigma", self.sigma_min, self.sigma_max, self.sigma_step)
 
 
 @dataclass(frozen=True)

@@ -397,14 +397,40 @@ def test_check_corrupted_solution_fails(sinc_csv, tmp_path):
     c = 1 / math.sqrt(2.0)  # f = |(p-1) du / u|^p scales by 1/2 at p = 2, where du = w
     rows = []
     for ln in lines:
-        if ln.startswith("#") or ln.startswith("r,"):
+        if ln.startswith("#") or ln == "u,w":
             rows.append(ln)
         else:
-            r, u, w = ln.split(",")
-            rows.append(f"{r},{u},{float(w) * c:.17g}")
+            u, w = ln.split(",")
+            rows.append(f"{u},{float(w) * c:.17g}")
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(rows) + "\n")
     assert run("check", "bochner", "--solution", str(bad), "--R", "2") == 1
+
+
+def test_check_refuses_a_radius_off_the_grid(sinc_csv, tmp_path, capsys):
+    """A file in the earlier r,u,w layout is checked as the u,w file it
+    holds while its r is the grid from 0 to termination_r; with one radius
+    a float step off that grid it is invalid input, exit 2."""
+    meta, _, body = Path(sinc_csv).read_text().partition("u,w\n")
+    r = pl.read_solution_csv(sinc_csv).r
+    rows = [f"{x:.17g},{row}" for x, row in zip(r, body.splitlines())]
+    legacy = tmp_path / "legacy.csv"
+    legacy.write_text(meta + "r,u,w\n" + "\n".join(rows) + "\n")
+    reports = []
+    for path in (str(legacy), sinc_csv):
+        capsys.readouterr()
+        assert run("check", "gradient", "--solution", path, "--R", "2") == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+    rows[700] = f"{np.nextafter(r[700], 0.0):.17g},{rows[700].split(',', 1)[1]}"
+    legacy.write_text(meta + "r,u,w\n" + "\n".join(rows) + "\n")
+    assert run("check", "gradient", "--solution", str(legacy), "--R", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: r must be the uniform grid of 2001 samples from 0 to termination.r = "
+        f"{pl.read_solution_csv(sinc_csv).termination.r}\n"
+    )
 
 
 def test_check_malformed_csv(tmp_path):
@@ -414,8 +440,8 @@ def test_check_malformed_csv(tmp_path):
 
 
 def _with_u(row, value):
-    r, _, w = row.split(",")
-    return f"{r},{value},{w}"
+    _, w = row.split(",")
+    return f"{value},{w}"
 
 
 @pytest.mark.parametrize(
@@ -434,16 +460,16 @@ def test_check_refuses_lines_among_the_rows(sinc_csv, tmp_path, capsys, edit, ba
     each layout below it exits 2 with one error line, which names the file
     line of the first rejected row (0-based bad_row below the header) and
     quotes it."""
-    meta, _, body = Path(sinc_csv).read_text().partition("r,u,w\n")
+    meta, _, body = Path(sinc_csv).read_text().partition("u,w\n")
     rows = edit(body.splitlines())
     bad = tmp_path / "bad.csv"
-    bad.write_text(meta + "r,u,w\n" + "\n".join(rows) + "\n")
+    bad.write_text(meta + "u,w\n" + "\n".join(rows) + "\n")
     capsys.readouterr()
     assert run("check", "gradient", "--solution", str(bad), "--R", "2") == 2
     err = capsys.readouterr().err
     line = meta.count("\n") + 2 + bad_row  # the header is file line meta.count("\n") + 1
     assert err == (
-        f"error: malformed data rows: line {line} is not 3 comma-separated numbers: "
+        f"error: malformed data rows: line {line} is not 2 comma-separated numbers: "
         f"{rows[bad_row]!r}\n"
     )
 
@@ -586,6 +612,25 @@ def test_sweep_non_finite_range_is_invalid(flag, value, tmp_path, capsys):
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, count", [("5e-324", "inf"), ("1e-300", "1e+300")])
+def test_sweep_unallocatable_grid_is_invalid(step, count, tmp_path, capsys):
+    """A p step so small that the grid's point count is infinite, or more
+    than a numpy array can hold, is invalid input: exit 2 with one line.
+    (A step whose grid numpy would allocate is not run here.)"""
+    out = tmp_path / "t.csv"
+    code = run(
+        "sweep", "--n", "3", "--a-sign", "1", "--p-min", "1.5", "--p-max", "2.5",
+        "--p-step", step, "--sigma-min", "1", "--sigma-max", "2", "--sigma-step", "0.5",
+        "--r-max", "10", "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: p range 1.5..2.5 by p_step = {step} has {count} points,"
+        " more than an array can hold\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_center_value_beyond_threshold_is_invalid(tmp_path, capsys):
     """At K > 0 the default scan u0/4, u0, 4 u0 with u0 = 3e7 puts 1.2e8
     above the blow-up threshold: the sweep is invalid input, not a table of
@@ -650,23 +695,29 @@ def test_check_non_finite_profile_is_invalid(kind, column, value, sinc_csv, tmp_
     """A solution file may hold nan and inf in u and w, but no check takes
     them: every kind exits 2, naming the radius of the first non-finite
     sample, before any arithmetic on the profile can warn or turn a report
-    into NaN.  A last radius of inf is refused as the file is read."""
+    into NaN.  A termination radius of inf, from which r would be rebuilt,
+    is refused as the file is read."""
     with open(sinc_csv) as fh:
         lines = fh.read().splitlines()
-    row = len(lines) - 1 if column == "r" else lines.index("r,u,w") + 500
-    fields = dict(zip("ruw", lines[row].split(",")))
-    r, fields[column] = fields["r"], value
-    lines[row] = ",".join(fields.values())
+    if column == "r":
+        row = next(k for k, line in enumerate(lines) if line.startswith("# termination_r="))
+        lines[row] = f"# termination_r={value}"
+    else:
+        row = lines.index("u,w") + 500
+        fields = dict(zip("uw", lines[row].split(",")))
+        fields[column] = value
+        lines[row] = ",".join(fields.values())
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert run("check", kind, "--solution", str(bad), "--R", "2") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     if column == "r":
-        assert captured.err == "error: r must increase strictly from 0 to a finite radius\n"
+        assert captured.err == f"error: termination.r must be finite and > 0, got {value}\n"
         return
-    assert pl.read_solution_csv(bad).r[499] == float(r)
-    assert captured.err.startswith(f"error: profile is not finite at r = {float(r):.6g}: ")
+    r = pl.read_solution_csv(sinc_csv).r[499]
+    assert pl.read_solution_csv(bad).r[499] == r
+    assert captured.err.startswith(f"error: profile is not finite at r = {r:.6g}: ")
     assert f"{column} = {value}" in captured.err
 
 

@@ -7,7 +7,7 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
@@ -470,6 +470,29 @@ def test_radial_solution_rejects_unequal_lengths(sinc_solution):
             dataclasses.replace(sinc_solution, **{field: shorter})
 
 
+def test_radial_solution_r_is_the_grid_to_termination_r(sinc_solution):
+    """r is np.linspace(0, termination.r, len(r)) bit for bit: a non-uniform
+    r, one that ends off termination.r, and one a float step off the grid
+    are refused, as is a termination radius of 0, inf or nan."""
+    r, end = sinc_solution.r, sinc_solution.termination.r
+    assert np.array_equal(_bits(r), _bits(np.linspace(0.0, end, len(r))))
+    nudged = r.copy()
+    nudged[1000] = np.nextafter(nudged[1000], 0.0)
+    for bad in (r**2 / end, r * 0.5, r * 2.0, np.append(r[:-1], np.nextafter(end, 0.0)), nudged):
+        with pytest.raises(ParameterError, match="^r must be the uniform grid of 2001 samples"):
+            dataclasses.replace(sinc_solution, r=bad)
+    for value in (0.0, -0.0, math.inf, math.nan):
+        termination = pl.Termination(sinc_solution.termination.kind, value)
+        with pytest.raises(ParameterError, match="^termination.r must be finite and > 0"):
+            dataclasses.replace(sinc_solution, termination=termination)
+    # the grid step 1e-309 / 2000 is a subnormal above 0; 5e-324 / 2000 is 0
+    tiny = pl.Termination("step_failure", 1e-309)
+    dataclasses.replace(sinc_solution, r=np.linspace(0.0, 1e-309, 2001), termination=tiny)
+    tiny = pl.Termination("step_failure", 5e-324)
+    with pytest.raises(ParameterError, match="do not increase strictly"):
+        dataclasses.replace(sinc_solution, r=np.linspace(0.0, 5e-324, 2001), termination=tiny)
+
+
 # ---------------------------------------------------------------------------
 # configuration validation and termination handling
 
@@ -650,7 +673,8 @@ VALID_META = """\
 # termination=hit_zero
 # termination_r=3.1415926223734867
 """
-# r, u, du, w of each row; a file under the r,u,w header leaves du out
+# r, u, du, w of each row; the radii lie on the grid from 0 to termination_r,
+# and a file under the r,u,w header leaves du out, one under u,w r and du
 VALID_FIELDS = [
     ("0", "1", "0", "-0"),
     (
@@ -666,7 +690,7 @@ VALID_FIELDS = [
         "-0.31830989204867161",
     ),
 ]
-HEADERS = ("r,u,w", "r,u,du,w")
+HEADERS = ("u,w", "r,u,w", "r,u,du,w")
 
 
 def _rows(header):
@@ -689,12 +713,28 @@ def _edit_first(header, edit):
 def _malformed(header):
     """(name, text) of each malformed file built from the valid file under
     header; each breaks one thing in it."""
+    k = header.split(",").index("u")
+
     def with_u(text):
-        return _edit_first(header, lambda f: ",".join([f[0], text] + f[2:]))
+        return _edit_first(header, lambda f: ",".join(f[:k] + [text] + f[k + 1 :]))
 
     rows = _rows(header)
-    nan_radius = [rows[0], "nan" + rows[1][rows[1].index(",") :], rows[2]]
-    inf_radius = [rows[0], rows[1], "inf" + rows[2][rows[2].index(",") :]]
+    if header == "u,w":  # r is rebuilt from termination_r, which must span a grid
+        text = _csv(header, rows)
+        end = "# termination_r=3.1415926223734867\n"
+        radius_cases = [
+            (f"{value}-termination-radius", text.replace(end, f"# termination_r={value}\n"))
+            for value in ("nan", "inf", "0", "-0", "5e-324")
+        ] + [("one-row", _csv(header, rows[:1]))]
+    else:
+        nan_radius = [rows[0], "nan" + rows[1][rows[1].index(",") :], rows[2]]
+        inf_radius = [rows[0], rows[1], "inf" + rows[2][rows[2].index(",") :]]
+        radius_cases = [
+            # np.diff(r) <= 0 is False at a NaN, yet r does not increase there
+            ("nan-radius", _csv(header, nan_radius)),
+            # np.diff(r) > 0 holds at a last radius of inf
+            ("inf-radius", _csv(header, inf_radius)),
+        ]
 
     return [
         ("no-rows", _csv(header, [])),
@@ -710,10 +750,7 @@ def _malformed(header):
         # fields are plain ASCII decimals, although float() takes these two
         ("digit-separator", with_u("0.9_0")),
         ("fullwidth-digit", with_u("\uff11")),
-        # np.diff(r) <= 0 is False at a NaN, yet r does not increase there
-        ("nan-radius", _csv(header, nan_radius)),
-        # np.diff(r) > 0 holds at a last radius of inf
-        ("inf-radius", _csv(header, inf_radius)),
+        *radius_cases,
         # metadata goes above the header, and a blank row holds no spaces
         ("metadata-after-rows", _csv(header, rows) + "# K=0\n"),
         ("metadata-between-rows", _csv(header, [rows[0], "# K=0", *rows[1:]])),
@@ -734,18 +771,26 @@ LEGACY_IDS = {
 
 
 def test_valid_csv_reads():
+    """Under each header the valid file reads bit for bit, r rebuilt from
+    termination_r under u,w, and is written back as the u,w file."""
     for header in HEADERS:
         sol = pl.read_solution_csv(io.StringIO(_csv(header, _rows(header))))
         assert sol.config == pl.ShootingConfig(r_max=4.0)
-        assert np.array_equal(sol.u, [1.0, 0.63661977864062869, 1.0000000026327382e-08])
-        assert np.array_equal(sol.du, [0.0, -0.40528473266127835, -0.31830989204867161])
+        for k, name in enumerate(("r", "u", "du", "w")):
+            column = [float(fields[k]) for fields in VALID_FIELDS]
+            if name == "du":  # du copies the sign of w, a zero's included
+                column = np.copysign(column, sol.w)
+            assert np.array_equal(_bits(getattr(sol, name)), _bits(column)), (header, name)
+        buf = io.StringIO()
+        pl.write_solution_csv(sol, buf)
+        assert buf.getvalue() == _csv("u,w", _rows("u,w"))
 
 
 @pytest.mark.parametrize("value", ["5", "3", "2001", "1e9", "any"])
 def test_csv_output_points_line_is_ignored(value):
     """A retired output_points line, whatever its value and whatever the
     row count, reads back to the solution of the same file without it."""
-    text = _csv("r,u,w", _rows("r,u,w"))
+    text = _csv("u,w", _rows("u,w"))
     old = pl.read_solution_csv(io.StringIO(f"# output_points={value}\n" + text))
     new = pl.read_solution_csv(io.StringIO(text))
     assert (old.params, old.space, old.config, old.termination) == (
@@ -766,6 +811,7 @@ def test_csv_output_points_line_is_ignored(value):
         for name, text in _malformed("r,u,du,w")
     ]
     + [pytest.param(text, id="r,u,w-" + name) for name, text in _malformed("r,u,w")]
+    + [pytest.param(text, id="u,w-" + name) for name, text in _malformed("u,w")]
     # a legacy du field is parsed as a number before it is dropped
     + [pytest.param(_edit_first("r,u,du,w", lambda f: "0,1,one,-0"), id="legacy-du-non-numeric")],
 )
@@ -774,17 +820,32 @@ def test_csv_rejects_malformed(text):
         pl.read_solution_csv(io.StringIO(text))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("header", HEADERS)
+@pytest.mark.parametrize("rows", ["\r\n\r\n", "\r\r\n\r"])
+def test_csv_without_data_rows_is_refused(header, rows):
+    """A data section of lone '\\r' lines, which a StringIO or a file opened
+    with newline='' keeps, has no data rows: the reader says so, and
+    np.loadtxt is not asked to parse it (it would warn)."""
+    text = VALID_META + header + "\n" + rows
+    with pytest.raises(SolutionFormatError, match="^no data rows found$"):
+        pl.read_solution_csv(io.StringIO(text, newline=""))
+
+
 @pytest.mark.parametrize("header", HEADERS)
 def test_csv_accepts_loose_layout(sinc_solution, header):
     """Blank lines between rows, a space after each comma and \\r\\n line
-    ends read back to the same solution, under either header."""
+    ends read back to the same solution, under each header."""
     buf = io.StringIO()
     pl.write_solution_csv(sinc_solution, buf)
-    meta, _, body = buf.getvalue().partition("r,u,w\n")
-    rows = body.splitlines()
-    if header == "r,u,du,w":  # the legacy layout holds du between u and w
-        fields = [row.split(",") for row in rows]
-        rows = [f"{r},{u},{du:.17g},{w}" for (r, u, w), du in zip(fields, sinc_solution.du)]
+    meta, _, body = buf.getvalue().partition("u,w\n")
+    # the legacy layouts hold r first, and r,u,du,w du between u and w
+    rows = []
+    for (u, w), r, du in zip(
+        (row.split(",") for row in body.splitlines()), sinc_solution.r, sinc_solution.du
+    ):
+        fields = {"r": f"{r:.17g}", "u": u, "du": f"{du:.17g}", "w": w}
+        rows.append(",".join(fields[name] for name in header.split(",")))
     loose = meta + header + "\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n"
     # StringIO keeps each '\r', where a file opened by path would drop it
     back = pl.read_solution_csv(io.StringIO(loose.replace("\n", "\r\n")))
@@ -817,14 +878,22 @@ CSV_VALUES = st.one_of(
 )
 
 
+# positive finite termination radii: subnormals, the smallest normal, the
+# largest finite values, and any other
+GRID_ENDS = st.one_of(
+    st.sampled_from([x for x in EDGE_FLOATS if 0 < x < math.inf]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
 @st.composite
 def csv_profiles(draw):
-    """A strictly increasing r from 0 and arbitrary u and w."""
-    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    r = [0.0] + sorted(draw(st.lists(positive, min_size=1, max_size=30, unique=True)))
-    m = len(r)
-    u, w = (draw(st.lists(CSV_VALUES, min_size=m, max_size=m)) for _ in range(2))
-    return tuple(np.array(col, dtype=float) for col in (r, u, w))
+    """Arbitrary u and w of a common length of 2 to 31 samples."""
+    m = draw(st.integers(min_value=2, max_value=31))
+    return tuple(
+        np.array(draw(st.lists(CSV_VALUES, min_size=m, max_size=m)), dtype=float)
+        for _ in range(2)
+    )
 
 
 def _bits(x):
@@ -840,7 +909,7 @@ def test_du_copies_the_sign_of_w(sinc_solution, p):
     sol = dataclasses.replace(
         sinc_solution,
         params=dataclasses.replace(sinc_solution.params, p=p),
-        r=np.arange(5.0),
+        r=np.linspace(0.0, sinc_solution.termination.r, 5),
         u=np.ones(5),
         w=w,
     )
@@ -849,25 +918,33 @@ def test_du_copies_the_sign_of_w(sinc_solution, p):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(profile=csv_profiles(), r_end=CSV_VALUES, p=st.sampled_from([1.25, 2.0, 3.5]))
+@given(profile=csv_profiles(), r_end=GRID_ENDS, p=st.sampled_from([1.25, 2.0, 3.5]))
 @example(
     profile=tuple(
         np.array(col, dtype=float)
         for col in (
-            [0.0, 5e-324, 1.0, 1.7976931348623157e308],
             [math.nan, -0.0, 5e-324, -1.7976931348623157e308],
             [-5e-324, 1e-310, 0.1, 1.7976931348623155e308],
         )
     ),
-    r_end=-0.0,
+    r_end=1.7976931348623157e308,
     p=1.25,
 )
+@example(  # the grid's step is the smallest subnormal
+    profile=(np.array([1.0, 0.5, -0.0]), np.array([-0.0, -2.5, math.inf])),
+    r_end=1e-323,
+    p=2.0,
+)
 def test_csv_round_trip_property(sinc_solution, profile, r_end, p):
-    """Data rows equal the per-value '{:.17g}' text of r, u, w that the
-    row-by-row writer produced, every value, termination radius included,
-    reads back bit for bit, and du is the flux helper's output on both
-    sides."""
-    r, u, w = profile
+    """Data rows equal the per-value '{:.17g}' text of u, w that the
+    row-by-row writer produced; r, rebuilt as the grid from 0 to the
+    termination radius, u, w and that radius read back bit for bit, and
+    du is the flux helper's output on both sides."""
+    u, w = profile
+    m = len(u)
+    assume(r_end / (m - 1) > 0)  # a grid step that underflows to 0 is refused
+    with np.errstate(over="ignore"):  # (m - 1) * step may pass the float maximum
+        r = np.linspace(0.0, r_end, m)
     sol = dataclasses.replace(
         sinc_solution,
         params=dataclasses.replace(sinc_solution.params, p=p),
@@ -879,11 +956,11 @@ def test_csv_round_trip_property(sinc_solution, profile, r_end, p):
     buf = io.StringIO()
     pl.write_solution_csv(sol, buf)
     text = buf.getvalue()
-    expected_rows = [",".join("{:.17g}".format(x) for x in row) for row in zip(r, u, w)]
-    assert text.splitlines()[-len(r) - 1:] == ["r,u,w"] + expected_rows
+    expected_rows = [",".join("{:.17g}".format(x) for x in row) for row in zip(u, w)]
+    assert text.splitlines()[-m - 1:] == ["u,w"] + expected_rows
     assert "# termination_r={:.17g}\n".format(r_end) in text
     back = pl.read_solution_csv(io.StringIO(text))
-    for name, col in zip(("r", "u", "w"), profile):
+    for name, col in zip(("r", "u", "w"), (r, u, w)):
         assert np.array_equal(_bits(getattr(back, name)), _bits(col))
     assert _bits(back.termination.r) == _bits(r_end)
     with np.errstate(all="ignore"):  # the drawn w include values that overflow
@@ -967,7 +1044,7 @@ RETIRED_KEYS = ("# min_step=", "# output_points=", "# termination_detail=")
 def test_csv_with_retired_keys_reads_back(text, config, termination):
     """Retired keys are ignored: each file reads back to the solution its
     text without those lines gives, with du derived from w, and is written
-    back without them, under the r,u,w header without its du column."""
+    back without them, under the u,w header without its r and du columns."""
     old = pl.read_solution_csv(io.StringIO(text))
     current = "".join(
         ln for ln in text.splitlines(keepends=True) if not ln.startswith(RETIRED_KEYS)
@@ -993,8 +1070,35 @@ def test_csv_with_retired_keys_reads_back(text, config, termination):
     assert np.array_equal(_bits(old.du), _bits(_du_from_flux(old.w, old.params.p)))
     buf = io.StringIO()
     pl.write_solution_csv(old, buf)
-    expected = meta + "r,u,w\n" + "".join(f"{r},{u},{w}\n" for r, u, _, w in rows)
+    expected = meta + "u,w\n" + "".join(f"{u},{w}\n" for _, u, _, w in rows)
     assert buf.getvalue() == expected
+
+
+def _split_at_header(text):
+    """(metadata lines, header, data rows) of a CSV text."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[:k], lines[k], lines[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_csv(header, _rows(header)) for header in HEADERS[1:]]
+    + [RETIRED_MIN_STEP_CSV, RETIRED_DETAIL_CSV],
+    ids=list(HEADERS[1:]) + ["min_step", "termination_detail"],
+)
+def test_csv_refuses_a_radius_off_the_grid(text):
+    """A file that carries r reads only where r is the grid from 0 to
+    termination_r: each fixture's radii read back bit for bit, and with
+    one radius a float step off the file is refused."""
+    meta, header, rows = _split_at_header(text)
+    radii = [float(row.split(",")[0]) for row in rows]
+    assert np.array_equal(_bits(pl.read_solution_csv(io.StringIO(text)).r), _bits(radii))
+    r, rest = rows[1].split(",", 1)
+    rows[1] = f"{np.nextafter(float(r), 0.0):.17g},{rest}"
+    off = "\n".join([*meta, header, *rows]) + "\n"
+    with pytest.raises(SolutionFormatError, match=r"^r must be the uniform grid of \d+ samples"):
+        pl.read_solution_csv(io.StringIO(off))
 
 
 def test_config_metadata_follows_fields(sinc_solution):
