@@ -52,11 +52,6 @@ EXIT_NUMERICAL_IO = 3
 CHECK_KINDS = ("gradient", "harnack", "bochner", "bochner2", "caccioppoli", "sobolev")
 
 
-# config-file keys of removed fields, accepted and ignored so that older
-# files still run
-_RETIRED_KEYS = ("min_step", "output_points")
-
-
 def float_list(text):
     """A comma- or space-separated list of floats; an empty list keeps the default."""
     return tuple(float(x) for x in text.replace(",", " ").split()) or None
@@ -101,10 +96,10 @@ def _load_config_file(path):
 def _field_values(args, *classes):
     """The value of each field of the classes from its flag, else from its
     key in the --config file; a field given by neither is left out, and a
-    file key that names no field (other than a retired one) is an error."""
+    file key that names no field is an error."""
     cfg = _load_config_file(args.config) if args.config else {}
     leaves = {name: parser for cls in classes for name, parser in _leaf_fields(cls)}
-    unknown = [key for key in cfg if key not in leaves and key not in _RETIRED_KEYS]
+    unknown = [key for key in cfg if key not in leaves]
     if unknown:
         raise ParameterError(f"config key {unknown[0]!r} names no option of {args.command}")
     values = {}

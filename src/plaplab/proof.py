@@ -252,6 +252,10 @@ def caccioppoli_b_min(n: int, p: float, sigma: float, sign_of_a: float) -> float
 
 @dataclass(frozen=True)
 class CaccioppoliReport(_Report):
+    """Both sides of the energy inequality with psi = f^b eta^2 on the ball
+    of radius R; it passes when slack = rhs - lhs is not below
+    -tol_quad * scale, with scale the largest side or term magnitude."""
+
     _check = "caccioppoli"
     _tolerances = ("tol_quad",)
     tol_quad = _TOL_QUAD

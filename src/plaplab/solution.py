@@ -1,12 +1,12 @@
 """The solved radial profile and what is computed from it alone.
 
 A shooting run ends in a RadialSolution: the profile (u, w), with the flux
-w = |u'|^(p-2) u', on the uniform grid r from 0 to the termination radius,
-the run's configuration and how it ended.  From it follow the independent
-finite-difference residuals, the log transform v = (p-1) log u and the
-linearized operator on it that the pointwise checkers read, and the CSV
-form in which the CLI hands a solution from solve to check: the columns
-u, w, with r rebuilt from the termination radius and the row count.
+w = |u'|^(p-2) u', the run's configuration and how it ended; its grid r,
+uniform from 0 to the termination radius, follows from these.  From it
+follow the independent finite-difference residuals, the log transform
+v = (p-1) log u and the linearized operator on it that the pointwise
+checkers read, and the CSV form in which the CLI hands a solution from
+solve to check: the columns u, w below the metadata.
 """
 
 from __future__ import annotations
@@ -72,38 +72,32 @@ class Termination:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Uniformly resampled radial profile (r, u, flux w) plus verdict.
+    """Uniformly resampled radial profile (u, flux w) plus verdict.
 
-    r is the solver's sample grid, np.linspace(0, termination.r, len(r))
-    bit for bit, with termination.r finite and > 0 and a step above 0, so
-    that the finite differences' step h = r[1] - r[0] holds by construction
-    and the CSV form can leave r out.  The derivative du = u' is not stored
-    either: it is a function of the flux, u' = sgn(w) |w|^(1/(p-1)),
-    computed from w and params.p on first use.
+    The grid r is not a field: it is np.linspace(0, termination.r, len(u)),
+    set once at construction, which refuses a termination radius that is
+    not finite and > 0 and a grid step that underflows to 0, so that the
+    finite differences' step h = r[1] - r[0] holds by construction.  The
+    derivative du = u' is not stored either: it is a function of the flux,
+    u' = sgn(w) |w|^(1/(p-1)), computed from w and params.p on first use.
     """
 
     params: EquationParams
     space: ModelSpace
     config: ShootingConfig
-    r: np.ndarray
     u: np.ndarray
     w: np.ndarray
     termination: Termination
 
     def __post_init__(self):
         _dimension(self.params, self.space)
-        m = len(self.r)
-        if not (len(self.u) == len(self.w) == m):
+        if len(self.u) != len(self.w):
             raise ParameterError("grid arrays must have equal length")
-        if not np.array_equal(self.r, _grid(self.termination.r, m)):
-            raise ParameterError(
-                f"r must be the uniform grid of {m} samples from 0 to"
-                f" termination.r = {self.termination.r}"
-            )
+        object.__setattr__(self, "r", _grid(self.termination.r, len(self.u)))
 
     @property
     def r_end(self) -> float:
-        return float(self.r[-1])
+        return self.termination.r
 
     @cached_property
     def du(self) -> np.ndarray:
@@ -347,10 +341,6 @@ def flux_residual(solution: RadialSolution) -> float:
 
 _FLOAT_FMT = "%.17g"
 _HEADER = "u,w"
-# files written before r was rebuilt from termination_r (r,u,w) and before
-# du was derived from w (r,u,du,w): their r must be the grid, and du is
-# parsed and dropped
-_LEGACY_HEADERS = ("r,u,w", "r,u,du,w")
 _ROW_FMT = ",".join([_FLOAT_FMT] * 2) + "\n"
 _type_hints = cache(get_type_hints)  # a class's annotations resolve once per process
 
@@ -415,14 +405,13 @@ def _header_index(lines, meta):
     return len(lines)
 
 
-def _first_rejected_row(rows, columns):
-    """Index of the first row that np.loadtxt refuses below a row of
-    `columns` zeros: a row that is not `columns` numbers.  Called on the
-    error path only, one row at a time."""
-    zeros = ",".join("0" * columns)
+def _first_rejected_row(rows):
+    """Index of the first row that np.loadtxt refuses below the row 0,0: a
+    row that is not two numbers.  Called on the error path only, one row at
+    a time."""
     for k, row in enumerate(rows):
         try:
-            np.loadtxt([zeros, row], delimiter=",", comments=None)
+            np.loadtxt(["0,0", row], delimiter=",", comments=None)
         except ValueError:
             return k
 
@@ -430,39 +419,37 @@ def _first_rejected_row(rows, columns):
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
-    A data row is two comma-separated plain decimal fields u, w; r is
-    rebuilt as np.linspace(0, termination_r, rows), the solver's grid, and
-    du is derived from w.  Files with the older headers r,u,w and r,u,du,w
-    still read: their r must be that grid bit for bit, and a du field must
-    be a number and is then dropped.  Metadata lines go above the header;
-    keys that name no field, such as the retired min_step, output_points
-    and termination_detail, are ignored.  Below the header a '#' line or a
-    line of spaces is refused, and the error names the file line of the
-    first refused row; blank lines, spaces around fields and \r\n line
-    ends read.
+    Below the header u,w a data row is two comma-separated plain decimal
+    fields u, w; the grid r follows from termination_r and the row count,
+    and du from w.  Any other header, such as the r,u,w and r,u,du,w of
+    files written before r and du were derived, is refused.  Metadata lines
+    go above the header; keys that name no field, such as the retired
+    min_step, output_points and termination_detail, are ignored.  Below the
+    header a '#' line or a line of spaces is refused, and the error names
+    the file line of the first refused row; blank lines, spaces around
+    fields and \r\n line ends read.
     """
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().split("\n")
     meta = {}
     start = _header_index(lines, meta)
     header = lines[start].strip() if start < len(lines) else None
-    if header not in (None, _HEADER, *_LEGACY_HEADERS):
+    if header not in (None, _HEADER):
         raise SolutionFormatError(f"unexpected column header: {header!r}")
     # loadtxt skips empty lines (lone '\r's too) and strips each field
     rows = lines[start + 1 :]
     if not any(row.strip("\r") for row in rows):
         raise SolutionFormatError("no data rows found")
-    columns = header.count(",") + 1
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        k = _first_rejected_row(rows, columns)
+        k = _first_rejected_row(rows)
         raise SolutionFormatError(
-            f"malformed data rows: line {start + 2 + k} is not {columns} "
+            f"malformed data rows: line {start + 2 + k} is not 2 "
             f"comma-separated numbers: {rows[k]!r}"
         ) from None
-    if data.shape[1] != columns:
-        raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected {columns}")
+    if data.shape[1] != 2:
+        raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected 2")
     try:
         params, space, config = (
             _from_meta(cls, meta) for cls in (EquationParams, ModelSpace, ShootingConfig)
@@ -471,17 +458,12 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     except (KeyError, ValueError) as exc:
         raise SolutionFormatError(f"bad or missing metadata: {exc}") from exc
     try:
-        if columns == 2:
-            r, u = _grid(termination.r, len(data)), data[:, 0]
-        else:
-            r, u = data[:, 0], data[:, 1]
         return RadialSolution(
             params=params,
             space=space,
             config=config,
-            r=r,
-            u=u,
-            w=data[:, -1],
+            u=data[:, 0],
+            w=data[:, 1],
             termination=termination,
         )
     except ParameterError as exc:

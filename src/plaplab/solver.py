@@ -35,9 +35,14 @@ def _run_limits(config: ShootingConfig):
     """(rtol, atol, u_floor, r_start) of a run: scipy's tolerances, rtol
     raised to 100 eps as RK45 raises it; the floor below the zero event
     under which u^sigma is continued Lipschitz; and the radius where the
-    power-series start hands over to the ODE."""
+    power-series start hands over to the ODE, which must not underflow to 0."""
+    r_start = _SERIES_FRACTION * config.r_max
+    if r_start == 0:
+        raise ParameterError(
+            f"r_max = {config.r_max} is too small: the series start {_SERIES_FRACTION} r_max is 0"
+        )
     rtol = max(config.rel_tol, 100 * _EPS)
-    return rtol, config.abs_tol, 0.5 * config.zero_threshold, _SERIES_FRACTION * config.r_max
+    return rtol, config.abs_tol, 0.5 * config.zero_threshold, r_start
 
 
 def _series_u(p, a, sig, n, u0, r):
@@ -94,8 +99,9 @@ def solve_radial(
     step the run ends as step_failure at r_start, and its profile is the
     series start on [0, r_start].
 
-    Raises ParameterError when params and space disagree on n and when the
-    series start is not inside (_zero_event or _blowup_event is not > 0).
+    Raises ParameterError when params and space disagree on n, when r_max
+    is so small that the series start underflows to 0, and when the series
+    start is not inside (_zero_event or _blowup_event is not > 0).
     """
     n = _dimension(params, space)
     p, a, sig = params.p, params.a, params.sigma
@@ -236,7 +242,6 @@ def solve_radial(
         params=params,
         space=space,
         config=config,
-        r=rs,
         u=u,
         w=w,
         termination=termination,
@@ -352,8 +357,9 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
     (by the flux identity (s^(n-1) w)' = -a u_eff^sigma s^(n-1), with
     u_eff = max(u, zero_threshold / 2) > 0, w has the sign of -a).
 
-    Raises ParameterError when a parameter set and space disagree on n,
-    and ShootingConfig's error for the first center value it rejects.
+    Raises ParameterError when a parameter set and space disagree on n and
+    when r_max is so small that the series start underflows to 0, and
+    ShootingConfig's error for the first center value it rejects.
     """
     params = list(params)
     u0 = np.asarray(u0, dtype=float)

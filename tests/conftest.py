@@ -142,7 +142,6 @@ def scipy_reference(params, space, config):
         params=params,
         space=space,
         config=config,
-        r=rs,
         u=u,
         w=w,
         termination=termination,

@@ -238,7 +238,6 @@ def test_criterion_08_harnack(flat3):
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=pl.ModelSpace(n=3, K=0.0),
         config=pl.ShootingConfig(u0=1.0, r_max=2.0),
-        r=r,
         u=np.ones_like(r),
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 2.0),

@@ -209,21 +209,17 @@ def test_solve_writes_every_shooting_flag(tmp_path):
     assert pl.read_solution_csv(out).config == pl.ShootingConfig(**SHOOTING_VALUES)
 
 
-def test_config_file_with_retired_min_step_still_solves(tmp_path):
-    cfg = tmp_path / "solve.cfg"
-    cfg.write_text("n=3\np=2\na=1\nsigma=1\nr_max=4\nmin_step=1e-12\n")
-    out = tmp_path / "sol.csv"
-    assert run("solve", "--config", str(cfg), "--out", str(out)) == 0
-    assert pl.read_solution_csv(out).config == pl.ShootingConfig(r_max=4.0)
-
-
 def test_config_key_naming_no_option_is_invalid(tmp_path, capsys):
+    """A misspelt key, and a key of a retired option, as its flag would be:
+    exit 2 with one error line and no file."""
     cfg = tmp_path / "solve.cfg"
-    cfg.write_text("n=3\np=2\na=1\nsigma=1\nr_mx=4\n")
     out = tmp_path / "sol.csv"
-    assert run("solve", "--config", str(cfg), "--out", str(out)) == 2
-    assert "config key 'r_mx' names no option of solve" in capsys.readouterr().err
-    assert not out.exists()
+    for line in ("r_mx=4", "min_step=1e-12", "output_points=5"):
+        cfg.write_text(f"n=3\np=2\na=1\nsigma=1\nr_max=4\n{line}\n")
+        assert run("solve", "--config", str(cfg), "--out", str(out)) == 2
+        key = line.partition("=")[0]
+        assert capsys.readouterr().err == f"error: config key {key!r} names no option of solve\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -249,18 +245,6 @@ def test_min_step_flag_is_rejected(tmp_path, capsys):
     assert run(*argv) == 0
     assert run("sweep", "--min-step", "1e-12", "--out", str(tmp_path / "t.csv")) == 2
     assert "unrecognized arguments: --min-step" in capsys.readouterr().err
-
-
-def test_config_file_with_retired_output_points_still_solves(tmp_path):
-    """The key is ignored: the profile keeps its fixed 2001 samples."""
-    cfg = tmp_path / "solve.cfg"
-    cfg.write_text("n=3\np=2\na=1\nsigma=1\nr_max=4\noutput_points=5\n")
-    out = tmp_path / "sol.csv"
-    assert run("solve", "--config", str(cfg), "--out", str(out)) == 0
-    back = pl.read_solution_csv(out)
-    assert back.config == pl.ShootingConfig(r_max=4.0)
-    assert len(back.r) == 2001
-    assert "output_points" not in out.read_text()
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -408,29 +392,27 @@ def test_check_corrupted_solution_fails(sinc_csv, tmp_path):
 
 
 def test_check_refuses_a_radius_off_the_grid(sinc_csv, tmp_path, capsys):
-    """A file in the earlier r,u,w layout is checked as the u,w file it
-    holds while its r is the grid from 0 to termination_r; with one radius
-    a float step off that grid it is invalid input, exit 2."""
-    meta, _, body = Path(sinc_csv).read_text().partition("u,w\n")
+    """r is rebuilt from termination_r, never read: a file in the earlier
+    r,u,w layout, its radii on the grid, is invalid input, exit 2, as is a
+    termination radius of 0 or one whose grid step underflows to 0."""
+    text = Path(sinc_csv).read_text()
+    meta, _, body = text.partition("u,w\n")
     r = pl.read_solution_csv(sinc_csv).r
     rows = [f"{x:.17g},{row}" for x, row in zip(r, body.splitlines())]
-    legacy = tmp_path / "legacy.csv"
-    legacy.write_text(meta + "r,u,w\n" + "\n".join(rows) + "\n")
-    reports = []
-    for path in (str(legacy), sinc_csv):
-        capsys.readouterr()
-        assert run("check", "gradient", "--solution", path, "--R", "2") == 0
-        reports.append(capsys.readouterr())
-    assert reports[0] == reports[1]
-    rows[700] = f"{np.nextafter(r[700], 0.0):.17g},{rows[700].split(',', 1)[1]}"
-    legacy.write_text(meta + "r,u,w\n" + "\n".join(rows) + "\n")
-    assert run("check", "gradient", "--solution", str(legacy), "--R", "2") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: r must be the uniform grid of 2001 samples from 0 to termination.r = "
-        f"{pl.read_solution_csv(sinc_csv).termination.r}\n"
-    )
+    end = f"# termination_r={r[-1]:.17g}\n"
+    assert end in meta
+    bad = tmp_path / "bad.csv"
+    for content, error in [
+        (meta + "r,u,w\n" + "\n".join(rows) + "\n", "unexpected column header: 'r,u,w'"),
+        (text.replace(end, "# termination_r=0\n"), "termination.r must be finite and > 0, got 0.0"),
+        (
+            text.replace(end, "# termination_r=5e-324\n"),
+            "2001 samples from 0 to termination.r = 5e-324 do not increase strictly",
+        ),
+    ]:
+        bad.write_text(content)
+        assert run("check", "gradient", "--solution", str(bad), "--R", "2") == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_check_malformed_csv(tmp_path):

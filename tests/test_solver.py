@@ -331,7 +331,6 @@ def test_coefficient_scaling_by_residual_substitution(flat3):
             space=sol.space,
             config=dc_replace(sol.config, u0=lam * sol.config.u0,
                               zero_threshold=lam * sol.config.zero_threshold),
-            r=sol.r,
             u=lam * sol.u,
             w=lam ** (p - 1) * sol.w,
             termination=sol.termination,
@@ -380,7 +379,6 @@ def test_log_transform_exponential_profile(flat3):
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0),
         space=flat3,
         config=pl.ShootingConfig(u0=1.0, r_max=2.0),
-        r=r,
         u=u,
         w=u.copy(),
         termination=pl.Termination("reached_rmax", 2.0),
@@ -418,7 +416,6 @@ def test_log_transform_rejects_nonpositive(flat3):
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0),
         space=flat3,
         config=pl.ShootingConfig(u0=1.0, r_max=1.0),
-        r=r,
         u=u,
         w=np.zeros(11),
         termination=pl.Termination("reached_rmax", 1.0),
@@ -437,7 +434,6 @@ def test_constant_profile_is_not_a_solution(flat3):
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=flat3,
         config=pl.ShootingConfig(u0=1.0, r_max=2.0),
-        r=r,
         u=np.ones_like(r),
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 2.0),
@@ -453,7 +449,6 @@ def test_residual_needs_samples(flat3):
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=flat3,
         config=pl.ShootingConfig(u0=1.0, r_max=1.0),
-        r=r,
         u=np.ones_like(r),
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 1.0),
@@ -471,26 +466,24 @@ def test_radial_solution_rejects_unequal_lengths(sinc_solution):
 
 
 def test_radial_solution_r_is_the_grid_to_termination_r(sinc_solution):
-    """r is np.linspace(0, termination.r, len(r)) bit for bit: a non-uniform
-    r, one that ends off termination.r, and one a float step off the grid
-    are refused, as is a termination radius of 0, inf or nan."""
+    """r is not a field but np.linspace(0, termination.r, len(u)) bit for
+    bit, and r_end is termination.r; a termination radius of 0, -0, inf or
+    nan, or one whose grid step underflows to 0, is refused."""
     r, end = sinc_solution.r, sinc_solution.termination.r
-    assert np.array_equal(_bits(r), _bits(np.linspace(0.0, end, len(r))))
-    nudged = r.copy()
-    nudged[1000] = np.nextafter(nudged[1000], 0.0)
-    for bad in (r**2 / end, r * 0.5, r * 2.0, np.append(r[:-1], np.nextafter(end, 0.0)), nudged):
-        with pytest.raises(ParameterError, match="^r must be the uniform grid of 2001 samples"):
-            dataclasses.replace(sinc_solution, r=bad)
+    assert "r" not in {f.name for f in dataclasses.fields(pl.RadialSolution)}
+    assert np.array_equal(_bits(r), _bits(np.linspace(0.0, end, len(sinc_solution.u))))
+    assert sinc_solution.r_end == end
     for value in (0.0, -0.0, math.inf, math.nan):
         termination = pl.Termination(sinc_solution.termination.kind, value)
         with pytest.raises(ParameterError, match="^termination.r must be finite and > 0"):
             dataclasses.replace(sinc_solution, termination=termination)
     # the grid step 1e-309 / 2000 is a subnormal above 0; 5e-324 / 2000 is 0
-    tiny = pl.Termination("step_failure", 1e-309)
-    dataclasses.replace(sinc_solution, r=np.linspace(0.0, 1e-309, 2001), termination=tiny)
-    tiny = pl.Termination("step_failure", 5e-324)
+    tiny = dataclasses.replace(sinc_solution, termination=pl.Termination("step_failure", 1e-309))
+    assert np.array_equal(_bits(tiny.r), _bits(np.linspace(0.0, 1e-309, 2001)))
     with pytest.raises(ParameterError, match="do not increase strictly"):
-        dataclasses.replace(sinc_solution, r=np.linspace(0.0, 5e-324, 2001), termination=tiny)
+        dataclasses.replace(sinc_solution, termination=pl.Termination("step_failure", 5e-324))
+    with pytest.raises(ParameterError, match="1 samples .* do not increase strictly"):
+        dataclasses.replace(sinc_solution, u=sinc_solution.u[:1], w=sinc_solution.w[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +531,24 @@ def _past_an_event(start):
             _past_an_event("u = nan, w = nan"),
             id="flags1",
         ),
+        pytest.param(  # the series start 1e-6 r_max underflows to 0
+            ("--a", "1", "--sigma", "1", "--r-max", "1e-320"),
+            "error: r_max = 1e-320 is too small: the series start 1e-06 r_max is 0",
+            id="r-max-underflows",
+        ),
     ],
 )
 def test_overflowing_start_ends_as_invalid_input(flags, message, tmp_path):
-    """A start state beyond the float range is rejected before the first
-    step: the solve ends with exit 2 and one line on stderr."""
+    """A start state beyond the float range, or at r = 0, is rejected
+    before the first step: the solve ends with exit 2, one line on stderr
+    and no file."""
+    out = tmp_path / "s.csv"
     proc = run_bounded(
-        "-m", "plaplab.cli", "solve", "--n", "3", "--p", "2", *flags,
-        "--out", str(tmp_path / "s.csv"),
+        "-m", "plaplab.cli", "solve", "--n", "3", "--p", "2", *flags, "--out", str(out)
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [message]
+    assert not out.exists()
 
 
 def test_start_with_no_accepted_step_is_a_step_failure(tmp_path):
@@ -673,8 +673,9 @@ VALID_META = """\
 # termination=hit_zero
 # termination_r=3.1415926223734867
 """
-# r, u, du, w of each row; the radii lie on the grid from 0 to termination_r,
-# and a file under the r,u,w header leaves du out, one under u,w r and du
+# r, u, du, w of each row; the radii lie on the grid from 0 to termination_r.
+# The writer's u,w layout leaves r and du out; the reader refuses the r,u,w
+# and r,u,du,w layouts of files written before r and du were derived
 VALID_FIELDS = [
     ("0", "1", "0", "-0"),
     (
@@ -691,6 +692,7 @@ VALID_FIELDS = [
     ),
 ]
 HEADERS = ("u,w", "r,u,w", "r,u,du,w")
+LEGACY_HEADERS = HEADERS[1:]
 
 
 def _rows(header):
@@ -726,13 +728,11 @@ def _malformed(header):
             (f"{value}-termination-radius", text.replace(end, f"# termination_r={value}\n"))
             for value in ("nan", "inf", "0", "-0", "5e-324")
         ] + [("one-row", _csv(header, rows[:1]))]
-    else:
+    else:  # a legacy layout, refused by its header whatever its radii
         nan_radius = [rows[0], "nan" + rows[1][rows[1].index(",") :], rows[2]]
         inf_radius = [rows[0], rows[1], "inf" + rows[2][rows[2].index(",") :]]
         radius_cases = [
-            # np.diff(r) <= 0 is False at a NaN, yet r does not increase there
             ("nan-radius", _csv(header, nan_radius)),
-            # np.diff(r) > 0 holds at a last radius of inf
             ("inf-radius", _csv(header, inf_radius)),
         ]
 
@@ -771,19 +771,19 @@ LEGACY_IDS = {
 
 
 def test_valid_csv_reads():
-    """Under each header the valid file reads bit for bit, r rebuilt from
-    termination_r under u,w, and is written back as the u,w file."""
-    for header in HEADERS:
-        sol = pl.read_solution_csv(io.StringIO(_csv(header, _rows(header))))
-        assert sol.config == pl.ShootingConfig(r_max=4.0)
-        for k, name in enumerate(("r", "u", "du", "w")):
-            column = [float(fields[k]) for fields in VALID_FIELDS]
-            if name == "du":  # du copies the sign of w, a zero's included
-                column = np.copysign(column, sol.w)
-            assert np.array_equal(_bits(getattr(sol, name)), _bits(column)), (header, name)
-        buf = io.StringIO()
-        pl.write_solution_csv(sol, buf)
-        assert buf.getvalue() == _csv("u,w", _rows("u,w"))
+    """The valid file reads bit for bit, r rebuilt from termination_r and du
+    derived from w, and is written back unchanged."""
+    text = _csv("u,w", _rows("u,w"))
+    sol = pl.read_solution_csv(io.StringIO(text))
+    assert sol.config == pl.ShootingConfig(r_max=4.0)
+    for k, name in enumerate(("r", "u", "du", "w")):
+        column = [float(fields[k]) for fields in VALID_FIELDS]
+        if name == "du":  # du copies the sign of w, a zero's included
+            column = np.copysign(column, sol.w)
+        assert np.array_equal(_bits(getattr(sol, name)), _bits(column)), name
+    buf = io.StringIO()
+    pl.write_solution_csv(sol, buf)
+    assert buf.getvalue() == text
 
 
 @pytest.mark.parametrize("value", ["5", "3", "2001", "1e9", "any"])
@@ -812,8 +812,9 @@ def test_csv_output_points_line_is_ignored(value):
     ]
     + [pytest.param(text, id="r,u,w-" + name) for name, text in _malformed("r,u,w")]
     + [pytest.param(text, id="u,w-" + name) for name, text in _malformed("u,w")]
-    # a legacy du field is parsed as a number before it is dropped
-    + [pytest.param(_edit_first("r,u,du,w", lambda f: "0,1,one,-0"), id="legacy-du-non-numeric")],
+    + [pytest.param(_edit_first("r,u,du,w", lambda f: "0,1,one,-0"), id="legacy-du-non-numeric")]
+    # the valid file in each legacy layout: r is rebuilt, never read
+    + [pytest.param(_csv(header, _rows(header)), id=header) for header in LEGACY_HEADERS],
 )
 def test_csv_rejects_malformed(text):
     with pytest.raises(SolutionFormatError):
@@ -825,17 +826,20 @@ def test_csv_rejects_malformed(text):
 @pytest.mark.parametrize("rows", ["\r\n\r\n", "\r\r\n\r"])
 def test_csv_without_data_rows_is_refused(header, rows):
     """A data section of lone '\\r' lines, which a StringIO or a file opened
-    with newline='' keeps, has no data rows: the reader says so, and
-    np.loadtxt is not asked to parse it (it would warn)."""
+    with newline='' keeps, has no data rows: under u,w the reader says so,
+    under a legacy header it refuses that header first, and np.loadtxt is
+    not asked to parse the rows (it would warn)."""
     text = VALID_META + header + "\n" + rows
-    with pytest.raises(SolutionFormatError, match="^no data rows found$"):
+    error = "no data rows found" if header == "u,w" else f"unexpected column header: '{header}'"
+    with pytest.raises(SolutionFormatError, match=f"^{error}$"):
         pl.read_solution_csv(io.StringIO(text, newline=""))
 
 
 @pytest.mark.parametrize("header", HEADERS)
 def test_csv_accepts_loose_layout(sinc_solution, header):
     """Blank lines between rows, a space after each comma and \\r\\n line
-    ends read back to the same solution, under each header."""
+    ends read back to the same solution under u,w; under a legacy header
+    the same layout is refused by that header, read without its '\\r'."""
     buf = io.StringIO()
     pl.write_solution_csv(sinc_solution, buf)
     meta, _, body = buf.getvalue().partition("u,w\n")
@@ -848,7 +852,12 @@ def test_csv_accepts_loose_layout(sinc_solution, header):
         rows.append(",".join(fields[name] for name in header.split(",")))
     loose = meta + header + "\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n"
     # StringIO keeps each '\r', where a file opened by path would drop it
-    back = pl.read_solution_csv(io.StringIO(loose.replace("\n", "\r\n")))
+    loose = io.StringIO(loose.replace("\n", "\r\n"))
+    if header != "u,w":
+        with pytest.raises(SolutionFormatError, match=f"^unexpected column header: '{header}'$"):
+            pl.read_solution_csv(loose)
+        return
+    back = pl.read_solution_csv(loose)
     assert (back.params, back.space, back.config, back.termination) == (
         sinc_solution.params,
         sinc_solution.space,
@@ -909,7 +918,6 @@ def test_du_copies_the_sign_of_w(sinc_solution, p):
     sol = dataclasses.replace(
         sinc_solution,
         params=dataclasses.replace(sinc_solution.params, p=p),
-        r=np.linspace(0.0, sinc_solution.termination.r, 5),
         u=np.ones(5),
         w=w,
     )
@@ -937,18 +945,15 @@ def test_du_copies_the_sign_of_w(sinc_solution, p):
 )
 def test_csv_round_trip_property(sinc_solution, profile, r_end, p):
     """Data rows equal the per-value '{:.17g}' text of u, w that the
-    row-by-row writer produced; r, rebuilt as the grid from 0 to the
-    termination radius, u, w and that radius read back bit for bit, and
-    du is the flux helper's output on both sides."""
+    row-by-row writer produced; r is the grid from 0 to the termination
+    radius bit for bit on both sides, u, w and that radius read back bit
+    for bit, and du is the flux helper's output on both sides."""
     u, w = profile
     m = len(u)
     assume(r_end / (m - 1) > 0)  # a grid step that underflows to 0 is refused
-    with np.errstate(over="ignore"):  # (m - 1) * step may pass the float maximum
-        r = np.linspace(0.0, r_end, m)
     sol = dataclasses.replace(
         sinc_solution,
         params=dataclasses.replace(sinc_solution.params, p=p),
-        r=r,
         u=u,
         w=w,
         termination=pl.Termination("reached_rmax", r_end),
@@ -960,9 +965,12 @@ def test_csv_round_trip_property(sinc_solution, profile, r_end, p):
     assert text.splitlines()[-m - 1:] == ["u,w"] + expected_rows
     assert "# termination_r={:.17g}\n".format(r_end) in text
     back = pl.read_solution_csv(io.StringIO(text))
+    with np.errstate(over="ignore"):  # (m - 1) * step may pass the float maximum
+        r = np.linspace(0.0, r_end, m)
     for name, col in zip(("r", "u", "w"), (r, u, w)):
+        assert np.array_equal(_bits(getattr(sol, name)), _bits(col))
         assert np.array_equal(_bits(getattr(back, name)), _bits(col))
-    assert _bits(back.termination.r) == _bits(r_end)
+    assert _bits(back.r_end) == _bits(back.termination.r) == _bits(r_end)
     with np.errstate(all="ignore"):  # the drawn w include values that overflow
         du = _du_from_flux(w, p)
         assert np.array_equal(_bits(sol.du), _bits(du))
@@ -1025,6 +1033,22 @@ r,u,du,w
 RETIRED_KEYS = ("# min_step=", "# output_points=", "# termination_detail=")
 
 
+def _split_at_header(text):
+    """(metadata lines, header, data rows) of a CSV text."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[:k], lines[k], lines[k + 1 :]
+
+
+def _as_u_w(text):
+    """A legacy CSV text with its columns cut to the u,w layout."""
+    meta, header, rows = _split_at_header(text)
+    names = header.split(",")
+    iu, iw = names.index("u"), names.index("w")
+    body = "".join(f"{f[iu]},{f[iw]}\n" for f in (row.split(",") for row in rows))
+    return "".join(line + "\n" for line in meta) + "u,w\n" + body
+
+
 @pytest.mark.parametrize(
     "text, config, termination",
     [
@@ -1042,14 +1066,14 @@ RETIRED_KEYS = ("# min_step=", "# output_points=", "# termination_detail=")
     ids=["min_step", "termination_detail"],
 )
 def test_csv_with_retired_keys_reads_back(text, config, termination):
-    """Retired keys are ignored: each file reads back to the solution its
-    text without those lines gives, with du derived from w, and is written
-    back without them, under the u,w header without its r and du columns."""
-    old = pl.read_solution_csv(io.StringIO(text))
-    current = "".join(
-        ln for ln in text.splitlines(keepends=True) if not ln.startswith(RETIRED_KEYS)
+    """Retired keys are ignored: each file, in the u,w layout, reads back to
+    the solution its text without those lines gives, with du derived from
+    w, and is written back as that text."""
+    old = pl.read_solution_csv(io.StringIO(_as_u_w(text)))
+    current = _as_u_w(
+        "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith(RETIRED_KEYS))
     )
-    assert current != text
+    assert current != _as_u_w(text)
     new = pl.read_solution_csv(io.StringIO(current))
     assert (old.config, old.termination) == (config, termination)
     assert (old.params, old.space, old.config, old.termination) == (
@@ -1060,44 +1084,37 @@ def test_csv_with_retired_keys_reads_back(text, config, termination):
     )
     for name in ("r", "u", "du", "w"):
         assert np.array_equal(getattr(old, name), getattr(new, name))
-    meta, _, body = current.partition("r,u,du,w\n")
-    rows = [ln.split(",") for ln in body.splitlines()]
     # the du column these files carry is the derived one, bit for bit, but
     # for the sign of a zero: it was written as sgn(w) |w|^(1/(p-1)), which
     # is +0.0 at w = -0.0, and du now copies the sign of w
-    file_du = np.copysign([float(f[2]) for f in rows], old.w)
+    _, _, rows = _split_at_header(text)
+    file_du = np.copysign([float(row.split(",")[2]) for row in rows], old.w)
     assert np.array_equal(_bits(old.du), _bits(file_du))
     assert np.array_equal(_bits(old.du), _bits(_du_from_flux(old.w, old.params.p)))
     buf = io.StringIO()
     pl.write_solution_csv(old, buf)
-    expected = meta + "u,w\n" + "".join(f"{u},{w}\n" for _, u, _, w in rows)
-    assert buf.getvalue() == expected
-
-
-def _split_at_header(text):
-    """(metadata lines, header, data rows) of a CSV text."""
-    lines = text.splitlines()
-    k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    return lines[:k], lines[k], lines[k + 1 :]
+    assert buf.getvalue() == current
 
 
 @pytest.mark.parametrize(
     "text",
-    [_csv(header, _rows(header)) for header in HEADERS[1:]]
+    [_csv(header, _rows(header)) for header in LEGACY_HEADERS]
     + [RETIRED_MIN_STEP_CSV, RETIRED_DETAIL_CSV],
-    ids=list(HEADERS[1:]) + ["min_step", "termination_detail"],
+    ids=list(LEGACY_HEADERS) + ["min_step", "termination_detail"],
 )
 def test_csv_refuses_a_radius_off_the_grid(text):
-    """A file that carries r reads only where r is the grid from 0 to
-    termination_r: each fixture's radii read back bit for bit, and with
-    one radius a float step off the file is refused."""
+    """No radius is read from a file, so none off the grid reaches a
+    RadialSolution: a file that carries r, here with one radius a float
+    step off the grid, is refused by its header, while its u,w form reads
+    with r rebuilt from termination_r as the file's radii, bit for bit."""
     meta, header, rows = _split_at_header(text)
     radii = [float(row.split(",")[0]) for row in rows]
-    assert np.array_equal(_bits(pl.read_solution_csv(io.StringIO(text)).r), _bits(radii))
+    back = pl.read_solution_csv(io.StringIO(_as_u_w(text)))
+    assert np.array_equal(_bits(back.r), _bits(radii))
     r, rest = rows[1].split(",", 1)
     rows[1] = f"{np.nextafter(float(r), 0.0):.17g},{rest}"
     off = "\n".join([*meta, header, *rows]) + "\n"
-    with pytest.raises(SolutionFormatError, match=r"^r must be the uniform grid of \d+ samples"):
+    with pytest.raises(SolutionFormatError, match=f"^unexpected column header: '{header}'$"):
         pl.read_solution_csv(io.StringIO(off))
 
 

@@ -58,7 +58,6 @@ def _constant_record():
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=pl.ModelSpace(n=3, K=0.0),
         config=pl.ShootingConfig(u0=1.0, r_max=4.0),
-        r=r,
         u=np.ones_like(r),
         w=np.zeros_like(r),
         termination=pl.Termination("reached_rmax", 4.0),
@@ -166,7 +165,6 @@ def _synthetic_log_solution(a=1e-12, sigma=2.0):
         params=params,
         space=space,
         config=pl.ShootingConfig(u0=1.3, r_max=3.0),
-        r=r,
         u=u,
         w=du.copy(),
         termination=pl.Termination("reached_rmax", 3.0),
