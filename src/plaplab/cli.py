@@ -53,8 +53,8 @@ CHECK_KINDS = ("gradient", "harnack", "bochner", "bochner2", "caccioppoli", "sob
 
 
 def float_list(text):
-    """A comma- or space-separated list of floats; an empty list keeps the default."""
-    return tuple(float(x) for x in text.replace(",", " ").split()) or None
+    """A comma- or space-separated list of floats."""
+    return tuple(float(x) for x in text.replace(",", " ").split())
 
 
 def _leaf_fields(cls):
@@ -211,10 +211,8 @@ def cmd_sweep(args):
     table = _cli.sweep(_build(_cli.SweepGrid, _field_values(args, _cli.SweepGrid)))
     _cli.write_sweep_csv(table, args.out)
     comparison = _cli.compare_with_theory(table)
-    summary = comparison.to_dict()
     if args.summary:
-        with open(args.summary, "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_json(comparison.to_dict(), args.summary)
     print(
         f"cells={len(table)} contradictions={comparison.contradiction_count} "
         f"warnings={comparison.n_failures} out={args.out}"

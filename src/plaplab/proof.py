@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._report import _Report, _require_radius, _require_span
 from .errors import ParameterError, RegimeError
 from .geometry import ModelSpace, warp
-from .solution import LogSolution, RadialSolution, _require_finite_profile
+from .solution import (LogSolution, RadialSolution, _Report, _require_finite_profile,
+                       _require_radius, _require_span)
 from .thresholds import EquationParams, beta, discriminant, thm2_condition
 
 # fixed settings of the checkers; the reports print the tolerances and grid size
@@ -48,9 +48,7 @@ class BochnerReport(_Report):
     inequalities; a sample passes when its margin is not below
     -tol_rel * scale with scale the largest term magnitude at that sample."""
 
-    _tolerances = ("tol_rel", "required_fraction")
-    tol_rel = _TOL_REL
-    required_fraction = _REQUIRED_FRACTION
+    _tolerances = {"tol_rel": _TOL_REL, "required_fraction": _REQUIRED_FRACTION}
 
     params: EquationParams
     space: ModelSpace
@@ -257,8 +255,7 @@ class CaccioppoliReport(_Report):
     -tol_quad * scale, with scale the largest side or term magnitude."""
 
     _check = "caccioppoli"
-    _tolerances = ("tol_quad",)
-    tol_quad = _TOL_QUAD
+    _tolerances = {"tol_quad": _TOL_QUAD}
     samples_retained = _QUADRATURE_POINTS
 
     params: EquationParams

@@ -35,11 +35,14 @@ def _run_limits(config: ShootingConfig):
     """(rtol, atol, u_floor, r_start) of a run: scipy's tolerances, rtol
     raised to 100 eps as RK45 raises it; the floor below the zero event
     under which u^sigma is continued Lipschitz; and the radius where the
-    power-series start hands over to the ODE, which must not underflow to 0."""
+    power-series start hands over to the ODE.  Every run ends at or beyond
+    that radius, so solution._grid's rule is applied to it up front: the
+    step r_start / (_OUTPUT_POINTS - 1) must not underflow to 0."""
     r_start = _SERIES_FRACTION * config.r_max
-    if r_start == 0:
+    if r_start / (_OUTPUT_POINTS - 1) == 0:
         raise ParameterError(
-            f"r_max = {config.r_max} is too small: the series start {_SERIES_FRACTION} r_max is 0"
+            f"r_max = {config.r_max} is too small: {_OUTPUT_POINTS} samples from 0 to the"
+            f" series start {_SERIES_FRACTION} r_max do not increase strictly"
         )
     rtol = max(config.rel_tol, 100 * _EPS)
     return rtol, config.abs_tol, 0.5 * config.zero_threshold, r_start

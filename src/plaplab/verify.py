@@ -4,7 +4,8 @@ The gradient estimate sup |u'|/u on the half ball against the Cheng-Yau
 shape (1 + sqrt(K) R)/R, the Harnack bound it implies, and the scale
 invariance of the empirical gradient constant across the Euclidean
 dilation family.  The proof steps behind the estimates are checked in
-plaplab.proof; both serialize their reports as described in _report.
+plaplab.proof; both serialize their reports as described in
+plaplab.solution.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._report import _Report, _require_span
 from .errors import RegimeError
 from .geometry import ModelSpace
-from .solution import RadialSolution, ShootingConfig, _require_finite_profile
+from .solution import RadialSolution, ShootingConfig, _Report, _require_finite_profile, _require_span
 from .thresholds import EquationParams, classify_regime
 
 # fixed settings of the scale-invariance check, printed in its report
@@ -126,8 +126,7 @@ class ScaleInvarianceReport(_Report):
     radius R/mu."""
 
     _check = "gradient_scale_invariance"
-    _tolerances = ("rel_tol",)
-    rel_tol = _SPREAD_TOL
+    _tolerances = {"rel_tol": _SPREAD_TOL}
 
     params: EquationParams
     space: ModelSpace

@@ -485,7 +485,9 @@ def test_sweep_end_to_end(tmp_path, capsys):
     rows = table.read_text().splitlines()
     assert rows[0].startswith("p,sigma,classification")
     assert len(rows) == 4
-    s = json.loads(summary.read_text())
+    text = summary.read_text()
+    assert text.endswith("}\n")  # written as every JSON file is, with a final newline
+    s = json.loads(text)
     assert s["contradiction_count"] == 0
     assert "caveat" in s
 
@@ -583,15 +585,21 @@ def test_round_trip_preserves_17_digits(sinc_csv):
         assert np.array_equal(getattr(sol, name), getattr(again, name))
 
 
-@pytest.mark.parametrize("flag, value", [("--p-step", "nan"), ("--p-max", "inf")])
+@pytest.mark.parametrize(
+    "flag, value", [("--p-step", "nan"), ("--p-max", "inf"), ("--u0-list", "")]
+)
 def test_sweep_non_finite_range_is_invalid(flag, value, tmp_path, capsys):
+    """A non-finite range, or an empty list of center values, is invalid
+    input: exit 2 with the library's message and no table."""
+    out = tmp_path / "t.csv"
     code = run(
         "sweep", "--n", "3", "--a-sign", "1", "--p-min", "2", "--p-max", "3", "--p-step", "0.5",
         "--sigma-min", "1", "--sigma-max", "2", "--sigma-step", "0.5", "--r-max", "10",
-        flag, value, "--out", str(tmp_path / "t.csv"),
+        flag, value, "--out", str(out),
     )
     assert code == 2
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("step, count", [("5e-324", "inf"), ("1e-300", "1e+300")])

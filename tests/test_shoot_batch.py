@@ -315,12 +315,14 @@ def test_batch_validation(flat3):
         shoot_batch([params], [config.zero_threshold], flat3, config)
     with pytest.raises(ParameterError):
         shoot_batch([params], [1.0], pl.ModelSpace(n=4), config)
-    # both steppers refuse an r_max whose series start 1e-6 r_max underflows to 0
-    tiny = pl.ShootingConfig(r_max=1e-320)
-    for run in (lambda: shoot_batch([params], [1.0], flat3, tiny),
-                lambda: pl.solve_radial(params, flat3, tiny)):
-        with pytest.raises(ParameterError, match="^r_max = 1e-320 is too small"):
-            run()
+    # both steppers refuse an r_max whose series start 1e-6 r_max is 0 or
+    # too small for the 2001 samples of a profile to increase strictly
+    for r_max in ("1e-320", "4e-318"):
+        tiny = pl.ShootingConfig(r_max=float(r_max))
+        for run in (lambda: shoot_batch([params], [1.0], flat3, tiny),
+                    lambda: pl.solve_radial(params, flat3, tiny)):
+            with pytest.raises(ParameterError, match=f"^r_max = {r_max} is too small"):
+                run()
     kinds, radii, moved = shoot_batch([], [], flat3, config)
     assert len(kinds) == len(radii) == len(moved) == 0
 

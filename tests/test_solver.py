@@ -533,8 +533,15 @@ def _past_an_event(start):
         ),
         pytest.param(  # the series start 1e-6 r_max underflows to 0
             ("--a", "1", "--sigma", "1", "--r-max", "1e-320"),
-            "error: r_max = 1e-320 is too small: the series start 1e-06 r_max is 0",
+            "error: r_max = 1e-320 is too small: 2001 samples from 0 to the series start"
+            " 1e-06 r_max do not increase strictly",
             id="r-max-underflows",
+        ),
+        pytest.param(  # the series start is subnormal, its 2000 grid steps 0
+            ("--a", "1", "--sigma", "1", "--r-max", "4e-318"),
+            "error: r_max = 4e-318 is too small: 2001 samples from 0 to the series start"
+            " 1e-06 r_max do not increase strictly",
+            id="r-max-grid-underflows",
         ),
     ],
 )
