@@ -1,40 +1,17 @@
-"""Monotone cubic interpolation (PCHIP) and composite Simpson quadrature.
+"""Monotone cubic interpolation (PCHIP).
 
-Both are numpy ports of scipy 1.17.1 -- ``scipy.interpolate.PchipInterpolator``
+A numpy port of scipy 1.17.1's ``scipy.interpolate.PchipInterpolator``
 (Fritsch & Carlson, SIAM J. Numer. Anal. 17 (1980); end slopes after Moler,
-*Numerical Computing with MATLAB*, 3.6) and ``scipy.integrate.simpson`` with
-``x=`` -- on a 1-D grid, with the same floating-point operations in the
-same order, so their results equal scipy's bit for bit.  PCHIP takes 1-D
-data; Simpson also takes integrands stacked along leading axes, one integral
-per row over the last axis, each row equal to its own 1-D call, and only the
-odd sample count of the checkers' quadrature grid: scipy's even-count end
-correction is not ported.  They keep the checkers free of the scipy import.
+*Numerical Computing with MATLAB*, 3.6) on 1-D data, with the same
+floating-point operations in the same order, so its results equal scipy's
+bit for bit.  It keeps the checkers free of the scipy import.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PPoly", "pchip", "simpson"]
-
-
-def _check_grid(x, y):
-    """x and y as float arrays: x 1-D, y of x's length along its last axis
-    (C-contiguous, so a row sums in the order of a 1-D call)."""
-    x = np.asarray(x, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    if x.ndim != 1 or y.shape[-1:] != x.shape:
-        raise ValueError(f"x must be 1-D and y of equal length, got {x.shape} and {y.shape}")
-    if len(x) < 2:
-        raise ValueError("x must contain at least 2 elements")
-    if not np.all(np.diff(x) > 0):
-        raise ValueError("x must be strictly increasing")
-    return x, y
-
-
-def _div0(num, den):
-    """num / den, and 0 where den == 0."""
-    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+__all__ = ["PPoly", "pchip"]
 
 
 class PPoly:
@@ -111,10 +88,17 @@ def _pchip_slopes(x, y):
 
 
 def pchip(x, y) -> PPoly:
-    """Shape-preserving C^1 cubic through (x, y), x strictly increasing."""
-    x, y = _check_grid(x, y)
+    """Shape-preserving C^1 cubic through 1-D (x, y), x strictly increasing."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.shape[-1:] != x.shape:
+        raise ValueError(f"x must be 1-D and y of equal length, got {x.shape} and {y.shape}")
     if y.ndim != 1:
         raise ValueError(f"y must be 1-D, got shape {y.shape}")
+    if len(x) < 2:
+        raise ValueError("x must contain at least 2 elements")
+    if not np.all(np.diff(x) > 0):
+        raise ValueError("x must be strictly increasing")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must contain only finite values")
     h, slope, d = _pchip_slopes(x, y)
@@ -123,23 +107,3 @@ def pchip(x, y) -> PPoly:
     c = np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]))
     return PPoly(x, c)
 
-
-def simpson(y, *, x):
-    """Composite Simpson integral of samples y over the strictly increasing
-    grid x, whose sample count must be odd (whole panels).  y of shape
-    (..., N) gives one integral per row."""
-    x, y = _check_grid(x, y)
-    if len(x) % 2 == 0:
-        raise ValueError(f"Simpson's rule takes an odd sample count, got {len(x)}")
-    h = np.diff(x)
-    y0, y1, y2 = y[..., 0:-2:2], y[..., 1:-1:2], y[..., 2::2]
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = _div0(h0, h1)
-    tmp = hsum / 6.0 * (
-        y0 * (2.0 - _div0(1.0, h0divh1))
-        + y1 * (hsum * _div0(hsum, hprod))
-        + y2 * (2.0 - h0divh1)
-    )
-    return np.sum(tmp, axis=-1)

@@ -17,8 +17,8 @@ the inequalities that feed the Moser iteration.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +99,7 @@ def _bochner_common(log_solution, r_window):
     mask &= np.abs(log_solution.dv) >= _DV_FLOOR
     if r_window is not None:
         lo, hi = r_window
+        _require_radius(hi)  # the rule of every kind's R
         mask &= (r >= lo) & (r <= hi)
     if not np.any(mask):
         raise RegimeError("no samples retained for the pointwise inequality check")
@@ -177,36 +178,39 @@ def check_bochner_thm2(log_solution: LogSolution, *, r_window=None) -> BochnerRe
 # cutoff and Caccioppoli-type integral inequality
 
 
-def _require_grid_step(R):
-    """Raise ParameterError unless the quadrature grid on [0, R] has a
-    normal float step: a subnormal step loses the grid's spacing to
-    rounding, and the interpolants and integrands overflow to NaN."""
-    step = R / (_QUADRATURE_POINTS - 1)
-    if not sys.float_info.min <= step < math.inf:
-        raise ParameterError(
-            f"R = {R} gives the {_QUADRATURE_POINTS}-point quadrature grid the step "
-            f"{step}, which is not a normal float"
-        )
+@functools.cache
+def _unit_simpson():
+    """The unit grid t of the integral checks and Simpson's weights on it,
+    read-only: they serve every call."""
+    t = np.linspace(0.0, 1.0, _QUADRATURE_POINTS)
+    w = np.full(_QUADRATURE_POINTS, 2.0)
+    w[1::2] = 4.0
+    w[[0, -1]] = 1.0
+    w /= 3 * (_QUADRATURE_POINTS - 1)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
-def _quadrature_grid(space, R):
-    """The grid of the integral checks on [0, R] and the radial volume
-    weight s^(n-1) on it."""
-    _require_grid_step(R)
-    x = np.linspace(0.0, R, _QUADRATURE_POINTS)
-    return x, warp(space, x) ** (space.n - 1)
+def _quadrature(space, R):
+    """The unit grid t and weights w with which an integral over the ball of
+    radius R is int_0^R h(r) s(r)^(n-1) dr = R^n (h(R t) @ w): Simpson's
+    weights times (s(R t)/R)^(n-1), free of R at K = 0."""
+    t, w = _unit_simpson()
+    return t, w * (warp(space, R * t) / R) ** (space.n - 1)
 
 
 class _CutoffEta:
     """C^1 cutoff: 1 on [0, 3R/4], smoothstep down to 0 at R, 0 beyond.
 
-    max |eta'| = 6/R, attained mid-band.
+    max |eta'| = 6/R, attained mid-band; an R that overflows it is refused.
     """
 
     def __init__(self, R: float):
         _require_radius(R)
         self.R = R
-        self.lipschitz_bound = 6.0 / R
+        self.lipschitz_bound = 6.0 / float(R)  # a float quotient overflows to inf silently
+        if self.lipschitz_bound == math.inf:
+            raise ParameterError(f"R = {R} is too small: the cutoff slope 6/R overflows")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -294,7 +298,9 @@ def check_caccioppoli(
     b = 1.1 * b_min if config.b is None else config.b
     if b <= b_min:
         raise ParameterError(f"b = {b} is not above the lower bound b_min = {b_min:.6g}")
-    x, s_pow = _quadrature_grid(space, R)
+    eta = cutoff_eta(R)
+    t, w = _quadrature(space, R)
+    x = R * t
     r = log_solution.r
     inner = (r > 0) & (r <= 0.75 * R)
     bad = inner & (log_solution.f <= 0)
@@ -304,13 +310,15 @@ def check_caccioppoli(
             + ", ".join(f"{x:.6g}" for x in r[bad][:8])
         )
 
-    from ._quad import pchip, simpson  # the Bochner checks never interpolate
-    eta = cutoff_eta(R)
-    f_i = pchip(r, log_solution.f)
-    where = f_i.locate(x)  # the three interpolants share the breakpoints r
+    from ._quad import pchip  # the Bochner checks never interpolate
+    # interpolants on the profile's unit span r / r[-1], so that no coefficient
+    # is divided by a tiny sample spacing; f' is scaled back by 1 / r[-1]
+    span = r[-1]
+    f_i = pchip(r / span, log_solution.f)
+    where = f_i.locate(x / span)  # the three interpolants share the breakpoints
     fx = np.clip(f_i.at(where), 0.0, None)
-    dfx = f_i.derivative().at(where)
-    dvx = pchip(r, log_solution.dv).at(where)
+    dfx = f_i.derivative().at(where) / span
+    dvx = pchip(r / span, log_solution.dv).at(where)
     ex = eta(x)
     dex = eta.derivative(x)
 
@@ -325,12 +333,13 @@ def check_caccioppoli(
         fpow = np.where(fx > 0, fx ** (1 - 2 / p), 0.0)
 
     integrands = (
-        (p - 1) * fpow * dfx * dpsi * s_pow,
-        fx ** (b + 2) * e2 * s_pow,
-        fx ** (2 - 2 / p) * psi * s_pow,
-        fpow * dfx * dvx * psi * s_pow,
+        (p - 1) * fpow * dfx * dpsi,
+        fx ** (b + 2) * e2,
+        fx ** (2 - 2 / p) * psi,
+        fpow * dfx * dvx * psi,
     )
-    i_energy, i_f2, i_curv, i_mix = simpson(np.stack(integrands), x=x)
+    # numpy's power: R^n overflows to inf with a warning, not an OverflowError
+    i_energy, i_f2, i_curv, i_mix = np.float64(R) ** n * (np.stack(integrands) @ w)
 
     lhs = i_energy + bt * i_f2
     rhs = (n - 1) * space.K * p * i_curv - (2 * (p - 1) / (n - 1) - p) * i_mix
@@ -379,17 +388,18 @@ def sobolev_test_function(solution: RadialSolution, R: float):
     test function that measure_sobolev_ratio takes from a solution."""
     from ._quad import pchip
     _require_span(solution, R)
-    _require_grid_step(R)
     _require_finite_profile(solution)
     eta = cutoff_eta(R)
-    u_i = pchip(solution.r, solution.u)
-    du_i = pchip(solution.r, solution.du)
+    # interpolants on the profile's unit span, as in check_caccioppoli
+    span = solution.r[-1]
+    u_i = pchip(solution.r / span, solution.u)
+    du_i = pchip(solution.r / span, solution.du)
 
     def g(r):
-        return u_i(r) * eta(r)
+        return u_i(r / span) * eta(r)
 
     def dg(r):
-        where = u_i.locate(r)  # du_i shares the breakpoints of u_i
+        where = u_i.locate(r / span)  # du_i shares the breakpoints of u_i
         return du_i.at(where) * eta(r) + u_i.at(where) * eta.derivative(r)
 
     return g, dg
@@ -404,12 +414,17 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
     power 1 - 2/n once V is measured without it), so all integrals here are
     radial.  Scaling g leaves the ratio invariant: both sides are
     2-homogeneous in g.  Without dg, g' is the analytic derivative of a
-    cutoff_eta cutoff and np.gradient on the quadrature grid for any other g.
+    cutoff_eta cutoff and np.gradient in t for any other g.
+
+    The integrals are sums on the unit grid t = r / R, and the constant is
+    computed from those sums alone, free of R; lhs, rhs_core and volume
+    carry R's powers, so they may underflow to 0 at a tiny R and overflow to
+    inf at a huge one.
     """
-    from ._quad import simpson
     _require_radius(R)
     n = space.n
-    x, s_pow = _quadrature_grid(space, R)
+    t, w = _quadrature(space, R)
+    x = R * t
     gx = np.asarray(g(x), dtype=float)
     gmax = float(np.max(np.abs(gx)))
     if gmax == 0:
@@ -418,18 +433,18 @@ def measure_sobolev_ratio(g, space: ModelSpace, R: float, dg=None) -> SobolevRat
         raise ParameterError(f"g(R) must vanish, got g({R}) = {gx[-1]:.6g}")
     if dg is None and isinstance(g, _CutoffEta):
         dg = g.derivative
-    dgx = np.gradient(gx, x) if dg is None else np.asarray(dg(x), dtype=float)
+    # R g' = d g(R t) / dt
+    Rdgx = np.gradient(gx, t) if dg is None else R * np.asarray(dg(x), dtype=float)
     q = n / (n - 2)
-    integrands = (np.abs(gx) ** (2 * q) * s_pow, dgx**2 * s_pow, gx**2 * s_pow, s_pow)
-    i_g2q, i_dg2, i_g2, volume = simpson(np.stack(integrands), x=x)
-    lhs = i_g2q ** (1 / q)
-    rhs_core = R**2 * i_dg2 + i_g2
+    s_g2q, s_dg2, s_g2 = np.stack((np.abs(gx) ** (2 * q), Rdgx**2, gx**2)) @ w
+    s_1 = w.sum()
+    Rf = np.float64(R)  # numpy's power: inf with a warning, not an OverflowError
     return SobolevRatioReport(
         space=space,
         R=R,
         q=q,
-        lhs=float(lhs),
-        rhs_core=float(rhs_core),
-        volume=float(volume),
-        empirical_constant=float(lhs * volume ** (2 / n) / rhs_core),
+        lhs=float(Rf ** (n - 2) * s_g2q ** (1 / q)),  # n / q = n - 2
+        rhs_core=float(Rf**n * (s_dg2 + s_g2)),
+        volume=float(Rf**n * s_1),
+        empirical_constant=float(s_g2q ** (1 / q) * s_1 ** (2 / n) / (s_dg2 + s_g2)),
     )

@@ -50,6 +50,37 @@ def sinc(r):
     return out
 
 
+@pytest.fixture(scope="session")
+def hyperbolic_p2():
+    """Oracle instances at K > 0: the function (r, a, K) -> u(r) for the
+    solution with u(0) = 1 of Delta u + a u = 0 (n = 3, p = 2, sigma = 1) on
+    the hyperbolic space of curvature -K.
+
+    At K = 1 (H^3, s = sinh r) a radial v has Delta (v / sinh r) =
+    (v'' - v) / sinh r, so u = sin(k r)/(k sinh r) with k = sqrt(a - 1) for
+    a > 1 (first zero pi/k), r/sinh r for a = 1, the bottom of the spectrum,
+    and sinh(k r)/(k sinh r) with k = sqrt(1 - a) for a < 1, positive for
+    all r.  Other K follow by scaling r by sqrt(K) and a by K."""
+
+    def u(r, a, K):
+        rho = math.sqrt(K) * np.asarray(r, dtype=float)
+        alpha = a / K
+        out = np.ones_like(rho)
+        m = rho > 0
+        x = rho[m]
+        if alpha > 1:
+            k = math.sqrt(alpha - 1)
+            out[m] = np.sin(k * x) / (k * np.sinh(x))
+        elif alpha < 1:
+            k = math.sqrt(1 - alpha)
+            out[m] = np.sinh(k * x) / (k * np.sinh(x))
+        else:
+            out[m] = x / np.sinh(x)
+        return out
+
+    return u
+
+
 def scipy_reference(params, space, config):
     """solve_radial as scipy's solve_ivp (RK45, dense output, terminal
     events) computes it: the oracle for the in-house steppers.  Same

@@ -639,10 +639,16 @@ def test_sweep_center_value_beyond_threshold_is_invalid(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["gradient", "harnack", "caccioppoli", "sobolev"])
+@pytest.mark.parametrize(
+    "kind", ["gradient", "harnack", "bochner", "bochner2", "caccioppoli", "sobolev"]
+)
 def test_check_nan_radius_is_invalid(kind, sinc_csv, capsys):
+    """Every kind refuses a non-finite R by one rule, the Bochner kinds'
+    window end included."""
     assert run("check", kind, "--solution", sinc_csv, "--R", "nan") == 2
     assert "R must be positive, got nan" in capsys.readouterr().err
+    assert run("check", kind, "--solution", sinc_csv, "--R", "inf") == 2
+    assert capsys.readouterr().err == "error: R must be finite, got inf\n"
 
 
 def test_sweep_center_value_follows_the_dilation_law(tmp_path):
@@ -714,9 +720,9 @@ def test_check_non_finite_profile_is_invalid(kind, column, value, sinc_csv, tmp_
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["caccioppoli", "sobolev"])
 def test_check_subnormal_grid_step_is_invalid(kind, tmp_path, capsys):
-    """A radius whose quadrature grid step is subnormal is invalid input
-    for both integral checks: exit 2, naming R, before any arithmetic on
-    the grid can warn or turn a report into NaN."""
+    """A radius whose cutoff slope 6/R overflows is invalid input for both
+    integral checks: exit 2, naming R, before any arithmetic on the grid
+    can warn or turn a report into NaN."""
     path = tmp_path / "tiny.csv"
     code = run(
         "solve", "--n", "3", "--p", "2", "--a", "1", "--sigma", "1",
@@ -727,5 +733,25 @@ def test_check_subnormal_grid_step_is_invalid(kind, tmp_path, capsys):
     assert run("check", kind, "--solution", str(path), "--R", "5e-310") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "R = 5e-310 gives the 4001-point quadrature grid" in captured.err
-    assert "not a normal float" in captured.err
+    assert captured.err == "error: R = 5e-310 is too small: the cutoff slope 6/R overflows\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_integral_checks_at_a_tiny_normal_radius(tmp_path, capsys):
+    """On a profile of span 1e-290 both integral checks run at R = 1e-300
+    without a warning: the Sobolev constant is finite, while its lhs,
+    rhs_core and volume, which carry R's powers, underflow."""
+    path = tmp_path / "small.csv"
+    code = run(
+        "solve", "--n", "3", "--p", "2", "--a", "1", "--sigma", "1",
+        "--r-max", "1e-290", "--out", str(path),
+    )
+    assert code == 0
+    capsys.readouterr()
+    for kind in ("sobolev", "caccioppoli"):
+        out = tmp_path / f"{kind}.json"
+        assert run("check", kind, "--solution", str(path), "--R", "1e-300",
+                   "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+    metrics = json.loads((tmp_path / "sobolev.json").read_text())["metrics"]
+    assert metrics["empirical_constant"] == pytest.approx(0.0690874066578, rel=1e-9)

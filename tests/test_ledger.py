@@ -54,10 +54,11 @@ GRIDS = {
 # underflows and the verdict is a vacuous pass
 CACCIOPPOLI_POINTS = ((3, 1.02, 0.04, None), (10, 18.0, 2.0, None), (3, 2.0, 1.0, 1e-50))
 CACCIOPPOLI_WRITTEN = 3
-# (n, p, sigma, R) with a = 1, K = 0, measured on the profile's Sobolev test
-# function; at R = 1e-120 on sin(r)/r the constant reads NaN
-SOBOLEV_POINTS = ((3, 2.0, 1.0, 1e-120),)
-SOBOLEV_WRITTEN = 1
+# (n, p, sigma, R[, r_max]) with a = 1, K = 0 and r_max = 50 unless given,
+# measured on the profile's Sobolev test function; the tiny radii once read
+# NaN or overflowed, and the last point is a profile of span 1e-290
+SOBOLEV_POINTS = ((3, 2.0, 1.0, 1e-120), (3, 2.0, 1.0, 1e-300), (3, 2.0, 1.0, 1e-300, 1e-290))
+SOBOLEV_WRITTEN = 0
 
 
 def _contradicts(cell, n, a):
@@ -86,9 +87,9 @@ def _grid_counts(n, a, p, sigma, K):
     return wrong, failed, len(cells)
 
 
-def _solved(n, p, sigma):
+def _solved(n, p, sigma, r_max=50.0):
     params = pl.EquationParams(n=n, p=p, a=1.0, sigma=sigma)
-    return pl.solve_radial(params, pl.ModelSpace(n=n), pl.ShootingConfig(r_max=50.0))
+    return pl.solve_radial(params, pl.ModelSpace(n=n), pl.ShootingConfig(r_max=r_max))
 
 
 def _caccioppoli_unsound(n, p, sigma, R):
@@ -100,8 +101,8 @@ def _caccioppoli_unsound(n, p, sigma, R):
     return not rep.scale > 1e-300 or not math.isfinite(rep.slack)
 
 
-def _sobolev_unsound(n, p, sigma, R):
-    sol = _solved(n, p, sigma)
+def _sobolev_unsound(n, p, sigma, R, r_max=50.0):
+    sol = _solved(n, p, sigma, r_max)
     with np.errstate(all="ignore"):  # the NaN constant overflows on its way
         g, dg = pl.sobolev_test_function(sol, R)
         rep = pl.measure_sobolev_ratio(g, sol.space, R, dg=dg)

@@ -628,6 +628,34 @@ def test_hyperbolic_solve_hits_zero():
     assert pl.pde_residual(sol) < 1e-5
 
 
+@pytest.mark.parametrize("K", [0.25, 1.0, 4.0])
+def test_hyperbolic_p2_closed_form(hyperbolic_p2, K):
+    """Both steppers against the exact K > 0 profiles of n = 3, p = 2,
+    sigma = 1 on [0, 6/sqrt(K)], for a/K on both sides of the bottom of the
+    spectrum 1: solve_radial's profile to 1e-6 relative where |u| > 1e-6;
+    its zero radius within 2 zero_threshold / |u'| of pi/(k sqrt(K)), where
+    |u'| = sqrt(K)/sinh(pi/k); and shoot_batch's radius, one run per a, to
+    1e-12 relative of solve_radial's."""
+    space = pl.ModelSpace(n=3, K=K)
+    config = pl.ShootingConfig(r_max=6 / math.sqrt(K))
+    ratios = (5.0, 2.0, 1.5, 1.0, 0.75, -3.0)
+    params = [pl.EquationParams(n=3, p=2.0, a=ratio * K, sigma=1.0) for ratio in ratios]
+    kinds, radii, _ = pl.shoot_batch(params, [1.0] * len(params), space, config)
+    for ratio, prm, kind, radius in zip(ratios, params, kinds, radii):
+        sol = pl.solve_radial(prm, space, config)
+        exact = hyperbolic_p2(sol.r, prm.a, K)
+        kept = np.abs(exact) > 1e-6
+        err = np.max(np.abs(sol.u[kept] - exact[kept]) / np.abs(exact[kept]))
+        assert err < 1e-6, (ratio, err)
+        assert kind == sol.termination.kind == ("hit_zero" if ratio > 1 else "reached_rmax")
+        assert radius == pytest.approx(sol.termination.r, rel=1e-12, abs=0)
+        if ratio > 1:
+            k = math.sqrt(ratio - 1)
+            slope = math.sqrt(K) / math.sinh(math.pi / k)
+            zero = math.pi / (k * math.sqrt(K))
+            assert abs(sol.termination.r - zero) <= 2 * config.zero_threshold / slope
+
+
 def test_termination_kinds_are_validated():
     with pytest.raises(ParameterError):
         pl.Termination("exploded", 1.0)

@@ -269,6 +269,8 @@ def test_cutoff_rejects_non_vanishing_profile():
         pl.cutoff_eta(-1.0)
     with pytest.raises(ParameterError, match="^R must be finite, got inf$"):
         pl.cutoff_eta(math.inf)  # evaluating it would give nan
+    with pytest.raises(ParameterError, match="the cutoff slope 6/R overflows"):
+        pl.cutoff_eta(5e-310)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +355,24 @@ def test_sobolev_ratio_scale_invariant(flat3):
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_sobolev_constant_of_cutoff_is_free_of_R(flat3):
+    """The cutoff's constant at K = 0 is dilation invariant; measured on the
+    unit grid with R's powers outside the sums, it stays the same to
+    rounding down to R = 1e-300, with no warning, and up to an R whose
+    volume overflows."""
+    constants = [
+        pl.measure_sobolev_ratio(pl.cutoff_eta(R), flat3, R).empirical_constant
+        for R in (2.0, 1e-50, 1e-150, 1e-300)
+    ]
+    assert constants == pytest.approx([constants[0]] * 4, rel=1e-13, abs=0)
+    assert math.isfinite(constants[0]) and constants[0] > 0
+    with np.errstate(over="ignore"):  # R^3 overflows; the sums do not
+        huge = pl.measure_sobolev_ratio(pl.cutoff_eta(1e150), flat3, 1e150)
+    assert huge.volume == math.inf
+    assert huge.empirical_constant == pytest.approx(constants[0], rel=1e-13)
+
+
 def test_sobolev_test_function_of_solution(sinc_solution):
     """g = u eta from the solved profile: u below 3R/4, 0 at R, and
     g' = u' eta + u eta' in the cutoff band."""
@@ -368,7 +388,8 @@ def test_sobolev_test_function_of_solution(sinc_solution):
     with pytest.raises(ParameterError):
         pl.sobolev_test_function(sinc_solution, 10.0)
     # g' from one interval lookup equals the sum of the two interpolants'
-    # own calls bit for bit, on the quadrature grid of measure_sobolev_ratio
+    # own calls bit for bit, on the quadrature grid of measure_sobolev_ratio;
+    # both interpolants are built on the profile's unit span r / r[-1]
     others = [
         pl.solve_radial(pl.EquationParams(n=3, p=p, a=1.0, sigma=1.0),
                         pl.ModelSpace(n=3, K=K), pl.ShootingConfig(r_max=3.0))
@@ -378,8 +399,10 @@ def test_sobolev_test_function_of_solution(sinc_solution):
         R = 0.9 * sol.r_end
         _, dg = pl.sobolev_test_function(sol, R)
         eta = pl.cutoff_eta(R)
-        x = np.linspace(0.0, R, 4001)
-        calls = pchip(sol.r, sol.du)(x) * eta(x) + pchip(sol.r, sol.u)(x) * eta.derivative(x)
+        x = R * np.linspace(0.0, 1.0, 4001)
+        span = sol.r[-1]
+        u_i, du_i = pchip(sol.r / span, sol.u), pchip(sol.r / span, sol.du)
+        calls = du_i(x / span) * eta(x) + u_i(x / span) * eta.derivative(x)
         assert np.array_equal(dg(x).view(np.uint64), calls.view(np.uint64))
 
 
