@@ -171,7 +171,11 @@ def cmd_solve(args):
     )
     _cli.write_solution_csv(solution, args.out)
     t = solution.termination
-    print(f"termination={t.kind} r={t.r:.12g} samples={len(solution.r)} out={args.out}")
+    steps = solution.nodes.shape[1] - 1  # accepted steps: every node but the start
+    print(
+        f"termination={t.kind} r={t.r:.12g} samples={len(solution.r)} steps={steps}"
+        f" out={args.out}"
+    )
     if t.kind == "step_failure":
         return EXIT_NUMERICAL_IO
     return EXIT_OK

@@ -1,12 +1,17 @@
 """The solved radial profile and what is computed from it alone.
 
 A shooting run ends in a RadialSolution: the profile (u, w), with the flux
-w = |u'|^(p-2) u', the run's configuration and how it ended; its grid r,
-uniform from 0 to the termination radius, follows from these.  From it
-follow the independent finite-difference residuals, the log transform
-v = (p-1) log u and the linearized operator on it that the pointwise
-checkers read, and the CSV form in which the CLI hands a solution from
-solve to check: the columns u, w below the metadata.
+w = |u'|^(p-2) u', the run's configuration, how it ended and its nodes, the
+state (r, u, w) at the series start and at the end of each accepted
+Dormand-Prince step; its grid r, uniform from 0 to the termination radius,
+follows from these, and (u, w) on it from the nodes, by one function,
+_profile_from_nodes.  From it follow the independent finite-difference
+residuals, the log transform v = (p-1) log u and the linearized operator on
+it that the pointwise checkers read, and the CSV form in which the CLI
+hands a solution from solve to check: the nodes r, u, w below the metadata.
+The series start, the tableau, the vectorized right-hand side and the
+dense output that rebuild a profile from its nodes live here, and the
+solver takes them from here.
 
 It also holds what the checkers of plaplab.verify and plaplab.proof share:
 
@@ -25,13 +30,19 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from itertools import repeat
 from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ParameterError, SolutionFormatError, _require_finite
-from .geometry import ModelSpace, radial_L_coefficient, radial_p_laplacian, warp
+from .geometry import ModelSpace, _log_warp, radial_L_coefficient, radial_p_laplacian, warp
 from .thresholds import EquationParams
+
+# fraction of r_max at which the power-series start hands over to the ODE
+_SERIES_FRACTION = 1e-6
+_OUTPUT_POINTS = 2001  # samples of a solved profile
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,11 @@ class RadialSolution:
     finite differences' step h = r[1] - r[0] holds by construction.  The
     derivative du = u' is not stored either: it is a function of the flux,
     u' = sgn(w) |w|^(1/(p-1)), computed from w and params.p on first use.
+
+    nodes is the (3, m) array of r, u, w at the series start and at the
+    full end of each of the run's m - 1 accepted steps, from which a solved
+    profile's (u, w) is _profile_from_nodes; it is what the CSV stores.  A
+    profile sampled by hand has nodes None: it can be checked, not written.
     """
 
     params: EquationParams
@@ -98,6 +114,7 @@ class RadialSolution:
     u: np.ndarray
     w: np.ndarray
     termination: Termination
+    nodes: np.ndarray | None = None
 
     def __post_init__(self):
         _dimension(self.params, self.space)
@@ -143,6 +160,210 @@ def _grid(r_end, m):
 def _du_from_flux(w, p):
     """u' = copysign(|w|^(1/(p-1)), w), the inverse of w = |u'|^(p-2) u'."""
     return np.copysign(np.abs(w) ** (1.0 / (p - 1.0)), w)
+
+
+# ---------------------------------------------------------------------------
+# A run's start and its Dormand-Prince 5(4) steps: the series start and run
+# limits of both steppers in plaplab.solver, and the tableau, right-hand side
+# and dense output of the two vectorized paths, shoot_batch and
+# _profile_from_nodes.  Tableau and dense output are those of
+# scipy.integrate's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+# Shampine, Math. Comp. 46, 1986).  Every operation is elementwise across
+# steps and runs, so no result depends on the rest of its array.
+
+
+def _run_limits(config: ShootingConfig):
+    """(rtol, atol, u_floor, r_start) of a run: scipy's tolerances, rtol
+    raised to 100 eps as RK45 raises it; the floor below the zero event
+    under which u^sigma is continued Lipschitz; and the radius where the
+    power-series start hands over to the ODE.  Every run ends at or beyond
+    that radius, so _grid's rule is applied to it up front: the step
+    r_start / (_OUTPUT_POINTS - 1) must not underflow to 0."""
+    r_start = _SERIES_FRACTION * config.r_max
+    if r_start / (_OUTPUT_POINTS - 1) == 0:
+        raise ParameterError(
+            f"r_max = {config.r_max} is too small: {_OUTPUT_POINTS} samples from 0 to the"
+            f" series start {_SERIES_FRACTION} r_max do not increase strictly"
+        )
+    rtol = max(config.rel_tol, 100 * _EPS)
+    return rtol, config.abs_tol, 0.5 * config.zero_threshold, r_start
+
+
+def _series_u(p, a, sig, n, u0, r):
+    """Power-series start: u0 plus the leading flux-driven correction.
+    Elementwise in every argument."""
+    c = (abs(a) * u0**sig / n) ** (1 / (p - 1)) * (p - 1) / p
+    return u0 - np.copysign(c, a) * r ** (p / (p - 1))
+
+
+def _series_w(a, sig, n, u0, r):
+    return -a * u0**sig * r / n
+
+
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# dense output (Shampine 1986): y(t_old + x h) = y_old + h sum_j Q_j x^(j+1),
+# with Q_0 = K_1 and Q_j = sum_k _DP_P[j - 1][k] K_k over the seven stages
+_DP_P = (
+    (
+        -8048581381 / 2820520608,
+        0.0,
+        131558114200 / 32700410799,
+        -1754552775 / 470086768,
+        127303824393 / 49829197408,
+        -282668133 / 205662961,
+        40617522 / 29380423,
+    ),
+    (
+        8663915743 / 2820520608,
+        0.0,
+        -68118460800 / 10900136933,
+        14199869525 / 1410260304,
+        -318862633887 / 49829197408,
+        2019193451 / 616988883,
+        -110615467 / 29380423,
+    ),
+    (
+        -12715105075 / 11282082432,
+        0.0,
+        87487479700 / 32700410799,
+        -10690763975 / 1880347072,
+        701980252875 / 199316789632,
+        -1453857185 / 822651844,
+        69997945 / 29380423,
+    ),
+)
+
+# The vectorized paths keep a step's seven stages in one array, in the order
+# k2, k1, k3, ..., k7, and sum them with np.add.reduce over the leading axis
+# from -0.0: numpy adds along a slow axis one row after another, -0.0 + x = x,
+# and a2 k2 + a1 k1 = a1 k1 + a2 k2, so each sum equals the left-to-right sum
+# of the tableau's nonzero terms bit for bit.  B, E and the dense output
+# weigh k2 by zero: they sum rows 1 to 6.
+_A_ROWS = tuple(np.array((*row[1::-1], *row[2:]))[:, None, None] for row in _DP_A[1:])
+_B_ROWS = np.array((_DP_B[0], *_DP_B[2:]))[:, None, None]
+_E_ROWS = np.array((_DP_E[0], *_DP_E[2:]))[:, None, None]
+_P_ROWS = tuple(np.array((row[0], *row[2:]))[:, None, None] for row in _DP_P)
+_STAGE_C = np.array((*_DP_C, 1.0))[:, None]  # stages 2 to 7 sit at t + c h
+
+
+def _stage_sum(coeffs, stages):
+    """sum_k coeffs[k] stages[k] over the leading axis, added in order."""
+    return np.add.reduce(coeffs * stages, axis=0, initial=-0.0)
+
+
+def _dense_coefficients(stages):
+    """Q_0..Q_3 of _dense_output from the stages k1, k3, ..., k7 (leading axis)."""
+    return np.stack((stages[0], *(_stage_sum(row, stages) for row in _P_ROWS)))
+
+
+def _dense_output(step, t):
+    """y(t) on the dense-output polynomial of each step (last axis), from
+    step = (t_old, h, y_old, Q) with the step width h = t_new - t_old."""
+    t_old, h, y_old, q = step
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    return h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x)) + y_old
+
+
+def _rhs(y, damping, consts, u_floor, out, power=np.power):
+    """(u', w') of the states y = (u, w) into out, with damping = (n-1) s'/s
+    at their radii and consts = (-a, sigma, 1/(p-1)), arrays or floats:
+    u' = sgn(w) |w|^(1/(p-1)), w' = -a max(u, u_floor)^sigma - damping w."""
+    neg_a, sigma, inv_pm1 = consts
+    np.copysign(power(np.abs(y[1]), inv_pm1), y[1], out=out[0])
+    np.subtract(neg_a * power(np.fmax(y[0], u_floor), sigma), damping * y[1], out=out[1])
+    return out
+
+
+def _inner_stages(stages, y, h, damping, consts, u_floor, power=np.power):
+    """The stages k2, ..., k6 of steps of width h from the states y into
+    stages (k2, k1, k3, ..., k7), given k1 in stages[1] and the damping at
+    the stage radii t + c h in the rows of damping."""
+    _rhs(y + (_DP_A[0][0] * stages[1]) * h, damping[0], consts, u_floor, stages[0], power)
+    for s, coeffs in enumerate(_A_ROWS, start=2):
+        y_stage = y + _stage_sum(coeffs, stages[:s]) * h
+        _rhs(y_stage, damping[s - 1], consts, u_floor, stages[s], power)
+
+
+# numpy's SIMD power and tanh may differ from libm's in the last bit (on
+# AVX-512, for about 5% and 47% of arguments); these take libm's, as the
+# scalar stepper's floats do
+
+
+def _libm_power(x, y):
+    """x ** y elementwise by libm's pow, for a float exponent y; numpy's, inf
+    where it overflows, if an element overflows, which only a hand-edited
+    node's stage can."""
+    try:
+        values = map(math.pow, x.ravel().tolist(), repeat(y))
+        return np.fromiter(values, float, x.size).reshape(x.shape)
+    except OverflowError:
+        return np.power(x, y)
+
+
+def _libm_tanh(x):
+    return np.fromiter(map(math.tanh, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _profile_from_nodes(params, space, config, nodes, termination):
+    """(u, w) on _grid(termination.r, _OUTPUT_POINTS) from a run's nodes,
+    the (3, m) array of r, u, w at the series start and at each accepted
+    step's end.
+
+    Below the first node a sample takes the series start; above it, the
+    dense output of the step it lies in, a sample on a node the step that
+    ends there, as scipy's does.  With one node (no accepted step) every
+    sample takes the series.  The steps' stages are recomputed with numpy,
+    one _rhs call per stage across all steps: k1 of a step is the RHS at
+    its first node and k7 the RHS at its end, the next step's k1, so six
+    calls in all.  Their powers and tanh are libm's, and every sum is
+    added in the scalar stepper's order, so the stages are that stepper's
+    bit for bit, and so is the profile: solve_radial's, and after a CSV
+    round trip the reader's.  A hand-edited node whose stages overflow
+    gives a profile that holds inf or nan, which every checker refuses.
+    """
+    n = _dimension(params, space)
+    p, a, sig, u0 = params.p, params.a, params.sigma, config.u0
+    _, _, u_floor, r_start = _run_limits(config)
+    rs = _grid(termination.r, _OUTPUT_POINTS)
+    r, y = nodes[0], nodes[1:]
+    u = np.empty_like(rs)
+    w = np.empty_like(rs)
+    head = rs < (r_start if r.size > 1 else math.inf)
+    u[head] = _series_u(p, a, sig, n, u0, rs[head])
+    w[head] = _series_w(a, sig, n, u0, rs[head])
+    if r.size == 1:
+        return u, w
+    t_old, y_old = r[:-1], y[:, :-1]
+    h = r[1:] - t_old
+    consts = (-a, sig, 1.0 / (p - 1.0))
+    log_warp = _log_warp(space.K, _libm_tanh)
+    stages = np.empty((7, *y_old.shape))  # k2, k1, k3, ..., k7
+    with np.errstate(all="ignore"):
+        damping = (n - 1) * log_warp(t_old + _STAGE_C * h)  # stages 2 to 7
+        # the RHS at every node: the first at r[0], each step's end at t_old + h
+        # as the stepper evaluates its k7 there
+        node_damping = np.concatenate(((n - 1) * log_warp(r[:1]), damping[5]))
+        at_nodes = _rhs(y, node_damping, consts, u_floor, np.empty_like(y), _libm_power)
+        stages[1], stages[6] = at_nodes[:, :-1], at_nodes[:, 1:]
+        _inner_stages(stages, y_old, h, damping, consts, u_floor, _libm_power)
+        step = (t_old, h, y_old, _dense_coefficients(stages[1:]))
+        tail = rs[~head]
+        index = np.searchsorted(r[1:], tail, side="left")
+        u[~head], w[~head] = _dense_output(
+            tuple(np.take(part, index, axis=-1) for part in step), tail
+        )
+    return u, w
 
 
 @dataclass(frozen=True)
@@ -405,11 +626,11 @@ def flux_residual(solution: RadialSolution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: '#'-prefixed key=value metadata, then one row per sample
+# CSV serialization: '#'-prefixed key=value metadata, then one row per node
 
 _FLOAT_FMT = "%.17g"
-_HEADER = "u,w"
-_ROW_FMT = ",".join([_FLOAT_FMT] * 2) + "\n"
+_HEADER = "r,u,w"
+_ROW_FMT = ",".join([_FLOAT_FMT] * 3) + "\n"
 _type_hints = cache(get_type_hints)  # a class's annotations resolve once per process
 
 
@@ -424,14 +645,16 @@ def _opened(path_or_file, mode):
 
 
 def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
-    """Write a solution as CSV: metadata comment lines, the header u,w
-    and one row per sample.
+    """Write a solution as CSV: metadata comment lines, the header r,u,w
+    and one row per node.
 
-    r is not written; the reader rebuilds it as the grid from 0 to the
-    termination_r line, which RadialSolution guarantees it is.  Nor is du;
-    it is derived from w.  Decimal output carries 17 significant digits,
-    enough to round-trip float64 exactly.
+    The 2001 samples are not written: the reader rebuilds them from the
+    nodes by _profile_from_nodes, as solve_radial built them, and du from
+    w.  Decimal output carries 17 significant digits, enough to round-trip
+    float64 exactly.  A profile without nodes, sampled by hand, is refused.
     """
+    if solution.nodes is None:
+        raise ParameterError("only a solved profile can be written: this one has no nodes")
     meta = {}
     meta.update(solution.params.to_dict())
     meta.update(solution.space.to_dict())
@@ -443,8 +666,8 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
         for key, value in meta.items()
     ]
     lines.append(_HEADER + "\n")
-    data = np.column_stack((solution.u, solution.w))
-    lines.append((_ROW_FMT * len(data)) % tuple(data.ravel().tolist()))
+    rows = solution.nodes.T
+    lines.append((_ROW_FMT * len(rows)) % tuple(rows.ravel().tolist()))
     with _opened(path_or_file, "w") as fh:
         fh.write("".join(lines))
 
@@ -474,27 +697,66 @@ def _header_index(lines, meta):
 
 
 def _first_rejected_row(rows):
-    """Index of the first row that np.loadtxt refuses below the row 0,0: a
-    row that is not two numbers.  Called on the error path only, one row at
-    a time."""
+    """Index of the first row that np.loadtxt refuses below the row 0,0,0: a
+    row that is not three numbers.  Called on the error path only, one row
+    at a time."""
     for k, row in enumerate(rows):
         try:
-            np.loadtxt(["0,0", row], delimiter=",", comments=None)
+            np.loadtxt(["0,0,0", row], delimiter=",", comments=None)
         except ValueError:
             return k
+
+
+def _refuse_row(rows, start, k, problem):
+    """Raise the error that names the file line of rows[k], the rows below
+    the header at line index start, and quotes it."""
+    raise SolutionFormatError(
+        f"malformed data rows: line {start + 2 + k} {problem}: {rows[k]!r}"
+    ) from None
+
+
+def _require_nodes(nodes, r_start, r_end, rows, start):
+    """Refuse nodes that no run ends with: a non-finite value, radii that
+    do not increase strictly, a first radius other than the series start,
+    and a termination radius outside the last step (r[-2], r[-1]], or other
+    than r[0] with one node.  A refused row is named by its file line."""
+    bad = ~np.isfinite(nodes).all(axis=0)
+    bad[1:] |= ~(nodes[0, 1:] > nodes[0, :-1])
+    if bad.any():
+        j = int(np.argmax(bad))
+        k = [i for i, row in enumerate(rows) if row.strip("\r")][j]  # loadtxt skips blanks
+        if np.isfinite(nodes[:, j]).all():
+            _refuse_row(rows, start, k, "does not increase the radius")
+        _refuse_row(rows, start, k, "holds a non-finite node")
+    r = nodes[0].tolist()
+    if r[0] != r_start:
+        raise SolutionFormatError(
+            f"first radius {r[0]!r} is not the series start {_SERIES_FRACTION} r_max = {r_start!r}"
+        )
+    if len(r) == 1 and r_end != r[0]:
+        raise SolutionFormatError(
+            f"termination_r = {r_end!r} is not the one node's radius {r[0]!r}"
+        )
+    if len(r) > 1 and not r[-2] < r_end <= r[-1]:
+        raise SolutionFormatError(
+            f"termination_r = {r_end!r} is outside the last step ({r[-2]!r}, {r[-1]!r}]"
+        )
 
 
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
-    Below the header u,w a data row is two comma-separated plain decimal
-    fields u, w; the grid r follows from termination_r and the row count,
-    and du from w.  Any other header, such as the r,u,w and r,u,du,w of
-    files written before r and du were derived, is refused.  Metadata lines
-    go above the header; keys that name no field, such as the retired
-    min_step, output_points and termination_detail, are ignored.  Below the
-    header a '#' line or a line of spaces is refused, and the error names
-    the file line of the first refused row; blank lines, spaces around
+    Below the header r,u,w a data row is three comma-separated plain
+    decimal fields, a node r, u, w; the profile on the 2001-sample grid to
+    termination_r is rebuilt from the nodes by _profile_from_nodes, and du
+    from w.  The nodes must be finite, their radii must increase strictly
+    from the series start 1e-6 r_max, and termination_r must lie in the last
+    step (r[-2], r[-1]], or equal r[0] with one node.  Any other header,
+    such as the u,w of files that stored the 2001 samples, is refused.
+    Metadata lines go above the header; keys that name no field, such as
+    the retired min_step, output_points and termination_detail, are
+    ignored.  Below the header a '#' line or a line of spaces is refused;
+    a refused row is named by its file line.  Blank lines, spaces around
     fields and \r\n line ends read.
     """
     with _opened(path_or_file, "r") as fh:
@@ -511,13 +773,9 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        k = _first_rejected_row(rows)
-        raise SolutionFormatError(
-            f"malformed data rows: line {start + 2 + k} is not 2 "
-            f"comma-separated numbers: {rows[k]!r}"
-        ) from None
-    if data.shape[1] != 2:
-        raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected 2")
+        _refuse_row(rows, start, _first_rejected_row(rows), "is not 3 comma-separated numbers")
+    if data.shape[1] != 3:
+        raise SolutionFormatError(f"data rows have {data.shape[1]} columns, expected 3")
     try:
         params, space, config = (
             _from_meta(cls, meta) for cls in (EquationParams, ModelSpace, ShootingConfig)
@@ -525,14 +783,18 @@ def read_solution_csv(path_or_file) -> RadialSolution:
         termination = Termination(meta["termination"], float(meta["termination_r"]))
     except (KeyError, ValueError) as exc:
         raise SolutionFormatError(f"bad or missing metadata: {exc}") from exc
+    nodes = data.T
     try:
+        _require_nodes(nodes, _run_limits(config)[3], termination.r, rows, start)
+        u, w = _profile_from_nodes(params, space, config, nodes, termination)
         return RadialSolution(
             params=params,
             space=space,
             config=config,
-            u=data[:, 0],
-            w=data[:, 1],
+            u=u,
+            w=w,
             termination=termination,
+            nodes=nodes,
         )
     except ParameterError as exc:
         raise SolutionFormatError(str(exc)) from exc

@@ -22,41 +22,30 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import ModelSpace, _log_warp
-from .solution import RadialSolution, ShootingConfig, Termination, _dimension
+from .solution import (
+    _B_ROWS,
+    _DP_A,
+    _DP_B,
+    _DP_C,
+    _DP_E,
+    _E_ROWS,
+    _EPS,
+    _STAGE_C,
+    RadialSolution,
+    ShootingConfig,
+    Termination,
+    _dense_coefficients,
+    _dense_output,
+    _dimension,
+    _inner_stages,
+    _profile_from_nodes,
+    _rhs,
+    _run_limits,
+    _series_u,
+    _series_w,
+    _stage_sum,
+)
 from .thresholds import EquationParams
-
-# fraction of r_max at which the power-series start hands over to the ODE
-_SERIES_FRACTION = 1e-6
-_OUTPUT_POINTS = 2001  # samples of a solved profile
-_EPS = math.ulp(1.0)
-
-
-def _run_limits(config: ShootingConfig):
-    """(rtol, atol, u_floor, r_start) of a run: scipy's tolerances, rtol
-    raised to 100 eps as RK45 raises it; the floor below the zero event
-    under which u^sigma is continued Lipschitz; and the radius where the
-    power-series start hands over to the ODE.  Every run ends at or beyond
-    that radius, so solution._grid's rule is applied to it up front: the
-    step r_start / (_OUTPUT_POINTS - 1) must not underflow to 0."""
-    r_start = _SERIES_FRACTION * config.r_max
-    if r_start / (_OUTPUT_POINTS - 1) == 0:
-        raise ParameterError(
-            f"r_max = {config.r_max} is too small: {_OUTPUT_POINTS} samples from 0 to the"
-            f" series start {_SERIES_FRACTION} r_max do not increase strictly"
-        )
-    rtol = max(config.rel_tol, 100 * _EPS)
-    return rtol, config.abs_tol, 0.5 * config.zero_threshold, r_start
-
-
-def _series_u(p, a, sig, n, u0, r):
-    """Power-series start: u0 plus the leading flux-driven correction.
-    Elementwise in every argument."""
-    c = (abs(a) * u0**sig / n) ** (1 / (p - 1)) * (p - 1) / p
-    return u0 - np.copysign(c, a) * r ** (p / (p - 1))
-
-
-def _series_w(a, sig, n, u0, r):
-    return -a * u0**sig * r / n
 
 
 # How a run ends, in both steppers: a run is inside while both event functions
@@ -94,13 +83,15 @@ def solve_radial(
     shoot_batch does not).  The run ends as shoot_batch's does, by the
     shared rules _zero_event, _blowup_event and _blew_up.  A terminal event
     is located on the final step in Python floats, by _step_event, the
-    bisection shoot_batch applies to its numpy arrays; the steps leading
-    there are computed apart, so the two radii agree to rounding, not
-    bitwise.  The profile is returned uniformly resampled at _OUTPUT_POINTS
-    samples on [0, r_end] from the steps' C^1 dense output (off-grid
-    interpolation is monotone cubic, in the checkers).  With no accepted
-    step the run ends as step_failure at r_start, and its profile is the
-    series start on [0, r_start].
+    bisection shoot_batch applies to its numpy arrays, on the dense output
+    of the stepper's own stages; the steps leading there are computed apart,
+    so the two radii agree to rounding, not bitwise.  The run keeps its
+    nodes, the state at the start and at each accepted step's full end, and
+    its profile is _profile_from_nodes of them: the steps' C^1 dense output
+    uniformly resampled at _OUTPUT_POINTS samples on [0, r_end] (off-grid
+    interpolation is monotone cubic, in the checkers), as the CSV reader
+    rebuilds it.  With no accepted step the run ends as step_failure at
+    r_start, and its profile is the series start on [0, r_start].
 
     Raises ParameterError when params and space disagree on n, when r_max
     is so small that the series start underflows to 0, and when the series
@@ -152,7 +143,7 @@ def solve_radial(
     e1, _, e3, e4, e5, e6, e7 = _DP_E
     retry = False  # the last attempt was rejected
     failed = fire_zero = fire_blow = False
-    steps = []  # per accepted step: t_old, t_new, y_old and the stages k1, k3, ..., k7
+    nodes = [(t, u, w)]  # the start and each accepted step's end
     while True:
         h_floor = 10 * (math.nextafter(t, math.inf) - t)
         if not h_abs >= h_floor:  # a nan step is below the floor too
@@ -200,47 +191,31 @@ def solve_radial(
         factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error**_ERROR_EXPONENT)
         h_abs = h * (min(1, factor) if retry else factor)
         retry = False
-        steps.append((t, t_new, u, w, ku1, kw1, ku3, kw3, ku4, kw4, ku5, kw5, ku6, kw6, ku7, kw7))
-        t, u, w, ku1, kw1 = t_new, u_new, w_new, ku7, kw7
-        g_zero_new, g_blow_new = _zero_event(u, zt), _blowup_event(u, w, bt, _float_maximum)
+        g_zero_new = _zero_event(u_new, zt)
+        g_blow_new = _blowup_event(u_new, w_new, bt, _float_maximum)
         fire_zero = g_zero >= 0 and g_zero_new <= 0
         fire_blow = g_blow >= 0 and g_blow_new <= 0
+        if fire_zero or fire_blow:  # the stepper's own stages locate the event
+            stages = (ku1, kw1, ku3, kw3, ku4, kw4, ku5, kw5, ku6, kw6, ku7, kw7)
+            q = _dense_coefficients(np.reshape(stages, (6, 2, 1)))[..., 0].tolist()
+            hit, r_event = _step_event((t, t_new, (u, w), q), fire_zero, fire_blow, zt, bt)
+        t, u, w, ku1, kw1 = t_new, u_new, w_new, ku7, kw7
+        nodes.append((t, u, w))
         if fire_zero or fire_blow or t >= r_max:
             break
         g_zero, g_blow = g_zero_new, g_blow_new
 
-    # one row per recorded quantity, C-contiguous, so that _stage_sum adds stages in order
-    table = np.array(steps, order="F").reshape(len(steps), 16).T
-    dense = _dense_coefficients(table[4:].reshape(6, 2, len(steps)))
-    step_ends = table[1]
-    step = (table[0], step_ends - table[0], table[2:4], dense)
-    if not steps:  # nothing was integrated: a step failure at the start
+    if len(nodes) == 1:  # nothing was integrated: a step failure at the start
         termination = Termination("step_failure", r_start)
     elif failed:
         blown = _blew_up(u, w, bt, _float_maximum)
         termination = Termination("blow_up" if blown else "step_failure", t)
     elif fire_zero or fire_blow:
-        t_old, t_new, u_old, w_old = steps[-1][:4]
-        last = (t_old, t_new, (u_old, w_old), dense[..., -1].tolist())
-        hit, r_event = _step_event(last, fire_zero, fire_blow, zt, bt)
         termination = Termination("hit_zero" if hit else "blow_up", r_event)
     else:
         termination = Termination("reached_rmax", r_max)
-
-    # uniform resample straight from the steps' continuous extension: it is
-    # C^1 across steps, so downstream finite differences on the uniform grid
-    # see only the (smooth, tolerance-sized) integration error.  A sample on
-    # a step boundary takes the step that ends there, as scipy's does.
-    rs = np.linspace(0.0, termination.r, _OUTPUT_POINTS)
-    u = np.empty_like(rs)
-    w = np.empty_like(rs)
-    head = rs < (r_start if steps else math.inf)  # with no step, all take the series
-    u[head] = _series_u(p, a, sig, n, u0, rs[head])
-    w[head] = _series_w(a, sig, n, u0, rs[head])
-    tail = rs[~head]
-    index = np.searchsorted(step_ends, tail, side="left")
-    u[~head], w[~head] = _dense_output(tuple(np.take(part, index, axis=-1) for part in step), tail)
-
+    nodes = np.array(nodes).T
+    u, w = _profile_from_nodes(params, space, config, nodes, termination)
     return RadialSolution(
         params=params,
         space=space,
@@ -248,87 +223,21 @@ def solve_radial(
         u=u,
         w=w,
         termination=termination,
+        nodes=nodes,
     )
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4), shared by solve_radial's scalar loop and by
-# shoot_batch, which advances many independent runs in lockstep with numpy.
-# Tableau, error norm, initial step and step controller are those of
-# scipy.integrate's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
-# Hairer, Norsett & Wanner, Solving ODEs I, II.4 and II.6), so both take
-# scipy's step sequence.  In shoot_batch every operation is elementwise
-# across runs: no reduction crosses runs, so a run's result does not depend
-# on the rest of its batch.
+# Dormand-Prince 5(4) step control, shared by solve_radial's scalar loop and
+# by shoot_batch, which advances many independent runs in lockstep with numpy.
+# Error norm, initial step and step controller are those of scipy.integrate's
+# RK45 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), so both take scipy's
+# step sequence; the tableau and dense output are in plaplab.solution.
 
-_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-# dense output (Shampine 1986): y(t_old + x h) = y_old + h sum_j Q_j x^(j+1),
-# with Q_0 = K_1 and Q_j = sum_k _DP_P[j - 1][k] K_k over the seven stages
-_DP_P = (
-    (
-        -8048581381 / 2820520608,
-        0.0,
-        131558114200 / 32700410799,
-        -1754552775 / 470086768,
-        127303824393 / 49829197408,
-        -282668133 / 205662961,
-        40617522 / 29380423,
-    ),
-    (
-        8663915743 / 2820520608,
-        0.0,
-        -68118460800 / 10900136933,
-        14199869525 / 1410260304,
-        -318862633887 / 49829197408,
-        2019193451 / 616988883,
-        -110615467 / 29380423,
-    ),
-    (
-        -12715105075 / 11282082432,
-        0.0,
-        87487479700 / 32700410799,
-        -10690763975 / 1880347072,
-        701980252875 / 199316789632,
-        -1453857185 / 822651844,
-        69997945 / 29380423,
-    ),
-)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 _KIND_NAMES = np.asarray(Termination.KINDS)
 _REACHED, _ZERO, _BLOW, _FAILED = range(4)  # positions in Termination.KINDS
-
-
-# shoot_batch keeps a step's seven stages in one array, in the order k2, k1,
-# k3, ..., k7, and sums them with np.add.reduce over the leading axis from
-# -0.0: numpy adds along a slow axis one row after another, -0.0 + x = x, and
-# a2 k2 + a1 k1 = a1 k1 + a2 k2, so each sum equals the left-to-right sum of
-# the tableau's nonzero terms bit for bit.  B, E and the dense output weigh
-# k2 by zero: they sum rows 1 to 6.
-_A_ROWS = tuple(np.array((*row[1::-1], *row[2:]))[:, None, None] for row in _DP_A[1:])
-_B_ROWS = np.array((_DP_B[0], *_DP_B[2:]))[:, None, None]
-_E_ROWS = np.array((_DP_E[0], *_DP_E[2:]))[:, None, None]
-_P_ROWS = tuple(np.array((row[0], *row[2:]))[:, None, None] for row in _DP_P)
-_STAGE_C = np.array((*_DP_C, 1.0))[:, None]  # stages 2 to 7 sit at t + c h
-
-
-def _stage_sum(coeffs, stages):
-    """sum_k coeffs[k] stages[k] over the leading axis, added in order."""
-    return np.add.reduce(coeffs * stages, axis=0, initial=-0.0)
-
-
-def _dense_coefficients(stages):
-    """Q_0..Q_3 of _dense_output from the stages k1, k3, ..., k7 (leading axis)."""
-    return np.stack((stages[0], *(_stage_sum(row, stages) for row in _P_ROWS)))
 
 
 def _rms(y):
@@ -385,13 +294,6 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
 
     log_warp = _log_warp(space.K)
 
-    def rhs(y, damping, consts, out):
-        """(u', w') into out, with damping = (n-1) s'/s at the stage radii."""
-        neg_a, sigma, inv_pm1 = consts
-        np.copysign(np.abs(y[1]) ** inv_pm1, y[1], out=out[0])
-        np.subtract(neg_a * np.fmax(y[0], u_floor) ** sigma, damping * y[1], out=out[1])
-        return out
-
     fired = []  # per lockstep iteration: the steps in which an event fired
     with np.errstate(all="ignore"):  # overflow and nan end a run, as in scipy
         y0 = np.stack((_series_u(p, a, sig, n, u0, r_start), _series_w(a, sig, n, u0, r_start)))
@@ -402,7 +304,7 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
         t0 = np.full(index.size, r_start)
 
         def rhs_at(t, y):
-            return rhs(y, (n - 1) * log_warp(t), consts, np.empty_like(y))
+            return _rhs(y, (n - 1) * log_warp(t), consts, u_floor, np.empty_like(y))
 
         f0 = rhs_at(t0, y0)
         h0 = _initial_step(rhs_at, t0, y0, f0, r_max - r_start, rtol, atol)
@@ -423,11 +325,9 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
             damping = (n - 1) * log_warp(t + _STAGE_C * h)
             stages = np.empty((7, *y.shape))  # k2, k1, k3, ..., k7
             stages[1] = f
-            rhs(y + (_DP_A[0][0] * f) * h, damping[0], consts, stages[0])
-            for s, coeffs in enumerate(_A_ROWS, start=2):
-                rhs(y + _stage_sum(coeffs, stages[:s]) * h, damping[s - 1], consts, stages[s])
+            _inner_stages(stages, y, h, damping, consts, u_floor)
             y_new = np.add(y, h * _stage_sum(_B_ROWS, stages[1:6]), out=new[1:3])
-            new[3:5] = rhs(y_new, damping[5], consts, stages[6])
+            new[3:5] = _rhs(y_new, damping[5], consts, u_floor, stages[6])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error = _rms(_stage_sum(_E_ROWS, stages[1:]) * h / scale)
 
@@ -493,16 +393,6 @@ def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):
         (0.01 / np.maximum(d1, d2)) ** (1 / 5),
     )
     return np.minimum(np.minimum(100 * h0, h1), interval)
-
-
-def _dense_output(step, t):
-    """y(t) on the dense-output polynomial of each step (last axis), from
-    step = (t_old, h, y_old, Q) with the step width h = t_new - t_old."""
-    t_old, h, y_old, q = step
-    x = (t - t_old) / h
-    x2 = x * x
-    x3 = x2 * x
-    return h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x)) + y_old
 
 
 def _first_event(step, fire_zero, fire_blow, zt, bt):

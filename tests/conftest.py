@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 import plaplab as pl
 from plaplab.errors import ParameterError
-from plaplab.solver import _OUTPUT_POINTS, _SERIES_FRACTION, _series_u, _series_w
+from plaplab.solution import _OUTPUT_POINTS, _SERIES_FRACTION, _series_u, _series_w
 
 
 def run_bounded(*argv, timeout=60):

@@ -374,45 +374,115 @@ def test_check_infinite_b_is_invalid(sinc_csv, capsys):
 
 
 def test_check_corrupted_solution_fails(sinc_csv, tmp_path):
-    """Scaling w, and with it the derived du, so that f halves must trip
-    the pointwise check."""
+    """Scaling w at every node, so that the flux rebuilt from the nodes, and
+    with it the derived du, no longer fits u, must trip the pointwise check."""
     with open(sinc_csv) as fh:
         lines = fh.read().splitlines()
-    c = 1 / math.sqrt(2.0)  # f = |(p-1) du / u|^p scales by 1/2 at p = 2, where du = w
+    c = 1 / math.sqrt(2.0)  # f = |(p-1) du / u|^p would halve at p = 2, where du = w
     rows = []
     for ln in lines:
-        if ln.startswith("#") or ln == "u,w":
+        if ln.startswith("#") or ln == "r,u,w":
             rows.append(ln)
         else:
-            u, w = ln.split(",")
-            rows.append(f"{u},{float(w) * c:.17g}")
+            r, u, w = ln.split(",")
+            rows.append(f"{r},{u},{float(w) * c:.17g}")
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(rows) + "\n")
     assert run("check", "bochner", "--solution", str(bad), "--R", "2") == 1
 
 
 def test_check_refuses_a_radius_off_the_grid(sinc_csv, tmp_path, capsys):
-    """r is rebuilt from termination_r, never read: a file in the earlier
-    r,u,w layout, its radii on the grid, is invalid input, exit 2, as is a
-    termination radius of 0 or one whose grid step underflows to 0."""
+    """r is rebuilt from termination_r, never read: a file of samples with
+    their radii on the grid, in the r,u,w layout of files written before the
+    u,w layout, is invalid input, exit 2, since its first radius is 0 and
+    not the series start; so is the u,w layout itself, and a termination
+    radius of 0 or 5e-324, outside the last step."""
     text = Path(sinc_csv).read_text()
-    meta, _, body = text.partition("u,w\n")
-    r = pl.read_solution_csv(sinc_csv).r
-    rows = [f"{x:.17g},{row}" for x, row in zip(r, body.splitlines())]
-    end = f"# termination_r={r[-1]:.17g}\n"
+    meta, _, _ = text.partition("r,u,w\n")
+    sol = pl.read_solution_csv(sinc_csv)
+    samples = [f"{r:.17g},{u:.17g},{w:.17g}" for r, u, w in zip(sol.r, sol.u, sol.w)]
+    end = f"# termination_r={sol.r_end:.17g}\n"
     assert end in meta
+    last_step = "({!r}, {!r}]".format(*sol.nodes[0, -2:].tolist())
     bad = tmp_path / "bad.csv"
     for content, error in [
-        (meta + "r,u,w\n" + "\n".join(rows) + "\n", "unexpected column header: 'r,u,w'"),
-        (text.replace(end, "# termination_r=0\n"), "termination.r must be finite and > 0, got 0.0"),
+        (
+            meta + "r,u,w\n" + "\n".join(samples) + "\n",
+            "first radius 0.0 is not the series start 1e-06 r_max = 4e-06",
+        ),
+        (
+            meta + "u,w\n" + "\n".join(row.split(",", 1)[1] for row in samples) + "\n",
+            "unexpected column header: 'u,w'",
+        ),
+        (
+            text.replace(end, "# termination_r=0\n"),
+            f"termination_r = 0.0 is outside the last step {last_step}",
+        ),
         (
             text.replace(end, "# termination_r=5e-324\n"),
-            "2001 samples from 0 to termination.r = 5e-324 do not increase strictly",
+            f"termination_r = 5e-324 is outside the last step {last_step}",
         ),
     ]:
         bad.write_text(content)
         assert run("check", "gradient", "--solution", str(bad), "--R", "2") == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+# each edit of the sinc file's rows, and the error it gives from the edited
+# rows, the file line of the first row and the termination radius
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param(
+            lambda rows: rows[:3] + [rows[2]] + rows[4:],
+            lambda rows, first, end: (
+                f"malformed data rows: line {first + 3} does not increase the radius: {rows[3]!r}"
+            ),
+            id="repeated-radius",
+        ),
+        pytest.param(
+            lambda rows: [rows[1], rows[0], *rows[2:]],
+            lambda rows, first, end: (
+                f"malformed data rows: line {first + 1} does not increase the radius: {rows[1]!r}"
+            ),
+            id="falling-radius",
+        ),
+        pytest.param(
+            lambda rows: ["4.0000000000000007e-06" + rows[0][rows[0].index(",") :], *rows[1:]],
+            lambda rows, first, end: (
+                "first radius 4.000000000000001e-06 is not the series start 1e-06 r_max = 4e-06"
+            ),
+            id="first-radius",
+        ),
+        pytest.param(
+            lambda rows: rows[:1],
+            lambda rows, first, end: f"termination_r = {end!r} is not the one node's radius 4e-06",
+            id="one-row",
+        ),
+        pytest.param(
+            lambda rows: rows[:-1],
+            lambda rows, first, end: (
+                "termination_r = {!r} is outside the last step ({!r}, {!r}]".format(
+                    end, *(float(row.split(",")[0]) for row in rows[-2:])
+                )
+            ),
+            id="last-step-dropped",
+        ),
+    ],
+)
+def test_check_refuses_nodes_no_run_ends_with(sinc_csv, tmp_path, capsys, edit, error):
+    """The nodes of a run are finite, increase from the series start
+    1e-6 r_max, and hold the termination radius in their last step (or at
+    their one radius): a file whose nodes do not exits 2 with one line."""
+    meta, _, body = Path(sinc_csv).read_text().partition("r,u,w\n")
+    rows = edit(body.splitlines())
+    bad = tmp_path / "bad.csv"
+    bad.write_text(meta + "r,u,w\n" + "\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert run("check", "gradient", "--solution", str(bad), "--R", "2") == 2
+    first = meta.count("\n") + 2  # the file line of the first row
+    expected = error(rows, first, pl.read_solution_csv(sinc_csv).r_end)
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
 
 
 def test_check_malformed_csv(tmp_path):
@@ -422,14 +492,15 @@ def test_check_malformed_csv(tmp_path):
 
 
 def _with_u(row, value):
-    _, w = row.split(",")
-    return f"{value},{w}"
+    r, _, w = row.split(",")
+    return f"{r},{value},{w}"
 
 
+# the sinc file's rows are its 61 nodes: the start and 60 accepted steps
 @pytest.mark.parametrize(
     "edit, bad_row",
     [
-        pytest.param(lambda rows: rows + ["# K=0"], 2001, id="metadata-after-rows"),
+        pytest.param(lambda rows: rows + ["# K=0"], 61, id="metadata-after-rows"),
         pytest.param(lambda rows: rows[:1] + ["# K=0"] + rows[1:], 1, id="metadata-between-rows"),
         pytest.param(lambda rows: rows[:4] + ["# K=0"] + rows[4:], 4, id="metadata-fifth-row"),
         pytest.param(lambda rows: rows[:1] + ["   "] + rows[1:], 1, id="spaces-between-rows"),
@@ -442,16 +513,17 @@ def test_check_refuses_lines_among_the_rows(sinc_csv, tmp_path, capsys, edit, ba
     each layout below it exits 2 with one error line, which names the file
     line of the first rejected row (0-based bad_row below the header) and
     quotes it."""
-    meta, _, body = Path(sinc_csv).read_text().partition("u,w\n")
+    meta, _, body = Path(sinc_csv).read_text().partition("r,u,w\n")
+    assert len(body.splitlines()) == 61
     rows = edit(body.splitlines())
     bad = tmp_path / "bad.csv"
-    bad.write_text(meta + "u,w\n" + "\n".join(rows) + "\n")
+    bad.write_text(meta + "r,u,w\n" + "\n".join(rows) + "\n")
     capsys.readouterr()
     assert run("check", "gradient", "--solution", str(bad), "--R", "2") == 2
     err = capsys.readouterr().err
     line = meta.count("\n") + 2 + bad_row  # the header is file line meta.count("\n") + 1
     assert err == (
-        f"error: malformed data rows: line {line} is not 2 comma-separated numbers: "
+        f"error: malformed data rows: line {line} is not 3 comma-separated numbers: "
         f"{rows[bad_row]!r}\n"
     )
 
@@ -688,33 +760,46 @@ def test_sweep_center_value_follows_the_dilation_law(tmp_path):
 )
 @pytest.mark.parametrize("kind", CHECK_KINDS)
 def test_check_non_finite_profile_is_invalid(kind, column, value, sinc_csv, tmp_path, capsys):
-    """A solution file may hold nan and inf in u and w, but no check takes
-    them: every kind exits 2, naming the radius of the first non-finite
-    sample, before any arithmetic on the profile can warn or turn a report
-    into NaN.  A termination radius of inf, from which r would be rebuilt,
-    is refused as the file is read."""
+    """No run ends with a non-finite node: a node row that holds nan or inf
+    is refused as the file is read, every kind exiting 2 with one line that
+    names its file line, before any arithmetic on the profile can warn or
+    turn a report into NaN."""
     with open(sinc_csv) as fh:
         lines = fh.read().splitlines()
-    if column == "r":
-        row = next(k for k, line in enumerate(lines) if line.startswith("# termination_r="))
-        lines[row] = f"# termination_r={value}"
-    else:
-        row = lines.index("u,w") + 500
-        fields = dict(zip("uw", lines[row].split(",")))
-        fields[column] = value
-        lines[row] = ",".join(fields.values())
+    row = lines.index("r,u,w") + 30
+    fields = dict(zip("ruw", lines[row].split(",")))
+    fields[column] = value
+    lines[row] = ",".join(fields.values())
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert run("check", kind, "--solution", str(bad), "--R", "2") == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: malformed data rows: line {row + 1} holds a non-finite node: {lines[row]!r}\n",
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", CHECK_KINDS)
+def test_check_refuses_a_profile_whose_stages_overflow(kind, sinc_csv, tmp_path, capsys):
+    """A finite node whose stages overflow, as no run's do, rebuilds to a
+    profile that holds inf or nan: every kind exits 2, naming the radius of
+    the first non-finite sample, before any arithmetic on the profile can
+    warn or turn a report into NaN."""
+    with open(sinc_csv) as fh:
+        lines = fh.read().splitlines()
+    row = lines.index("r,u,w") + 30
+    r, u, _ = lines[row].split(",")
+    lines[row] = f"{r},{u},-1.7976931348623157e308"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    sol = pl.read_solution_csv(bad)
+    first = np.flatnonzero(~(np.isfinite(sol.u) & np.isfinite(sol.w)))[0]
+    assert run("check", kind, "--solution", str(bad), "--R", "2") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    if column == "r":
-        assert captured.err == f"error: termination.r must be finite and > 0, got {value}\n"
-        return
-    r = pl.read_solution_csv(sinc_csv).r[499]
-    assert pl.read_solution_csv(bad).r[499] == r
-    assert captured.err.startswith(f"error: profile is not finite at r = {r:.6g}: ")
-    assert f"{column} = {value}" in captured.err
+    assert captured.err.startswith(f"error: profile is not finite at r = {sol.r[first]:.6g}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -10,10 +10,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import plaplab as pl
 from plaplab.errors import ParameterError
+from plaplab.solution import _dense_output
 from plaplab.solver import (
     _blew_up,
     _blowup_event,
-    _dense_output,
     _first_event,
     _float_maximum,
     _step_event,

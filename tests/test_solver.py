@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 import typing
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
 from plaplab.errors import ParameterError, SolutionFormatError
-from plaplab.solution import _du_from_flux
+from plaplab.solution import _du_from_flux, _profile_from_nodes
 
 from conftest import run_bounded, scipy_reference, sinc
 
@@ -572,7 +573,7 @@ def test_start_with_no_accepted_step_is_a_step_failure(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr == ""
-    assert proc.stdout == f"termination=step_failure r=1e-309 samples=2001 out={out}\n"
+    assert proc.stdout == f"termination=step_failure r=1e-309 samples=2001 steps=0 out={out}\n"
     back = pl.read_solution_csv(out)
     assert back.termination == pl.Termination("step_failure", 1e-309)
     assert back.r[-1] == 1e-309
@@ -691,8 +692,9 @@ def test_csv_round_trip_is_exact(sinc_solution):
         assert np.array_equal(getattr(back, name), getattr(sinc_solution, name))
 
 
-# a complete file (sinc instance, r_max = 4, 3 rows); each malformed case
-# below breaks one thing in it
+# a complete file, the one solve writes for the sinc instance at r_max = 4
+# with abs_tol = rel_tol = 1e-3, whose run takes five accepted steps; each
+# malformed case below breaks one thing in it
 VALID_META = """\
 # n=3
 # p=2
@@ -701,38 +703,33 @@ VALID_META = """\
 # K=0
 # u0=1
 # r_max=4
-# abs_tol=1e-10
-# rel_tol=1.0000000000000001e-09
+# abs_tol=0.001
+# rel_tol=0.001
 # zero_threshold=1e-08
 # blowup_threshold=100000000
 # termination=hit_zero
-# termination_r=3.1415926223734867
+# termination_r=3.1437843437081181
 """
-# r, u, du, w of each row; the radii lie on the grid from 0 to termination_r.
-# The writer's u,w layout leaves r and du out; the reader refuses the r,u,w
-# and r,u,du,w layouts of files written before r and du were derived
-VALID_FIELDS = [
-    ("0", "1", "0", "-0"),
-    (
-        "1.5707963111867433",
-        "0.63661977864062869",
-        "-0.40528473266127835",
-        "-0.40528473266127835",
-    ),
-    (
-        "3.1415926223734867",
-        "1.0000000026327382e-08",
-        "-0.31830989204867161",
-        "-0.31830989204867161",
-    ),
+VALID_CONFIG = pl.ShootingConfig(r_max=4.0, abs_tol=1e-3, rel_tol=1e-3)
+# r, u, w of each node: the series start 1e-6 r_max and the full end of each
+# accepted step, the last one at r_max, past the zero at termination_r
+VALID_NODES = [
+    ("3.9999999999999998e-06", "0.99999999999733336", "-1.3333333333333332e-06"),
+    ("0.13351817185794218", "0.99703168212991278", "-0.04442837989256504"),
+    ("0.56096328599037171", "0.94837411763171608", "-0.18117156459728093"),
+    ("1.7336565795459975", "0.56925520733221435", "-0.4216814351981405"),
+    ("3.116495740410171", "0.0087356420790137834", "-0.32282387222643899"),
+    ("4", "-0.21396965480633515", "-0.19639156871726582"),
 ]
+# the writer's r,u,w layout holds nodes; the reader refuses the u,w and
+# r,u,du,w layouts of files that held samples by their header (du equals w
+# at p = 2)
 HEADERS = ("u,w", "r,u,w", "r,u,du,w")
-LEGACY_HEADERS = HEADERS[1:]
 
 
 def _rows(header):
-    keep = [("r", "u", "du", "w").index(name) for name in header.split(",")]
-    return [",".join(fields[k] for k in keep) for fields in VALID_FIELDS]
+    fields = [dict(zip("ruw", node), du=node[2]) for node in VALID_NODES]
+    return [",".join(f[name] for name in header.split(",")) for f in fields]
 
 
 def _csv(header, rows):
@@ -747,6 +744,13 @@ def _edit_first(header, edit):
     return _csv(header, rows)
 
 
+def _with_radius(rows, k, radius):
+    """rows with the radius of rows[k] replaced."""
+    rows = list(rows)
+    rows[k] = radius + rows[k][rows[k].index(",") :]
+    return rows
+
+
 def _malformed(header):
     """(name, text) of each malformed file built from the valid file under
     header; each breaks one thing in it."""
@@ -756,20 +760,40 @@ def _malformed(header):
         return _edit_first(header, lambda f: ",".join(f[:k] + [text] + f[k + 1 :]))
 
     rows = _rows(header)
-    if header == "u,w":  # r is rebuilt from termination_r, which must span a grid
-        text = _csv(header, rows)
-        end = "# termination_r=3.1415926223734867\n"
-        radius_cases = [
-            (f"{value}-termination-radius", text.replace(end, f"# termination_r={value}\n"))
-            for value in ("nan", "inf", "0", "-0", "5e-324")
-        ] + [("one-row", _csv(header, rows[:1]))]
-    else:  # a legacy layout, refused by its header whatever its radii
-        nan_radius = [rows[0], "nan" + rows[1][rows[1].index(",") :], rows[2]]
-        inf_radius = [rows[0], rows[1], "inf" + rows[2][rows[2].index(",") :]]
-        radius_cases = [
-            ("nan-radius", _csv(header, nan_radius)),
-            ("inf-radius", _csv(header, inf_radius)),
-        ]
+    text = _csv(header, rows)
+    end = "# termination_r=3.1437843437081181\n"
+    off_start = "4.0000000000000007e-06"  # the float above the series start 4e-06
+    past_start = "# termination_r=1e-05\n"
+
+    def ending_at(value):
+        return text.replace(end, f"# termination_r={value}\n")
+
+    # the samples span a grid to termination_r, which a run's last step holds
+    termination_cases = [
+        (f"{value}-termination-radius", ending_at(value))
+        for value in ("nan", "inf", "0", "-0", "5e-324")
+    ] + [("one-row", _csv(header, rows[:1]))]
+    nan_inf_radius = [
+        ("nan-radius", _csv(header, _with_radius(rows, 1, "nan"))),
+        ("inf-radius", _csv(header, _with_radius(rows, 2, "inf"))),
+    ]
+    radius_cases = {
+        "u,w": termination_cases,
+        "r,u,du,w": nan_inf_radius,
+        # the nodes of a run: finite, from the series start, radii increasing,
+        # and termination_r inside the last step (r[-2], r[-1]]
+        "r,u,w": nan_inf_radius + termination_cases + [
+            ("repeated-radius", _csv(header, _with_radius(rows, 2, "0.13351817185794218"))),
+            ("falling-radius", _csv(header, _with_radius(rows, 3, "0.5"))),
+            ("radius-from-zero", _csv(header, _with_radius(rows, 0, "0"))),
+            ("radius-off-the-series-start", _csv(header, _with_radius(rows, 0, off_start))),
+            ("termination-radius-on-the-step-start", ending_at("3.116495740410171")),
+            ("termination-radius-past-the-last-node", ending_at("4.0000000000000009")),
+            ("one-row-past-its-radius", _csv(header, rows[:1]).replace(end, past_start)),
+            ("nan-u", _csv(header, [rows[0], "0.13351817185794218,nan,-0.1", *rows[2:]])),
+            ("inf-w", _csv(header, [*rows[:5], "4,-0.2,-inf"])),
+        ],
+    }[header]
 
     return [
         ("no-rows", _csv(header, [])),
@@ -804,28 +828,76 @@ LEGACY_IDS = {
     "extra-column": "five-columns",
 }
 
+# a file of samples, as solve wrote them before the nodes: the sinc instance
+# at r_max = 4 sampled at 3 points from 0 to termination_r, with r, u, du, w
+SAMPLE_CSV = """\
+# n=3
+# p=2
+# a=1
+# sigma=1
+# K=0
+# u0=1
+# r_max=4
+# abs_tol=1e-10
+# rel_tol=1.0000000000000001e-09
+# zero_threshold=1e-08
+# blowup_threshold=100000000
+# termination=hit_zero
+# termination_r=3.1415926223734867
+r,u,du,w
+0,1,0,-0
+1.5707963111867433,0.63661977864062869,-0.40528473266127835,-0.40528473266127835
+3.1415926223734867,1.0000000026327382e-08,-0.31830989204867161,-0.31830989204867161
+"""
+
+
+def _split_at_header(text):
+    """(metadata lines, header, data rows) of a CSV text."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[:k], lines[k], lines[k + 1 :]
+
+
+def _cut(text, header):
+    """A CSV text with its columns cut to those of header."""
+    meta, names, rows = _split_at_header(text)
+    keep = [names.split(",").index(name) for name in header.split(",")]
+    body = "".join(",".join(row.split(",")[k] for k in keep) + "\n" for row in rows)
+    return "".join(line + "\n" for line in meta) + header + "\n" + body
+
+
+def _nodes_of(text):
+    return np.array([[float(x) for x in row.split(",")] for row in _split_at_header(text)[2]]).T
+
 
 def test_valid_csv_reads():
-    """The valid file reads bit for bit, r rebuilt from termination_r and du
-    derived from w, and is written back unchanged."""
-    text = _csv("u,w", _rows("u,w"))
+    """The valid file reads bit for bit: the nodes are its rows, r is the
+    grid from 0 to termination_r, (u, w) is the profile _profile_from_nodes
+    builds from the nodes and du is derived from w.  It is the file solve
+    writes for its run, and it is written back unchanged."""
+    text = _csv("r,u,w", _rows("r,u,w"))
     sol = pl.read_solution_csv(io.StringIO(text))
-    assert sol.config == pl.ShootingConfig(r_max=4.0)
-    for k, name in enumerate(("r", "u", "du", "w")):
-        column = [float(fields[k]) for fields in VALID_FIELDS]
-        if name == "du":  # du copies the sign of w, a zero's included
-            column = np.copysign(column, sol.w)
-        assert np.array_equal(_bits(getattr(sol, name)), _bits(column)), name
-    buf = io.StringIO()
-    pl.write_solution_csv(sol, buf)
-    assert buf.getvalue() == text
+    assert sol.config == VALID_CONFIG
+    assert sol.termination == pl.Termination("hit_zero", 3.1437843437081181)
+    assert np.array_equal(_bits(sol.nodes), _bits(_nodes_of(text)))
+    assert np.array_equal(_bits(sol.r), _bits(np.linspace(0.0, sol.termination.r, 2001)))
+    u, w = _profile_from_nodes(sol.params, sol.space, sol.config, sol.nodes, sol.termination)
+    assert np.array_equal(_bits(sol.u), _bits(u))
+    assert np.array_equal(_bits(sol.w), _bits(w))
+    # du copies the sign of w, the -0.0 at the center included
+    assert np.array_equal(_bits(sol.du), _bits(_du_from_flux(w, 2.0)))
+    assert _bits(sol.du[0]) == _bits(-0.0)
+    for solution in (sol, pl.solve_radial(sol.params, sol.space, VALID_CONFIG)):
+        buf = io.StringIO()
+        pl.write_solution_csv(solution, buf)
+        assert buf.getvalue() == text
 
 
 @pytest.mark.parametrize("value", ["5", "3", "2001", "1e9", "any"])
 def test_csv_output_points_line_is_ignored(value):
     """A retired output_points line, whatever its value and whatever the
     row count, reads back to the solution of the same file without it."""
-    text = _csv("u,w", _rows("u,w"))
+    text = _csv("r,u,w", _rows("r,u,w"))
     old = pl.read_solution_csv(io.StringIO(f"# output_points={value}\n" + text))
     new = pl.read_solution_csv(io.StringIO(text))
     assert (old.params, old.space, old.config, old.termination) == (
@@ -834,7 +906,7 @@ def test_csv_output_points_line_is_ignored(value):
         new.config,
         new.termination,
     )
-    for name in ("r", "u", "w"):
+    for name in ("r", "u", "w", "nodes"):
         assert np.array_equal(_bits(getattr(old, name)), _bits(getattr(new, name)))
 
 
@@ -848,8 +920,9 @@ def test_csv_output_points_line_is_ignored(value):
     + [pytest.param(text, id="r,u,w-" + name) for name, text in _malformed("r,u,w")]
     + [pytest.param(text, id="u,w-" + name) for name, text in _malformed("u,w")]
     + [pytest.param(_edit_first("r,u,du,w", lambda f: "0,1,one,-0"), id="legacy-du-non-numeric")]
-    # the valid file in each legacy layout: r is rebuilt, never read
-    + [pytest.param(_csv(header, _rows(header)), id=header) for header in LEGACY_HEADERS],
+    # a file of samples in each layout that held them: refused by its header,
+    # and under r,u,w by its first radius, 0, which is not the series start
+    + [pytest.param(_cut(SAMPLE_CSV, header), id=header) for header in HEADERS],
 )
 def test_csv_rejects_malformed(text):
     with pytest.raises(SolutionFormatError):
@@ -861,11 +934,11 @@ def test_csv_rejects_malformed(text):
 @pytest.mark.parametrize("rows", ["\r\n\r\n", "\r\r\n\r"])
 def test_csv_without_data_rows_is_refused(header, rows):
     """A data section of lone '\\r' lines, which a StringIO or a file opened
-    with newline='' keeps, has no data rows: under u,w the reader says so,
+    with newline='' keeps, has no data rows: under r,u,w the reader says so,
     under a legacy header it refuses that header first, and np.loadtxt is
     not asked to parse the rows (it would warn)."""
     text = VALID_META + header + "\n" + rows
-    error = "no data rows found" if header == "u,w" else f"unexpected column header: '{header}'"
+    error = "no data rows found" if header == "r,u,w" else f"unexpected column header: '{header}'"
     with pytest.raises(SolutionFormatError, match=f"^{error}$"):
         pl.read_solution_csv(io.StringIO(text, newline=""))
 
@@ -873,22 +946,18 @@ def test_csv_without_data_rows_is_refused(header, rows):
 @pytest.mark.parametrize("header", HEADERS)
 def test_csv_accepts_loose_layout(sinc_solution, header):
     """Blank lines between rows, a space after each comma and \\r\\n line
-    ends read back to the same solution under u,w; under a legacy header
+    ends read back to the same solution under r,u,w; under a legacy header
     the same layout is refused by that header, read without its '\\r'."""
     buf = io.StringIO()
     pl.write_solution_csv(sinc_solution, buf)
-    meta, _, body = buf.getvalue().partition("u,w\n")
-    # the legacy layouts hold r first, and r,u,du,w du between u and w
-    rows = []
-    for (u, w), r, du in zip(
-        (row.split(",") for row in body.splitlines()), sinc_solution.r, sinc_solution.du
-    ):
-        fields = {"r": f"{r:.17g}", "u": u, "du": f"{du:.17g}", "w": w}
-        rows.append(",".join(fields[name] for name in header.split(",")))
+    meta, _, body = buf.getvalue().partition("r,u,w\n")
+    # at p = 2 the legacy du column equals w
+    fields = [dict(zip("ruw", row.split(",")), du=row.split(",")[2]) for row in body.splitlines()]
+    rows = [",".join(f[name] for name in header.split(",")) for f in fields]
     loose = meta + header + "\n\n" + "\n\n".join(r.replace(",", ", ") for r in rows) + "\n"
     # StringIO keeps each '\r', where a file opened by path would drop it
     loose = io.StringIO(loose.replace("\n", "\r\n"))
-    if header != "u,w":
+    if header != "r,u,w":
         with pytest.raises(SolutionFormatError, match=f"^unexpected column header: '{header}'$"):
             pl.read_solution_csv(loose)
         return
@@ -899,7 +968,7 @@ def test_csv_accepts_loose_layout(sinc_solution, header):
         sinc_solution.config,
         sinc_solution.termination,
     )
-    for name in ("r", "u", "du", "w"):
+    for name in ("r", "u", "du", "w", "nodes"):
         assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(sinc_solution, name)))
 
 
@@ -917,27 +986,9 @@ EDGE_FLOATS = [
     1.7976931348623155e308,
 ]
 CSV_VALUES = st.one_of(
-    st.sampled_from(EDGE_FLOATS + [math.inf, -math.inf, math.nan]),
-    st.floats(allow_nan=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
-
-
-# positive finite termination radii: subnormals, the smallest normal, the
-# largest finite values, and any other
-GRID_ENDS = st.one_of(
-    st.sampled_from([x for x in EDGE_FLOATS if 0 < x < math.inf]),
-    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-)
-
-
-@st.composite
-def csv_profiles(draw):
-    """Arbitrary u and w of a common length of 2 to 31 samples."""
-    m = draw(st.integers(min_value=2, max_value=31))
-    return tuple(
-        np.array(draw(st.lists(CSV_VALUES, min_size=m, max_size=m)), dtype=float)
-        for _ in range(2)
-    )
 
 
 def _bits(x):
@@ -960,56 +1011,113 @@ def test_du_copies_the_sign_of_w(sinc_solution, p):
     assert np.array_equal(_bits(sol.du), _bits(expected))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(profile=csv_profiles(), r_end=GRID_ENDS, p=st.sampled_from([1.25, 2.0, 3.5]))
-@example(
-    profile=tuple(
-        np.array(col, dtype=float)
-        for col in (
-            [math.nan, -0.0, 5e-324, -1.7976931348623157e308],
-            [-5e-324, 1e-310, 0.1, 1.7976931348623155e308],
-        )
-    ),
-    r_end=1.7976931348623157e308,
-    p=1.25,
-)
-@example(  # the grid's step is the smallest subnormal
-    profile=(np.array([1.0, 0.5, -0.0]), np.array([-0.0, -2.5, math.inf])),
-    r_end=1e-323,
-    p=2.0,
-)
-def test_csv_round_trip_property(sinc_solution, profile, r_end, p):
-    """Data rows equal the per-value '{:.17g}' text of u, w that the
-    row-by-row writer produced; r is the grid from 0 to the termination
-    radius bit for bit on both sides, u, w and that radius read back bit
-    for bit, and du is the flux helper's output on both sides."""
-    u, w = profile
-    m = len(u)
-    assume(r_end / (m - 1) > 0)  # a grid step that underflows to 0 is refused
-    sol = dataclasses.replace(
-        sinc_solution,
-        params=dataclasses.replace(sinc_solution.params, p=p),
-        u=u,
-        w=w,
-        termination=pl.Termination("reached_rmax", r_end),
-    )
+def _round_trip(solution):
+    """(text, read-back solution) of a solution written as CSV."""
     buf = io.StringIO()
-    pl.write_solution_csv(sol, buf)
+    pl.write_solution_csv(solution, buf)
     text = buf.getvalue()
-    expected_rows = [",".join("{:.17g}".format(x) for x in row) for row in zip(u, w)]
-    assert text.splitlines()[-m - 1:] == ["u,w"] + expected_rows
-    assert "# termination_r={:.17g}\n".format(r_end) in text
-    back = pl.read_solution_csv(io.StringIO(text))
-    with np.errstate(over="ignore"):  # (m - 1) * step may pass the float maximum
-        r = np.linspace(0.0, r_end, m)
-    for name, col in zip(("r", "u", "w"), (r, u, w)):
-        assert np.array_equal(_bits(getattr(sol, name)), _bits(col))
-        assert np.array_equal(_bits(getattr(back, name)), _bits(col))
-    assert _bits(back.r_end) == _bits(back.termination.r) == _bits(r_end)
-    with np.errstate(all="ignore"):  # the drawn w include values that overflow
-        du = _du_from_flux(w, p)
-        assert np.array_equal(_bits(sol.du), _bits(du))
-        assert np.array_equal(_bits(back.du), _bits(du))
+    return text, pl.read_solution_csv(io.StringIO(text))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(min_value=3, max_value=6),
+    p=st.floats(min_value=1.1, max_value=11.0, exclude_min=True),
+    a=st.sampled_from([-1.0, 1.0]),
+    sigma=st.one_of(st.floats(min_value=-0.9, max_value=-0.05), st.floats(0.05, 6.0)),
+    K=st.sampled_from([0.0, 1.0]),
+    r_max=st.sampled_from([2.0, 8.0, 30.0]),
+)
+@example(n=3, p=2.0, a=1.0, sigma=1.0, K=0.0, r_max=2.0)  # reached_rmax
+@example(n=3, p=2.0, a=1.0, sigma=1.0, K=0.0, r_max=4.0)  # hit_zero
+@example(n=3, p=2.0, a=-1.0, sigma=3.0, K=0.0, r_max=5.0)  # blow_up
+@example(n=3, p=1.2, a=-1.0, sigma=3.0, K=0.0, r_max=10.0)  # step_failure
+@example(n=3, p=2.0, a=1.0, sigma=1.0, K=0.0, r_max=1e-303)  # step_failure at the start
+def test_csv_round_trip_property(n, p, a, sigma, K, r_max):
+    """A solved profile's CSV round trip is exact for every termination
+    kind: the data rows are the per-value '{:.17g}' text of the nodes, and
+    r, u, du, w, the nodes and the termination read back bit for bit."""
+    assume(p < 2 * n - 1)
+    params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
+    solved = pl.solve_radial(params, pl.ModelSpace(n=n, K=K), pl.ShootingConfig(r_max=r_max))
+    text, back = _round_trip(solved)
+    expected = [",".join("{:.17g}".format(x) for x in node) for node in solved.nodes.T]
+    assert text.splitlines()[-len(expected) - 1 :] == ["r,u,w"] + expected
+    assert (back.params, back.space, back.config) == (solved.params, solved.space, solved.config)
+    assert back.termination == solved.termination
+    assert _bits(back.termination.r) == _bits(solved.termination.r)
+    with np.errstate(all="ignore"):  # a blow-up's du may overflow, on both sides alike
+        for name in ("r", "u", "du", "w", "nodes"):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(solved, name))), name
+
+
+@pytest.mark.parametrize(
+    "n, p, a, sigma, K, r_max, kind",
+    [
+        (3, 2.0, 1.0, 1.0, 0.0, 2.0, "reached_rmax"),
+        (3, 2.0, 1.0, 1.0, 0.0, 4.0, "hit_zero"),
+        (4, 3.0, 3.0, 2.0, 1.0, 8.0, "hit_zero"),
+        (3, 2.0, -1.0, 3.0, 0.0, 5.0, "blow_up"),
+        (3, 1.2, -1.0, 3.0, 0.0, 10.0, "step_failure"),
+        (3, 2.0, 1.0, 1.0, 0.0, 1e-303, "step_failure"),
+    ],
+)
+def test_profile_is_built_from_the_nodes(n, p, a, sigma, K, r_max, kind):
+    """solve_radial's profile is _profile_from_nodes of its own nodes, bit
+    for bit, and the nodes are what the CSV reader takes: finite, from the
+    series start, their radii increasing, with the termination radius in
+    the last step (r[-2], r[-1]], or at the start with no accepted step."""
+    params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
+    space = pl.ModelSpace(n=n, K=K)
+    config = pl.ShootingConfig(r_max=r_max)
+    sol = pl.solve_radial(params, space, config)
+    assert sol.termination.kind == kind
+    u, w = _profile_from_nodes(params, space, config, sol.nodes, sol.termination)
+    assert np.array_equal(_bits(sol.u), _bits(u))
+    assert np.array_equal(_bits(sol.w), _bits(w))
+    r = sol.nodes[0]
+    assert np.isfinite(sol.nodes).all()
+    assert r[0] == 1e-6 * r_max
+    assert np.all(np.diff(r) > 0)
+    if r.size == 1:
+        assert sol.termination.r == r[0]
+    else:
+        assert r[-2] < sol.termination.r <= r[-1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), p=st.sampled_from([1.25, 2.0, 3.5]))
+def test_csv_node_values_round_trip(sinc_solution, data, p):
+    """Any finite u and w at the nodes, edge floats included, are written as
+    their '{:.17g}' text and read back bit for bit, with the profile that
+    _profile_from_nodes builds from them, inf or nan where the stages
+    overflow (at p = 1.25, |w|^4 overflows libm's pow)."""
+    m = sinc_solution.nodes.shape[1]
+    u, w = (data.draw(st.lists(CSV_VALUES, min_size=m, max_size=m)) for _ in range(2))
+    nodes = np.array([sinc_solution.nodes[0], u, w])
+    params = dataclasses.replace(sinc_solution.params, p=p)
+    text, back = _round_trip(dataclasses.replace(sinc_solution, params=params, nodes=nodes))
+    expected = [",".join("{:.17g}".format(x) for x in node) for node in nodes.T]
+    assert text.splitlines()[-m:] == expected
+    assert np.array_equal(_bits(back.nodes), _bits(nodes))
+    profile = _profile_from_nodes(
+        back.params, back.space, back.config, nodes, back.termination
+    )
+    for name, column in zip(("u", "w"), profile):
+        assert np.array_equal(_bits(getattr(back, name)), _bits(column))
+
+
+def test_write_refuses_a_profile_without_nodes(sinc_solution):
+    """A profile sampled by hand has no nodes: it can be checked, but the
+    CSV, which stores nodes, refuses it with one line."""
+    sampled = dataclasses.replace(sinc_solution, nodes=None)
+    pl.check_gradient_estimate(sampled, 2.0)
+    buf = io.StringIO()
+    with pytest.raises(
+        ParameterError, match="^only a solved profile can be written: this one has no nodes$"
+    ):
+        pl.write_solution_csv(sampled, buf)
+    assert buf.getvalue() == ""
 
 
 # written when ShootingConfig still had min_step and output_points fields and
@@ -1068,64 +1176,54 @@ r,u,du,w
 RETIRED_KEYS = ("# min_step=", "# output_points=", "# termination_detail=")
 
 
-def _split_at_header(text):
-    """(metadata lines, header, data rows) of a CSV text."""
-    lines = text.splitlines()
-    k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    return lines[:k], lines[k], lines[k + 1 :]
-
-
-def _as_u_w(text):
-    """A legacy CSV text with its columns cut to the u,w layout."""
-    meta, header, rows = _split_at_header(text)
-    names = header.split(",")
-    iu, iw = names.index("u"), names.index("w")
-    body = "".join(f"{f[iu]},{f[iw]}\n" for f in (row.split(",") for row in rows))
-    return "".join(line + "\n" for line in meta) + "u,w\n" + body
+def _with_solved_nodes(text, params):
+    """A retired CSV text, its metadata kept, with its rows replaced by the
+    node rows of today's solve of the run it records."""
+    config = pl.ShootingConfig(r_max=float(re.search(r"# r_max=(.*)", text)[1]))
+    solved = pl.solve_radial(params, pl.ModelSpace(n=3, K=0.0), config)
+    buf = io.StringIO()
+    pl.write_solution_csv(solved, buf)
+    meta = _split_at_header(text)[0]
+    _, header, rows = _split_at_header(buf.getvalue())
+    return "".join(line + "\n" for line in [*meta, header, *rows])
 
 
 @pytest.mark.parametrize(
-    "text, config, termination",
+    "text, params, termination",
     [
         (
             RETIRED_MIN_STEP_CSV,
-            pl.ShootingConfig(r_max=4.0),
+            pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0),
             pl.Termination("hit_zero", 3.1415926223734867),
         ),
         (
             RETIRED_DETAIL_CSV,
-            pl.ShootingConfig(r_max=10.0),
+            pl.EquationParams(n=3, p=1.2, a=-1.0, sigma=3.0),
             pl.Termination("step_failure", 2.762878305266515),
         ),
     ],
     ids=["min_step", "termination_detail"],
 )
-def test_csv_with_retired_keys_reads_back(text, config, termination):
-    """Retired keys are ignored: each file, in the u,w layout, reads back to
-    the solution its text without those lines gives, with du derived from
-    w, and is written back as that text."""
-    old = pl.read_solution_csv(io.StringIO(_as_u_w(text)))
-    current = _as_u_w(
-        "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith(RETIRED_KEYS))
+def test_csv_with_retired_keys_reads_back(text, params, termination):
+    """Retired keys are ignored: each file's metadata over the nodes of its
+    run reads back to the solution its text without those lines gives, and
+    is written back as that text."""
+    old_text = _with_solved_nodes(text, params)
+    current = "".join(
+        ln for ln in old_text.splitlines(keepends=True) if not ln.startswith(RETIRED_KEYS)
     )
-    assert current != _as_u_w(text)
+    assert current != old_text
+    old = pl.read_solution_csv(io.StringIO(old_text))
     new = pl.read_solution_csv(io.StringIO(current))
-    assert (old.config, old.termination) == (config, termination)
+    assert (old.params, old.termination) == (params, termination)
     assert (old.params, old.space, old.config, old.termination) == (
         new.params,
         new.space,
         new.config,
         new.termination,
     )
-    for name in ("r", "u", "du", "w"):
-        assert np.array_equal(getattr(old, name), getattr(new, name))
-    # the du column these files carry is the derived one, bit for bit, but
-    # for the sign of a zero: it was written as sgn(w) |w|^(1/(p-1)), which
-    # is +0.0 at w = -0.0, and du now copies the sign of w
-    _, _, rows = _split_at_header(text)
-    file_du = np.copysign([float(row.split(",")[2]) for row in rows], old.w)
-    assert np.array_equal(_bits(old.du), _bits(file_du))
-    assert np.array_equal(_bits(old.du), _bits(_du_from_flux(old.w, old.params.p)))
+    for name in ("r", "u", "du", "w", "nodes"):
+        assert np.array_equal(_bits(getattr(old, name)), _bits(getattr(new, name)))
     buf = io.StringIO()
     pl.write_solution_csv(old, buf)
     assert buf.getvalue() == current
@@ -1133,24 +1231,29 @@ def test_csv_with_retired_keys_reads_back(text, config, termination):
 
 @pytest.mark.parametrize(
     "text",
-    [_csv(header, _rows(header)) for header in LEGACY_HEADERS]
-    + [RETIRED_MIN_STEP_CSV, RETIRED_DETAIL_CSV],
-    ids=list(LEGACY_HEADERS) + ["min_step", "termination_detail"],
+    [_cut(SAMPLE_CSV, "r,u,w"), SAMPLE_CSV, RETIRED_MIN_STEP_CSV, RETIRED_DETAIL_CSV],
+    ids=["r,u,w", "r,u,du,w", "min_step", "termination_detail"],
 )
 def test_csv_refuses_a_radius_off_the_grid(text):
-    """No radius is read from a file, so none off the grid reaches a
-    RadialSolution: a file that carries r, here with one radius a float
-    step off the grid, is refused by its header, while its u,w form reads
-    with r rebuilt from termination_r as the file's radii, bit for bit."""
+    """No sample radius is read from a file, so none off the grid reaches a
+    RadialSolution: r is the grid from 0 to termination_r, whatever the
+    node radii.  A file of samples, which carries their radii, here with
+    one radius a float step off the grid, is refused: under r,u,w by its
+    first radius, 0, which is not the series start, and under r,u,du,w by
+    its header."""
     meta, header, rows = _split_at_header(text)
-    radii = [float(row.split(",")[0]) for row in rows]
-    back = pl.read_solution_csv(io.StringIO(_as_u_w(text)))
-    assert np.array_equal(_bits(back.r), _bits(radii))
     r, rest = rows[1].split(",", 1)
     rows[1] = f"{np.nextafter(float(r), 0.0):.17g},{rest}"
     off = "\n".join([*meta, header, *rows]) + "\n"
-    with pytest.raises(SolutionFormatError, match=f"^unexpected column header: '{header}'$"):
+    error = (
+        "first radius 0.0 is not the series start 1e-06 r_max = 4e-06"
+        if header == "r,u,w"
+        else f"unexpected column header: '{header}'"
+    )
+    with pytest.raises(SolutionFormatError, match=f"^{re.escape(error)}$"):
         pl.read_solution_csv(io.StringIO(off))
+    back = pl.read_solution_csv(io.StringIO(_csv("r,u,w", _rows("r,u,w"))))
+    assert np.array_equal(_bits(back.r), _bits(np.linspace(0.0, back.termination.r, 2001)))
 
 
 def test_config_metadata_follows_fields(sinc_solution):
