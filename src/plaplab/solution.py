@@ -91,7 +91,7 @@ class Termination:
             raise ParameterError(f"unknown termination kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RadialSolution:
     """Uniformly resampled radial profile (u, flux w) plus verdict.
 
@@ -102,25 +102,46 @@ class RadialSolution:
     derivative du = u' is not stored either: it is a function of the flux,
     u' = sgn(w) |w|^(1/(p-1)), computed from w and params.p on first use.
 
-    nodes is the (3, m) array of r, u, w at the series start and at the
-    full end of each of the run's m - 1 accepted steps, from which a solved
-    profile's (u, w) is _profile_from_nodes; it is what the CSV stores.  A
-    profile sampled by hand has nodes None: it can be checked, not written.
+    A solved profile is given by its nodes alone, the (3, m) array of r, u,
+    w at the series start and at the full end of each of the run's m - 1
+    accepted steps: construction refuses nodes that no run ends with and
+    sets (u, w) on 2001 samples to _profile_from_nodes of them, so the
+    nodes, which the CSV stores, are the one source of the profile.  Given
+    with nodes, u or w is refused, as is a copy by dataclasses.replace of a
+    solved profile that keeps its nodes.  A profile sampled by hand is given
+    by u and w, with nodes None: it can be checked, not written.
     """
 
     params: EquationParams
     space: ModelSpace
     config: ShootingConfig
-    u: np.ndarray
-    w: np.ndarray
+    u: np.ndarray | None = None
+    w: np.ndarray | None = None
     termination: Termination
     nodes: np.ndarray | None = None
 
     def __post_init__(self):
         _dimension(self.params, self.space)
-        if len(self.u) != len(self.w):
-            raise ParameterError("grid arrays must have equal length")
-        object.__setattr__(self, "r", _grid(self.termination.r, len(self.u)))
+        sampled = self.u is not None or self.w is not None
+        if sampled or self.nodes is None:
+            if self.u is None or self.w is None:
+                raise ParameterError("a profile is given by its nodes, or by both u and w")
+            if len(self.u) != len(self.w):
+                raise ParameterError("grid arrays must have equal length")
+        r = _grid(self.termination.r, len(self.u) if sampled else _OUTPUT_POINTS)
+        if self.nodes is not None:
+            if sampled:
+                raise ParameterError(
+                    "a solved profile's u and w are built from its nodes:"
+                    " sample one by hand with nodes=None"
+                )
+            _require_nodes(self.nodes, _run_limits(self.config)[3], self.termination.r)
+            u, w = _profile_from_nodes(
+                self.params, self.space, self.config, self.nodes, self.termination
+            )
+            object.__setattr__(self, "u", u)
+            object.__setattr__(self, "w", w)
+        object.__setattr__(self, "r", r)
 
     @property
     def r_end(self) -> float:
@@ -302,12 +323,12 @@ def _inner_stages(stages, y, h, damping, consts, u_floor, power=np.power):
 
 def _libm_power(x, y):
     """x ** y elementwise by libm's pow, for a float exponent y; numpy's, inf
-    where it overflows, if an element overflows, which only a hand-edited
-    node's stage can."""
+    where it overflows or divides by zero, if an element does, which only a
+    hand-edited node's stage can."""
     try:
         values = map(math.pow, x.ravel().tolist(), repeat(y))
         return np.fromiter(values, float, x.size).reshape(x.shape)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: 0 to a negative power
         return np.power(x, y)
 
 
@@ -648,10 +669,11 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     """Write a solution as CSV: metadata comment lines, the header r,u,w
     and one row per node.
 
-    The 2001 samples are not written: the reader rebuilds them from the
-    nodes by _profile_from_nodes, as solve_radial built them, and du from
-    w.  Decimal output carries 17 significant digits, enough to round-trip
-    float64 exactly.  A profile without nodes, sampled by hand, is refused.
+    The 2001 samples are not written: a solved profile's (u, w) are
+    _profile_from_nodes of its nodes, which the reader builds again, and du
+    follows from w.  Decimal output carries 17 significant digits, enough to
+    round-trip float64 exactly.  A profile without nodes, sampled by hand,
+    is refused.
     """
     if solution.nodes is None:
         raise ParameterError("only a solved profile can be written: this one has no nodes")
@@ -715,30 +737,37 @@ def _refuse_row(rows, start, k, problem):
     ) from None
 
 
-def _require_nodes(nodes, r_start, r_end, rows, start):
-    """Refuse nodes that no run ends with: a non-finite value, radii that
-    do not increase strictly, a first radius other than the series start,
-    and a termination radius outside the last step (r[-2], r[-1]], or other
-    than r[0] with one node.  A refused row is named by its file line."""
+def _bad_nodes(nodes):
+    """Mask of the nodes that are not finite or do not increase the radius."""
     bad = ~np.isfinite(nodes).all(axis=0)
     bad[1:] |= ~(nodes[0, 1:] > nodes[0, :-1])
+    return bad
+
+
+def _require_nodes(nodes, r_start, r_end):
+    """Refuse nodes that no run ends with: an array other than 3 rows of
+    at least one node, a non-finite value, radii that do not increase
+    strictly, a first radius other than the series start, and a
+    termination radius outside the last step (r[-2], r[-1]], or other than
+    r[0] with one node."""
+    if np.ndim(nodes) != 2 or np.shape(nodes)[0] != 3 or np.size(nodes) == 0:
+        raise ParameterError(f"nodes must be a (3, m) array of r, u, w, got {np.shape(nodes)}")
+    bad = _bad_nodes(nodes)
     if bad.any():
         j = int(np.argmax(bad))
-        k = [i for i, row in enumerate(rows) if row.strip("\r")][j]  # loadtxt skips blanks
-        if np.isfinite(nodes[:, j]).all():
-            _refuse_row(rows, start, k, "does not increase the radius")
-        _refuse_row(rows, start, k, "holds a non-finite node")
+        raise ParameterError(
+            f"node {j} (r, u, w) = {tuple(nodes[:, j].tolist())} is not finite"
+            " or does not increase the radius"
+        )
     r = nodes[0].tolist()
     if r[0] != r_start:
-        raise SolutionFormatError(
+        raise ParameterError(
             f"first radius {r[0]!r} is not the series start {_SERIES_FRACTION} r_max = {r_start!r}"
         )
     if len(r) == 1 and r_end != r[0]:
-        raise SolutionFormatError(
-            f"termination_r = {r_end!r} is not the one node's radius {r[0]!r}"
-        )
+        raise ParameterError(f"termination_r = {r_end!r} is not the one node's radius {r[0]!r}")
     if len(r) > 1 and not r[-2] < r_end <= r[-1]:
-        raise SolutionFormatError(
+        raise ParameterError(
             f"termination_r = {r_end!r} is outside the last step ({r[-2]!r}, {r[-1]!r}]"
         )
 
@@ -747,17 +776,17 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
     Below the header r,u,w a data row is three comma-separated plain
-    decimal fields, a node r, u, w; the profile on the 2001-sample grid to
-    termination_r is rebuilt from the nodes by _profile_from_nodes, and du
-    from w.  The nodes must be finite, their radii must increase strictly
-    from the series start 1e-6 r_max, and termination_r must lie in the last
-    step (r[-2], r[-1]], or equal r[0] with one node.  Any other header,
-    such as the u,w of files that stored the 2001 samples, is refused.
-    Metadata lines go above the header; keys that name no field, such as
-    the retired min_step, output_points and termination_detail, are
-    ignored.  Below the header a '#' line or a line of spaces is refused;
-    a refused row is named by its file line.  Blank lines, spaces around
-    fields and \r\n line ends read.
+    decimal fields, a node r, u, w; the RadialSolution of the nodes
+    rebuilds the profile on the 2001-sample grid to termination_r from them
+    by _profile_from_nodes, and du from w.  The nodes must be finite, their
+    radii must increase strictly from the series start 1e-6 r_max, and
+    termination_r must lie in the last step (r[-2], r[-1]], or equal r[0]
+    with one node.  Any other header, such as the u,w of files that stored
+    the 2001 samples, is refused.  Metadata lines go above the header;
+    keys that name no field, such as the retired min_step, output_points
+    and termination_detail, are ignored.  Below the header a '#' line or a
+    line of spaces is refused; a refused row is named by its file line.
+    Blank lines, spaces around fields and \r\n line ends read.
     """
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().split("\n")
@@ -784,17 +813,16 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     except (KeyError, ValueError) as exc:
         raise SolutionFormatError(f"bad or missing metadata: {exc}") from exc
     nodes = data.T
+    bad = _bad_nodes(nodes)
+    if bad.any():  # named by its file line; RadialSolution refuses the rest
+        j = int(np.argmax(bad))
+        k = [i for i, row in enumerate(rows) if row.strip("\r")][j]  # loadtxt skips blanks
+        if np.isfinite(nodes[:, j]).all():
+            _refuse_row(rows, start, k, "does not increase the radius")
+        _refuse_row(rows, start, k, "holds a non-finite node")
     try:
-        _require_nodes(nodes, _run_limits(config)[3], termination.r, rows, start)
-        u, w = _profile_from_nodes(params, space, config, nodes, termination)
         return RadialSolution(
-            params=params,
-            space=space,
-            config=config,
-            u=u,
-            w=w,
-            termination=termination,
-            nodes=nodes,
+            params=params, space=space, config=config, termination=termination, nodes=nodes
         )
     except ParameterError as exc:
         raise SolutionFormatError(str(exc)) from exc

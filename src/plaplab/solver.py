@@ -38,7 +38,6 @@ from .solution import (
     _dense_output,
     _dimension,
     _inner_stages,
-    _profile_from_nodes,
     _rhs,
     _run_limits,
     _series_u,
@@ -214,16 +213,12 @@ def solve_radial(
         termination = Termination("hit_zero" if hit else "blow_up", r_event)
     else:
         termination = Termination("reached_rmax", r_max)
-    nodes = np.array(nodes).T
-    u, w = _profile_from_nodes(params, space, config, nodes, termination)
     return RadialSolution(
         params=params,
         space=space,
         config=config,
-        u=u,
-        w=w,
         termination=termination,
-        nodes=nodes,
+        nodes=np.array(nodes).T,
     )
 
 

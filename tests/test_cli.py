@@ -396,14 +396,13 @@ def test_check_refuses_a_radius_off_the_grid(sinc_csv, tmp_path, capsys):
     their radii on the grid, in the r,u,w layout of files written before the
     u,w layout, is invalid input, exit 2, since its first radius is 0 and
     not the series start; so is the u,w layout itself, and a termination
-    radius of 0 or 5e-324, outside the last step."""
+    radius of 0 or one whose grid step underflows to 0."""
     text = Path(sinc_csv).read_text()
     meta, _, _ = text.partition("r,u,w\n")
     sol = pl.read_solution_csv(sinc_csv)
     samples = [f"{r:.17g},{u:.17g},{w:.17g}" for r, u, w in zip(sol.r, sol.u, sol.w)]
     end = f"# termination_r={sol.r_end:.17g}\n"
     assert end in meta
-    last_step = "({!r}, {!r}]".format(*sol.nodes[0, -2:].tolist())
     bad = tmp_path / "bad.csv"
     for content, error in [
         (
@@ -416,11 +415,11 @@ def test_check_refuses_a_radius_off_the_grid(sinc_csv, tmp_path, capsys):
         ),
         (
             text.replace(end, "# termination_r=0\n"),
-            f"termination_r = 0.0 is outside the last step {last_step}",
+            "termination.r must be finite and > 0, got 0.0",
         ),
         (
             text.replace(end, "# termination_r=5e-324\n"),
-            f"termination_r = 5e-324 is outside the last step {last_step}",
+            "2001 samples from 0 to termination.r = 5e-324 do not increase strictly",
         ),
     ]:
         bad.write_text(content)
@@ -781,16 +780,24 @@ def test_check_non_finite_profile_is_invalid(kind, column, value, sinc_csv, tmp_
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", CHECK_KINDS)
-def test_check_refuses_a_profile_whose_stages_overflow(kind, sinc_csv, tmp_path, capsys):
+@pytest.mark.parametrize("edit", ["overflow", "zero-to-a-negative-power"])
+def test_check_refuses_a_profile_whose_stages_overflow(kind, edit, sinc_csv, tmp_path, capsys):
     """A finite node whose stages overflow, as no run's do, rebuilds to a
     profile that holds inf or nan: every kind exits 2, naming the radius of
     the first non-finite sample, before any arithmetic on the profile can
-    warn or turn a report into NaN."""
+    warn or turn a report into NaN.  So does a node u = 0 under sigma < 0
+    and zero_threshold = 5e-324, whose floor 0.5 * 5e-324 rounds to 0, so
+    that a stage takes 0 to a negative power."""
     with open(sinc_csv) as fh:
         lines = fh.read().splitlines()
     row = lines.index("r,u,w") + 30
-    r, u, _ = lines[row].split(",")
-    lines[row] = f"{r},{u},-1.7976931348623157e308"
+    r, u, w = lines[row].split(",")
+    if edit == "overflow":
+        lines[row] = f"{r},{u},-1.7976931348623157e308"
+    else:
+        lines[row] = f"{r},0,{w}"
+        lines[lines.index("# sigma=1")] = "# sigma=-0.5"
+        lines[lines.index("# zero_threshold=1e-08")] = "# zero_threshold=5e-324"
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     sol = pl.read_solution_csv(bad)

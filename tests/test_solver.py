@@ -466,10 +466,14 @@ def test_radial_solution_rejects_unequal_lengths(sinc_solution):
             dataclasses.replace(sinc_solution, **{field: shorter})
 
 
+@pytest.mark.filterwarnings("error")
 def test_radial_solution_r_is_the_grid_to_termination_r(sinc_solution):
     """r is not a field but np.linspace(0, termination.r, len(u)) bit for
     bit, and r_end is termination.r; a termination radius of 0, -0, inf or
-    nan, or one whose grid step underflows to 0, is refused."""
+    nan, or one whose grid step underflows to 0, is refused.  At the edges
+    of float64 r is linspace too, without a warning: near the float maximum,
+    where linspace's (m - 1) * step overflows, and at subnormal radii over
+    a few samples, for a sampled profile and for one read from its nodes."""
     r, end = sinc_solution.r, sinc_solution.termination.r
     assert "r" not in {f.name for f in dataclasses.fields(pl.RadialSolution)}
     assert np.array_equal(_bits(r), _bits(np.linspace(0.0, end, len(sinc_solution.u))))
@@ -479,12 +483,64 @@ def test_radial_solution_r_is_the_grid_to_termination_r(sinc_solution):
         with pytest.raises(ParameterError, match="^termination.r must be finite and > 0"):
             dataclasses.replace(sinc_solution, termination=termination)
     # the grid step 1e-309 / 2000 is a subnormal above 0; 5e-324 / 2000 is 0
-    tiny = dataclasses.replace(sinc_solution, termination=pl.Termination("step_failure", 1e-309))
+    sampled = dataclasses.replace(sinc_solution, nodes=None)
+    tiny = dataclasses.replace(sampled, termination=pl.Termination("step_failure", 1e-309))
     assert np.array_equal(_bits(tiny.r), _bits(np.linspace(0.0, 1e-309, 2001)))
     with pytest.raises(ParameterError, match="do not increase strictly"):
         dataclasses.replace(sinc_solution, termination=pl.Termination("step_failure", 5e-324))
     with pytest.raises(ParameterError, match="1 samples .* do not increase strictly"):
         dataclasses.replace(sinc_solution, u=sinc_solution.u[:1], w=sinc_solution.w[:1])
+    for end in (x for x in EDGE_FLOATS if x > 0):
+        for m in (2, 3, 4, 31):
+            if end / (m - 1) == 0:  # refused, as 5e-324 over 2001 samples above
+                continue
+            with np.errstate(over="ignore"):  # (m - 1) * step may pass the float maximum
+                grid = np.linspace(0.0, end, m)
+            edge = dataclasses.replace(
+                sampled, u=np.ones(m), w=np.zeros(m), termination=pl.Termination("blow_up", end)
+            )
+            assert np.array_equal(_bits(edge.r), _bits(grid)), (end, m)
+            assert _bits(edge.r_end) == _bits(end)
+        if end < 1.0:
+            continue
+        # a node file whose one step ends there, as a hand-written one may
+        nodes = np.array([[sinc_solution.nodes[0, 0], end], [1.0, 0.5], [-0.0, -1.0]])
+        termination = pl.Termination("blow_up", end)
+        solved = pl.RadialSolution(
+            params=sinc_solution.params,
+            space=sinc_solution.space,
+            config=sinc_solution.config,
+            termination=termination,
+            nodes=nodes,
+        )
+        _, back = _round_trip(solved)
+        with np.errstate(over="ignore"):
+            grid = np.linspace(0.0, end, 2001)
+        assert np.array_equal(_bits(back.r), _bits(grid)), end
+        assert back.termination == termination
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    end=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    m=st.integers(min_value=2, max_value=31),
+)
+@example(end=1.7976931348623157e308, m=4)
+@example(end=1e-323, m=3)  # the grid's step is the smallest subnormal
+def test_radial_solution_grid_at_any_finite_radius(sinc_solution, end, m):
+    """Any positive finite termination radius over m samples gives the grid
+    np.linspace(0, r_end, m) bit for bit, without a warning, unless its step
+    underflows to 0, which is refused."""
+    sampled = dataclasses.replace(sinc_solution, nodes=None)
+    termination = pl.Termination("reached_rmax", end)
+    if end / (m - 1) == 0:
+        with pytest.raises(ParameterError, match="do not increase strictly"):
+            dataclasses.replace(sampled, u=np.ones(m), w=np.ones(m), termination=termination)
+        return
+    edge = dataclasses.replace(sampled, u=np.ones(m), w=np.ones(m), termination=termination)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_bits(edge.r), _bits(np.linspace(0.0, end, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -1003,6 +1059,7 @@ def test_du_copies_the_sign_of_w(sinc_solution, p):
     w = np.array([-0.0, 0.0, -2.5, 3.0, -5e-324])
     sol = dataclasses.replace(
         sinc_solution,
+        nodes=None,
         params=dataclasses.replace(sinc_solution.params, p=p),
         u=np.ones(5),
         w=w,
@@ -1095,8 +1152,14 @@ def test_csv_node_values_round_trip(sinc_solution, data, p):
     m = sinc_solution.nodes.shape[1]
     u, w = (data.draw(st.lists(CSV_VALUES, min_size=m, max_size=m)) for _ in range(2))
     nodes = np.array([sinc_solution.nodes[0], u, w])
-    params = dataclasses.replace(sinc_solution.params, p=p)
-    text, back = _round_trip(dataclasses.replace(sinc_solution, params=params, nodes=nodes))
+    sol = pl.RadialSolution(
+        params=dataclasses.replace(sinc_solution.params, p=p),
+        space=sinc_solution.space,
+        config=sinc_solution.config,
+        termination=sinc_solution.termination,
+        nodes=nodes,
+    )
+    text, back = _round_trip(sol)
     expected = [",".join("{:.17g}".format(x) for x in node) for node in nodes.T]
     assert text.splitlines()[-m:] == expected
     assert np.array_equal(_bits(back.nodes), _bits(nodes))
@@ -1104,7 +1167,64 @@ def test_csv_node_values_round_trip(sinc_solution, data, p):
         back.params, back.space, back.config, nodes, back.termination
     )
     for name, column in zip(("u", "w"), profile):
+        assert np.array_equal(_bits(getattr(sol, name)), _bits(column))
         assert np.array_equal(_bits(getattr(back, name)), _bits(column))
+
+
+def test_solved_profile_is_its_nodes(sinc_solution):
+    """A RadialSolution given nodes builds its u and w from them and refuses
+    u or w given besides, so a copy of a solved profile by
+    dataclasses.replace that keeps the nodes is refused, whatever it
+    replaces; and it refuses nodes that no run ends with, so the writer
+    never writes what the reader refuses.  A profile needs its nodes or
+    both u and w."""
+    fields = dict(
+        params=sinc_solution.params,
+        space=sinc_solution.space,
+        config=sinc_solution.config,
+        termination=sinc_solution.termination,
+    )
+    nodes = sinc_solution.nodes
+    solved = pl.RadialSolution(**fields, nodes=nodes)
+    for name in ("r", "u", "w"):
+        assert np.array_equal(_bits(getattr(solved, name)), _bits(getattr(sinc_solution, name)))
+    built = (
+        "^a solved profile's u and w are built from its nodes: sample one by hand with nodes=None$"
+    )
+    last_step = "({!r}, {!r}]".format(*nodes[0, -2:].tolist())
+    shorter = pl.Termination("hit_zero", float(np.mean(nodes[0, -2:])))
+    for changes in (
+        dict(u=1.5 * sinc_solution.u),
+        dict(w=2.0 * sinc_solution.w),
+        dict(termination=shorter),
+        dict(params=dataclasses.replace(sinc_solution.params, a=2.0)),
+    ):
+        with pytest.raises(ParameterError, match=built):
+            dataclasses.replace(sinc_solution, **changes)
+    with pytest.raises(ParameterError, match=built):
+        pl.RadialSolution(**fields, u=sinc_solution.u, w=sinc_solution.w, nodes=nodes)
+    for u, w in ((None, None), (sinc_solution.u, None), (None, sinc_solution.w)):
+        with pytest.raises(ParameterError, match="^a profile is given by its nodes, or by both u"):
+            pl.RadialSolution(**fields, u=u, w=w)
+    off_start = nodes.copy()
+    off_start[0, 0] = 0.0
+    backwards = nodes.copy()
+    backwards[0, 3] = backwards[0, 2]
+    non_finite = nodes.copy()
+    non_finite[1, 2] = math.nan
+    for bad, error in [
+        (nodes[:2], r"^nodes must be a \(3, m\) array of r, u, w, got \(2, 61\)$"),
+        (nodes[:, :0], r"^nodes must be a \(3, m\) array of r, u, w, got \(3, 0\)$"),
+        (off_start, "^first radius 0.0 is not the series start 1e-06 r_max = 4e-06$"),
+        (backwards, "^node 3 .* is not finite or does not increase the radius$"),
+        (non_finite, "^node 2 .* is not finite or does not increase the radius$"),
+        (nodes[:, :-1], re.escape(f"termination_r = {fields['termination'].r!r} is outside")),
+        (nodes[:, :1], re.escape(f"termination_r = {fields['termination'].r!r} is not the one")),
+    ]:
+        with pytest.raises(ParameterError, match=error):
+            pl.RadialSolution(**fields, nodes=bad)
+    with pytest.raises(ParameterError, match=re.escape(f"outside the last step {last_step}")):
+        pl.RadialSolution(**fields | dict(termination=pl.Termination("blow_up", 1.0)), nodes=nodes)
 
 
 def test_write_refuses_a_profile_without_nodes(sinc_solution):
