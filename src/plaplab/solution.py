@@ -4,11 +4,12 @@ A shooting run ends in a RadialSolution: the profile (u, w), with the flux
 w = |u'|^(p-2) u', the run's configuration, how it ended and its nodes, the
 state (r, u, w) at the series start and at the end of each accepted
 Dormand-Prince step; its grid r, uniform from 0 to the termination radius,
-follows from these, and (u, w) on it from the nodes, by one function,
-_profile_from_nodes.  From it follow the independent finite-difference
-residuals, the log transform v = (p-1) log u and the linearized operator on
-it that the pointwise checkers read, and the CSV form in which the CLI
-hands a solution from solve to check: the nodes r, u, w below the metadata.
+follows from these, and (u, w) on it from the nodes, on first read, by one
+function, _profile_from_nodes.  From it follow the independent
+finite-difference residuals, the log transform v = (p-1) log u and the
+linearized operator on it that the pointwise checkers read, and the CSV
+form in which the CLI hands a solution from solve to check: the nodes r,
+u, w below the metadata.
 The series start, the tableau, the vectorized right-hand side and the
 dense output that rebuild a profile from its nodes live here, and the
 solver takes them from here.
@@ -30,7 +31,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import repeat
 from typing import get_type_hints
 
 import numpy as np
@@ -91,6 +91,25 @@ class Termination:
             raise ParameterError(f"unknown termination kind {self.kind!r}")
 
 
+class _FromNodes:
+    """RadialSolution's u and w: the array given, or for a solved profile (u
+    and w given None) _profile_from_nodes of its nodes, built on first read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            return None  # the field's default
+        if vars(sol)[self.name] is None and sol.nodes is not None:
+            run = (sol.params, sol.space, sol.config, sol.nodes, sol.termination)
+            vars(sol).update(zip("uw", _profile_from_nodes(*run)))
+        return vars(sol)[self.name]
+
+    def __set__(self, sol, value):
+        vars(sol)[self.name] = value
+
+
 @dataclass(frozen=True, kw_only=True)
 class RadialSolution:
     """Uniformly resampled radial profile (u, flux w) plus verdict.
@@ -104,31 +123,33 @@ class RadialSolution:
 
     A solved profile is given by its nodes alone, the (3, m) array of r, u,
     w at the series start and at the full end of each of the run's m - 1
-    accepted steps: construction refuses nodes that no run ends with and
-    sets (u, w) on 2001 samples to _profile_from_nodes of them, so the
-    nodes, which the CSV stores, are the one source of the profile.  Given
-    with nodes, u or w is refused, as is a copy by dataclasses.replace of a
-    solved profile that keeps its nodes.  A profile sampled by hand is given
-    by u and w, with nodes None: it can be checked, not written.
+    accepted steps: construction refuses nodes that no run ends with, and
+    the first read of u or w builds both, _profile_from_nodes of the nodes
+    on 2001 samples, so the nodes, which the CSV stores, are the one source
+    of the profile.  Given with nodes, u or w is refused, as is a copy by
+    dataclasses.replace of a solved profile that keeps its nodes.  A profile
+    sampled by hand is given by u and w, with nodes None: it can be checked,
+    not written.
     """
 
     params: EquationParams
     space: ModelSpace
     config: ShootingConfig
-    u: np.ndarray | None = None
-    w: np.ndarray | None = None
+    u: np.ndarray | None = _FromNodes()
+    w: np.ndarray | None = _FromNodes()
     termination: Termination
     nodes: np.ndarray | None = None
 
     def __post_init__(self):
         _dimension(self.params, self.space)
-        sampled = self.u is not None or self.w is not None
+        u, w = vars(self)["u"], vars(self)["w"]  # as given, nothing built
+        sampled = u is not None or w is not None
         if sampled or self.nodes is None:
-            if self.u is None or self.w is None:
+            if u is None or w is None:
                 raise ParameterError("a profile is given by its nodes, or by both u and w")
-            if len(self.u) != len(self.w):
+            if len(u) != len(w):
                 raise ParameterError("grid arrays must have equal length")
-        r = _grid(self.termination.r, len(self.u) if sampled else _OUTPUT_POINTS)
+        r = _grid(self.termination.r, len(u) if sampled else _OUTPUT_POINTS)
         if self.nodes is not None:
             if sampled:
                 raise ParameterError(
@@ -136,11 +157,6 @@ class RadialSolution:
                     " sample one by hand with nodes=None"
                 )
             _require_nodes(self.nodes, _run_limits(self.config)[3], self.termination.r)
-            u, w = _profile_from_nodes(
-                self.params, self.space, self.config, self.nodes, self.termination
-            )
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "w", w)
         object.__setattr__(self, "r", r)
 
     @property
@@ -296,44 +312,47 @@ def _dense_output(step, t):
     return h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x)) + y_old
 
 
-def _rhs(y, damping, consts, u_floor, out, power=np.power):
+def _rhs(y, damping, consts, u_floor, out):
     """(u', w') of the states y = (u, w) into out, with damping = (n-1) s'/s
     at their radii and consts = (-a, sigma, 1/(p-1)), arrays or floats:
     u' = sgn(w) |w|^(1/(p-1)), w' = -a max(u, u_floor)^sigma - damping w."""
     neg_a, sigma, inv_pm1 = consts
-    np.copysign(power(np.abs(y[1]), inv_pm1), y[1], out=out[0])
-    np.subtract(neg_a * power(np.fmax(y[0], u_floor), sigma), damping * y[1], out=out[1])
+    np.copysign(np.power(np.abs(y[1]), inv_pm1), y[1], out=out[0])
+    np.subtract(neg_a * np.power(np.fmax(y[0], u_floor), sigma), damping * y[1], out=out[1])
     return out
 
 
-def _inner_stages(stages, y, h, damping, consts, u_floor, power=np.power):
+def _inner_stages(stages, y, h, damping, consts, u_floor):
     """The stages k2, ..., k6 of steps of width h from the states y into
     stages (k2, k1, k3, ..., k7), given k1 in stages[1] and the damping at
     the stage radii t + c h in the rows of damping."""
-    _rhs(y + (_DP_A[0][0] * stages[1]) * h, damping[0], consts, u_floor, stages[0], power)
+    _rhs(y + (_DP_A[0][0] * stages[1]) * h, damping[0], consts, u_floor, stages[0])
     for s, coeffs in enumerate(_A_ROWS, start=2):
         y_stage = y + _stage_sum(coeffs, stages[:s]) * h
-        _rhs(y_stage, damping[s - 1], consts, u_floor, stages[s], power)
+        _rhs(y_stage, damping[s - 1], consts, u_floor, stages[s])
 
 
-# numpy's SIMD power and tanh may differ from libm's in the last bit (on
-# AVX-512, for about 5% and 47% of arguments); these take libm's, as the
-# scalar stepper's floats do
-
-
-def _libm_power(x, y):
-    """x ** y elementwise by libm's pow, for a float exponent y; numpy's, inf
-    where it overflows or divides by zero, if an element does, which only a
-    hand-edited node's stage can."""
-    try:
-        values = map(math.pow, x.ravel().tolist(), repeat(y))
-        return np.fromiter(values, float, x.size).reshape(x.shape)
-    except (OverflowError, ValueError):  # ValueError: 0 to a negative power
-        return np.power(x, y)
-
-
-def _libm_tanh(x):
-    return np.fromiter(map(math.tanh, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def _node_steps(params, space, config, nodes):
+    """(t_old, h, y_old, Q) of the steps between nodes, for _dense_output: one
+    numpy _rhs call per stage across all steps (k1, k7 at the nodes), summed
+    in the scalar stepper's order, with numpy's power and tanh, which may
+    differ in the last bit from the libm the scalar stepper calls."""
+    n = _dimension(params, space)
+    u_floor = _run_limits(config)[2]
+    r, y = nodes[0], nodes[1:]
+    t_old, y_old = r[:-1], y[:, :-1]
+    h = r[1:] - t_old
+    consts = (-params.a, params.sigma, 1.0 / (params.p - 1.0))
+    log_warp = _log_warp(space.K)
+    stages = np.empty((7, *y_old.shape))  # k2, k1, k3, ..., k7
+    with np.errstate(all="ignore"):
+        damping = (n - 1) * log_warp(t_old + _STAGE_C * h)  # stages 2 to 7
+        # the RHS at every node, each step's end at t_old + h as the stepper's k7
+        node_damping = np.concatenate(((n - 1) * log_warp(r[:1]), damping[5]))
+        at_nodes = _rhs(y, node_damping, consts, u_floor, np.empty_like(y))
+        stages[1], stages[6] = at_nodes[:, :-1], at_nodes[:, 1:]
+        _inner_stages(stages, y_old, h, damping, consts, u_floor)
+        return t_old, h, y_old, _dense_coefficients(stages[1:])
 
 
 def _profile_from_nodes(params, space, config, nodes, termination):
@@ -342,48 +361,30 @@ def _profile_from_nodes(params, space, config, nodes, termination):
     step's end.
 
     Below the first node a sample takes the series start; above it, the
-    dense output of the step it lies in, a sample on a node the step that
-    ends there, as scipy's does.  With one node (no accepted step) every
-    sample takes the series.  The steps' stages are recomputed with numpy,
-    one _rhs call per stage across all steps: k1 of a step is the RHS at
-    its first node and k7 the RHS at its end, the next step's k1, so six
-    calls in all.  Their powers and tanh are libm's, and every sum is
-    added in the scalar stepper's order, so the stages are that stepper's
-    bit for bit, and so is the profile: solve_radial's, and after a CSV
-    round trip the reader's.  A hand-edited node whose stages overflow
+    dense output of the step it lies in (_node_steps), a sample on a node
+    the step that ends there, as scipy's does.  With one node (no accepted
+    step) every sample takes the series.  One function builds the profile
+    for solve_radial and for the CSV reader, so on one machine the profile
+    read back equals the solved one bit for bit; its last bits follow
+    numpy's SIMD power and tanh.  A hand-edited node whose stages overflow
     gives a profile that holds inf or nan, which every checker refuses.
     """
     n = _dimension(params, space)
     p, a, sig, u0 = params.p, params.a, params.sigma, config.u0
-    _, _, u_floor, r_start = _run_limits(config)
+    r_start = _run_limits(config)[3]
     rs = _grid(termination.r, _OUTPUT_POINTS)
-    r, y = nodes[0], nodes[1:]
+    r = nodes[0]
     u = np.empty_like(rs)
     w = np.empty_like(rs)
     head = rs < (r_start if r.size > 1 else math.inf)
     u[head] = _series_u(p, a, sig, n, u0, rs[head])
     w[head] = _series_w(a, sig, n, u0, rs[head])
-    if r.size == 1:
-        return u, w
-    t_old, y_old = r[:-1], y[:, :-1]
-    h = r[1:] - t_old
-    consts = (-a, sig, 1.0 / (p - 1.0))
-    log_warp = _log_warp(space.K, _libm_tanh)
-    stages = np.empty((7, *y_old.shape))  # k2, k1, k3, ..., k7
-    with np.errstate(all="ignore"):
-        damping = (n - 1) * log_warp(t_old + _STAGE_C * h)  # stages 2 to 7
-        # the RHS at every node: the first at r[0], each step's end at t_old + h
-        # as the stepper evaluates its k7 there
-        node_damping = np.concatenate(((n - 1) * log_warp(r[:1]), damping[5]))
-        at_nodes = _rhs(y, node_damping, consts, u_floor, np.empty_like(y), _libm_power)
-        stages[1], stages[6] = at_nodes[:, :-1], at_nodes[:, 1:]
-        _inner_stages(stages, y_old, h, damping, consts, u_floor, _libm_power)
-        step = (t_old, h, y_old, _dense_coefficients(stages[1:]))
+    if r.size > 1:
         tail = rs[~head]
         index = np.searchsorted(r[1:], tail, side="left")
-        u[~head], w[~head] = _dense_output(
-            tuple(np.take(part, index, axis=-1) for part in step), tail
-        )
+        step = [np.take(x, index, axis=-1) for x in _node_steps(params, space, config, nodes)]
+        with np.errstate(all="ignore"):
+            u[~head], w[~head] = _dense_output(step, tail)
     return u, w
 
 
@@ -669,8 +670,8 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     """Write a solution as CSV: metadata comment lines, the header r,u,w
     and one row per node.
 
-    The 2001 samples are not written: a solved profile's (u, w) are
-    _profile_from_nodes of its nodes, which the reader builds again, and du
+    The 2001 samples are neither written nor built: a solved profile's
+    (u, w) are _profile_from_nodes of its nodes, built on first read, and du
     follows from w.  Decimal output carries 17 significant digits, enough to
     round-trip float64 exactly.  A profile without nodes, sampled by hand,
     is refused.
@@ -776,10 +777,10 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
     Below the header r,u,w a data row is three comma-separated plain
-    decimal fields, a node r, u, w; the RadialSolution of the nodes
-    rebuilds the profile on the 2001-sample grid to termination_r from them
-    by _profile_from_nodes, and du from w.  The nodes must be finite, their
-    radii must increase strictly from the series start 1e-6 r_max, and
+    decimal fields, a node r, u, w; the RadialSolution of the nodes builds
+    the 2001 samples to termination_r from them on the first read of u, w
+    or du, by _profile_from_nodes.  The nodes must be finite, their radii
+    must increase strictly from the series start 1e-6 r_max, and
     termination_r must lie in the last step (r[-2], r[-1]], or equal r[0]
     with one node.  Any other header, such as the u,w of files that stored
     the 2001 samples, is refused.  Metadata lines go above the header;

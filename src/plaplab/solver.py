@@ -84,13 +84,12 @@ def solve_radial(
     is located on the final step in Python floats, by _step_event, the
     bisection shoot_batch applies to its numpy arrays, on the dense output
     of the stepper's own stages; the steps leading there are computed apart,
-    so the two radii agree to rounding, not bitwise.  The run keeps its
-    nodes, the state at the start and at each accepted step's full end, and
-    its profile is _profile_from_nodes of them: the steps' C^1 dense output
-    uniformly resampled at _OUTPUT_POINTS samples on [0, r_end] (off-grid
-    interpolation is monotone cubic, in the checkers), as the CSV reader
-    rebuilds it.  With no accepted step the run ends as step_failure at
-    r_start, and its profile is the series start on [0, r_start].
+    so the two radii agree to rounding, not bitwise.  The run keeps only its
+    nodes, the state at the start and at each accepted step's full end: its
+    profile, the steps' C^1 dense output on _OUTPUT_POINTS uniform samples
+    on [0, r_end], is _profile_from_nodes of them, built on first read, as
+    the CSV reader's is.  With no accepted step the run ends as step_failure
+    at r_start, and its profile is the series start on [0, r_start].
 
     Raises ParameterError when params and space disagree on n, when r_max
     is so small that the series start underflows to 0, and when the series

@@ -12,8 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
+import plaplab.solution as plsolution
+from plaplab.cli import main
 from plaplab.errors import ParameterError, SolutionFormatError
-from plaplab.solution import _du_from_flux, _profile_from_nodes
+from plaplab.solution import _dense_output, _du_from_flux, _node_steps, _profile_from_nodes
 
 from conftest import run_bounded, scipy_reference, sinc
 
@@ -1076,27 +1078,41 @@ def _round_trip(solution):
     return text, pl.read_solution_csv(io.StringIO(text))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.integers(min_value=3, max_value=6),
-    p=st.floats(min_value=1.1, max_value=11.0, exclude_min=True),
-    a=st.sampled_from([-1.0, 1.0]),
-    sigma=st.one_of(st.floats(min_value=-0.9, max_value=-0.05), st.floats(0.05, 6.0)),
-    K=st.sampled_from([0.0, 1.0]),
-    r_max=st.sampled_from([2.0, 8.0, 30.0]),
-)
-@example(n=3, p=2.0, a=1.0, sigma=1.0, K=0.0, r_max=2.0)  # reached_rmax
-@example(n=3, p=2.0, a=1.0, sigma=1.0, K=0.0, r_max=4.0)  # hit_zero
-@example(n=3, p=2.0, a=-1.0, sigma=3.0, K=0.0, r_max=5.0)  # blow_up
-@example(n=3, p=1.2, a=-1.0, sigma=3.0, K=0.0, r_max=10.0)  # step_failure
-@example(n=3, p=2.0, a=1.0, sigma=1.0, K=0.0, r_max=1e-303)  # step_failure at the start
-def test_csv_round_trip_property(n, p, a, sigma, K, r_max):
+def _drawn_solves(test):
+    """Run test(solved) on 60 derandomized solves across the window (n 3..6,
+    p in (1.1, 2n - 1), both signs of a and of sigma, K in {0, 1}) and on an
+    example of each termination kind."""
+
+    def solved(n, p, a, sigma, K, r_max):
+        assume(p < 2 * n - 1)
+        params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
+        test(pl.solve_radial(params, pl.ModelSpace(n=n, K=K), pl.ShootingConfig(r_max=r_max)))
+
+    solved.__name__, solved.__doc__ = test.__name__, test.__doc__
+    drawn = given(
+        n=st.integers(min_value=3, max_value=6),
+        p=st.floats(min_value=1.1, max_value=11.0, exclude_min=True),
+        a=st.sampled_from([-1.0, 1.0]),
+        sigma=st.one_of(st.floats(min_value=-0.9, max_value=-0.05), st.floats(0.05, 6.0)),
+        K=st.sampled_from([0.0, 1.0]),
+        r_max=st.sampled_from([2.0, 8.0, 30.0]),
+    )(solved)
+    for case in [
+        (3, 2.0, 1.0, 1.0, 0.0, 2.0),  # reached_rmax
+        (3, 2.0, 1.0, 1.0, 0.0, 4.0),  # hit_zero
+        (3, 2.0, -1.0, 3.0, 0.0, 5.0),  # blow_up
+        (3, 1.2, -1.0, 3.0, 0.0, 10.0),  # step_failure
+        (3, 2.0, 1.0, 1.0, 0.0, 1e-303),  # step_failure at the start
+    ]:
+        drawn = example(**dict(zip(("n", "p", "a", "sigma", "K", "r_max"), case)))(drawn)
+    return settings(max_examples=60, deadline=None, derandomize=True, database=None)(drawn)
+
+
+@_drawn_solves
+def test_csv_round_trip_property(solved):
     """A solved profile's CSV round trip is exact for every termination
     kind: the data rows are the per-value '{:.17g}' text of the nodes, and
     r, u, du, w, the nodes and the termination read back bit for bit."""
-    assume(p < 2 * n - 1)
-    params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
-    solved = pl.solve_radial(params, pl.ModelSpace(n=n, K=K), pl.ShootingConfig(r_max=r_max))
     text, back = _round_trip(solved)
     expected = [",".join("{:.17g}".format(x) for x in node) for node in solved.nodes.T]
     assert text.splitlines()[-len(expected) - 1 :] == ["r,u,w"] + expected
@@ -1120,10 +1136,11 @@ def test_csv_round_trip_property(n, p, a, sigma, K, r_max):
     ],
 )
 def test_profile_is_built_from_the_nodes(n, p, a, sigma, K, r_max, kind):
-    """solve_radial's profile is _profile_from_nodes of its own nodes, bit
-    for bit, and the nodes are what the CSV reader takes: finite, from the
-    series start, their radii increasing, with the termination radius in
-    the last step (r[-2], r[-1]], or at the start with no accepted step."""
+    """solve_radial's profile, built on first read, is _profile_from_nodes
+    of its own nodes, bit for bit, and the nodes are what the CSV reader
+    takes: finite, from the series start, their radii increasing, with the
+    termination radius in the last step (r[-2], r[-1]], or at the start
+    with no accepted step."""
     params = pl.EquationParams(n=n, p=p, a=a, sigma=sigma)
     space = pl.ModelSpace(n=n, K=K)
     config = pl.ShootingConfig(r_max=r_max)
@@ -1142,13 +1159,92 @@ def test_profile_is_built_from_the_nodes(n, p, a, sigma, K, r_max, kind):
         assert r[-2] < sol.termination.r <= r[-1]
 
 
+def _node_misfit(sol):
+    """max over the steps between sol's nodes of |y(end) - node| / max(|node|, 1),
+    y(end) the dense output that _node_steps recomputes, at the step's end."""
+    if sol.nodes.shape[1] == 1:
+        return 0.0
+    ends = sol.nodes[1:, 1:]
+    y = _dense_output(_node_steps(sol.params, sol.space, sol.config, sol.nodes), sol.nodes[0, 1:])
+    return float(np.max(np.abs(y - ends) / np.maximum(np.abs(ends), 1.0)))
+
+
+@_drawn_solves
+def test_rebuilt_steps_end_on_their_nodes(solved):
+    """Each step the rebuild recomputes from the nodes, with numpy, ends
+    within 1e-13 of the node the scalar stepper accepted, relative to
+    max(|y|, 1): the stages are computed apart, so this checks the rebuild
+    against the stepper and not against itself."""
+    assert _node_misfit(solved) <= 1e-13
+
+
+def test_a_stage_out_of_order_misses_the_nodes(sinc_solution, monkeypatch):
+    """The check above sees a stage taken out of order: with k4 summed from
+    k2, k1, k3 in reverse, the sinc profile's steps miss their nodes."""
+    assert _node_misfit(sinc_solution) <= 1e-13
+    rows = list(plsolution._A_ROWS)
+    rows[1] = rows[1][::-1]
+    monkeypatch.setattr(plsolution, "_A_ROWS", tuple(rows))
+    assert _node_misfit(sinc_solution) > 1e-6
+
+
+def _count_builds(monkeypatch):
+    """The list of calls to solution._profile_from_nodes from now on."""
+    calls, build = [], plsolution._profile_from_nodes
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(plsolution, "_profile_from_nodes", counted)
+    return calls
+
+
+def test_solved_profile_is_built_on_first_read(sinc_solution, tmp_path, monkeypatch, capsys):
+    """A solve that is only written never builds its 2001 samples, in
+    process or through the CLI's solve; a profile read back builds them
+    once, on the first read of u, w or du, and keeps them.  Construction
+    still refuses nodes that no run ends with, and a termination radius
+    off the grid rule, before any read."""
+    expected = {name: getattr(sinc_solution, name) for name in ("u", "w", "du")}
+    calls = _count_builds(monkeypatch)
+    sol = pl.solve_radial(sinc_solution.params, sinc_solution.space, sinc_solution.config)
+    buf = io.StringIO()
+    pl.write_solution_csv(sol, buf)
+    argv = ["solve", "--n", "3", "--p", "2", "--a", "1", "--sigma", "1", "--r-max", "4"]
+    assert main(argv + ["--out", str(tmp_path / "sinc.csv")]) == 0
+    assert "samples=2001" in capsys.readouterr().out
+    assert calls == []
+    for name in ("u", "w", "du"):
+        back = pl.read_solution_csv(io.StringIO(buf.getvalue()))
+        assert len(calls) == 0
+        first = getattr(back, name)
+        assert np.array_equal(_bits(first), _bits(expected[name]))
+        assert getattr(back, name) is first
+        assert back.u is back.u and back.w is back.w
+        assert len(calls) == 1
+        calls.clear()
+    fields = dict(params=sol.params, space=sol.space, config=sol.config)
+    for nodes, termination in [
+        (sol.nodes[:2], sol.termination),  # _require_nodes: not (3, m)
+        (sol.nodes[:, :-1], sol.termination),  # _require_nodes: not in the last step
+        (sol.nodes, pl.Termination("hit_zero", math.inf)),  # _grid: not finite
+        (sol.nodes, pl.Termination("hit_zero", 5e-324)),  # _grid: the step underflows
+    ]:
+        with pytest.raises(ParameterError):
+            pl.RadialSolution(**fields, termination=termination, nodes=nodes)
+    assert calls == []
+    with pytest.raises(ParameterError, match="^a solved profile's u and w are built from"):
+        dataclasses.replace(sol, termination=sol.termination)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), p=st.sampled_from([1.25, 2.0, 3.5]))
 def test_csv_node_values_round_trip(sinc_solution, data, p):
     """Any finite u and w at the nodes, edge floats included, are written as
     their '{:.17g}' text and read back bit for bit, with the profile that
     _profile_from_nodes builds from them, inf or nan where the stages
-    overflow (at p = 1.25, |w|^4 overflows libm's pow)."""
+    overflow (at p = 1.25, |w|^4 overflows numpy's power)."""
     m = sinc_solution.nodes.shape[1]
     u, w = (data.draw(st.lists(CSV_VALUES, min_size=m, max_size=m)) for _ in range(2))
     nodes = np.array([sinc_solution.nodes[0], u, w])
