@@ -1,11 +1,11 @@
 """The solved radial profile and what is computed from it alone.
 
-A shooting run ends in a RadialSolution: the profile (u, w), with the flux
-w = |u'|^(p-2) u', the run's configuration, how it ended and its nodes, the
-state (r, u, w) at the series start and at the end of each accepted
-Dormand-Prince step; its grid r, uniform from 0 to the termination radius,
-follows from these, and (u, w) on it from the nodes, on first read, by one
-function, _profile_from_nodes.  From it follow the independent
+A shooting run ends in a RadialSolution: the run's configuration, how it
+ended and its nodes, the state (r, u, w) at the series start and at the end
+of each accepted Dormand-Prince step, and nothing else.  Its grid r, uniform
+from 0 to the termination radius, follows from these, and the profile
+(u, w) on it, with the flux w = |u'|^(p-2) u', from the nodes, on first
+read, by one function, _profile_from_nodes.  From it follow the independent
 finite-difference residuals, the log transform v = (p-1) log u and the
 linearized operator on it that the pointwise checkers read, and the CSV
 form in which the CLI hands a solution from solve to check: the nodes r,
@@ -91,77 +91,52 @@ class Termination:
             raise ParameterError(f"unknown termination kind {self.kind!r}")
 
 
-class _FromNodes:
-    """RadialSolution's u and w: the array given, or for a solved profile (u
-    and w given None) _profile_from_nodes of its nodes, built on first read."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, sol, owner=None):
-        if sol is None:
-            return None  # the field's default
-        if vars(sol)[self.name] is None and sol.nodes is not None:
-            run = (sol.params, sol.space, sol.config, sol.nodes, sol.termination)
-            vars(sol).update(zip("uw", _profile_from_nodes(*run)))
-        return vars(sol)[self.name]
-
-    def __set__(self, sol, value):
-        vars(sol)[self.name] = value
-
-
 @dataclass(frozen=True, kw_only=True)
 class RadialSolution:
-    """Uniformly resampled radial profile (u, flux w) plus verdict.
+    """A solved radial profile: a shooting run's nodes, the (3, m) array of
+    r, u, w at the series start and at the full end of each of its m - 1
+    accepted Dormand-Prince steps, with its configuration and how it ended.
 
-    The grid r is not a field: it is np.linspace(0, termination.r, len(u)),
-    set once at construction, which refuses a termination radius that is
-    not finite and > 0 and a grid step that underflows to 0, so that the
-    finite differences' step h = r[1] - r[0] holds by construction.  The
-    derivative du = u' is not stored either: it is a function of the flux,
-    u' = sgn(w) |w|^(1/(p-1)), computed from w and params.p on first use.
-
-    A solved profile is given by its nodes alone, the (3, m) array of r, u,
-    w at the series start and at the full end of each of the run's m - 1
-    accepted steps: construction refuses nodes that no run ends with, and
-    the first read of u or w builds both, _profile_from_nodes of the nodes
-    on 2001 samples, so the nodes, which the CSV stores, are the one source
-    of the profile.  Given with nodes, u or w is refused, as is a copy by
-    dataclasses.replace of a solved profile that keeps its nodes.  A profile
-    sampled by hand is given by u and w, with nodes None: it can be checked,
-    not written.
+    Construction refuses nodes that no run ends with (_require_nodes), so
+    the writer never writes what the reader refuses, and a copy by
+    dataclasses.replace is checked as a new run is.  The grid r is not a
+    field: it is np.linspace(0, termination.r, 2001), set once at
+    construction, which refuses a termination radius that is not finite and
+    > 0 and a grid step that underflows to 0, so that the finite
+    differences' step h = r[1] - r[0] holds by construction.  The profile
+    (u, w) on it, with the flux w = |u'|^(p-2) u', is not stored either: the
+    first read of u or w builds both, _profile_from_nodes of the run, so the
+    nodes, which the CSV stores, are its one source.  The derivative
+    du = u' = sgn(w) |w|^(1/(p-1)) is computed from w on first use.
     """
 
     params: EquationParams
     space: ModelSpace
     config: ShootingConfig
-    u: np.ndarray | None = _FromNodes()
-    w: np.ndarray | None = _FromNodes()
     termination: Termination
-    nodes: np.ndarray | None = None
+    nodes: np.ndarray
 
     def __post_init__(self):
         _dimension(self.params, self.space)
-        u, w = vars(self)["u"], vars(self)["w"]  # as given, nothing built
-        sampled = u is not None or w is not None
-        if sampled or self.nodes is None:
-            if u is None or w is None:
-                raise ParameterError("a profile is given by its nodes, or by both u and w")
-            if len(u) != len(w):
-                raise ParameterError("grid arrays must have equal length")
-        r = _grid(self.termination.r, len(u) if sampled else _OUTPUT_POINTS)
-        if self.nodes is not None:
-            if sampled:
-                raise ParameterError(
-                    "a solved profile's u and w are built from its nodes:"
-                    " sample one by hand with nodes=None"
-                )
-            _require_nodes(self.nodes, _run_limits(self.config)[3], self.termination.r)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _grid(self.termination.r))
+        object.__setattr__(self, "_limits", _run_limits(self.config))  # the build reads them
+        _require_nodes(self.nodes, self._limits[3], self.termination.r)
 
     @property
     def r_end(self) -> float:
         return self.termination.r
+
+    @cached_property
+    def _profile(self) -> tuple[np.ndarray, np.ndarray]:
+        return _profile_from_nodes(self)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._profile[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._profile[1]
 
     @cached_property
     def du(self) -> np.ndarray:
@@ -176,22 +151,20 @@ def _dimension(params, space) -> int:
     return space.n
 
 
-def _grid(r_end, m):
-    """np.linspace(0, r_end, m), the grid a solved profile is sampled on.
-
-    Refused unless r_end is finite and > 0 and the m >= 2 samples increase
-    strictly, i.e. the step r_end / (m - 1) does not underflow to 0.
-    """
+def _grid(r_end):
+    """np.linspace(0, r_end, _OUTPUT_POINTS), the grid a solved profile is
+    sampled on, refused unless r_end is finite and > 0 and the samples
+    increase strictly: the step r_end / (_OUTPUT_POINTS - 1) is not 0."""
     if not 0 < r_end < math.inf:
         raise ParameterError(f"termination.r must be finite and > 0, got {r_end}")
-    if m < 2 or r_end / (m - 1) == 0:
+    if r_end / (_OUTPUT_POINTS - 1) == 0:
         raise ParameterError(
-            f"{m} samples from 0 to termination.r = {r_end} do not increase strictly"
+            f"{_OUTPUT_POINTS} samples from 0 to termination.r = {r_end} do not increase strictly"
         )
     # near the float maximum (m - 1) * step overflows, and linspace sets the
     # last sample to r_end, as it does for any r_end
     with np.errstate(over="ignore"):
-        return np.linspace(0.0, r_end, m)
+        return np.linspace(0.0, r_end, _OUTPUT_POINTS)
 
 
 def _du_from_flux(w, p):
@@ -332,18 +305,18 @@ def _inner_stages(stages, y, h, damping, consts, u_floor):
         _rhs(y_stage, damping[s - 1], consts, u_floor, stages[s])
 
 
-def _node_steps(params, space, config, nodes):
-    """(t_old, h, y_old, Q) of the steps between nodes, for _dense_output: one
-    numpy _rhs call per stage across all steps (k1, k7 at the nodes), summed
-    in the scalar stepper's order, with numpy's power and tanh, which may
-    differ in the last bit from the libm the scalar stepper calls."""
-    n = _dimension(params, space)
-    u_floor = _run_limits(config)[2]
-    r, y = nodes[0], nodes[1:]
+def _node_steps(sol):
+    """(t_old, h, y_old, Q) of the steps between the nodes of the solved
+    profile sol, for _dense_output: one numpy _rhs call per stage across all
+    steps (k1, k7 at the nodes), summed in the scalar stepper's order, with
+    numpy's power and tanh, which may differ in the last bit from the libm
+    the scalar stepper calls."""
+    n, u_floor = sol.space.n, sol._limits[2]
+    r, y = sol.nodes[0], sol.nodes[1:]
     t_old, y_old = r[:-1], y[:, :-1]
     h = r[1:] - t_old
-    consts = (-params.a, params.sigma, 1.0 / (params.p - 1.0))
-    log_warp = _log_warp(space.K)
+    consts = (-sol.params.a, sol.params.sigma, 1.0 / (sol.params.p - 1.0))
+    log_warp = _log_warp(sol.space.K)
     stages = np.empty((7, *y_old.shape))  # k2, k1, k3, ..., k7
     with np.errstate(all="ignore"):
         damping = (n - 1) * log_warp(t_old + _STAGE_C * h)  # stages 2 to 7
@@ -355,34 +328,30 @@ def _node_steps(params, space, config, nodes):
         return t_old, h, y_old, _dense_coefficients(stages[1:])
 
 
-def _profile_from_nodes(params, space, config, nodes, termination):
-    """(u, w) on _grid(termination.r, _OUTPUT_POINTS) from a run's nodes,
-    the (3, m) array of r, u, w at the series start and at each accepted
-    step's end.
+def _profile_from_nodes(sol):
+    """(u, w) on the grid sol.r of the solved profile sol, from its nodes.
 
-    Below the first node a sample takes the series start; above it, the
-    dense output of the step it lies in (_node_steps), a sample on a node
-    the step that ends there, as scipy's does.  With one node (no accepted
-    step) every sample takes the series.  One function builds the profile
-    for solve_radial and for the CSV reader, so on one machine the profile
-    read back equals the solved one bit for bit; its last bits follow
-    numpy's SIMD power and tanh.  A hand-edited node whose stages overflow
-    gives a profile that holds inf or nan, which every checker refuses.
+    Below the first node, the series start, a sample takes the series;
+    above it, the dense output of the step it lies in (_node_steps), a
+    sample on a node the step that ends there, as scipy's does.  With one
+    node (no accepted step) every sample takes the series.  One function
+    builds the profile of every RadialSolution, solved or read from a CSV,
+    so on one machine the profile read back equals the solved one bit for
+    bit; its last bits follow numpy's SIMD power and tanh.  A hand-edited
+    node whose stages overflow gives a profile that holds inf or nan, which
+    every checker refuses.
     """
-    n = _dimension(params, space)
-    p, a, sig, u0 = params.p, params.a, params.sigma, config.u0
-    r_start = _run_limits(config)[3]
-    rs = _grid(termination.r, _OUTPUT_POINTS)
-    r = nodes[0]
+    p, a, sig, n, u0 = sol.params.p, sol.params.a, sol.params.sigma, sol.space.n, sol.config.u0
+    rs, r = sol.r, sol.nodes[0]
     u = np.empty_like(rs)
     w = np.empty_like(rs)
-    head = rs < (r_start if r.size > 1 else math.inf)
+    head = rs < (r[0] if r.size > 1 else math.inf)
     u[head] = _series_u(p, a, sig, n, u0, rs[head])
     w[head] = _series_w(a, sig, n, u0, rs[head])
     if r.size > 1:
         tail = rs[~head]
         index = np.searchsorted(r[1:], tail, side="left")
-        step = [np.take(x, index, axis=-1) for x in _node_steps(params, space, config, nodes)]
+        step = [np.take(x, index, axis=-1) for x in _node_steps(sol)]
         with np.errstate(all="ignore"):
             u[~head], w[~head] = _dense_output(step, tail)
     return u, w
@@ -670,14 +639,11 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     """Write a solution as CSV: metadata comment lines, the header r,u,w
     and one row per node.
 
-    The 2001 samples are neither written nor built: a solved profile's
+    The 2001 samples are neither written nor built: a RadialSolution's
     (u, w) are _profile_from_nodes of its nodes, built on first read, and du
     follows from w.  Decimal output carries 17 significant digits, enough to
-    round-trip float64 exactly.  A profile without nodes, sampled by hand,
-    is refused.
+    round-trip float64 exactly.
     """
-    if solution.nodes is None:
-        raise ParameterError("only a solved profile can be written: this one has no nodes")
     meta = {}
     meta.update(solution.params.to_dict())
     meta.update(solution.space.to_dict())
@@ -776,18 +742,18 @@ def _require_nodes(nodes, r_start, r_end):
 def read_solution_csv(path_or_file) -> RadialSolution:
     """Parse a solution CSV written by write_solution_csv.
 
-    Below the header r,u,w a data row is three comma-separated plain
-    decimal fields, a node r, u, w; the RadialSolution of the nodes builds
-    the 2001 samples to termination_r from them on the first read of u, w
-    or du, by _profile_from_nodes.  The nodes must be finite, their radii
-    must increase strictly from the series start 1e-6 r_max, and
+    Below the header r,u,w a data row is three comma-separated plain decimal
+    fields, a node r, u, w: the file is the RadialSolution of its nodes,
+    whose 2001 samples to termination_r are built from them on the first
+    read of u, w or du, by _profile_from_nodes.  The nodes must be finite,
+    their radii must increase strictly from the series start 1e-6 r_max, and
     termination_r must lie in the last step (r[-2], r[-1]], or equal r[0]
     with one node.  Any other header, such as the u,w of files that stored
-    the 2001 samples, is refused.  Metadata lines go above the header;
-    keys that name no field, such as the retired min_step, output_points
-    and termination_detail, are ignored.  Below the header a '#' line or a
-    line of spaces is refused; a refused row is named by its file line.
-    Blank lines, spaces around fields and \r\n line ends read.
+    the 2001 samples, is refused.  Metadata lines go above the header; keys
+    that name no field, such as the retired min_step, output_points and
+    termination_detail, are ignored.  Below the header a '#' line or a line
+    of spaces is refused; a refused row is named by its file line.  Blank
+    lines, spaces around fields and \r\n line ends read.
     """
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().split("\n")

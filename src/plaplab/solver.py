@@ -85,11 +85,13 @@ def solve_radial(
     bisection shoot_batch applies to its numpy arrays, on the dense output
     of the stepper's own stages; the steps leading there are computed apart,
     so the two radii agree to rounding, not bitwise.  The run keeps only its
-    nodes, the state at the start and at each accepted step's full end: its
-    profile, the steps' C^1 dense output on _OUTPUT_POINTS uniform samples
-    on [0, r_end], is _profile_from_nodes of them, built on first read, as
-    the CSV reader's is.  With no accepted step the run ends as step_failure
-    at r_start, and its profile is the series start on [0, r_start].
+    nodes, the state at the start and at each accepted step's full end,
+    computed on scalars, the initial step's too, whose power is libm's on
+    every SIMD path numpy dispatches: its profile, the steps' C^1 dense
+    output on _OUTPUT_POINTS uniform samples on [0, r_end], is
+    _profile_from_nodes of them, built on first read, as the CSV reader's
+    is.  With no accepted step the run ends as step_failure at r_start, and
+    its profile is the series start on [0, r_start].
 
     Raises ParameterError when params and space disagree on n, when r_max
     is so small that the series start underflows to 0, and when the series
@@ -114,8 +116,8 @@ def solve_radial(
             return math.nan, math.nan
         return du, dw
 
-    def rhs_columns(t, y):
-        return np.array(rhs(t[0], y[0, 0], y[1, 0]))[:, None]
+    def rhs_state(t, y):
+        return np.array(rhs(t, y[0], y[1]))
 
     t = r_start
     try:
@@ -130,9 +132,9 @@ def solve_radial(
             "check the configuration"
         )
     ku1, kw1 = rhs(t, u, w)
-    start = (np.array([t]), np.array([[u], [w]]), np.array([[ku1], [kw1]]))
+    start = (t, np.array([u, w]), np.array([ku1, kw1]))  # numpy scalars take libm's pow
     with np.errstate(all="ignore"):  # an overflowing stage gives a nan step, which fails
-        h_abs = float(_initial_step(rhs_columns, *start, r_max - r_start, rtol, atol)[0])
+        h_abs = float(_initial_step(rhs_state, *start, r_max - r_start, rtol, atol))
 
     c2, c3, c4, c5, c6 = _DP_C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
@@ -373,7 +375,8 @@ def shoot_batch(params, u0, space: ModelSpace, config: ShootingConfig):
 
 
 def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):
-    """scipy's select_initial_step (Hairer, Norsett & Wanner II.4), per run."""
+    """scipy's select_initial_step (Hairer, Norsett & Wanner II.4), per run:
+    one column of (u, w) in y0 and f0 per run in t0, or one run's (2,)."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.integrate import solve_ivp
 
 import plaplab as pl
 from plaplab.errors import ParameterError
-from plaplab.solution import _OUTPUT_POINTS, _SERIES_FRACTION, _series_u, _series_w
+from plaplab.solution import _OUTPUT_POINTS, _SERIES_FRACTION, _du_from_flux, _series_u, _series_w
 
 
 def run_bounded(*argv, timeout=60):
@@ -22,6 +24,33 @@ def run_bounded(*argv, timeout=60):
     return subprocess.run(
         [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+@dataclass(frozen=True, kw_only=True)
+class SampledProfile:
+    """A profile sampled by hand, for arrays no run ends with: the attributes
+    the residuals and checkers read from a RadialSolution, which is always a
+    solved run.  As there, r is np.linspace(0, termination.r, len(u)) and du
+    follows from w."""
+
+    params: pl.EquationParams
+    space: pl.ModelSpace
+    config: pl.ShootingConfig
+    termination: pl.Termination
+    u: np.ndarray
+    w: np.ndarray
+
+    @cached_property
+    def r(self):
+        return np.linspace(0.0, self.termination.r, len(self.u))
+
+    @property
+    def r_end(self):
+        return self.termination.r
+
+    @cached_property
+    def du(self):
+        return _du_from_flux(self.w, self.params.p)
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +113,8 @@ def hyperbolic_p2():
 def scipy_reference(params, space, config):
     """solve_radial as scipy's solve_ivp (RK45, dense output, terminal
     events) computes it: the oracle for the in-house steppers.  Same
-    arguments, result and errors as pl.solve_radial."""
+    arguments and errors as pl.solve_radial; the result is the
+    SampledProfile of scipy's dense output on the same grid."""
     if params.n != space.n:
         raise ParameterError(
             f"dimension mismatch: params.n = {params.n}, space.n = {space.n}"
@@ -169,12 +199,7 @@ def scipy_reference(params, space, config):
     if accepted:
         u[~head], w[~head] = sol.sol(rs[~head])
 
-    return pl.RadialSolution(
-        params=params,
-        space=space,
-        config=config,
-        u=u,
-        w=w,
-        termination=termination,
+    return SampledProfile(
+        params=params, space=space, config=config, termination=termination, u=u, w=w
     )
 

@@ -14,7 +14,7 @@ from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
 
-from conftest import sinc
+from conftest import SampledProfile, sinc
 
 
 def report(num, ok, text):
@@ -235,7 +235,7 @@ def test_criterion_08_harnack(flat3):
         ok &= rep.passed and rep.ratio >= 1.0
 
     r = np.linspace(0.0, 2.0, 101)
-    flat = pl.RadialSolution(
+    flat = SampledProfile(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=pl.ModelSpace(n=3, K=0.0),
         config=pl.ShootingConfig(u0=1.0, r_max=2.0),

@@ -15,9 +15,9 @@ import plaplab as pl
 import plaplab.solution as plsolution
 from plaplab.cli import main
 from plaplab.errors import ParameterError, SolutionFormatError
-from plaplab.solution import _dense_output, _du_from_flux, _node_steps, _profile_from_nodes
+from plaplab.solution import _dense_output, _du_from_flux, _grid, _node_steps, _profile_from_nodes
 
-from conftest import run_bounded, scipy_reference, sinc
+from conftest import SampledProfile, run_bounded, scipy_reference, sinc
 
 
 def relative_profile_gap(sol_a, sol_b, scale_u=1.0, scale_r=1.0, trim=0.98):
@@ -329,7 +329,7 @@ def test_coefficient_scaling_by_residual_substitution(flat3):
         pl.ShootingConfig(u0=1.0, r_max=4.0, rel_tol=1e-12, abs_tol=1e-13),
     )
     for lam in (0.5, 2.0):
-        scaled = pl.RadialSolution(
+        scaled = SampledProfile(
             params=pl.EquationParams(n=3, p=p, a=a * lam ** (p - 1 - sig), sigma=sig),
             space=sol.space,
             config=dc_replace(sol.config, u0=lam * sol.config.u0,
@@ -378,7 +378,7 @@ def test_log_transform_exponential_profile(flat3):
     """Synthetic u = e^r at p = 2 gives v = r and f = 1 identically."""
     r = np.linspace(0.0, 2.0, 201)
     u = np.exp(r)
-    syn = pl.RadialSolution(
+    syn = SampledProfile(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0),
         space=flat3,
         config=pl.ShootingConfig(u0=1.0, r_max=2.0),
@@ -415,7 +415,7 @@ def test_residual_contracts_below_p2(K):
 def test_log_transform_rejects_nonpositive(flat3):
     r = np.linspace(0.0, 1.0, 11)
     u = np.linspace(1.0, -0.1, 11)
-    syn = pl.RadialSolution(
+    syn = SampledProfile(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=1.0),
         space=flat3,
         config=pl.ShootingConfig(u0=1.0, r_max=1.0),
@@ -433,7 +433,7 @@ def test_log_transform_rejects_nonpositive(flat3):
 
 def test_constant_profile_is_not_a_solution(flat3):
     r = np.linspace(0.0, 2.0, 101)
-    syn = pl.RadialSolution(
+    syn = SampledProfile(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=flat3,
         config=pl.ShootingConfig(u0=1.0, r_max=2.0),
@@ -448,7 +448,7 @@ def test_residual_needs_samples(flat3):
     """Both residuals refuse a grid too short for one complete 4th-order
     stencil, by one rule."""
     r = np.linspace(0.0, 1.0, 4)
-    syn = pl.RadialSolution(
+    syn = SampledProfile(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=flat3,
         config=pl.ShootingConfig(u0=1.0, r_max=1.0),
@@ -462,10 +462,26 @@ def test_residual_needs_samples(flat3):
 
 
 def test_radial_solution_rejects_unequal_lengths(sinc_solution):
+    """u and w cannot be given, so they cannot differ in length: they are no
+    constructor arguments, a copy by dataclasses.replace cannot replace
+    them, nor can they be set; both are built on the grid r."""
+    fields = dict(
+        params=sinc_solution.params,
+        space=sinc_solution.space,
+        config=sinc_solution.config,
+        termination=sinc_solution.termination,
+        nodes=sinc_solution.nodes,
+    )
+    assert [f.name for f in dataclasses.fields(pl.RadialSolution)] == list(fields)
     for field in ("u", "w"):
         shorter = getattr(sinc_solution, field)[:-1]
-        with pytest.raises(ParameterError, match="grid arrays must have equal length"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            pl.RadialSolution(**fields, **{field: shorter})
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
             dataclasses.replace(sinc_solution, **{field: shorter})
+        with pytest.raises(AttributeError):
+            setattr(sinc_solution, field, shorter)
+        assert len(getattr(sinc_solution, field)) == len(sinc_solution.r) == 2001
 
 
 @pytest.mark.filterwarnings("error")
@@ -474,8 +490,8 @@ def test_radial_solution_r_is_the_grid_to_termination_r(sinc_solution):
     bit, and r_end is termination.r; a termination radius of 0, -0, inf or
     nan, or one whose grid step underflows to 0, is refused.  At the edges
     of float64 r is linspace too, without a warning: near the float maximum,
-    where linspace's (m - 1) * step overflows, and at subnormal radii over
-    a few samples, for a sampled profile and for one read from its nodes."""
+    where linspace's (m - 1) * step overflows, and at subnormal radii, for a
+    solve and for a node file whose one step ends there, read back."""
     r, end = sinc_solution.r, sinc_solution.termination.r
     assert "r" not in {f.name for f in dataclasses.fields(pl.RadialSolution)}
     assert np.array_equal(_bits(r), _bits(np.linspace(0.0, end, len(sinc_solution.u))))
@@ -484,65 +500,67 @@ def test_radial_solution_r_is_the_grid_to_termination_r(sinc_solution):
         termination = pl.Termination(sinc_solution.termination.kind, value)
         with pytest.raises(ParameterError, match="^termination.r must be finite and > 0"):
             dataclasses.replace(sinc_solution, termination=termination)
-    # the grid step 1e-309 / 2000 is a subnormal above 0; 5e-324 / 2000 is 0
-    sampled = dataclasses.replace(sinc_solution, nodes=None)
-    tiny = dataclasses.replace(sampled, termination=pl.Termination("step_failure", 1e-309))
-    assert np.array_equal(_bits(tiny.r), _bits(np.linspace(0.0, 1e-309, 2001)))
-    with pytest.raises(ParameterError, match="do not increase strictly"):
+    # a run with no accepted step ends at its series start, here about 1e-309,
+    # whose grid step over 2000 intervals is a subnormal above 0; 5e-324 / 2000 is 0
+    tiny = pl.solve_radial(
+        sinc_solution.params, sinc_solution.space, pl.ShootingConfig(r_max=1e-303)
+    )
+    assert tiny.termination == pl.Termination("step_failure", 1e-6 * 1e-303)
+    assert np.array_equal(_bits(tiny.r), _bits(np.linspace(0.0, tiny.r_end, 2001)))
+    with pytest.raises(ParameterError, match="^2001 samples .* do not increase strictly"):
         dataclasses.replace(sinc_solution, termination=pl.Termination("step_failure", 5e-324))
-    with pytest.raises(ParameterError, match="1 samples .* do not increase strictly"):
-        dataclasses.replace(sinc_solution, u=sinc_solution.u[:1], w=sinc_solution.w[:1])
     for end in (x for x in EDGE_FLOATS if x > 0):
-        for m in (2, 3, 4, 31):
-            if end / (m - 1) == 0:  # refused, as 5e-324 over 2001 samples above
-                continue
-            with np.errstate(over="ignore"):  # (m - 1) * step may pass the float maximum
-                grid = np.linspace(0.0, end, m)
-            edge = dataclasses.replace(
-                sampled, u=np.ones(m), w=np.zeros(m), termination=pl.Termination("blow_up", end)
-            )
-            assert np.array_equal(_bits(edge.r), _bits(grid)), (end, m)
-            assert _bits(edge.r_end) == _bits(end)
-        if end < 1.0:
-            continue
-        # a node file whose one step ends there, as a hand-written one may
-        nodes = np.array([[sinc_solution.nodes[0, 0], end], [1.0, 0.5], [-0.0, -1.0]])
+        # a node file whose one step ends there, as a hand-written one may,
+        # from the series start of r_max = end, or of the sinc run's r_max
+        config = dataclasses.replace(sinc_solution.config, r_max=min(end, 4.0))
+        nodes = np.array([[1e-6 * config.r_max, end], [1.0, 0.5], [-0.0, -1.0]])
         termination = pl.Termination("blow_up", end)
-        solved = pl.RadialSolution(
-            params=sinc_solution.params,
-            space=sinc_solution.space,
-            config=sinc_solution.config,
-            termination=termination,
-            nodes=nodes,
-        )
+        fields = dict(params=sinc_solution.params, space=sinc_solution.space, config=config)
+        if end / 2000 == 0:
+            with pytest.raises(ParameterError, match="do not increase strictly"):
+                pl.RadialSolution(**fields, termination=termination, nodes=nodes)
+            continue
+        solved = pl.RadialSolution(**fields, termination=termination, nodes=nodes)
         _, back = _round_trip(solved)
         with np.errstate(over="ignore"):
             grid = np.linspace(0.0, end, 2001)
-        assert np.array_equal(_bits(back.r), _bits(grid)), end
+        for sol in (solved, back):
+            assert np.array_equal(_bits(sol.r), _bits(grid)), end
+            assert _bits(sol.r_end) == _bits(end)
         assert back.termination == termination
 
 
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    end=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    m=st.integers(min_value=2, max_value=31),
-)
-@example(end=1.7976931348623157e308, m=4)
-@example(end=1e-323, m=3)  # the grid's step is the smallest subnormal
-def test_radial_solution_grid_at_any_finite_radius(sinc_solution, end, m):
-    """Any positive finite termination radius over m samples gives the grid
-    np.linspace(0, r_end, m) bit for bit, without a warning, unless its step
-    underflows to 0, which is refused."""
-    sampled = dataclasses.replace(sinc_solution, nodes=None)
-    termination = pl.Termination("reached_rmax", end)
-    if end / (m - 1) == 0:
-        with pytest.raises(ParameterError, match="do not increase strictly"):
-            dataclasses.replace(sampled, u=np.ones(m), w=np.ones(m), termination=termination)
+@given(end=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(end=1.7976931348623157e308)
+@example(end=2000 * 5e-324)  # the grid's step is the smallest subnormal
+@example(end=1e-323)  # the grid's step underflows to 0
+def test_radial_solution_grid_at_any_finite_radius(sinc_solution, end):
+    """Any positive finite termination radius gives the grid
+    np.linspace(0, r_end, 2001) bit for bit, without a warning, unless its
+    step underflows to 0, which is refused: the grid of a run whose one
+    step ends there, from the series start of r_max = end, or of the sinc
+    run's r_max, where that start's own grid step does not underflow."""
+    if end / 2000 == 0:
+        with pytest.raises(ParameterError, match="^2001 samples .* do not increase strictly"):
+            _grid(end)
         return
-    edge = dataclasses.replace(sampled, u=np.ones(m), w=np.ones(m), termination=termination)
     with np.errstate(over="ignore"):
-        assert np.array_equal(_bits(edge.r), _bits(np.linspace(0.0, end, m)))
+        grid = np.linspace(0.0, end, 2001)
+    assert np.array_equal(_bits(_grid(end)), _bits(grid))
+    config = dataclasses.replace(sinc_solution.config, r_max=min(end, 4.0))
+    r_start = 1e-6 * config.r_max
+    if r_start / 2000 == 0:  # no run starts below end
+        return
+    sol = pl.RadialSolution(
+        params=sinc_solution.params,
+        space=sinc_solution.space,
+        config=config,
+        termination=pl.Termination("blow_up", end),
+        nodes=np.array([[r_start, end], [1.0, 0.5], [-0.0, -1.0]]),
+    )
+    assert np.array_equal(_bits(sol.r), _bits(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +957,7 @@ def test_valid_csv_reads():
     assert sol.termination == pl.Termination("hit_zero", 3.1437843437081181)
     assert np.array_equal(_bits(sol.nodes), _bits(_nodes_of(text)))
     assert np.array_equal(_bits(sol.r), _bits(np.linspace(0.0, sol.termination.r, 2001)))
-    u, w = _profile_from_nodes(sol.params, sol.space, sol.config, sol.nodes, sol.termination)
+    u, w = _profile_from_nodes(sol)
     assert np.array_equal(_bits(sol.u), _bits(u))
     assert np.array_equal(_bits(sol.w), _bits(w))
     # du copies the sign of w, the -0.0 at the center included
@@ -1056,18 +1074,16 @@ def _bits(x):
 @pytest.mark.parametrize("p", [1.25, 2.0, 3.5])
 def test_du_copies_the_sign_of_w(sinc_solution, p):
     """u' takes the sign of w as both steppers do, a zero w's included: an
-    a > 0 profile starts at w = -0.0, and its du starts at -0.0 too."""
+    a > 0 profile starts at w = -0.0, and its du starts at -0.0 too.  A
+    profile's du is _du_from_flux of its w, bit for bit, at any p."""
     assert (_bits(sinc_solution.w[0]), _bits(sinc_solution.du[0])) == (_bits(-0.0),) * 2
     w = np.array([-0.0, 0.0, -2.5, 3.0, -5e-324])
-    sol = dataclasses.replace(
-        sinc_solution,
-        nodes=None,
-        params=dataclasses.replace(sinc_solution.params, p=p),
-        u=np.ones(5),
-        w=w,
-    )
     expected = np.copysign(np.abs(w) ** (1 / (p - 1)), w)
-    assert np.array_equal(_bits(sol.du), _bits(expected))
+    assert np.array_equal(_bits(_du_from_flux(w, p)), _bits(expected))
+    params = dataclasses.replace(sinc_solution.params, p=p)
+    sol = dataclasses.replace(sinc_solution, params=params)
+    assert np.array_equal(_bits(sol.du), _bits(_du_from_flux(sol.w, p)))
+    assert _bits(sol.du[0]) == _bits(-0.0)
 
 
 def _round_trip(solution):
@@ -1146,7 +1162,7 @@ def test_profile_is_built_from_the_nodes(n, p, a, sigma, K, r_max, kind):
     config = pl.ShootingConfig(r_max=r_max)
     sol = pl.solve_radial(params, space, config)
     assert sol.termination.kind == kind
-    u, w = _profile_from_nodes(params, space, config, sol.nodes, sol.termination)
+    u, w = _profile_from_nodes(sol)
     assert np.array_equal(_bits(sol.u), _bits(u))
     assert np.array_equal(_bits(sol.w), _bits(w))
     r = sol.nodes[0]
@@ -1165,8 +1181,40 @@ def _node_misfit(sol):
     if sol.nodes.shape[1] == 1:
         return 0.0
     ends = sol.nodes[1:, 1:]
-    y = _dense_output(_node_steps(sol.params, sol.space, sol.config, sol.nodes), sol.nodes[0, 1:])
+    y = _dense_output(_node_steps(sol), sol.nodes[0, 1:])
     return float(np.max(np.abs(y - ends) / np.maximum(np.abs(ends), 1.0)))
+
+
+def _avx512_targets():
+    """The AVX-512 targets numpy dispatches to on this CPU, by numpy's names."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [
+        x for x in __cpu_dispatch__
+        if (x == "X86_V4" or x.startswith("AVX512")) and __cpu_features__.get(x)
+    ]
+
+
+@pytest.mark.parametrize("n, a, sigma", [(3, 1.0, 1.0), (4, -1.0, 0.5)], ids=["sinc", "n4"])
+def test_solve_nodes_do_not_follow_the_simd_dispatch(n, a, sigma, tmp_path, monkeypatch):
+    """A solve with numpy's AVX-512 dispatch off writes the nodes, and the
+    bytes, of the same solve in this process: the stepper, its initial step
+    included, computes on scalars, whose power is libm's on every path."""
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no AVX-512 target on this CPU")
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(targets))
+    path = tmp_path / "off.csv"
+    argv = ["--n", str(n), "--p", "2", "--a", str(a), "--sigma", str(sigma), "--r-max", "4"]
+    proc = run_bounded("-m", "plaplab.cli", "solve", *argv, "--out", str(path))
+    assert proc.returncode == 0, proc.stderr
+    params = pl.EquationParams(n=n, p=2.0, a=a, sigma=sigma)
+    sol = pl.solve_radial(params, pl.ModelSpace(n=n), pl.ShootingConfig(r_max=4.0))
+    off = path.read_text()
+    assert np.array_equal(_bits(pl.read_solution_csv(io.StringIO(off)).nodes), _bits(sol.nodes))
+    buf = io.StringIO()
+    pl.write_solution_csv(sol, buf)
+    assert buf.getvalue() == off
 
 
 @_drawn_solves
@@ -1205,7 +1253,8 @@ def test_solved_profile_is_built_on_first_read(sinc_solution, tmp_path, monkeypa
     process or through the CLI's solve; a profile read back builds them
     once, on the first read of u, w or du, and keeps them.  Construction
     still refuses nodes that no run ends with, and a termination radius
-    off the grid rule, before any read."""
+    off the grid rule, before any read; a copy by dataclasses.replace is
+    built once too, on its own first read."""
     expected = {name: getattr(sinc_solution, name) for name in ("u", "w", "du")}
     calls = _count_builds(monkeypatch)
     sol = pl.solve_radial(sinc_solution.params, sinc_solution.space, sinc_solution.config)
@@ -1234,8 +1283,10 @@ def test_solved_profile_is_built_on_first_read(sinc_solution, tmp_path, monkeypa
         with pytest.raises(ParameterError):
             pl.RadialSolution(**fields, termination=termination, nodes=nodes)
     assert calls == []
-    with pytest.raises(ParameterError, match="^a solved profile's u and w are built from"):
-        dataclasses.replace(sol, termination=sol.termination)
+    copy = dataclasses.replace(sol, termination=sol.termination)
+    assert calls == []
+    assert np.array_equal(_bits(copy.du), _bits(expected["du"]))
+    assert copy.u is copy.u and len(calls) == 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1259,21 +1310,19 @@ def test_csv_node_values_round_trip(sinc_solution, data, p):
     expected = [",".join("{:.17g}".format(x) for x in node) for node in nodes.T]
     assert text.splitlines()[-m:] == expected
     assert np.array_equal(_bits(back.nodes), _bits(nodes))
-    profile = _profile_from_nodes(
-        back.params, back.space, back.config, nodes, back.termination
-    )
+    profile = _profile_from_nodes(back)
     for name, column in zip(("u", "w"), profile):
         assert np.array_equal(_bits(getattr(sol, name)), _bits(column))
         assert np.array_equal(_bits(getattr(back, name)), _bits(column))
 
 
 def test_solved_profile_is_its_nodes(sinc_solution):
-    """A RadialSolution given nodes builds its u and w from them and refuses
-    u or w given besides, so a copy of a solved profile by
-    dataclasses.replace that keeps the nodes is refused, whatever it
-    replaces; and it refuses nodes that no run ends with, so the writer
-    never writes what the reader refuses.  A profile needs its nodes or
-    both u and w."""
+    """A RadialSolution is given its nodes, from which it builds u and w:
+    it has no other way in, so a profile without nodes, or with u or w
+    besides, is refused, and a copy by dataclasses.replace is an ordinary
+    copy, accepted when its nodes and termination are those of a run, as a
+    hand-edited CSV file is; and it refuses nodes that no run ends with, so
+    the writer never writes what the reader refuses."""
     fields = dict(
         params=sinc_solution.params,
         space=sinc_solution.space,
@@ -1284,24 +1333,25 @@ def test_solved_profile_is_its_nodes(sinc_solution):
     solved = pl.RadialSolution(**fields, nodes=nodes)
     for name in ("r", "u", "w"):
         assert np.array_equal(_bits(getattr(solved, name)), _bits(getattr(sinc_solution, name)))
-    built = (
-        "^a solved profile's u and w are built from its nodes: sample one by hand with nodes=None$"
-    )
+    with pytest.raises(TypeError, match="missing 1 required keyword-only argument: 'nodes'"):
+        pl.RadialSolution(**fields)
+    for given_too in (dict(u=sinc_solution.u), dict(w=sinc_solution.w)):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            pl.RadialSolution(**fields, **given_too, nodes=nodes)
     last_step = "({!r}, {!r}]".format(*nodes[0, -2:].tolist())
+    # a termination inside the last step is a run's, and round-trips bit for bit
     shorter = pl.Termination("hit_zero", float(np.mean(nodes[0, -2:])))
-    for changes in (
-        dict(u=1.5 * sinc_solution.u),
-        dict(w=2.0 * sinc_solution.w),
-        dict(termination=shorter),
-        dict(params=dataclasses.replace(sinc_solution.params, a=2.0)),
-    ):
-        with pytest.raises(ParameterError, match=built):
-            dataclasses.replace(sinc_solution, **changes)
-    with pytest.raises(ParameterError, match=built):
-        pl.RadialSolution(**fields, u=sinc_solution.u, w=sinc_solution.w, nodes=nodes)
-    for u, w in ((None, None), (sinc_solution.u, None), (None, sinc_solution.w)):
-        with pytest.raises(ParameterError, match="^a profile is given by its nodes, or by both u"):
-            pl.RadialSolution(**fields, u=u, w=w)
+    stronger = dataclasses.replace(fields["params"], a=2.0)
+    for changes in (dict(termination=shorter), dict(params=stronger)):
+        copy = dataclasses.replace(sinc_solution, **changes)
+        assert np.array_equal(_bits(copy.nodes), _bits(nodes))
+        _, back = _round_trip(copy)
+        assert (back.params, back.termination) == (copy.params, copy.termination)
+        for name in ("r", "u", "du", "w", "nodes"):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(copy, name))), name
+    assert not np.array_equal(_bits(copy.u), _bits(sinc_solution.u))
+    with pytest.raises(ParameterError, match=re.escape(f"outside the last step {last_step}")):
+        dataclasses.replace(sinc_solution, termination=pl.Termination("hit_zero", 1.0))
     off_start = nodes.copy()
     off_start[0, 0] = 0.0
     backwards = nodes.copy()
@@ -1324,16 +1374,25 @@ def test_solved_profile_is_its_nodes(sinc_solution):
 
 
 def test_write_refuses_a_profile_without_nodes(sinc_solution):
-    """A profile sampled by hand has no nodes: it can be checked, but the
-    CSV, which stores nodes, refuses it with one line."""
-    sampled = dataclasses.replace(sinc_solution, nodes=None)
-    pl.check_gradient_estimate(sampled, 2.0)
-    buf = io.StringIO()
-    with pytest.raises(
-        ParameterError, match="^only a solved profile can be written: this one has no nodes$"
-    ):
-        pl.write_solution_csv(sampled, buf)
-    assert buf.getvalue() == ""
+    """A profile without nodes is no RadialSolution: dropping the nodes of a
+    solved one is refused at construction, with one line, so the writer,
+    which stores nodes, has every RadialSolution to write.  A profile
+    sampled by hand, the test double of the checkers, can be checked."""
+    no_nodes = r"^nodes must be a \(3, m\) array of r, u, w, got \(\)$"
+    with pytest.raises(ParameterError, match=no_nodes):
+        dataclasses.replace(sinc_solution, nodes=None)
+    sampled = SampledProfile(
+        params=sinc_solution.params,
+        space=sinc_solution.space,
+        config=sinc_solution.config,
+        termination=sinc_solution.termination,
+        u=sinc_solution.u,
+        w=sinc_solution.w,
+    )
+    report = pl.check_gradient_estimate(sampled, 2.0)
+    assert report == pl.check_gradient_estimate(sinc_solution, 2.0)
+    _, back = _round_trip(sinc_solution)
+    assert np.array_equal(_bits(back.nodes), _bits(sinc_solution.nodes))
 
 
 # written when ShootingConfig still had min_step and output_points fields and

@@ -13,6 +13,8 @@ from plaplab._quad import pchip
 from plaplab.errors import ParameterError, RegimeError
 from plaplab.proof import _median
 
+from conftest import SampledProfile
+
 
 # ---------------------------------------------------------------------------
 # gradient estimate
@@ -54,7 +56,7 @@ def test_gradient_requires_span(sinc_solution):
 
 def _constant_record():
     r = np.linspace(0.0, 4.0, 401)
-    return pl.RadialSolution(
+    return SampledProfile(
         params=pl.EquationParams(n=3, p=2.0, a=1.0, sigma=2.0),
         space=pl.ModelSpace(n=3, K=0.0),
         config=pl.ShootingConfig(u0=1.0, r_max=4.0),
@@ -161,7 +163,7 @@ def _synthetic_log_solution(a=1e-12, sigma=2.0):
     du = -0.3 * np.sin(r)
     params = pl.EquationParams(n=3, p=2.0, a=a, sigma=sigma)
     space = pl.ModelSpace(n=3, K=0.0)
-    sol = pl.RadialSolution(
+    sol = SampledProfile(
         params=params,
         space=space,
         config=pl.ShootingConfig(u0=1.3, r_max=3.0),
