@@ -14,6 +14,13 @@ import numpy as np
 __all__ = ["PPoly", "pchip"]
 
 
+def _interval(x, t):
+    """How many of x[1:-1] lie at or below t: scipy's interval index on the
+    breakpoints x, with points beyond either end (and nan) in the end
+    intervals."""
+    return np.searchsorted(x[1:-1], t, side="right")
+
+
 class PPoly:
     """Piecewise polynomial in the local power basis: on [x[i], x[i+1]] it is
     sum_m c[m, i] (t - x[i])^(k-1-m), k = len(c).
@@ -33,9 +40,7 @@ class PPoly:
         """(i, t - x[i]) for the points t: the interval of each point and its
         offset in it, which every PPoly on the same breakpoints shares."""
         t = np.asarray(t, dtype=float)
-        # how many of x[1:-1] lie at or below t: scipy's interval index, with
-        # points beyond either end (and nan) in the end intervals
-        i = np.searchsorted(self.x[1:-1], t, side="right")
+        i = _interval(self.x, t)
         return i, t - np.take(self.x, i)
 
     def at(self, where):
@@ -87,8 +92,15 @@ def _pchip_slopes(x, y):
     return h, m, d
 
 
-def pchip(x, y) -> PPoly:
-    """Shape-preserving C^1 cubic through 1-D (x, y), x strictly increasing."""
+def pchip(x, y, *, upto=None) -> PPoly:
+    """Shape-preserving C^1 cubic through 1-D (x, y), x strictly increasing.
+
+    Given upto, it is fitted only to the samples up to the second one past
+    the interval that holds upto, the samples its values at t <= upto read:
+    a value on an interval reads the slopes at its two ends, and a slope
+    reads the samples either side of it.  Those values are bit for bit the
+    full fit's; x and y are still checked whole.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.shape[-1:] != x.shape:
@@ -101,6 +113,9 @@ def pchip(x, y) -> PPoly:
         raise ValueError("x must be strictly increasing")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must contain only finite values")
+    if upto is not None:
+        stop = _interval(x, upto) + 3
+        x, y = x[:stop], y[:stop]
     h, slope, d = _pchip_slopes(x, y)
     # cubic Hermite coefficients from values and slopes
     t = (d[:-1] + d[1:] - 2 * slope) / h

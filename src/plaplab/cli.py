@@ -31,7 +31,7 @@ from typing import get_type_hints
 
 import plaplab
 
-from .errors import ParameterError, RegimeError, SolutionFormatError
+from .errors import ParameterError, RegimeError, SolutionFormatError, _write_output
 
 _cli = sys.modules[__name__]
 
@@ -146,8 +146,7 @@ def _build(cls, values, default=None):
 def _write_json(report, out_path):
     text = json.dumps(report, indent=2)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write_output(out_path, text + "\n")
     else:
         print(text)
 

@@ -1,6 +1,9 @@
-"""Exception classes and the argument checks shared across the package."""
+"""Exception classes and the shared helpers of the package: the argument
+checks and the writer of every output file."""
 
 import math
+import os
+import stat
 from numbers import Integral
 
 
@@ -36,3 +39,33 @@ def _require_p(p):
         raise ParameterError(f"p must be finite, got {p}")
     if not p > 1:
         raise ParameterError(f"p must be > 1, got {p}")
+
+
+def _is_path(path_or_file):
+    """Whether the argument names a file rather than being an open one."""
+    return isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
+
+
+def _keep_contents(path, flags):
+    """os.open for open(): the flags without O_TRUNC, and open()'s own mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_output(path_or_file, text):
+    """Write text, the whole output, to an open file or to a path.
+
+    A path is opened as open(path, "w") opens it (created with the umask
+    applied, followed through a symlink), but an existing regular file is
+    not truncated first: it is rewritten in place and then cut to the
+    written length, so no zero-length truncate sets off its writeback.  A
+    path that is not a regular file, such as /dev/null or a FIFO, is
+    written without the cut.  An open file is written, and neither closed
+    nor cut.  Like open(path, "w"), the writer does not fsync.
+    """
+    if not _is_path(path_or_file):
+        path_or_file.write(text)
+        return
+    with open(path_or_file, "w", opener=_keep_contents) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()

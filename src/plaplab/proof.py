@@ -42,11 +42,12 @@ _QUADRATURE_POINTS = 4001  # grid of the integral checks
 # pointwise differential inequalities for f = |grad v|^p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BochnerReport(_Report):
     """Per-sample margin L(f) - RHS for one of the two pointwise
     inequalities; a sample passes when its margin is not below
-    -tol_rel * scale with scale the largest term magnitude at that sample."""
+    -tol_rel * scale with scale the largest term magnitude at that sample;
+    == and hash go by identity."""
 
     _tolerances = {"tol_rel": _TOL_REL, "required_fraction": _REQUIRED_FRACTION}
 
@@ -288,7 +289,10 @@ def check_caccioppoli(
         <= (n-1)Kp int f^(2-2/p) psi s^(n-1)
            - [2(p-1)/(n-1) - p] int f^(1-2/p) f' v' psi s^(n-1),
 
-    which must hold with nonnegative slack for exact solutions.
+    which must hold with nonnegative slack for exact solutions.  f and v'
+    are interpolated by PCHIP fitted only to the samples the quadrature on
+    [0, R] reads, with the full fit's values bit for bit; a non-finite f
+    or v' anywhere on the grid is still refused.
     """
     params, space = log_solution.params, log_solution.space
     _require_span(log_solution, R)
@@ -312,13 +316,15 @@ def check_caccioppoli(
 
     from ._quad import pchip  # the Bochner checks never interpolate
     # interpolants on the profile's unit span r / r[-1], so that no coefficient
-    # is divided by a tiny sample spacing; f' is scaled back by 1 / r[-1]
+    # is divided by a tiny sample spacing; f' is scaled back by 1 / r[-1]; each
+    # is fitted only as far as the quadrature on [0, R] reads it
     span = r[-1]
-    f_i = pchip(r / span, log_solution.f)
+    unit, upto = r / span, R / span
+    f_i = pchip(unit, log_solution.f, upto=upto)
     where = f_i.locate(x / span)  # the three interpolants share the breakpoints
     fx = np.clip(f_i.at(where), 0.0, None)
     dfx = f_i.derivative().at(where) / span
-    dvx = pchip(r / span, log_solution.dv).at(where)
+    dvx = pchip(unit, log_solution.dv, upto=upto).at(where)
     ex = eta(x)
     dex = eta.derivative(x)
 

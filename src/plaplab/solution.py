@@ -28,14 +28,14 @@ It also holds what the checkers of plaplab.verify and plaplab.proof share:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ParameterError, SolutionFormatError, _require_finite
+from .errors import (ParameterError, SolutionFormatError, _is_path, _require_finite,
+                     _write_output)
 from .geometry import ModelSpace, _log_warp, radial_L_coefficient, radial_p_laplacian, warp
 from .thresholds import EquationParams
 
@@ -91,7 +91,7 @@ class Termination:
             raise ParameterError(f"unknown termination kind {self.kind!r}")
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class RadialSolution:
     """A solved radial profile: a shooting run's nodes, the (3, m) array of
     r, u, w at the series start and at the full end of each of its m - 1
@@ -107,7 +107,8 @@ class RadialSolution:
     (u, w) on it, with the flux w = |u'|^(p-2) u', is not stored either: the
     first read of u or w builds both, _profile_from_nodes of the run, so the
     nodes, which the CSV stores, are its one source.  The derivative
-    du = u' = sgn(w) |w|^(1/(p-1)) is computed from w on first use.
+    du = u' = sgn(w) |w|^(1/(p-1)) is computed from w on first use.  As
+    for every dataclass that holds arrays, == and hash go by identity.
     """
 
     params: EquationParams
@@ -357,10 +358,11 @@ def _profile_from_nodes(sol):
     return u, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogSolution:
     """Log-transformed profile: v = (p-1) log u, f = |v'|^p, and the
-    source weight h = (p-1)^(p-1) exp((sigma/(p-1) - 1) v)."""
+    source weight h = (p-1)^(p-1) exp((sigma/(p-1) - 1) v); == and hash go
+    by identity."""
 
     params: EquationParams
     space: ModelSpace
@@ -625,16 +627,6 @@ _ROW_FMT = ",".join([_FLOAT_FMT] * 3) + "\n"
 _type_hints = cache(get_type_hints)  # a class's annotations resolve once per process
 
 
-@contextmanager
-def _opened(path_or_file, mode):
-    """Open a path for the block and close it after; pass an open file through."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, mode) as fh:
-            yield fh
-    else:
-        yield path_or_file
-
-
 def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     """Write a solution as CSV: metadata comment lines, the header r,u,w
     and one row per node.
@@ -642,7 +634,9 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     The 2001 samples are neither written nor built: a RadialSolution's
     (u, w) are _profile_from_nodes of its nodes, built on first read, and du
     follows from w.  Decimal output carries 17 significant digits, enough to
-    round-trip float64 exactly.
+    round-trip float64 exactly.  The whole text is built before the output
+    is opened; a path is rewritten in place and cut to length
+    (errors._write_output).
     """
     meta = {}
     meta.update(solution.params.to_dict())
@@ -657,8 +651,7 @@ def write_solution_csv(solution: RadialSolution, path_or_file) -> None:
     lines.append(_HEADER + "\n")
     rows = solution.nodes.T
     lines.append((_ROW_FMT * len(rows)) % tuple(rows.ravel().tolist()))
-    with _opened(path_or_file, "w") as fh:
-        fh.write("".join(lines))
+    _write_output(path_or_file, "".join(lines))
 
 
 def _from_meta(cls, meta):
@@ -755,8 +748,12 @@ def read_solution_csv(path_or_file) -> RadialSolution:
     of spaces is refused; a refused row is named by its file line.  Blank
     lines, spaces around fields and \r\n line ends read.
     """
-    with _opened(path_or_file, "r") as fh:
-        lines = fh.read().split("\n")
+    if _is_path(path_or_file):
+        with open(path_or_file) as fh:
+            text = fh.read()
+    else:  # an open file is read, not closed
+        text = path_or_file.read()
+    lines = text.split("\n")
     meta = {}
     start = _header_index(lines, meta)
     header = lines[start].strip() if start < len(lines) else None

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParameterError, _require_finite
+from .errors import ParameterError, _require_finite, _write_output
 from .geometry import ModelSpace
-from .solution import ShootingConfig, _opened
+from .solution import ShootingConfig
 
 # solve_radial is unused, but perfbench's traced run wraps it in this module by name
 from .solver import shoot_batch, solve_radial  # noqa: F401
@@ -317,12 +317,16 @@ def compare_with_theory(table: SweepTable) -> RegionComparison:
 
 
 def write_sweep_csv(table: SweepTable, path_or_file) -> None:
-    """p,sigma,classification,r_star,theory_thm1,theory_thm2 per cell."""
-    with _opened(path_or_file, "w") as fh:
-        fh.write("p,sigma,classification,r_star,theory_thm1,theory_thm2\n")
-        for c in table.cells:
-            r_star = "" if c.r_star is None else f"{c.r_star:.17g}"
-            fh.write(
-                f"{c.p:.17g},{c.sigma:.17g},{c.classification},{r_star},"
-                f"{str(c.theory_thm1).lower()},{str(c.theory_thm2).lower()}\n"
-            )
+    """p,sigma,classification,r_star,theory_thm1,theory_thm2 per cell.
+
+    The whole text is built before the output is opened; a path is
+    rewritten in place and cut to length (errors._write_output).
+    """
+    lines = ["p,sigma,classification,r_star,theory_thm1,theory_thm2\n"]
+    for c in table.cells:
+        r_star = "" if c.r_star is None else f"{c.r_star:.17g}"
+        lines.append(
+            f"{c.p:.17g},{c.sigma:.17g},{c.classification},{r_star},"
+            f"{str(c.theory_thm1).lower()},{str(c.theory_thm2).lower()}\n"
+        )
+    _write_output(path_or_file, "".join(lines))

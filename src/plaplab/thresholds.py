@@ -242,13 +242,14 @@ def _regime_flags(n, p, sigma, sign_of_a, constants):
     return thm1, thm2_condition(n, p, sigma, sign_of_a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoserExponents:
     """Geometric exponent ladder b_l and its partial sums.
 
     b[l-1] holds b_l; the infinite sums of 1/b_l and l/b_l have the closed
     forms n/(2 b_1) and n^2/(4 b_1), and ``tail_inv``/``tail_l_inv`` bound
-    the truncation error of the stored partial sums.
+    the truncation error of the stored partial sums.  == and hash go by
+    identity, as b is an array.
     """
 
     b: np.ndarray

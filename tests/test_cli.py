@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import os
+import stat
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -847,3 +849,99 @@ def test_integral_checks_at_a_tiny_normal_radius(tmp_path, capsys):
         assert capsys.readouterr().err == ""
     metrics = json.loads((tmp_path / "sobolev.json").read_text())["metrics"]
     assert metrics["empirical_constant"] == pytest.approx(0.0690874066578, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# output files: a path is rewritten in place and cut to the written length
+
+SWEEP_CELLS = (
+    "--n", "3", "--a-sign", "1", "--p-min", "2", "--p-max", "2", "--p-step", "1",
+    "--sigma-min", "1", "--sigma-max", "2", "--sigma-step", "0.5",
+)
+# solve's solution CSV, sweep's table CSV, and the JSON of check --out and
+# of sweep --summary
+WRITERS = ["solution", "table", "check", "summary"]
+
+
+def _write(writer, path, sinc_csv, tmp_path):
+    """Run the command that writes the writer's output to path."""
+    path, spare = str(path), str(tmp_path / "spare")
+    argv = {
+        "solution": ("solve", *SINC_PARAMS, "--r-max", "4", "--out", path),
+        "table": ("sweep", *SWEEP_CELLS, "--r-max", "20", "--out", path),
+        "check": ("check", "gradient", "--solution", sinc_csv, "--R", "2", "--out", path),
+        "summary": ("sweep", *SWEEP_CELLS, "--r-max", "20", "--out", spare, "--summary", path),
+    }[writer]
+    assert run(*argv) == 0
+
+
+def _fresh_output(writer, sinc_csv, tmp_path):
+    """The bytes the writer writes to a path that held no file."""
+    path = tmp_path / "fresh"
+    _write(writer, path, sinc_csv, tmp_path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_output_over_a_longer_file_is_cut_to_length(writer, sinc_csv, tmp_path):
+    """A shorter output written over a longer file reads back as exactly
+    its own bytes, in the same file: its inode and mode are kept."""
+    expected = _fresh_output(writer, sinc_csv, tmp_path)
+    out = tmp_path / "out"
+    out.write_bytes(expected + b"a stale row of an earlier output\n" * 500)
+    out.chmod(0o604)
+    before = out.stat()
+    _write(writer, out, sinc_csv, tmp_path)
+    assert out.read_bytes() == expected
+    after = out.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o604
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_output_through_a_symlink(writer, sinc_csv, tmp_path):
+    """A symlink is written through, to its longer target, and stays a link."""
+    expected = _fresh_output(writer, sinc_csv, tmp_path)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(expected * 3)
+    link.symlink_to(target)
+    _write(writer, link, sinc_csv, tmp_path)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_output_to_a_device_or_a_fifo(writer, sinc_csv, tmp_path):
+    """A path that is not a regular file is written without the cut, which
+    /dev/null and a pipe refuse: both are accepted, and the FIFO's reader
+    gets the whole output."""
+    expected = _fresh_output(writer, sinc_csv, tmp_path)
+    _write(writer, os.devnull, sinc_csv, tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+    try:
+        _write(writer, fifo, sinc_csv, tmp_path)
+        received = os.read(reader, 1 << 16)  # every output fits the pipe's buffer
+    finally:
+        os.close(reader)
+    assert received == expected
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_refused_command_leaves_existing_outputs_unchanged(command, tmp_path, capsys):
+    """A command refused as invalid input opens none of its output paths:
+    files already there keep every byte."""
+    out, summary = tmp_path / "out", tmp_path / "summary.json"
+    earlier = b"an earlier output\n" * 100
+    out.write_bytes(earlier)
+    summary.write_bytes(earlier)
+    if command == "solve":
+        argv = ("solve", *SINC_PARAMS, "--r-max", "4e-318", "--out", str(out))
+    else:
+        argv = ("sweep", *SWEEP_CELLS, "--r-max", "4e-318", "--out", str(out),
+                "--summary", str(summary))
+    assert run(*argv) == 2
+    assert "r_max = 4e-318 is too small" in capsys.readouterr().err
+    assert out.read_bytes() == earlier
+    assert summary.read_bytes() == earlier

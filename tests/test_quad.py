@@ -13,6 +13,7 @@ from scipy.integrate import simpson as scipy_simpson
 from scipy.interpolate import PchipInterpolator
 
 import plaplab as pl
+import plaplab._quad
 from plaplab._quad import pchip
 from plaplab.geometry import warp
 from plaplab.proof import _quadrature, _unit_simpson
@@ -215,3 +216,50 @@ def test_caccioppoli_integrals_match_scipy(K):
     assert abs(rep.lhs - lhs) <= 1e-13 * rep.scale
     assert abs(rep.rhs - rhs) <= 1e-13 * rep.scale
     assert rep.scale > 1e-300 and rep.passed
+
+
+def _ball_radius(r, where):
+    """A Caccioppoli radius R on the grid r: on sample 1000, just above it,
+    just below a sample k >= 1000 where R / span rounds onto r[k] / span, at
+    the end, or inside the first interval."""
+    span = r[-1]
+    if where == "on-sample":
+        return r[1000]
+    if where == "between":
+        return float(np.nextafter(r[1000], np.inf))
+    if where == "rounds-onto-next":
+        k = next(k for k in range(1000, len(r)) if np.nextafter(r[k], 0) / span == r[k] / span)
+        return float(np.nextafter(r[k], 0))
+    if where == "end":
+        return span
+    return 0.5 * r[1]
+
+
+@pytest.mark.parametrize("K", [0.0, 1.0])
+@pytest.mark.parametrize("where", ["on-sample", "between", "rounds-onto-next", "end", "first"])
+def test_caccioppoli_ball_fit_is_the_full_fit(K, where, monkeypatch):
+    """check_caccioppoli fits f and v' only up to the second sample past the
+    interval that holds R / span; its report equals, bit for bit, the one
+    computed from PCHIP fits over the whole grid."""
+    _, log = _solved(K)
+    r = log.r
+    R = _ball_radius(r, where)
+    span = r[-1]
+    fitted = []
+
+    def recorded(x, y, upto=None):
+        poly = pchip(x, y, upto=upto)
+        fitted.append(len(poly.x))
+        return poly
+
+    config = pl.CaccioppoliConfig()
+    monkeypatch.setattr(plaplab._quad, "pchip", recorded)
+    ball = pl.check_caccioppoli(log, config, R)
+    interval = np.searchsorted(r[1:-1] / span, R / span, side="right")
+    assert fitted == [min(interval + 3, len(r))] * 2
+    assert (fitted[0] == len(r)) == (where == "end")
+    monkeypatch.setattr(plaplab._quad, "pchip", lambda x, y, upto=None: pchip(x, y))
+    full = pl.check_caccioppoli(log, config, R)
+    for name in ("lhs", "rhs", "slack", "scale"):
+        assert_bitwise(getattr(ball, name), getattr(full, name))
+    assert ball.passed == full.passed

@@ -753,6 +753,68 @@ def test_csv_io_closes_only_files_it_opened(sinc_solution, tmp_path):
     pl.write_solution_csv(sinc_solution, path)
     assert path.read_text() == buf.getvalue()
     assert pl.read_solution_csv(path).termination == sinc_solution.termination
+    # an open file is written where it stands, and not cut
+    longer = io.StringIO("x" * (2 * len(buf.getvalue())))
+    pl.write_solution_csv(sinc_solution, longer)
+    assert not longer.closed
+    assert longer.tell() == len(buf.getvalue())
+    assert longer.getvalue() == buf.getvalue() + "x" * len(buf.getvalue())
+
+
+# the eight pipeline instances of perfbench, as (p, a, sigma, K, r_max) at n = 3
+PIPELINE_INSTANCES = [
+    (2.0, 1.0, 1.0, 0.0, 4.0),
+    (2.0, -1.0, 3.0, 0.0, 5.0),
+    (1.5, 1.0, 0.5, 0.0, 6.0),
+    (3.0, 1.0, 2.0, 0.0, 6.0),
+    (2.5, 1.0, 1.0, 1.0, 6.0),
+    (3.0, 1.0, 3.0, 1.0, 8.0),
+    (1.5, 1.0, 0.5, 1.0, 6.0),
+    (2.0, -1.0, 3.0, 1.0, 5.0),
+]
+
+
+def test_csv_written_over_a_longer_one_without_the_cut_is_refused():
+    """A file path is rewritten in place and cut to length after the write,
+    so a process that dies between the two leaves the new text followed by
+    the tail of the longer old file.  Every such mix of two instances' CSVs
+    is refused on its first stale row, never read as a profile."""
+    texts = []
+    for p, a, sigma, K, r_max in PIPELINE_INSTANCES:
+        sol = pl.solve_radial(
+            pl.EquationParams(n=3, p=p, a=a, sigma=sigma),
+            pl.ModelSpace(n=3, K=K),
+            pl.ShootingConfig(r_max=r_max),
+        )
+        buf = io.StringIO()
+        pl.write_solution_csv(sol, buf)
+        texts.append(buf.getvalue())
+    mixes = 0
+    for new in texts:
+        for old in texts:
+            if len(old) > len(new):
+                torn = new + old[len(new):]
+                with pytest.raises(SolutionFormatError, match="malformed data rows"):
+                    pl.read_solution_csv(io.StringIO(torn))
+                mixes += 1
+    assert mixes == 28  # the eight lengths differ
+
+
+def test_solutions_compare_by_identity(sinc_solution):
+    """A RadialSolution and a LogSolution hold arrays, so == and hash go by
+    identity: a solve and its CSV read-back, equal field by field, compare
+    unequal without raising, and each can go in a set."""
+    buf = io.StringIO()
+    pl.write_solution_csv(sinc_solution, buf)
+    back = pl.read_solution_csv(io.StringIO(buf.getvalue()))
+    for one, other in [
+        (sinc_solution, back),
+        (pl.to_log_solution(sinc_solution), pl.to_log_solution(back)),
+    ]:
+        assert one == one
+        assert not one == other
+        assert one != other
+        assert len({one, other, one}) == 2
 
 
 def test_csv_round_trip_is_exact(sinc_solution):

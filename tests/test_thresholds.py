@@ -387,6 +387,14 @@ def test_moser_exponents_hand_values():
     assert pl.moser_exponents(3, 2.0, 1.0, 1).b[0] == pytest.approx(6.0)
 
 
+def test_moser_exponents_compare_by_identity():
+    """MoserExponents holds an array, so == and hash go by identity."""
+    one, other = pl.moser_exponents(4, 2.0, 3.0, 30), pl.moser_exponents(4, 2.0, 3.0, 30)
+    assert one == one
+    assert not one == other
+    assert len({one, other, one}) == 2
+
+
 def test_moser_recurrence_ratio_exact():
     me = pl.moser_exponents(5, 1.7, 2.3, 25)
     # the ladder is built by the literal recurrence b_{l+1} = b_l * n/(n-2)

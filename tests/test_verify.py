@@ -104,6 +104,16 @@ def test_bochner_lemma_sinc_passes(sinc_solution, sinc_log):
     assert rep.passed
 
 
+def test_bochner_reports_compare_by_identity(sinc_log):
+    """A BochnerReport holds arrays, so == and hash go by identity: two
+    reports of one check compare unequal without raising."""
+    one = pl.check_bochner_lemma(sinc_log)
+    other = pl.check_bochner_lemma(sinc_log)
+    assert one == one
+    assert not one == other
+    assert len({one, other, one}) == 2
+
+
 def test_bochner_lemma_corrupted_f_fails(sinc_solution, sinc_log):
     r_star = sinc_solution.termination.r
     bad = replace(sinc_log, f=0.5 * sinc_log.f)
@@ -325,6 +335,17 @@ def test_caccioppoli_detects_vanishing_f():
     bad = replace(log_sol, f=f)
     with pytest.raises(RegimeError, match="touches 0"):
         pl.check_caccioppoli(bad, config=pl.CaccioppoliConfig(b=2.5), R=2.0)
+
+
+@pytest.mark.parametrize("name", ["f", "dv"])
+def test_caccioppoli_refuses_a_non_finite_sample_beyond_the_ball(sinc_log, name):
+    """f and v' are fitted only as far as the ball reads them, but a
+    non-finite sample anywhere on the grid is still refused."""
+    values = getattr(sinc_log, name).copy()
+    values[-1] = np.inf if name == "f" else np.nan
+    bad = replace(sinc_log, **{name: values})
+    with pytest.raises(ValueError, match="y must contain only finite values"):
+        pl.check_caccioppoli(bad, config=pl.CaccioppoliConfig(b=2.5), R=1.0)
 
 
 def test_caccioppoli_config_validation():
